@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from .symexpr import ZeroCertainty, weakest
 
-__all__ = ["CheckReport", "residual_report"]
+__all__ = ["CheckReport"]
 
 
 @dataclass
@@ -104,10 +104,3 @@ class CheckReport:
     def __str__(self):
         return self.summary()
 
-
-def residual_report(name: str, residuals: Iterable, zero_test) -> CheckReport:
-    """Build a report from labelled expressions that must all vanish."""
-    rep = CheckReport(name)
-    for label, expr in residuals:
-        rep.require_zero(label, zero_test(expr))
-    return rep

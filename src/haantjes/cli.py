@@ -1,4 +1,4 @@
-"""Model language, check runner, and report emission.
+r"""Model language, check runner, and report emission.
 
 A model is a line-oriented text file:
 
@@ -355,16 +355,19 @@ def _signed_terms(text: str, line: int):
             depth += 1
         elif ch in ")]":
             depth -= 1
-        if depth == 0 and ch in "+-" and cur and cur[-1] not in "*/^(,+-":
-            yield sign, "".join(cur).strip()
-            sign = 1 if ch == "+" else -1
-            cur = []
-            first = False
-            continue
-        if depth == 0 and ch in "+-" and not "".join(cur).strip() and first:
-            sign = 1 if ch == "+" else -1
-            first = False
-            continue
+        if depth == 0 and ch in "+-":
+            # a sign right after an operator is unary and stays with its factor
+            last = "".join(cur).rstrip()[-1:]
+            if last and last not in "*/\\^(,+-":
+                yield sign, "".join(cur).strip()
+                sign = 1 if ch == "+" else -1
+                cur = []
+                first = False
+                continue
+            if not last and first:
+                sign = 1 if ch == "+" else -1
+                first = False
+                continue
         cur.append(ch)
     tail = "".join(cur).strip()
     if tail:
@@ -438,6 +441,8 @@ def _parse_factor(text: str, chart: Chart, names: dict, env: dict, line: int, ve
     t = text.strip()
     if not t:
         raise ParseError("empty factor", line, 1)
+    if t.startswith("-"):
+        return -_parse_factor(t[1:], chart, names, env, line, vector_mode)
     if not vector_mode and (t.startswith("d(") or t.startswith("d (")):
         inner = t[t.index("(") + 1 : -1] if t.endswith(")") else None
         if inner is None:
@@ -923,14 +928,25 @@ def _format_bivector(b: KVector) -> str:
 # Entry point
 
 
+def _positive(kind):
+    """argparse type: a number of the given kind that is > 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(prog="haantjes", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     p_check = sub.add_parser("check", help="run a model's check directives")
     p_check.add_argument("model")
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--samples", type=int, default=16)
-    p_check.add_argument("--tol", type=float, default=1e-9)
+    p_check.add_argument("--samples", type=_positive(int), default=16)
+    p_check.add_argument("--tol", type=_positive(float), default=1e-9)
     p_check.add_argument("--json", dest="json_path")
     p_check.add_argument("--fail-fast", action="store_true")
     p_fmt = sub.add_parser("fmt", help="canonical pretty-print of a model")

@@ -20,6 +20,7 @@ from .geometry import (
     Operator11,
     VectorField,
     d_scalar,
+    dot,
     exterior_derivative,
     interior_product,
     invert_matrix,
@@ -70,17 +71,10 @@ class ContactStructure:
     def sharp_form(self, alpha: KForm) -> VectorField:
         chart = self.chart
         co = alpha.covector()
-        return VectorField(chart, [
-            sum((self.sharp[i][j] * co[j] for j in range(chart.dim)), chart.zero())
-            for i in range(chart.dim)
-        ])
+        return VectorField(chart, [dot(chart, row, co) for row in self.sharp])
 
     def flat_field(self, x: VectorField) -> KForm:
-        chart = self.chart
-        return KForm.one_form(chart, [
-            sum((self.flat[i][j] * x[j] for j in range(chart.dim)), chart.zero())
-            for i in range(chart.dim)
-        ])
+        return KForm.one_form(self.chart, [dot(self.chart, row, x.components) for row in self.flat])
 
 
 def standard_contact_form(chart: Chart) -> KForm:
@@ -113,11 +107,7 @@ def validate_contact(theta: KForm, zt: ZeroTester = ZeroTester()) -> ContactStru
     # flat[i][j]: dx^i component of b(d_j) = i_{d_j} dtheta + theta_j theta
     flat = [[dt[i][j] + co[j] * co[i] for j in range(chart.dim)] for i in range(chart.dim)]
     sharp = invert_matrix(flat)
-    reeb_comp = [
-        sum((sharp[i][j] * co[j] for j in range(chart.dim)), chart.zero())
-        for i in range(chart.dim)
-    ]
-    reeb = VectorField(chart, reeb_comp)
+    reeb = VectorField(chart, [dot(chart, row, co) for row in sharp])
     rep.require_zero("i_R theta - 1", zt(interior_product(reeb, theta)[()] - chart.one()))
     for idx, e in interior_product(reeb, dtheta).items():
         rep.require_zero(f"i_R dtheta [{idx}]", zt(e))
@@ -186,23 +176,21 @@ def check_contact_haantjes(
     rep = CheckReport("contact-haantjes")
     th = [[c.d_theta[(i, j)] for j in range(n)] for i in range(n)]
     km = k.matrix
+    k_cols, th_cols = list(zip(*km)), list(zip(*th))
     for a in range(n):
         for b in range(a, n):
             # dtheta(K d_a, d_b) - dtheta(d_a, K d_b)
-            lhs = sum((km[i][a] * th[i][b] for i in range(n)), chart.zero())
-            rhs = sum((th[a][i] * km[i][b] for i in range(n)), chart.zero())
-            resid = lhs - rhs
+            resid = dot(chart, k_cols[a], th_cols[b]) - dot(chart, th[a], k_cols[b])
             if not resid.is_zero_expr():
                 rep.require_zero(f"dtheta-symmetry [{a},{b}]", zt(resid))
     ktheta = op_transpose_apply(k, c.theta)
     for idx, e in wedge(ktheta, c.theta).items():
         rep.require_zero(f"K^T theta ^ theta [{idx}]", zt(e))
     if with_sharp_condition:
+        flat_cols = list(zip(*c.flat))
         for i in range(n):
             for j in range(n):
-                lhs = sum((km[a][i] * c.flat[a][j] for a in range(n)), chart.zero())
-                rhs = sum((c.flat[i][a] * km[a][j] for a in range(n)), chart.zero())
-                resid = lhs - rhs
+                resid = dot(chart, k_cols[i], flat_cols[j]) - dot(chart, c.flat[i], k_cols[j])
                 if not resid.is_zero_expr():
                     rep.require_zero(f"K^T flat - flat K [{i}][{j}]", zt(resid))
     return rep
@@ -245,12 +233,16 @@ def theta_Kf_condition(k: Operator11, f: Expr, c: ContactStructure, zt: ZeroTest
     return rep
 
 
+def _momentum_euler(chart: Chart, f: Expr) -> Expr:
+    """p_i df/dp_i."""
+    ps = chart.p_indices
+    return dot(chart, [chart.coord(i) for i in ps], [f.diff(i) for i in ps])
+
+
 def is_homogeneous_deg0_momenta(f: Expr, chart: Chart, zt: ZeroTester = ZeroTester()) -> CheckReport:
     """Euler residual p_i df/dp_i must vanish."""
     rep = CheckReport("degree0-in-momenta")
-    resid = chart.zero()
-    for i in chart.p_indices:
-        resid = resid + chart.coord(i) * f.diff(i)
+    resid = _momentum_euler(chart, f)
     rep.require_zero("sum p_i df/dp_i", zt(resid))
     return rep
 
@@ -267,16 +259,16 @@ def _structural_special(k: Operator11, c: ContactStructure, zt: ZeroTester) -> C
     for i in range(2 * n):
         rep.require_zero(f"K[{i}][z]", zt(km[i][zi]))
     th = [[c.d_theta[(i, j)] for j in range(chart.dim)] for i in range(chart.dim)]
+    k_cols, th_cols = list(zip(*km)), list(zip(*th))
     for a in range(2 * n):
         for b in range(a, 2 * n):
-            lhs = sum((km[i][a] * th[i][b] for i in range(chart.dim)), chart.zero())
-            rhs = sum((th[a][i] * km[i][b] for i in range(chart.dim)), chart.zero())
-            resid = lhs - rhs
+            resid = dot(chart, k_cols[a], th_cols[b]) - dot(chart, th[a], k_cols[b])
             if not resid.is_zero_expr():
                 rep.require_zero(f"dtheta-symmetry [{a},{b}]", zt(resid))
     # z-row coupling: K[z][j] = sum_i p_i K[q_i][j] for x-columns j
+    momenta = [chart.coord(i) for i in chart.p_indices]
     for j in range(2 * n):
-        expect = sum((chart.coord(n + i) * km[i][j] for i in range(n)), chart.zero())
+        expect = dot(chart, momenta, [km[i][j] for i in range(n)])
         rep.require_zero(f"z-row coupling col {j}", zt(km[zi][j] - expect))
     rep._update_certainty()
     return rep
@@ -305,7 +297,7 @@ def classify_special_kind(k: Operator11, c: ContactStructure, zt: ZeroTester = Z
     f = fn_symbol(chart, "_clsf")
     xf = contact_hamiltonian_vf(f, c)
     theta_kxf = interior_product(op_apply(k, xf), c.theta)[()]
-    euler = sum((chart.coord(i) * f.diff(i) for i in chart.p_indices), chart.zero())
+    euler = _momentum_euler(chart, f)
     evidence.require_zero("calibration theta(KX_f) - K^z_z (p df/dp - f)",
                           zt(theta_kxf - kzz * (euler - f)))
     kzz_zero = zt(kzz)
@@ -368,8 +360,9 @@ def special_structure_operator(
             raise ValueError("antisymmetric pq-block only implemented for n = 2")
         rows[n][1] = c_lower
         rows[n + 1][0] = -c_lower
+    momenta = [chart.coord(i) for i in chart.p_indices]
     for j in range(2 * n):
-        rows[zi][j] = sum((chart.coord(n + i) * rows[i][j] for i in range(n)), zero)
+        rows[zi][j] = dot(chart, momenta, [rows[i][j] for i in range(n)])
     if kzz is not None:
         rows[zi][zi] = kzz
     return Operator11(chart, rows)

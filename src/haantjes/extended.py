@@ -26,7 +26,9 @@ from .geometry import (
     KForm,
     Operator11,
     VectorField,
+    _antisym_contract,
     d_scalar,
+    dot,
     lie_bracket,
     op_apply,
     op_compose,
@@ -94,9 +96,8 @@ class ExtFormPair:
     f_scalar: Expr
 
     def pair(self, p: ExtPair) -> Expr:
-        co = self.alpha.covector()
-        val = sum((co[i] * p.x_field[i] for i in range(len(co))), self.f_scalar.chart.zero())
-        return val + self.f_scalar * p.f_scalar
+        return dot(self.f_scalar.chart, self.alpha.covector() + (self.f_scalar,),
+                   p.x_field.components + (p.f_scalar,))
 
 
 @dataclass(frozen=True)
@@ -138,11 +139,9 @@ def ext_identity(chart: Chart) -> ExtendedOperator:
 
 
 def ext_apply(ek: ExtendedOperator, p: ExtPair) -> ExtPair:
-    gamma_x = sum(
-        (ek.gamma[(i,)] * p.x_field[i] for i in range(ek.chart.dim)), ek.chart.zero())
     return ExtPair(
         op_apply(ek.k_op, p.x_field) + ek.y_field.scale(p.f_scalar),
-        gamma_x + ek.k_scalar * p.f_scalar,
+        dot(ek.chart, ek.gamma.covector() + (ek.k_scalar,), _pair_coeffs(p)),
     )
 
 
@@ -155,25 +154,21 @@ def ext_bracket(a: ExtPair, b: ExtPair) -> ExtPair:
 
 def ext_transpose_apply(ek: ExtendedOperator, fp: ExtFormPair) -> ExtFormPair:
     """EK^T (alpha, f) = (K^T alpha + f gamma, alpha(Y) + k f)."""
-    alpha_y = sum(
-        (fp.alpha[(i,)] * ek.y_field[i] for i in range(ek.chart.dim)), ek.chart.zero())
     return ExtFormPair(
         op_transpose_apply(ek.k_op, fp.alpha) + ek.gamma.scale(fp.f_scalar),
-        alpha_y + ek.k_scalar * fp.f_scalar,
+        dot(ek.chart, fp.alpha.covector() + (fp.f_scalar,),
+            ek.y_field.components + (ek.k_scalar,)),
     )
 
 
 def ext_compose(a: ExtendedOperator, b: ExtendedOperator) -> ExtendedOperator:
     """a b = (K_a K_b + Y_a (x) gamma_b, K_a Y_b + k_b Y_a,
               K_b^T gamma_a + k_a gamma_b, gamma_a(Y_b) + k_a k_b)."""
-    chart = a.chart
-    gamma_a_yb = sum(
-        (a.gamma[(i,)] * b.y_field[i] for i in range(chart.dim)), chart.zero())
     return ExtendedOperator(
         op_compose(a.k_op, b.k_op) + Operator11.tensor(a.y_field, b.gamma),
         op_apply(a.k_op, b.y_field) + a.y_field.scale(b.k_scalar),
         op_transpose_apply(b.k_op, a.gamma) + b.gamma.scale(a.k_scalar),
-        gamma_a_yb + a.k_scalar * b.k_scalar,
+        dot(a.chart, a.gamma.covector() + (a.k_scalar,), b.y_field.components + (b.k_scalar,)),
         name=f"{a.name}{b.name}",
     )
 
@@ -215,32 +210,13 @@ def ext_nijenhuis(ek: ExtendedOperator) -> dict:
     return table
 
 
-def _pair_coeffs(p: ExtPair):
+def _pair_coeffs(p: ExtPair) -> tuple:
     """Coefficients of an ExtPair in the generator basis."""
-    return list(p.x_field.components) + [p.f_scalar]
+    return p.x_field.components + (p.f_scalar,)
 
 
-def _table_lookup(table: dict, chart: Chart, u: int, v: int) -> ExtPair:
-    if u == v:
-        return ExtPair(VectorField.zero(chart), chart.zero())
-    if u < v:
-        return table[(u, v)]
-    t = table[(v, u)]
-    return ExtPair(-t.x_field, -t.f_scalar)
-
-
-def _table_contract(table: dict, chart: Chart, ca, cb) -> ExtPair:
-    out = ExtPair(VectorField.zero(chart), chart.zero())
-    for u, cu in enumerate(ca):
-        if cu.is_zero_expr():
-            continue
-        for v, cv in enumerate(cb):
-            if cv.is_zero_expr():
-                continue
-            t = _table_lookup(table, chart, u, v)
-            if not t.is_zero_pair():
-                out = out + t.scale(cu * cv)
-    return out
+def _as_pair(coeffs: Sequence[Expr]) -> ExtPair:
+    return ExtPair(VectorField(coeffs[0].chart, coeffs[:-1]), coeffs[-1])
 
 
 def ext_haantjes(ek: ExtendedOperator) -> dict:
@@ -249,19 +225,18 @@ def ext_haantjes(ek: ExtendedOperator) -> dict:
     chart = ek.chart
     gens = list(_generators(chart))
     tau = ext_nijenhuis(ek)
-    k_gens = [ext_apply(ek, g) for g in gens]
-    k_coeffs = [_pair_coeffs(kg) for kg in k_gens]
+    table = {uv: _pair_coeffs(t) for uv, t in tau.items() if not t.is_zero_pair()}
+    k_coeffs = [_pair_coeffs(ext_apply(ek, g)) for g in gens]
     unit = [_pair_coeffs(g) for g in gens]
+    width = len(gens)
     out = {}
     for u in range(len(gens)):
         for v in range(u + 1, len(gens)):
-            t_uv = _table_lookup(tau, chart, u, v)
-            h = ext_apply(ek, ext_apply(ek, t_uv))
-            h = h + _table_contract(tau, chart, k_coeffs[u], k_coeffs[v])
-            mid = _table_contract(tau, chart, unit[u], k_coeffs[v])
-            mid = mid + _table_contract(tau, chart, k_coeffs[u], unit[v])
-            h = h - ext_apply(ek, mid)
-            out[(u, v)] = h
+            acc = _antisym_contract(chart, table, [(k_coeffs[u], k_coeffs[v])], width)
+            mid = _antisym_contract(chart, table,
+                                    [(unit[u], k_coeffs[v]), (k_coeffs[u], unit[v])], width)
+            h = ext_apply(ek, ext_apply(ek, tau[(u, v)]) - _as_pair(mid))
+            out[(u, v)] = h + _as_pair(acc)
     return out
 
 
@@ -352,12 +327,8 @@ def lambda_e_sharp(j: JacobiStructure, fp: ExtFormPair) -> ExtPair:
     chart = j.chart
     lam = j.full_matrix()
     co = fp.alpha.covector()
-    x = VectorField(chart, [
-        sum((co[a] * lam[a][i] for a in range(chart.dim)), chart.zero())
-        for i in range(chart.dim)
-    ])
-    alpha_e = sum((co[a] * j.e_field[a] for a in range(chart.dim)), chart.zero())
-    return ExtPair(x + j.e_field.scale(fp.f_scalar), -alpha_e)
+    x = VectorField(chart, [dot(chart, co, col) for col in zip(*lam)])
+    return ExtPair(x + j.e_field.scale(fp.f_scalar), -dot(chart, co, j.e_field.components))
 
 
 def _form_generators(chart: Chart):
@@ -387,13 +358,9 @@ def check_ejh(ek: ExtendedOperator, j: JacobiStructure, zt: ZeroTester = ZeroTes
     e_field = j.e_field
     coforms = [KForm.d_coord(chart, i) for i in range(chart.dim)]
     kt = [op_transpose_apply(ek.k_op, a) for a in coforms]
-    alpha_y = [a.covector()[0].chart.zero() for a in coforms]
-    alpha_y = [sum((a.covector()[i] * ek.y_field[i] for i in range(chart.dim)), chart.zero())
-               for a in coforms]
-    alpha_e = [sum((a.covector()[i] * e_field[i] for i in range(chart.dim)), chart.zero())
-               for a in coforms]
-    kt_e = [sum((kta.covector()[i] * e_field[i] for i in range(chart.dim)), chart.zero())
-            for kta in kt]
+    alpha_y = [dot(chart, a.covector(), ek.y_field.components) for a in coforms]
+    alpha_e = [dot(chart, a.covector(), e_field.components) for a in coforms]
+    kt_e = [dot(chart, kta.covector(), e_field.components) for kta in kt]
     for a in range(chart.dim):
         for b in range(chart.dim):
             resid = (lam.pair(kt[a], coforms[b]) + alpha_y[a] * alpha_e[b]
@@ -404,7 +371,7 @@ def check_ejh(ek: ExtendedOperator, j: JacobiStructure, zt: ZeroTester = ZeroTes
         resid = lam.pair(ek.gamma, coforms[a]) - kt_e[a] + ek.k_scalar * alpha_e[a]
         if not resid.is_zero_expr():
             sys_rep.require_zero(f"eq2[{a}]", zt(resid))
-    gamma_e = sum((ek.gamma[(i,)] * e_field[i] for i in range(chart.dim)), chart.zero())
+    gamma_e = dot(chart, ek.gamma.covector(), e_field.components)
     sys_rep.require_zero("eq3 gamma(E)", zt(gamma_e))
     rep = CheckReport(f"ejh {ek.name}")
     rep.merge(op_rep)
@@ -513,6 +480,7 @@ def thm_main_check(
     for i in range(len(pots)):
         for jj in range(i + 1, len(pots)):
             conc.require_zero(f"{{H{i+1},H{jj+1}}}", zt(jacobi_bracket(pots[i], pots[jj], j)))
+    chart = basis.chart
     e_field = j.e_field
     ops = basis.operators
     for i in range(len(ops)):
@@ -522,15 +490,12 @@ def thm_main_check(
             for a, e in enumerate(v.components):
                 if not e.is_zero_expr():
                     conc.require_zero(f"K{i+1}K{jj+1}E = K{jj+1}K{i+1}E [{a}]", zt(e))
-            gi_kje = sum((ops[i].gamma[(a,)] * op_apply(kj, e_field)[a]
-                          for a in range(basis.chart.dim)), basis.chart.zero())
-            gj_kie = sum((ops[jj].gamma[(a,)] * op_apply(ki, e_field)[a]
-                          for a in range(basis.chart.dim)), basis.chart.zero())
+            gi, gj = ops[i].gamma.covector(), ops[jj].gamma.covector()
+            gi_kje = dot(chart, gi, op_apply(kj, e_field).components)
+            gj_kie = dot(chart, gj, op_apply(ki, e_field).components)
             conc.require_zero(f"g{i+1}(K{jj+1}E) = g{jj+1}(K{i+1}E)", zt(gi_kje - gj_kie))
-            gi_yj = sum((ops[i].gamma[(a,)] * ops[jj].y_field[a]
-                         for a in range(basis.chart.dim)), basis.chart.zero())
-            gj_yi = sum((ops[jj].gamma[(a,)] * ops[i].y_field[a]
-                         for a in range(basis.chart.dim)), basis.chart.zero())
+            gi_yj = dot(chart, gi, ops[jj].y_field.components)
+            gj_yi = dot(chart, gj, ops[i].y_field.components)
             conc.require_zero(f"g{i+1}(Y{jj+1}) = g{jj+1}(Y{i+1})", zt(gi_yj - gj_yi))
     rep.merge(conc)
     rep.data["potentials"] = pots

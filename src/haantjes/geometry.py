@@ -15,15 +15,16 @@ test suite because sign conventions differ across sources.
 from __future__ import annotations
 
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .symexpr import Chart, ChartMismatch, Expr, rational
+from .symexpr import Chart, ChartMismatch, Expr, _t_add, _t_mul, rational
 
 __all__ = [
     "KForm",
     "KVector",
     "Operator11",
     "VectorField",
+    "dot",
     "exterior_derivative",
     "interior_product",
     "lie_bracket",
@@ -51,6 +52,40 @@ def _same_chart(*objs):
         if o.chart != chart:
             raise ChartMismatch(f"{chart.name} vs {o.chart.name}")
     return chart
+
+
+def dot(chart: Chart, xs: Iterable[Expr], ys: Iterable[Expr]) -> Expr:
+    """sum_i xs[i] * ys[i] on chart, canonicalised once.
+
+    The products are formed on term tuples and accumulated in one pass, so
+    a long sum is not re-sorted after every term; the empty sum is
+    chart.zero().  Every operand must live on chart.
+    """
+    prods = []
+    for x, y in zip(xs, ys, strict=True):
+        for v in (x, y):
+            if v.chart is not chart and v.chart != chart:
+                raise ChartMismatch(f"{v.chart.name} vs {chart.name}")
+        prods.append(_t_mul(x.terms, y.terms))
+    return Expr(chart, _t_add(*prods))
+
+
+def _antisym_contract(chart: Chart, table: Mapping, pairs: Sequence, width: int) -> list:
+    """Components of sum over (ca, cb) in pairs of sum_{a,b} ca[a] cb[b] T(a, b).
+
+    T is antisymmetric and given by its entries a < b, each a sequence of
+    `width` components; every entry carries the weight
+    ca[a] cb[b] - ca[b] cb[a], and one dot per output component runs over
+    the entries whose weight is nonzero.
+    """
+    weights, rows = [], []
+    for (a, b), comps in table.items():
+        w = dot(chart, [x for ca, _ in pairs for x in (ca[a], -ca[b])],
+                [y for _, cb in pairs for y in (cb[b], cb[a])])
+        if not w.is_zero_expr():
+            weights.append(w)
+            rows.append(comps)
+    return [dot(chart, weights, [r[c] for r in rows]) for c in range(width)]
 
 
 def _merge_sorted(tup: tuple, i: int):
@@ -124,11 +159,8 @@ class VectorField:
 
     def apply_to(self, f: Expr) -> Expr:
         """Directional derivative X(f)."""
-        out = self.chart.zero()
-        for j, comp in enumerate(self.components):
-            if not comp.is_zero_expr():
-                out = out + comp * f.diff(j)
-        return out
+        live = [j for j, comp in enumerate(self.components) if not comp.is_zero_expr()]
+        return dot(self.chart, [self.components[j] for j in live], [f.diff(j) for j in live])
 
     def is_zero_field(self) -> bool:
         return all(c.is_zero_expr() for c in self.components)
@@ -259,11 +291,10 @@ class KForm(_Graded):
             _same_chart(self, x)
         if self.degree == 0:
             return self.components.get((), self.chart.zero())
-        out = self.chart.zero()
-        for idx, val in self.components.items():
-            acc = _det_expr([[fields[r][i] for i in idx] for r in range(self.degree)])
-            out = out + val * acc
-        return out
+        items = self.components.items()
+        return dot(self.chart, [val for _, val in items], [
+            det([[fields[r][i] for i in idx] for r in range(self.degree)]) for idx, _ in items
+        ])
 
 
 class KVector(_Graded):
@@ -294,27 +325,10 @@ class KVector(_Graded):
         if self.degree != 2 or alpha.degree != 1 or beta.degree != 1:
             raise ValueError("pair() needs a bivector and two 1-forms")
         _same_chart(self, alpha, beta)
-        out = self.chart.zero()
-        for (i, j), v in self.components.items():
-            out = out + v * (alpha[(i,)] * beta[(j,)] - alpha[(j,)] * beta[(i,)])
-        return out
-
-
-def _det_expr(rows: list) -> Expr:
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty determinant")
-    chart = rows[0][0].chart
-    if n == 1:
-        return rows[0][0]
-    out = chart.zero()
-    sign = 1
-    for c in range(n):
-        minor = [r[:c] + r[c + 1 :] for r in rows[1:]]
-        term = rows[0][c] * _det_expr(minor)
-        out = out + term if sign == 1 else out - term
-        sign = -sign
-    return out
+        items = self.components.items()
+        return dot(self.chart, [v for _, v in items], [
+            alpha[(i,)] * beta[(j,)] - alpha[(j,)] * beta[(i,)] for (i, j), _ in items
+        ])
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +337,13 @@ def _det_expr(rows: list) -> Expr:
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     chart = _same_chart(x, y)
-    comps = []
-    for i in range(chart.dim):
-        acc = chart.zero()
-        for j in range(chart.dim):
-            acc = acc + x[j] * y[i].diff(j) - y[j] * x[i].diff(j)
-        comps.append(acc)
-    return VectorField(chart, comps)
+    xs = [j for j in range(chart.dim) if not x[j].is_zero_expr()]
+    ys = [j for j in range(chart.dim) if not y[j].is_zero_expr()]
+    coeffs = [x[j] for j in xs] + [-y[j] for j in ys]
+    return VectorField(chart, [
+        dot(chart, coeffs, [y[i].diff(j) for j in xs] + [x[i].diff(j) for j in ys])
+        for i in range(chart.dim)
+    ])
 
 
 def exterior_derivative(omega: KForm) -> KForm:
@@ -545,32 +559,20 @@ class Operator11:
 
 def op_apply(k: Operator11, x: VectorField) -> VectorField:
     chart = _same_chart(k, x)
-    return VectorField(chart, [
-        sum((k.matrix[i][j] * x[j] for j in range(chart.dim)), chart.zero())
-        for i in range(chart.dim)
-    ])
+    return VectorField(chart, [dot(chart, row, x.components) for row in k.matrix])
 
 
 def op_transpose_apply(k: Operator11, alpha: KForm) -> KForm:
     """K^T on a 1-form: (K^T a)_j = a(K d_j)."""
     chart = _same_chart(k, alpha)
     co = alpha.covector()
-    return KForm.one_form(chart, [
-        sum((co[i] * k.matrix[i][j] for i in range(chart.dim)), chart.zero())
-        for j in range(chart.dim)
-    ])
+    return KForm.one_form(chart, [dot(chart, co, col) for col in zip(*k.matrix)])
 
 
 def op_compose(k1: Operator11, k2: Operator11) -> Operator11:
     chart = _same_chart(k1, k2)
-    n = chart.dim
-    return Operator11(chart, [
-        [
-            sum((k1.matrix[i][m] * k2.matrix[m][j] for m in range(n)), chart.zero())
-            for j in range(n)
-        ]
-        for i in range(n)
-    ])
+    cols = list(zip(*k2.matrix))
+    return Operator11(chart, [[dot(chart, row, col) for col in cols] for row in k1.matrix])
 
 
 def op_commutator(k1: Operator11, k2: Operator11) -> Operator11:
@@ -598,13 +600,11 @@ def det(matrix: Sequence[Sequence[Expr]]) -> Expr:
         key = rows
         if key in cache:
             return cache[key]
-        out = chart.zero()
-        sign = 1
-        for pos, r in enumerate(rows):
-            sub = minor(rows[:pos] + rows[pos + 1 :], col0 + 1)
-            term = matrix[r][col0] * sub
-            out = out + term if sign == 1 else out - term
-            sign = -sign
+        out = dot(
+            chart,
+            [matrix[r][col0] if pos % 2 == 0 else -matrix[r][col0] for pos, r in enumerate(rows)],
+            [minor(rows[:pos] + rows[pos + 1 :], col0 + 1) for pos in range(len(rows))],
+        )
         cache[key] = out
         return out
 

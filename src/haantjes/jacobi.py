@@ -27,6 +27,8 @@ from .geometry import (
     Operator11,
     VectorField,
     d_scalar,
+    dot,
+    op_apply,
     schouten_bracket,
     wedge_v,
 )
@@ -93,11 +95,7 @@ def lambda_sharp(j: JacobiStructure, alpha: KForm) -> VectorField:
     """(sharp a)^i = sum_j L^ij a_j, so that b(sharp a) = L(b, a)."""
     chart = j.chart
     co = alpha.covector()
-    mat = j.full_matrix()
-    return VectorField(chart, [
-        sum((mat[i][jj] * co[jj] for jj in range(chart.dim)), chart.zero())
-        for i in range(chart.dim)
-    ])
+    return VectorField(chart, [dot(chart, row, co) for row in j.full_matrix()])
 
 
 def hamiltonian_vf(f: Expr, j: JacobiStructure) -> VectorField:
@@ -114,23 +112,23 @@ def check_jh_compatibility(
     """K L = L K^T componentwise; optionally the symplectic special case
     O K = K^T O for a supplied nondegenerate 2-form."""
     rep = CheckReport("jh-compatibility")
-    n = j.chart.dim
+    chart = j.chart
+    n = chart.dim
     lam = j.full_matrix()
+    lam_cols = list(zip(*lam))
     km = k.matrix
     for i in range(n):
         for jj in range(n):
-            lhs = sum((km[i][a] * lam[a][jj] for a in range(n)), j.chart.zero())
-            rhs = sum((lam[i][a] * km[jj][a] for a in range(n)), j.chart.zero())
-            resid = lhs - rhs
+            resid = dot(chart, km[i], lam_cols[jj]) - dot(chart, lam[i], km[jj])
             if not resid.is_zero_expr():
                 rep.require_zero(f"(KL - LK^T)[{i}][{jj}]", zt(resid))
     if omega is not None:
         om = [[omega[(i, jj)] for jj in range(n)] for i in range(n)]
+        om_cols = list(zip(*om))
+        k_cols = list(zip(*km))
         for i in range(n):
             for jj in range(n):
-                lhs = sum((om[i][a] * km[a][jj] for a in range(n)), j.chart.zero())
-                rhs = sum((km[a][i] * om[a][jj] for a in range(n)), j.chart.zero())
-                resid = lhs - rhs
+                resid = dot(chart, om[i], k_cols[jj]) - dot(chart, k_cols[i], om_cols[jj])
                 if not resid.is_zero_expr():
                     rep.require_zero(f"(OK - K^T O)[{i}][{jj}]", zt(resid))
     return rep
@@ -345,20 +343,15 @@ def poissonize_lift_check(
         km[i].append(big.zero())
     km.append([big.zero()] * n + [big.one()])
     lam = p_tilde.full_matrix()
+    lam_cols = list(zip(*lam))
     m = big.dim
     for i in range(m):
         for jj in range(m):
-            lhs = sum((km[i][a] * lam[a][jj] for a in range(m)), big.zero())
-            rhs = sum((lam[i][a] * km[jj][a] for a in range(m)), big.zero())
-            resid = lhs - rhs
+            resid = dot(big, km[i], lam_cols[jj]) - dot(big, lam[i], km[jj])
             if not resid.is_zero_expr():
                 rep.require_zero(f"(K~P~ - P~K~^T)[{i}][{jj}]", zt(resid))
     base = check_jh_compatibility(k, j, zt=zt)
-    ke = VectorField(chart, [
-        sum((k.matrix[i][a] * j.e_field[a] for a in range(n)), chart.zero())
-        for i in range(n)
-    ])
-    ke_res = ke - j.e_field
+    ke_res = op_apply(k, j.e_field) - j.e_field
     rep.data["KL=LK^T"] = base.status
     rep.data["KE=E"] = "pass" if all(zt(c).accepts_zero for c in ke_res.components) else "fail"
     return rep

@@ -17,6 +17,7 @@ from .geometry import (
     Operator11,
     VectorField,
     d_scalar,
+    dot,
     exterior_derivative,
     interior_product,
     invert_matrix,
@@ -57,10 +58,7 @@ class LCSStructure:
     def sharp_form(self, alpha: KForm) -> VectorField:
         chart = self.chart
         co = alpha.covector()
-        return VectorField(chart, [
-            sum((self.sharp[i][j] * co[j] for j in range(chart.dim)), chart.zero())
-            for i in range(chart.dim)
-        ])
+        return VectorField(chart, [dot(chart, row, co) for row in self.sharp])
 
 
 def standard_lcs_pair(chart: Chart, lee_potential: Expr) -> tuple:
@@ -94,10 +92,7 @@ def validate_lcs(omega: KForm, eta: KForm, zt: ZeroTester = ZeroTester()) -> LCS
     flat = [[omega[(j, i)] for j in range(chart.dim)] for i in range(chart.dim)]
     sharp = invert_matrix(flat)
     eta_co = eta.covector()
-    e_field = VectorField(chart, [
-        sum((sharp[i][j] * eta_co[j] for j in range(chart.dim)), chart.zero())
-        for i in range(chart.dim)
-    ])
+    e_field = VectorField(chart, [dot(chart, row, eta_co) for row in sharp])
     struct = LCSStructure(chart, omega, eta, flat, sharp, e_field, rep)
     # flat(E) = eta back-check
     back = struct.sharp_form(eta) - e_field
@@ -139,12 +134,10 @@ def check_lcsh(k: Operator11, l: LCSStructure, zt: ZeroTester = ZeroTester()) ->
     n = chart.dim
     rep = CheckReport("lcsh-compatibility")
     om = [[l.omega[(i, j)] for j in range(n)] for i in range(n)]
-    km = k.matrix
+    k_cols, om_cols = list(zip(*k.matrix)), list(zip(*om))
     for a in range(n):
         for b in range(a, n):
-            lhs = sum((km[i][a] * om[i][b] for i in range(n)), chart.zero())
-            rhs = sum((om[a][i] * km[i][b] for i in range(n)), chart.zero())
-            resid = lhs - rhs
+            resid = dot(chart, k_cols[a], om_cols[b]) - dot(chart, om[a], k_cols[b])
             if not resid.is_zero_expr():
                 rep.require_zero(f"Omega-symmetry [{a},{b}]", zt(resid))
     return rep

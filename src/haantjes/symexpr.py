@@ -324,13 +324,13 @@ def _t_mul(t1, t2) -> tuple:
                 pending.append((m, c, expand))
             else:
                 acc[m] = acc.get(m, Fraction(0)) + c
-    out = _freeze(acc)
     for m, c, expand in pending:
         piece = ((m, c),)
         for base, e in expand:
             piece = _t_mul(piece, _t_pow(base, e))
-        out = _t_add(out, piece)
-    return _budget_check(out)
+        for pm, pc in piece:
+            acc[pm] = acc.get(pm, Fraction(0)) + pc
+    return _budget_check(_freeze(acc))
 
 
 def _mono_pow(m, c: Fraction, k: int):
@@ -435,7 +435,7 @@ def _atom_diff(a, i: int):
 
 
 def _t_subst(t, mapping: dict) -> tuple:
-    out = ()
+    pieces = []
     for m, c in t:
         piece = _t_const(c)
         for a, e in m:
@@ -456,8 +456,8 @@ def _t_subst(t, mapping: dict) -> tuple:
                 piece = _t_mul(piece, _t_exp(_t_subst(a[1], mapping)))
             else:
                 piece = _t_mul(piece, _t_pow(_t_subst(a[1], mapping), e))
-        out = _t_add(out, piece)
-    return out
+        pieces.append(piece)
+    return _t_add(*pieces)
 
 
 def _collect_atoms(t, into: set):
@@ -495,7 +495,7 @@ def _clear_denominators(t) -> tuple:
                     need[a[1]] = max(need.get(a[1], 0), -e)
         if not need:
             return t
-        out = ()
+        pieces = []
         for m, c in t:
             have = {base: 0 for base in need}
             rest = []
@@ -509,8 +509,8 @@ def _clear_denominators(t) -> tuple:
                 k = top + have[base]
                 if k > 0:
                     piece = _t_mul(piece, _t_pow(base, k))
-            out = _t_add(out, piece)
-        t = out
+            pieces.append(piece)
+        t = _t_add(*pieces)
         if not t:
             return t
     return t
@@ -989,9 +989,6 @@ class ZeroTester:
     def __call__(self, e: Expr) -> ZeroCertainty:
         return is_zero(e, seed=self.seed, samples=self.samples, tol=self.tol)
 
-    def fork(self, salt: int) -> "ZeroTester":
-        return ZeroTester(self.seed * 1000003 + salt, self.samples, self.tol)
-
 
 def integrate_unit_param(e: Expr, name: str) -> Expr:
     """Exact integral over [0, 1] of e in the parameter ``name``.
@@ -999,7 +996,7 @@ def integrate_unit_param(e: Expr, name: str) -> Expr:
     e must be polynomial in the parameter (the radial-integration use case).
     """
     key = ("p", name)
-    out = ()
+    pieces = []
     for m, c in e.terms:
         k = 0
         rest = []
@@ -1012,8 +1009,8 @@ def integrate_unit_param(e: Expr, name: str) -> Expr:
                 if a[0] in ("e", "w") and key in _iter_atoms(((((a, 1),), Fraction(1)),)):
                     raise DomainError(f"parameter {name!r} inside nonpolynomial atom")
                 rest.append((a, ex))
-        out = _t_add(out, ((tuple(rest), c / (k + 1)),))
-    return Expr(e.chart, out)
+        pieces.append(((tuple(rest), c / (k + 1)),))
+    return Expr(e.chart, _t_add(*pieces))
 
 
 # ---------------------------------------------------------------------------

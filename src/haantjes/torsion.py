@@ -20,7 +20,9 @@ from .geometry import (
     KVector,
     Operator11,
     VectorField,
+    _antisym_contract,
     d_scalar,
+    dot,
     exterior_derivative,
     lie_bracket,
     op_apply,
@@ -140,33 +142,17 @@ def haantjes_torsion(k: Operator11) -> VectorValued2Form:
     chart = k.chart
     n = chart.dim
     tau = nijenhuis_torsion(k)
-    table = [[tau[(a, b)] for b in range(n)] for a in range(n)]
+    cols = [k.column(j).components for j in range(n)]
+    units = [VectorField.basis(chart, j).components for j in range(n)]
     values = {}
     for i in range(n):
         for j in range(i + 1, n):
-            t_ij = table[i][j]
-            h = op_apply(k, op_apply(k, t_ij))
-            acc = VectorField.zero(chart)
-            for a in range(n):
-                ka_i = k.matrix[a][i]
-                if ka_i.is_zero_expr():
-                    continue
-                for b in range(n):
-                    kb_j = k.matrix[b][j]
-                    if kb_j.is_zero_expr() or table[a][b].is_zero_field():
-                        continue
-                    acc = acc + table[a][b].scale(ka_i * kb_j)
-            h = h + acc
-            mid = VectorField.zero(chart)
-            for b in range(n):
-                kb_j = k.matrix[b][j]
-                if not kb_j.is_zero_expr() and not table[i][b].is_zero_field():
-                    mid = mid + table[i][b].scale(kb_j)
-            for a in range(n):
-                ka_i = k.matrix[a][i]
-                if not ka_i.is_zero_expr() and not table[a][j].is_zero_field():
-                    mid = mid + table[a][j].scale(ka_i)
-            h = h - op_apply(k, mid)
+            # tau(K d_i, K d_j) and tau(d_i, K d_j) + tau(K d_i, d_j)
+            acc = _antisym_contract(chart, tau.values, [(cols[i], cols[j])], n)
+            mid = _antisym_contract(chart, tau.values,
+                                    [(units[i], cols[j]), (cols[i], units[j])], n)
+            h = op_apply(k, op_apply(k, tau[(i, j)]) - VectorField(chart, mid))
+            h = h + VectorField(chart, acc)
             if not h.is_zero_field():
                 values[(i, j)] = h
     return VectorValued2Form(chart, values)
@@ -270,19 +256,16 @@ def _radial_potential(omega: KForm) -> Optional[Expr]:
     chart = omega.chart
     t = param(chart, "_t")
     mapping = {i: t * chart.coord(i) for i in range(chart.dim)}
-    acc = chart.zero()
-    for j in range(chart.dim):
-        c = omega[(j,)]
-        if c.is_zero_expr():
-            continue
-        if not c.is_polynomial():
-            return None
-        try:
-            acc = acc + c.subst(mapping) * chart.coord(j)
-        except SubstitutionError:
-            return None
+    live = [j for j in range(chart.dim) if not omega[(j,)].is_zero_expr()]
+    if not all(omega[(j,)].is_polynomial() for j in live):
+        return None
     try:
-        return integrate_unit_param(acc, "_t")
+        pulled = [omega[(j,)].subst(mapping) for j in live]
+    except SubstitutionError:
+        return None
+    integrand = dot(chart, pulled, [chart.coord(j) for j in live])
+    try:
+        return integrate_unit_param(integrand, "_t")
     except Exception:
         return None
 

@@ -60,13 +60,18 @@ def fd_haantjes_table(k0, tau):
     return h_fd
 
 
-def torsions_match_fd(k, pt, tol=1e-5, params=None, fn_bindings=None):
-    """Relative agreement of symbolic vs FD torsions at one point."""
+def symbolic_torsions(k):
+    """(Nijenhuis, Haantjes) frame tables of k, computed once per operator."""
+    return nijenhuis_torsion(k), haantjes_torsion(k)
+
+
+def torsions_match_fd(k, pt, torsions, tol=1e-5, params=None, fn_bindings=None):
+    """Relative agreement of the symbolic torsions of k, as returned by
+    ``symbolic_torsions(k)``, with FD torsions at one point."""
     n = k.chart.dim
     k0, tau_fd = fd_nijenhuis_table(k, pt, params=params, fn_bindings=fn_bindings)
     h_fd = fd_haantjes_table(k0, tau_fd)
-    tau_sym = nijenhuis_torsion(k)
-    h_sym = haantjes_torsion(k)
+    tau_sym, h_sym = torsions
     scale_t = max(1.0, np.max(np.abs(tau_fd)))
     scale_h = max(1.0, np.max(np.abs(h_fd)))
     for i in range(n):

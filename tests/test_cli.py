@@ -57,6 +57,11 @@ class TestParsing:
         m = parse_model(text)
         om = m.declaration("tot").payload["value"]
         assert om.degree == 2
+        # a unary minus on a factor inside a product
+        m = parse_model("chart C (x,y) generic\n"
+                        "form a = 2 * -x * d(y)\n"
+                        "form b = -2 * x * d(y)")
+        assert m.declaration("a").payload["value"] == m.declaration("b").payload["value"]
 
     def test_bivector_tuples(self):
         text = ("chart C (q,p,z) darboux-contact 1\n"
@@ -209,6 +214,14 @@ class TestEntryPoint:
         assert main(["fmt", str(path)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("chart C (q, p, z) darboux-contact 1")
+
+    @pytest.mark.parametrize("flag", [["--samples", "0"], ["--tol", "-1"], ["--tol", "0"]])
+    def test_nonpositive_sampling_flags_exit_2(self, tmp_path, flag):
+        path = tmp_path / "m.hj"
+        path.write_text(MINI)
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(path), *flag])
+        assert exc.value.code == 2
 
     def test_failing_model_exit_1(self, tmp_path):
         path = tmp_path / "m.hj"

@@ -10,6 +10,7 @@ from haantjes.geometry import (
     VectorField,
     d_scalar,
     det,
+    dot,
     exterior_derivative,
     interior_product,
     invert_matrix,
@@ -207,6 +208,27 @@ class TestOperators:
         lhs = sum((op_transpose_apply(k, a).covector()[i] * x[i] for i in range(3)), C.zero())
         rhs = sum((a.covector()[i] * op_apply(k, x)[i] for i in range(3)), C.zero())
         assert (lhs - rhs).is_zero_expr()
+
+
+class TestDot:
+    def test_equals_left_fold(self, C, rng):
+        p = C.coord("p")
+        cases = [([rand_poly(C, rng, 3, 4) for _ in range(n)],
+                  [rand_poly(C, rng, 3, 4) for _ in range(n)]) for n in (1, 2, 3, 7)]
+        # quotients and exponentials, whose products merge atoms
+        cases.append(([sx.exp(p) / (p + 1), rand_poly(C, rng), (p + 1) ** -1],
+                      [rand_poly(C, rng), sx.exp(-p), p * sx.exp(p)]))
+        for xs, ys in cases:
+            assert dot(C, xs, ys) == sum((x * y for x, y in zip(xs, ys)), C.zero())
+
+    def test_empty_is_zero(self, C):
+        assert dot(C, [], []) == C.zero()
+
+    def test_chart_mismatch(self, C):
+        other = sx.darboux_contact(1, name="N")
+        for xs, ys in (([other.one()], [C.one()]), ([C.one()], [other.one()])):
+            with pytest.raises(sx.ChartMismatch):
+                dot(C, xs, ys)
 
 
 class TestLinearAlgebra:
