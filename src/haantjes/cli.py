@@ -27,8 +27,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import __version__
@@ -46,11 +45,12 @@ from .extended import (
     thm_main_check,
     verify_ext_chain,
 )
-from .geometry import KForm, KVector, Operator11, VectorField, wedge, wedge_v
+from .geometry import KForm, KVector, Operator11, VectorField, d_scalar, op_commutator, wedge, wedge_v
 from .jacobi import check_jh_compatibility, jacobi_bracket, poissonize, validate_jacobi
 from .lcs import check_lcsh, eta_KE_check, theorem9_check, validate_lcs
 from .symexpr import (
     Chart,
+    DomainError,
     Expr,
     ParseError,
     ZeroTester,
@@ -87,6 +87,7 @@ class Directive:
     chart_name: Optional[str]
     line: int
     expect_fail: bool = False
+    values: dict = field(default_factory=dict, repr=False, compare=False)  # bound fields
 
     def label(self) -> str:
         parts = [self.verb]
@@ -192,12 +193,25 @@ def parse_model(text: str) -> Model:
         if not rhs:
             raise ParseError("missing right-hand side", lineno, 1)
         decl = Declaration(head, name, current.name, {"rhs": rhs}, lineno)
-        _build_declaration(decl, current, names, lineno)
+        try:
+            _build_declaration(decl, current, names, lineno)
+        except _MODEL_ERRORS as exc:
+            raise _at_line(exc, lineno) from None
         names[name] = (head, decl)
         model.declarations.append(decl)
         model.order.append(("decl", name))
     _resolve_directives(model, names)
     return model
+
+
+# What building a declaration or binding a directive raises on bad input.
+_MODEL_ERRORS = (ValueError, DomainError)
+
+
+def _at_line(exc: Exception, line: int) -> ParseError:
+    """exc as a parse error of model line `line`; the positions parse_scalar
+    reports are relative to the expression, not to the model."""
+    return ParseError(getattr(exc, "message", str(exc)), line, 1)
 
 
 def _parse_chart_stmt(rest: str, line: int):
@@ -240,10 +254,7 @@ def _build_declaration(decl: Declaration, chart: Chart, names: dict, line: int):
     elif decl.kind == "form":
         decl.payload["value"] = _parse_form_expr(rhs, chart, names, env, line)
     elif decl.kind == "vector":
-        comps = _parse_tuple(rhs, chart, env, line)
-        if len(comps) != chart.dim:
-            raise ParseError(f"vector needs {chart.dim} components", line, 1)
-        decl.payload["value"] = VectorField(chart, comps)
+        decl.payload["value"] = _parse_vector(rhs, chart, env, line)
     elif decl.kind == "bivector":
         decl.payload["value"] = _parse_bivector_expr(rhs, chart, names, env, line)
     elif decl.kind == "operator":
@@ -291,6 +302,13 @@ def _lookup(names: dict, name: str, kind: str, line: int):
 def _parse_tuple(text: str, chart: Chart, env: dict, line: int) -> list:
     inner = _expect_wrapped(text, "(", ")", line)
     return [parse_scalar(p, chart, env) for p in _split_top(inner, ",", line)]
+
+
+def _parse_vector(text: str, chart: Chart, env: dict, line: int) -> VectorField:
+    comps = _parse_tuple(text, chart, env, line)
+    if len(comps) != chart.dim:
+        raise ParseError(f"vector needs {chart.dim} components, got {len(comps)}", line, 1)
+    return VectorField(chart, comps)
 
 
 def _parse_operator(text: str, chart: Chart, env: dict, line: int) -> Operator11:
@@ -405,15 +423,6 @@ def _split_factors(term: str, line: int):
     return factors, ops
 
 
-def _is_form_factor(text: str, names: dict) -> bool:
-    t = text.strip()
-    if t.startswith("d(") or t.startswith("d ("):
-        return True
-    if t in names and names[t][0] in ("form",):
-        return True
-    return False
-
-
 def _parse_graded_term(term: str, chart: Chart, names: dict, env: dict, line: int, vector_mode: bool):
     factors, ops = _split_factors(term, line)
     scalar = chart.one()
@@ -447,13 +456,9 @@ def _parse_factor(text: str, chart: Chart, names: dict, env: dict, line: int, ve
         inner = t[t.index("(") + 1 : -1] if t.endswith(")") else None
         if inner is None:
             raise ParseError("unterminated d(...)", line, 1)
-        from .geometry import d_scalar
         return d_scalar(parse_scalar(inner, chart, env))
     if vector_mode and t.startswith("(") and t.endswith(")") and "," in t:
-        comps = _parse_tuple(t, chart, env, line)
-        if len(comps) != chart.dim:
-            raise ParseError(f"vector tuple needs {chart.dim} components", line, 1)
-        return KVector.from_vector(VectorField(chart, comps))
+        return KVector.from_vector(_parse_vector(t, chart, env, line))
     if t in names:
         kind, decl = names[t]
         if not vector_mode and kind == "form":
@@ -482,60 +487,224 @@ def _contains_graded(text: str, names: dict) -> bool:
 
 
 # -- directives
+#
+# `check VERB ARGS [CLAUSE TOKENS ...] [expect fail]`.  A verb's row in
+# _VERBS gives the kind of its arguments, the kind of each clause it takes
+# and its handler; _resolve_directives binds every field through its kind
+# at parse time.  A kind is called as kind(tokens, chart, names, line).
 
-_KEYWORDS = {"wrt", "on", "with", "equals", "potentials", "kind", "expect", "pairs", "abelian"}
+# Clause keywords, in the order fmt writes them.
+_CLAUSES = ("wrt", "with", "on", "kind", "equals", "potentials", "pairs", "abelian")
 
 
 def _parse_directive(rest: str, chart: Optional[Chart], line: int) -> Directive:
     tokens = rest.split()
     if not tokens:
         raise ParseError("empty check directive", line, 1)
-    verb = tokens[0]
     fields: dict = {}
     expect_fail = False
     key = "args"
-    i = 1
-    while i < len(tokens):
-        tok = tokens[i]
+    rest_tokens = iter(tokens[1:])
+    for tok in rest_tokens:
         if tok == "expect":
-            if i + 1 >= len(tokens) or tokens[i + 1] not in ("fail", "pass"):
+            outcome = next(rest_tokens, None)
+            if outcome not in ("fail", "pass"):
                 raise ParseError("expect needs fail|pass", line, 1)
-            expect_fail = tokens[i + 1] == "fail"
-            i += 2
-            continue
-        if tok in _KEYWORDS:
-            fields.setdefault(tok, [])
+            expect_fail = outcome == "fail"
+        elif tok in _CLAUSES:
             key = tok
-            i += 1
-            continue
-        fields.setdefault(key, []).append(tok)
-        i += 1
+            fields.setdefault(key, [])
+        else:
+            fields.setdefault(key, []).append(tok)
     if chart is None:
         raise ParseError("check before any chart", line, 1)
-    return Directive(verb, fields, chart.name, line, expect_fail)
+    return Directive(tokens[0], fields, chart.name, line, expect_fail)
 
 
 def _resolve_directives(model: Model, names: dict):
-    known = {
-        "haantjes", "algebra", "commute", "jacobi", "contact", "lcs",
-        "reeb", "hamiltonian", "dissipated", "bracket", "chain", "ejh",
-        "ext_chain", "thm_main", "lcsh", "eta_ke", "theorem9", "techain",
-        "poissonize", "jh",
-    }
     for d in model.directives:
-        if d.verb not in known:
-            raise ParseError(f"unknown check directive {d.verb!r}", d.line, 1)
-        for key, toks in d.fields.items():
-            if key in ("equals", "potentials", "kind", "pairs", "abelian"):
-                continue
-            for t in toks:
-                if t.isidentifier() and t not in names and not _is_coord(model, d, t):
-                    raise ParseError(f"unknown identifier {t!r} in check", d.line, 1)
+        try:
+            _bind(d, model.charts[d.chart_name], names)
+        except _MODEL_ERRORS as exc:
+            raise _at_line(exc, d.line) from None
 
 
-def _is_coord(model: Model, d: Directive, tok: str) -> bool:
-    chart = model.charts.get(d.chart_name)
-    return chart is not None and tok in chart.coords
+def _bind(d: Directive, chart: Chart, names: dict):
+    """Fill d.values from d.fields through the kinds of d.verb's row."""
+    if d.verb not in _VERBS:
+        raise ParseError(f"unknown check directive {d.verb!r}", d.line, 1)
+    args, clauses, _ = _VERBS[d.verb]
+    for key in d.fields:
+        if key != "args" and key not in clauses:
+            raise ParseError(f"{d.verb} takes no {key!r} clause", d.line, 1)
+    d.values["args"] = args(d.fields.get("args", []), chart, names, d.line)
+    for key, (kind, required) in clauses.items():
+        if key in d.fields:
+            d.values[key] = kind(d.fields[key], chart, names, d.line)
+        elif required:
+            raise ParseError(f"{d.verb} needs the {key!r} clause", d.line, 1)
+
+
+# -- kinds
+
+
+def _named(kind: str, count: int = 1):
+    """`count` declared names of `kind`; a structure binds to its Declaration
+    and is validated on first use at run time, because validation consumes
+    the seeded zero tester."""
+    def bind(toks, chart, names, line):
+        if len(toks) != count:
+            raise ParseError(f"expected {count} {kind} name(s), got {len(toks)}", line, 1)
+        vals = [_lookup(names, t, kind, line) for t in toks]
+        return vals[0] if count == 1 else vals
+    return bind
+
+
+def _basis(cls, kind: str):
+    """One or more names of `kind`, bound as a `cls` basis labelled by them."""
+    def bind(toks, chart, names, line):
+        return cls([_lookup(names, t, kind, line) for t in toks], names=list(toks))
+    return bind
+
+
+def _scalar(toks, chart, names, line) -> Expr:
+    """A scalar expression; a bare name in it must be a coordinate or a scalar."""
+    env = _scalar_env(names, chart)
+    for t in toks:
+        if t.isidentifier() and t not in env and t not in chart.coords:
+            _lookup(names, t, "scalar", line)
+    return parse_scalar(" ".join(toks), chart, env)
+
+
+def _two_scalars(toks, chart, names, line) -> list:
+    if len(toks) != 2:
+        raise ParseError(f"expected two one-token scalars, got {len(toks)}", line, 1)
+    return [_scalar([t], chart, names, line) for t in toks]
+
+
+def _tuple(toks, chart, names, line) -> list:
+    return _parse_tuple(" ".join(toks), chart, _scalar_env(names, chart), line)
+
+
+def _vector(toks, chart, names, line) -> VectorField:
+    return _parse_vector(" ".join(toks), chart, _scalar_env(names, chart), line)
+
+
+def _pairs(toks, chart, names, line) -> list:
+    """(f,g) pairs, one token each."""
+    env = _scalar_env(names, chart)
+    pairs = [tuple(_parse_tuple(t, chart, env, line)) for t in toks]
+    if not pairs or any(len(p) != 2 for p in pairs):
+        raise ParseError("pairs needs (f,g) pairs", line, 1)
+    return pairs
+
+
+def _flag(toks, chart, names, line) -> bool:
+    if toks:
+        raise ParseError(f"unexpected {toks[0]!r} after a flag", line, 1)
+    return True
+
+
+def _first_or_second(toks, chart, names, line) -> str:
+    if toks not in (["first"], ["second"]):
+        raise ParseError("kind must be first or second", line, 1)
+    return toks[0]
+
+
+# -- handlers: (values, zt) -> CheckReport, structures already validated
+
+
+def _commute(v: dict, zt: ZeroTester) -> CheckReport:
+    rep = CheckReport("commute")
+    for i, row in enumerate(op_commutator(*v["args"]).matrix):
+        for j, e in enumerate(row):
+            if not e.is_zero_expr():
+                rep.require_zero(f"[{i}][{j}]", zt(e))
+    return rep
+
+
+def _equals(label: str, got: VectorField, v: dict, zt: ZeroTester) -> CheckReport:
+    """Require got to equal the optional `equals` vector, component-wise."""
+    rep = CheckReport(label)
+    if "equals" in v:
+        for i, e in enumerate((got - v["equals"]).components):
+            rep.require_zero(f"{label}[{i}]", zt(e))
+    return rep
+
+
+def _bracket(v: dict, zt: ZeroTester) -> CheckReport:
+    rep = CheckReport("bracket")
+    val = jacobi_bracket(*v["args"], v["on"])
+    rep.require_zero("bracket - expected", zt(val - v["equals"] if "equals" in v else val))
+    return rep
+
+
+def _chain(v: dict, zt: ZeroTester) -> CheckReport:
+    chain = verify_chain(v["args"], v["with"], zt)
+    rep = CheckReport("chain")
+    rep.status = chain.status
+    for nm, cert in chain.closedness:
+        rep.details.append((f"closed {nm}", cert))
+    _require_potentials(rep, chain.potentials, v, zt)
+    if chain.frobenius is not None:
+        rep.merge(chain.frobenius)
+    rep._update_certainty()
+    return rep
+
+
+def _ext_chain(v: dict, zt: ZeroTester) -> CheckReport:
+    rep = verify_ext_chain(v["args"], v["with"], zt)
+    return _require_potentials(rep, rep.data["potentials"], v, zt)
+
+
+def _require_potentials(rep: CheckReport, pots: list, v: dict, zt: ZeroTester) -> CheckReport:
+    for i, (got, want) in enumerate(zip(pots, v.get("potentials", ()))):
+        if got is None:
+            rep.reject(f"potential {i+1} unavailable")
+        else:
+            rep.require_zero(f"H{i+1} - expected", zt(got - want))
+    return rep
+
+
+_OPERATOR, _EXTOP = _named("operator"), _named("extop")
+_CONTACT, _LCS, _JACOBI = _named("contact"), _named("lcs"), _named("jacobi")
+_OPERATORS, _EXTOPS = _basis(HaantjesBasis, "operator"), _basis(ExtendedBasis, "extop")
+
+# verb -> (argument kind, {clause: (kind, required)}, handler).  Handlers
+# call library functions by their global name, so that tracing that
+# rebinds those names sees every call.
+_VERBS = {
+    "haantjes": (_OPERATOR, {}, lambda v, zt: is_haantjes(v["args"], zt)),
+    "algebra": (_OPERATORS, {"abelian": (_flag, False)}, lambda v, zt: check_haantjes_algebra(
+        replace(v["args"], abelian_required="abelian" in v), zt)),
+    "commute": (_named("operator", 2), {}, _commute),
+    "jacobi": (_JACOBI, {}, lambda v, zt: v["args"].validity),
+    "contact": (_CONTACT, {}, lambda v, zt: v["args"].validity),
+    "lcs": (_LCS, {}, lambda v, zt: v["args"].validity),
+    "reeb": (_CONTACT, {"equals": (_vector, False)},
+             lambda v, zt: _equals("R", v["args"].reeb, v, zt)),
+    "hamiltonian": (_scalar, {"on": (_CONTACT, True), "equals": (_vector, False)},
+                    lambda v, zt: _equals("X_H", contact_hamiltonian_vf(v["args"], v["on"]), v, zt)),
+    "dissipated": (_scalar, {"wrt": (_scalar, True), "on": (_CONTACT, True)},
+                   lambda v, zt: is_dissipated(v["args"], v["wrt"], v["on"], zt)),
+    "bracket": (_two_scalars, {"on": (_JACOBI, True), "equals": (_scalar, False)}, _bracket),
+    "chain": (_scalar, {"with": (_OPERATORS, True), "potentials": (_tuple, False)}, _chain),
+    "ejh": (_EXTOP, {"on": (_JACOBI, True)}, lambda v, zt: check_ejh(v["args"], v["on"], zt)),
+    "ext_chain": (_scalar, {"with": (_EXTOPS, True), "potentials": (_tuple, False)}, _ext_chain),
+    "thm_main": (_scalar, {"with": (_EXTOPS, True), "on": (_JACOBI, True)},
+                 lambda v, zt: thm_main_check(v["args"], v["with"], v["on"], zt)),
+    "lcsh": (_OPERATOR, {"on": (_LCS, True)}, lambda v, zt: check_lcsh(v["args"], v["on"], zt)),
+    "eta_ke": (_OPERATOR, {"on": (_LCS, True)}, lambda v, zt: eta_KE_check(v["args"], v["on"], zt)),
+    "theorem9": (_scalar, {"with": (_OPERATORS, True), "on": (_LCS, True)},
+                 lambda v, zt: theorem9_check(v["args"], v["with"], v["on"], zt)),
+    "techain": (_scalar, {"with": (_OPERATORS, True), "on": (_CONTACT, True),
+                          "kind": (_first_or_second, True)},
+                lambda v, zt: techain_check(v["args"], v["with"], v["on"], v["kind"], zt)),
+    "jh": (_OPERATOR, {"on": (_JACOBI, True)},
+           lambda v, zt: check_jh_compatibility(v["args"], v["on"], zt=zt)),
+    "poissonize": (_JACOBI, {"pairs": (_pairs, False)},
+                   lambda v, zt: poissonize(v["args"], zt, test_pairs=v.get("pairs", []))[1]),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +726,7 @@ class Report:
     def exit_code(self) -> int:
         if self.internal_inconsistency:
             return 3
-        return 1 if self.failed else 0
+        return 0 if all(e["status"] == "pass" for e in self.entries) else 1
 
     def comparable(self) -> dict:
         return {
@@ -591,50 +760,30 @@ class Report:
 
 
 class _Runtime:
-    """Lazily materialised structures for one run."""
+    """The zero tester of one run and the structures it has validated."""
 
-    def __init__(self, model: Model, zt: ZeroTester):
-        self.model = model
+    def __init__(self, zt: ZeroTester):
         self.zt = zt
-        self.values: dict = {}
         self.structs: dict = {}
-        for d in model.declarations:
-            if "value" in d.payload:
-                self.values[d.name] = (d.kind, d.payload["value"])
 
-    def chart(self, name: str) -> Chart:
-        return self.model.charts[name]
-
-    def get(self, kind: str, name: str):
-        if name in self.values and self.values[name][0] == kind:
-            return self.values[name][1]
-        raise KeyError(f"{name!r} is not a {kind}")
-
-    def scalar(self, tokens, chart: Chart) -> Expr:
-        text = " ".join(tokens)
-        env = {nm: v for nm, (k, v) in self.values.items() if k == "scalar" and v.chart == chart}
-        return parse_scalar(text, chart, env)
-
-    def structure(self, name: str):
-        if name in self.structs:
-            return self.structs[name]
-        decl = self.model.declaration(name)
-        if decl.kind == "contact":
-            s = validate_contact(decl.payload["form"], self.zt)
-        elif decl.kind == "lcs":
-            s = validate_lcs(decl.payload["omega"], decl.payload["eta"], self.zt)
-        elif decl.kind == "jacobi":
-            s = validate_jacobi(decl.payload["lam"], decl.payload["e"], self.zt)
-        else:
-            raise KeyError(f"{name!r} is not a structure")
-        self.structs[name] = s
+    def structure(self, decl: Declaration):
+        s = self.structs.get(decl.name)
+        if s is None:
+            p = decl.payload
+            if decl.kind == "contact":
+                s = validate_contact(p["form"], self.zt)
+            elif decl.kind == "lcs":
+                s = validate_lcs(p["omega"], p["eta"], self.zt)
+            else:
+                s = validate_jacobi(p["lam"], p["e"], self.zt)
+            self.structs[decl.name] = s
         return s
 
 
 def run_checks(model: Model, seed: int = 0, samples: int = 16, tol: float = 1e-9,
                fail_fast: bool = False) -> Report:
     zt = ZeroTester(seed=seed, samples=samples, tol=tol)
-    rt = _Runtime(model, zt)
+    rt = _Runtime(zt)
     report = Report(meta={
         "model": "inline",
         "seed": seed,
@@ -689,162 +838,8 @@ def _jsonable(obj):
 
 
 def _execute(d: Directive, rt: _Runtime) -> CheckReport:
-    zt = rt.zt
-    chart = rt.chart(d.chart_name)
-    args = d.fields.get("args", [])
-    if d.verb == "haantjes":
-        return is_haantjes(rt.get("operator", args[0]), zt)
-    if d.verb == "algebra":
-        ops = [rt.get("operator", a) for a in args]
-        abelian = "abelian" in d.fields
-        basis = HaantjesBasis(ops, abelian_required=abelian, names=list(args))
-        return check_haantjes_algebra(basis, zt)
-    if d.verb == "commute":
-        from .geometry import op_commutator
-        rep = CheckReport(f"commute {args[0]} {args[1]}")
-        comm = op_commutator(rt.get("operator", args[0]), rt.get("operator", args[1]))
-        for i, row in enumerate(comm.matrix):
-            for j, e in enumerate(row):
-                if not e.is_zero_expr():
-                    rep.require_zero(f"[{i}][{j}]", zt(e))
-        return rep
-    if d.verb == "jacobi":
-        return rt.structure(args[0]).validity
-    if d.verb == "contact":
-        return rt.structure(args[0]).validity
-    if d.verb == "lcs":
-        return rt.structure(args[0]).validity
-    if d.verb == "reeb":
-        c = rt.structure(args[0])
-        rep = CheckReport(f"reeb {args[0]}")
-        expected = d.fields.get("equals")
-        if expected:
-            comps = [rt.scalar([t.strip()], chart) for t in
-                     _split_top(_expect_wrapped(" ".join(expected), "(", ")", d.line), ",", d.line)]
-            resid = c.reeb - VectorField(chart, comps)
-            for i, e in enumerate(resid.components):
-                rep.require_zero(f"R[{i}]", zt(e))
-        return rep
-    if d.verb == "hamiltonian":
-        h = rt.scalar(args, chart)
-        c = rt.structure(d.fields["on"][0])
-        xh = contact_hamiltonian_vf(h, c)
-        rep = CheckReport("hamiltonian field")
-        expected = d.fields.get("equals")
-        if expected:
-            comps = [rt.scalar([t.strip()], chart) for t in
-                     _split_top(_expect_wrapped(" ".join(expected), "(", ")", d.line), ",", d.line)]
-            resid = xh - VectorField(chart, comps)
-            for i, e in enumerate(resid.components):
-                rep.require_zero(f"X_H[{i}]", zt(e))
-        rep.data["X_H"] = [format_expr(e) for e in xh.components]
-        return rep
-    if d.verb == "dissipated":
-        f = rt.scalar(args, chart)
-        h = rt.scalar(d.fields["wrt"], chart)
-        c = rt.structure(d.fields["on"][0])
-        return is_dissipated(f, h, c, zt)
-    if d.verb == "bracket":
-        f = rt.get("scalar", args[0]) if args[0] in rt.values else rt.scalar([args[0]], chart)
-        g = rt.get("scalar", args[1]) if args[1] in rt.values else rt.scalar([args[1]], chart)
-        j = rt.structure(d.fields["on"][0])
-        rep = CheckReport(f"bracket {args[0]} {args[1]}")
-        val = jacobi_bracket(f, g, j)
-        expected = rt.scalar(d.fields.get("equals", ["0"]), chart)
-        rep.require_zero("bracket - expected", zt(val - expected))
-        rep.data["value"] = format_expr(val)
-        return rep
-    if d.verb == "chain":
-        h = rt.scalar(args, chart)
-        ops = [rt.get("operator", a) for a in d.fields["with"]]
-        basis = HaantjesBasis(ops, names=list(d.fields["with"]))
-        chain = verify_chain(h, basis, zt)
-        rep = CheckReport("chain")
-        rep.status = chain.status
-        for nm, cert in chain.closedness:
-            rep.details.append((f"closed {nm}", cert))
-        rep.data["rank"] = chain.rank
-        pots = chain.potentials
-        rep.data["potentials"] = [format_expr(p) if p is not None else None for p in pots]
-        expected = d.fields.get("potentials")
-        if expected:
-            want = [rt.scalar([t.strip()], chart) for t in
-                    _split_top(_expect_wrapped(" ".join(expected), "(", ")", d.line), ",", d.line)]
-            for i, (got, w) in enumerate(zip(pots, want)):
-                if got is None:
-                    rep.reject(f"potential {i+1} unavailable")
-                else:
-                    rep.require_zero(f"H{i+1} - expected", zt(got - w))
-        if chain.frobenius is not None:
-            rep.merge(chain.frobenius)
-        rep._update_certainty()
-        return rep
-    if d.verb == "ejh":
-        ek = rt.get("extop", args[0])
-        j = rt.structure(d.fields["on"][0])
-        return check_ejh(ek, j, zt)
-    if d.verb == "ext_chain":
-        h = rt.scalar(args, chart)
-        ops = [rt.get("extop", a) for a in d.fields["with"]]
-        basis = ExtendedBasis(ops, names=list(d.fields["with"]))
-        rep = verify_ext_chain(h, basis, zt)
-        expected = d.fields.get("potentials")
-        if expected:
-            want = [rt.scalar([t.strip()], chart) for t in
-                    _split_top(_expect_wrapped(" ".join(expected), "(", ")", d.line), ",", d.line)]
-            for i, (got, w) in enumerate(zip(rep.data["potentials"], want)):
-                rep.require_zero(f"H{i+1} - expected", zt(got - w))
-        rep.data["potentials"] = [format_expr(p) for p in rep.data["potentials"]]
-        return rep
-    if d.verb == "thm_main":
-        h = rt.scalar(args, chart)
-        ops = [rt.get("extop", a) for a in d.fields["with"]]
-        basis = ExtendedBasis(ops, names=list(d.fields["with"]))
-        j = rt.structure(d.fields["on"][0])
-        rep = thm_main_check(h, basis, j, zt)
-        if "potentials" in rep.data:
-            rep.data["potentials"] = [format_expr(p) for p in rep.data["potentials"]]
-        return rep
-    if d.verb == "lcsh":
-        return check_lcsh(rt.get("operator", args[0]), rt.structure(d.fields["on"][0]), zt)
-    if d.verb == "eta_ke":
-        rep = eta_KE_check(rt.get("operator", args[0]), rt.structure(d.fields["on"][0]), zt)
-        rep.data["eta(KE)"] = format_expr(rep.data["eta(KE)"])
-        return rep
-    if d.verb == "theorem9":
-        h = rt.scalar(args, chart)
-        ops = [rt.get("operator", a) for a in d.fields["with"]]
-        basis = HaantjesBasis(ops, names=list(d.fields["with"]))
-        rep = theorem9_check(h, basis, rt.structure(d.fields["on"][0]), zt)
-        if "potentials" in rep.data:
-            rep.data["potentials"] = [format_expr(p) for p in rep.data["potentials"]]
-        return rep
-    if d.verb == "techain":
-        h = rt.scalar(args, chart)
-        ops = [rt.get("operator", a) for a in d.fields["with"]]
-        basis = HaantjesBasis(ops, names=list(d.fields["with"]))
-        kind = d.fields["kind"][0]
-        rep = techain_check(h, basis, rt.structure(d.fields["on"][0]), kind, zt)
-        if "potentials" in rep.data:
-            rep.data["potentials"] = [format_expr(p) for p in rep.data["potentials"]]
-        return rep
-    if d.verb == "jh":
-        k = rt.get("operator", args[0])
-        j = rt.structure(d.fields["on"][0])
-        return check_jh_compatibility(k, j, zt=zt)
-    if d.verb == "poissonize":
-        j = rt.structure(args[0])
-        pairs = []
-        toks = d.fields.get("pairs")
-        if toks:
-            for chunk in toks:
-                inner = _expect_wrapped(chunk, "(", ")", d.line)
-                f_txt, g_txt = _split_top(inner, ",", d.line)
-                pairs.append((rt.scalar([f_txt], rt.chart(d.chart_name)),
-                              rt.scalar([g_txt], rt.chart(d.chart_name))))
-        _, rep = poissonize(j, zt, test_pairs=pairs)
-        return rep
-    raise ValueError(f"unhandled directive {d.verb}")
+    v = {k: rt.structure(x) if isinstance(x, Declaration) else x for k, x in d.values.items()}
+    return _VERBS[d.verb][2](v, rt.zt)
 
 
 # ---------------------------------------------------------------------------
@@ -887,12 +882,9 @@ def _format_declaration(d: Declaration, chart: Chart) -> str:
     return f"{d.kind} {d.name} = {d.payload['rhs']}"
 
 
-_KEYWORD_ORDER = ["args", "wrt", "with", "on", "kind", "equals", "potentials", "pairs", "abelian"]
-
-
 def _format_directive(d: Directive) -> str:
     parts = [d.verb]
-    for key in _KEYWORD_ORDER:
+    for key in ("args",) + _CLAUSES:
         if key not in d.fields:
             continue
         if key != "args":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .symexpr import Chart, ChartMismatch, Expr, _t_add, _t_mul, rational
+from .symexpr import Chart, ChartMismatch, Expr, _t_add, _t_mul, _t_neg, rational
 
 __all__ = [
     "KForm",
@@ -357,12 +357,10 @@ def exterior_derivative(omega: KForm) -> KForm:
             if ins is None:
                 continue
             pos, new_idx = ins
-            d = val.diff(i)
-            if d.is_zero_expr():
-                continue
-            term = d if pos % 2 == 0 else -d
-            acc[new_idx] = acc.get(new_idx, chart.zero()) + term
-    return KForm(chart, omega.degree + 1, acc)
+            d = val.diff(i).terms
+            if d:
+                acc.setdefault(new_idx, []).append(d if pos % 2 == 0 else _t_neg(d))
+    return KForm(chart, omega.degree + 1, _summed(chart, acc))
 
 
 def interior_product(x: VectorField, omega: KForm) -> KForm:
@@ -374,25 +372,26 @@ def interior_product(x: VectorField, omega: KForm) -> KForm:
         for pos, i in enumerate(idx):
             if x[i].is_zero_expr():
                 continue
-            rest = idx[:pos] + idx[pos + 1 :]
-            term = x[i] * val
-            if pos % 2 == 1:
-                term = -term
-            acc[rest] = acc.get(rest, chart.zero()) + term
-    return KForm(chart, omega.degree - 1, acc)
+            term = _t_mul(x[i].terms, val.terms)
+            acc.setdefault(idx[:pos] + idx[pos + 1 :], []).append(
+                term if pos % 2 == 0 else _t_neg(term))
+    return KForm(chart, omega.degree - 1, _summed(chart, acc))
 
 
-def _wedge_components(a, b, chart, out_degree):
-    acc: dict = {}
+def _summed(chart: Chart, acc: Mapping) -> dict:
+    """index -> list of term tuples, summed to index -> Expr with one _t_add each."""
+    return {idx: Expr(chart, _t_add(*ts)) for idx, ts in acc.items()}
+
+
+def _wedge_terms(a, b, acc: dict, sign: int = 1) -> dict:
+    """Collect the term tuples of sign * (a ^ b) into acc, per sorted index."""
     for ia, va in a.components.items():
         for ib, vb in b.components.items():
-            sign, idx = _sort_signed(ia + ib)
+            s, idx = _sort_signed(ia + ib)
             if idx is None:
                 continue
-            term = va * vb
-            if sign == -1:
-                term = -term
-            acc[idx] = acc.get(idx, chart.zero()) + term
+            term = _t_mul(va.terms, vb.terms)
+            acc.setdefault(idx, []).append(term if s * sign == 1 else _t_neg(term))
     return acc
 
 
@@ -401,7 +400,7 @@ def wedge(a: KForm, b: KForm) -> KForm:
     deg = a.degree + b.degree
     if deg > chart.dim:
         return KForm.zero(chart, chart.dim)
-    return KForm(chart, deg, _wedge_components(a, b, chart, deg))
+    return KForm(chart, deg, _summed(chart, _wedge_terms(a, b, {})))
 
 
 def wedge_v(a: KVector, b: KVector) -> KVector:
@@ -409,7 +408,7 @@ def wedge_v(a: KVector, b: KVector) -> KVector:
     deg = a.degree + b.degree
     if deg > chart.dim:
         return KVector.zero(chart, chart.dim)
-    return KVector(chart, deg, _wedge_components(a, b, chart, deg))
+    return KVector(chart, deg, _summed(chart, _wedge_terms(a, b, {})))
 
 
 def d_scalar(f: Expr) -> KForm:
@@ -447,19 +446,12 @@ def schouten_bracket(a: KVector, b: KVector) -> KVector:
     deg = a.degree + b.degree - 1
     if deg > chart.dim:
         return KVector.zero(chart, chart.dim)
-    out = KVector.zero(chart, deg)
+    acc: dict = {}
     sign = -1 if a.degree % 2 else 1
     for i in range(chart.dim):
-        da_xi = _xi_derivative(a, i)
-        db_x = _x_derivative(b, i)
-        if not (da_xi.is_zero() or db_x.is_zero()):
-            out = out + wedge_v(da_xi, db_x)
-        da_x = _x_derivative(a, i)
-        db_xi = _xi_derivative(b, i)
-        if not (da_x.is_zero() or db_xi.is_zero()):
-            piece = wedge_v(da_x, db_xi)
-            out = out + piece.scale(sign)
-    return out
+        _wedge_terms(_xi_derivative(a, i), _x_derivative(b, i), acc)
+        _wedge_terms(_x_derivative(a, i), _xi_derivative(b, i), acc, sign)
+    return KVector(chart, deg, _summed(chart, acc))
 
 
 def lie_derivative(x: VectorField, target):

@@ -15,7 +15,7 @@ Sign conventions, fixed once and calibrated by the test suite:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np

@@ -79,6 +79,7 @@ class UnboundAtomError(KeyError):
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 

@@ -169,6 +169,7 @@ class TestReportType:
         rep = run_checks(parse_model(text), seed=1)
         assert rep.entries[0]["status"] == "unknown"
         assert any("ChartMismatch" in n for n in rep.entries[0]["notes"])
+        assert rep.exit_code == 1
 
 
 class TestFormatter:
@@ -200,10 +201,43 @@ class TestEntryPoint:
         data = json.loads(out.read_text())
         assert data["summary"]["exit_code"] == 0
 
-    def test_parse_error_exit_2(self, tmp_path):
+    def test_parse_error_exit_2(self, tmp_path, capsys):
+        # (model, line the error must name); positions inside an expression
+        # are reported at the model line
+        cases = [
+            ("chart C (q,p) generic\noperator K = [[1,2],[3]]\n", 2),
+            ("chart C (q, p) generic\nscalar b = q\nscalar c = p\nscalar a = q + * p\n", 4),
+            ("chart C (q, p) generic\n\n# entry\noperator K = [[1, q +], [0, 1]]\n", 4),
+            ("chart C (x, y) generic\nform c = d(x) /\\ d(y) + d(x)\n", 2),
+            ("chart C (x, y) generic\nscalar a = 1/0\n", 2),
+            (MINI + "check reeb CS equals (0, 1)\n", 7),
+            (MINI + "check hamiltonian H on CS equals (1, p)\n", 7),
+        ]
         path = tmp_path / "bad.hj"
-        path.write_text("chart C (q,p) generic\noperator K = [[1,2],[3]]\n")
+        for text, line in cases:
+            path.write_text(text)
+            assert main(["check", str(path)]) == 2, text
+            assert capsys.readouterr().err.startswith(f"{path}:{line}:1: "), text
+
+    @pytest.mark.parametrize("directive", [
+        "dissipated p wrt H",                      # no 'on' clause
+        "haantjes",                                # no argument
+        "commute K1",                              # one operator
+        "haantjes H",                              # a scalar, not an operator
+        "hamiltonian H on JJ",                     # a jacobi, not a contact structure
+        "haantjes K1 on CS",                       # a clause haantjes does not take
+        "techain H with K1 on CS kind frist expect fail",
+    ])
+    def test_malformed_directive_exit_2(self, tmp_path, capsys, directive):
+        text = (MINI
+                + "operator K1 = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]\n"
+                + "vector V1 = (1, 0, p)\nvector V2 = (0, 1, 0)\nvector EV = (0, 0, 1)\n"
+                + "bivector LAM = V1 /\\ V2\njacobi JJ = (LAM, EV)\n")
+        path = tmp_path / "m.hj"
+        path.write_text(text + f"check {directive}\n")
         assert main(["check", str(path)]) == 2
+        line = text.count("\n") + 1
+        assert capsys.readouterr().err.startswith(f"{path}:{line}:1: ")
 
     def test_missing_file_exit_2(self):
         assert main(["check", "/nonexistent/model.hj"]) == 2
