@@ -49,10 +49,13 @@ from .geometry import KForm, KVector, Operator11, VectorField, d_scalar, op_comm
 from .jacobi import check_jh_compatibility, jacobi_bracket, poissonize, validate_jacobi
 from .lcs import check_lcsh, eta_KE_check, theorem9_check, validate_lcs
 from .symexpr import (
+    BudgetError,
     Chart,
+    ChartMismatch,
     DomainError,
     Expr,
     ParseError,
+    SubstitutionError,
     ZeroTester,
     format_expr,
     parse_scalar,
@@ -273,21 +276,37 @@ def _build_declaration(decl: Declaration, chart: Chart, names: dict, line: int):
             sc = parse_scalar(parts[3], chart, env)
         decl.payload["value"] = ExtendedOperator(op, vec, form, sc, name=decl.name)
     elif decl.kind == "contact":
-        decl.payload["form"] = _lookup(names, rhs.strip(), "form", line)
+        if chart.dim % 2 == 0:
+            raise ParseError(f"contact structure on even-dimensional chart {chart.name}", line, 1)
+        decl.payload["form"] = _structure_part(names, rhs.strip(), "form", 1, chart, line)
     elif decl.kind == "lcs":
+        if chart.dim % 2 == 1:
+            raise ParseError(f"lcs structure on odd-dimensional chart {chart.name}", line, 1)
         inner = _expect_wrapped(rhs, "(", ")", line)
         parts = [p.strip() for p in _split_top(inner, ",", line)]
         if len(parts) != 2:
             raise ParseError("lcs needs (2-form, 1-form)", line, 1)
-        decl.payload["omega"] = _lookup(names, parts[0], "form", line)
-        decl.payload["eta"] = _lookup(names, parts[1], "form", line)
+        decl.payload["omega"] = _structure_part(names, parts[0], "form", 2, chart, line)
+        decl.payload["eta"] = _structure_part(names, parts[1], "form", 1, chart, line)
     elif decl.kind == "jacobi":
         inner = _expect_wrapped(rhs, "(", ")", line)
         parts = [p.strip() for p in _split_top(inner, ",", line)]
         if len(parts) != 2:
             raise ParseError("jacobi needs (bivector, vector)", line, 1)
-        decl.payload["lam"] = _lookup(names, parts[0], "bivector", line)
-        decl.payload["e"] = _lookup(names, parts[1], "vector", line)
+        decl.payload["lam"] = _structure_part(names, parts[0], "bivector", 2, chart, line)
+        decl.payload["e"] = _structure_part(names, parts[1], "vector", None, chart, line)
+
+
+def _structure_part(names: dict, name: str, kind: str, degree: Optional[int],
+                    chart: Chart, line: int):
+    """A declared part of a structure: on the structure's chart and, for a
+    form or bivector, of the given degree (the validators assume both)."""
+    value = _lookup(names, name, kind, line)
+    if value.chart != chart:
+        raise ParseError(f"{name!r} is on chart {value.chart.name}, not {chart.name}", line, 1)
+    if degree is not None and value.degree != degree:
+        raise ParseError(f"{name!r} has degree {value.degree}, expected {degree}", line, 1)
+    return value
 
 
 def _lookup(names: dict, name: str, kind: str, line: int):
@@ -543,6 +562,9 @@ def _bind(d: Directive, chart: Chart, names: dict):
             d.values[key] = kind(d.fields[key], chart, names, d.line)
         elif required:
             raise ParseError(f"{d.verb} needs the {key!r} clause", d.line, 1)
+    if "potentials" in d.values and len(d.values["potentials"]) != len(d.fields["with"]):
+        raise ParseError(f"{len(d.values['potentials'])} potentials for "
+                         f"{len(d.fields['with'])} operators", d.line, 1)
 
 
 # -- kinds
@@ -573,6 +595,7 @@ def _scalar(toks, chart, names, line) -> Expr:
     for t in toks:
         if t.isidentifier() and t not in env and t not in chart.coords:
             _lookup(names, t, "scalar", line)
+            raise ParseError(f"scalar {t!r} is not declared on chart {chart.name}", line, 1)
     return parse_scalar(" ".join(toks), chart, env)
 
 
@@ -670,6 +693,16 @@ _OPERATOR, _EXTOP = _named("operator"), _named("extop")
 _CONTACT, _LCS, _JACOBI = _named("contact"), _named("lcs"), _named("jacobi")
 _OPERATORS, _EXTOPS = _basis(HaantjesBasis, "operator"), _basis(ExtendedBasis, "extop")
 
+
+def _darboux_contact(toks, chart, names, line):
+    """A contact structure on a darboux-contact chart (the special kinds are
+    defined in Darboux coordinates)."""
+    decl = _CONTACT(toks, chart, names, line)
+    if decl.payload["form"].chart.kind[0] != "darboux-contact":
+        raise ParseError(f"{toks[0]!r} is not on a darboux-contact chart", line, 1)
+    return decl
+
+
 # verb -> (argument kind, {clause: (kind, required)}, handler).  Handlers
 # call library functions by their global name, so that tracing that
 # rebinds those names sees every call.
@@ -697,7 +730,7 @@ _VERBS = {
     "eta_ke": (_OPERATOR, {"on": (_LCS, True)}, lambda v, zt: eta_KE_check(v["args"], v["on"], zt)),
     "theorem9": (_scalar, {"with": (_OPERATORS, True), "on": (_LCS, True)},
                  lambda v, zt: theorem9_check(v["args"], v["with"], v["on"], zt)),
-    "techain": (_scalar, {"with": (_OPERATORS, True), "on": (_CONTACT, True),
+    "techain": (_scalar, {"with": (_OPERATORS, True), "on": (_darboux_contact, True),
                           "kind": (_first_or_second, True)},
                 lambda v, zt: techain_check(v["args"], v["with"], v["on"], v["kind"], zt)),
     "jh": (_OPERATOR, {"on": (_JACOBI, True)},
@@ -780,6 +813,11 @@ class _Runtime:
         return s
 
 
+# What a well-formed model can still raise while its checks run; anything
+# else is a fault of the toolkit and propagates.
+_RUN_ERRORS = (BudgetError, DomainError, SubstitutionError, ChartMismatch)
+
+
 def run_checks(model: Model, seed: int = 0, samples: int = 16, tol: float = 1e-9,
                fail_fast: bool = False) -> Report:
     zt = ZeroTester(seed=seed, samples=samples, tol=tol)
@@ -806,7 +844,7 @@ def run_checks(model: Model, seed: int = 0, samples: int = 16, tol: float = 1e-9
             residual = [
                 [str(lab), str(cert_ or "")] for lab, cert_ in sub.details[:6]
             ]
-        except Exception as exc:  # surfaced, not raised: budget errors etc.
+        except _RUN_ERRORS as exc:  # surfaced, not raised
             status = "unknown"
             cert = None
             witness = None

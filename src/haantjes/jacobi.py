@@ -18,8 +18,6 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .checks import CheckReport
 from .geometry import (
     KForm,
@@ -255,6 +253,8 @@ def particular_integral_check(
 
 def _sample_level_set(f_list, witness, chart, seed: int = 0):
     """Newton refinement toward f_i = 0 from seeded random starts."""
+    import numpy as np  # not at module level: its import takes more memory than haantjes
+
     rng = random.Random(seed)
     names = chart.coords
     pts = []

@@ -157,7 +157,7 @@ class Chart:
         i = which if isinstance(which, int) else self.index(which)
         if not 0 <= i < self.dim:
             raise IndexError(f"coordinate index {i} out of range on {self.name}")
-        return Expr(self, _t_atom(("c", i)))
+        return Expr(self, _t_atom((_C, i)))
 
     def zero(self) -> "Expr":
         return Expr(self, ())
@@ -197,65 +197,71 @@ def lcs_local(n: int, name: str = "M") -> Chart:
 # ---------------------------------------------------------------------------
 # Canonical term algebra.
 #
-# atom: ("c", i) | ("p", name) | ("f", name, deps, parts) | ("e", terms)
-#       | ("w", terms)
-# mono: tuple of (atom, exp), sorted by atom key; exps nonzero; at most one
-#       "e" atom and its exp is 1; "w" exps are negative.
-# terms: tuple of (mono, Fraction), sorted by mono key; coeffs nonzero.
+# atom:  (_C, i) | (_P, name) | (_F, name, deps, parts)
+#        | (_E, key, terms) | (_W, key, terms)
+#        The first entry is the atom's rank; key = _terms_key(terms) is
+#        computed once, when the atom is built.  So atoms compare natively in
+#        canonical order: by rank, then index, name or key.
+# mono:  tuple of (atom, exp), sorted; exps nonzero; at most one _E atom and
+#        its exp is 1; _W exps are negative.  _E and _W rank last, so only
+#        the last atom of a mono can be one.
+# terms: tuple of (mono, coeff), sorted; coeffs nonzero, an int when
+#        integral and a Fraction otherwise.  Every coefficient division and
+#        negative power goes through _div (``int / int`` is a float).
 
-_T_ONE = (((), Fraction(1)),)
+_C, _P, _F, _E, _W = range(5)
 
-_ATOM_RANK = {"c": 0, "p": 1, "f": 2, "e": 3, "w": 4}
-
-
-def _atom_key(a):
-    tag = a[0]
-    r = _ATOM_RANK[tag]
-    if tag == "c":
-        return (r, a[1])
-    if tag == "p":
-        return (r, a[1])
-    if tag == "f":
-        return (r, a[1], a[2], a[3])
-    return (r, _terms_key(a[1]))
-
-
-def _mono_key(m):
-    return tuple((_atom_key(a), e) for a, e in m)
+_T_ONE = (((), 1),)
 
 
 def _terms_key(t):
-    return tuple((_mono_key(m), (c.numerator, c.denominator)) for m, c in t)
+    # (num, den) pairs, not values: exp and inverse-power atoms order by
+    # their coefficients' numerators first, as the printed goldens expect
+    return tuple((m, c.numerator, c.denominator) for m, c in t)
+
+
+def _canon(c):
+    """c, an int or a Fraction, as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _div(n, d):
+    """The exact quotient n / d of two coefficients."""
+    if type(n) is int and type(d) is int and n % d == 0:
+        return n // d
+    return _canon(Fraction(n, d))
+
+
+def _pow(c, k: int):
+    return c**k if k >= 0 else _div(1, c**-k)
 
 
 def _freeze(d: dict) -> tuple:
-    items = [(m, c) for m, c in d.items() if c != 0]
-    items.sort(key=lambda mc: _mono_key(mc[0]))
+    items = [(m, c if type(c) is int else _canon(c)) for m, c in d.items() if c]
+    items.sort()
     return tuple(items)
 
 
 def _t_atom(a, exp: int = 1) -> tuple:
-    return ((((a, exp),), Fraction(1)),)
+    return ((((a, exp),), 1),)
 
 
 def _t_const(c: RatLike) -> tuple:
-    c = Fraction(c)
-    return () if c == 0 else (((), c),)
+    if type(c) is not int:
+        c = _canon(Fraction(c))
+    return (((), c),) if c else ()
 
 
 def _t_add(*ts) -> tuple:
     acc: dict = {}
     for t in ts:
         for m, c in t:
-            acc[m] = acc.get(m, Fraction(0)) + c
+            acc[m] = acc.get(m, 0) + c
     return _freeze(acc)
 
 
-def _t_scale(t, c: RatLike) -> tuple:
-    c = Fraction(c)
-    if c == 0:
-        return ()
-    return tuple((m, k * c) for m, k in t)
+def _t_scale(t, c: int) -> tuple:
+    return tuple((m, _canon(k * c)) for m, k in t)
 
 
 def _t_neg(t) -> tuple:
@@ -268,8 +274,8 @@ def _node_count(t) -> int:
         n += 1
         for a, _e in m:
             n += 1
-            if a[0] in ("e", "w"):
-                n += _node_count(a[1])
+            if a[0] >= _E:
+                n += _node_count(a[2])
     return n
 
 
@@ -284,31 +290,66 @@ def _budget_check(t):
 def _mono_mul(m1, m2):
     """Multiply two monomials.
 
-    Returns (mono, expand_list) where expand_list holds (terms, positive_exp)
-    factors that must be multiplied out polynomially ("w" powers that turned
-    nonnegative).
+    Returns (mono, expand) where expand holds (terms, positive_exp) factors
+    that must be multiplied out polynomially (_W powers that turned
+    nonnegative).  Without _E and _W atoms the product is one merge of the
+    two sorted factor tuples.
     """
+    if (m1 and m1[-1][0][0] >= _E) or (m2 and m2[-1][0][0] >= _E):
+        return _mono_mul_general(m1, m2)
+    if not m1:
+        return m2, ()
+    if not m2:
+        return m1, ()
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        f1 = m1[i]
+        f2 = m2[j]
+        a1 = f1[0]
+        a2 = f2[0]
+        if a1 == a2:
+            e = f1[1] + f2[1]
+            if e:
+                out.append((a1, e))
+            i += 1
+            j += 1
+        elif a1 < a2:
+            out.append(f1)
+            i += 1
+        else:
+            out.append(f2)
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return tuple(out), ()
+
+
+def _mono_mul_general(m1, m2):
     powers: dict = {}
-    exp_args = []
-    for a, e in list(m1) + list(m2):
-        if a[0] == "e":
-            exp_args.append(a[1])
-            continue
-        powers[a] = powers.get(a, 0) + e
+    exps = []
+    for a, e in m1 + m2:
+        if a[0] == _E:
+            exps.append(a)
+        else:
+            powers[a] = powers.get(a, 0) + e
     out = []
     expand = []
     for a, e in powers.items():
         if e == 0:
             continue
-        if a[0] == "w" and e > 0:
-            expand.append((a[1], e))
+        if a[0] == _W and e > 0:
+            expand.append((a[2], e))
             continue
         out.append((a, e))
-    if exp_args:
-        u = _t_add(*exp_args)
+    if len(exps) == 1:
+        out.append((exps[0], 1))
+    elif exps:
+        u = _t_add(*(a[2] for a in exps))
         if u:
-            out.append((("e", u), 1))
-    out.sort(key=lambda ae: _atom_key(ae[0]))
+            out.append(((_E, _terms_key(u), u), 1))
+    out.sort()
     return tuple(out), expand
 
 
@@ -324,44 +365,42 @@ def _t_mul(t1, t2) -> tuple:
             if expand:
                 pending.append((m, c, expand))
             else:
-                acc[m] = acc.get(m, Fraction(0)) + c
+                acc[m] = acc.get(m, 0) + c
     for m, c, expand in pending:
         piece = ((m, c),)
         for base, e in expand:
             piece = _t_mul(piece, _t_pow(base, e))
         for pm, pc in piece:
-            acc[pm] = acc.get(pm, Fraction(0)) + pc
+            acc[pm] = acc.get(pm, 0) + pc
     return _budget_check(_freeze(acc))
 
 
-def _mono_pow(m, c: Fraction, k: int):
+def _mono_pow(m, c, k: int):
+    # the exponents change, the atoms do not (an _E atom stays the one _E
+    # atom), so the factors stay sorted
     out = []
-    exp_arg = None
     for a, e in m:
-        if a[0] == "e":
-            exp_arg = _t_scale(a[1], k)
+        if a[0] == _E:
+            arg = _t_scale(a[2], k)
+            out.append(((_E, _terms_key(arg), arg), 1))
         else:
             out.append((a, e * k))
-    if exp_arg:
-        out.append((("e", exp_arg), 1))
-    out.sort(key=lambda ae: _atom_key(ae[0]))
-    return (tuple(out), c**k)
+    return (tuple(out), _pow(c, k))
 
 
 def _primitive(t):
     """Split t into (coeff, primitive_terms): content and sign extracted."""
-    content = Fraction(0)
+    num, den = 0, 1
     for _, c in t:
-        content = Fraction(
-            math.gcd(content.numerator, c.numerator),
-            math.lcm(content.denominator, c.denominator) if content else c.denominator,
-        ) if content else abs(c)
-        if content == 1:
+        num = math.gcd(num, c.numerator)
+        den = math.lcm(den, c.denominator)
+        if num == 1 and den == 1:
             break
-    lead = t[0][1]
-    if lead < 0:
-        content = -content
-    return content, tuple((m, c / content) for m, c in t)
+    if t[0][1] < 0:
+        num = -num
+    if num == 1 and den == 1:
+        return 1, t
+    return _div(num, den), tuple((m, _div(c * den, num)) for m, c in t)
 
 
 def _t_pow(t, k: int) -> tuple:
@@ -383,16 +422,16 @@ def _t_pow(t, k: int) -> tuple:
         return result
     # negative power
     if len(t) == 1:
-        # re-normalise through _t_mul: a "w" exponent may have turned positive
+        # re-normalise through _t_mul: a _W exponent may have turned positive
         return _t_mul((_mono_pow(t[0][0], t[0][1], k),), _T_ONE)
     content, base = _primitive(t)
-    return ((((("w", base), k),), content**k),)
+    return (((((_W, _terms_key(base), base), k),), _pow(content, k)),)
 
 
 def _t_exp(t) -> tuple:
     if not t:
         return _T_ONE
-    return _t_atom(("e", t))
+    return _t_atom((_E, _terms_key(t), t))
 
 
 def _t_diff(t, i: int) -> tuple:
@@ -403,36 +442,30 @@ def _t_diff(t, i: int) -> tuple:
             if da is None:
                 continue
             rest = list(m)
-            tag = a[0]
-            if tag == "e":
-                pass  # d(exp u) = exp(u) du: atom stays
+            if a[0] == _E:
+                pass  # d(exp u) = exp(u) du: atom stays, its exp is 1
             elif e == 1:
                 del rest[pos]
             else:
                 rest[pos] = (a, e - 1)
-            piece = ((tuple(rest), c * (e if tag != "e" else 1)),)
-            pieces.append(_t_mul(piece, da))
+            pieces.append(_t_mul(((tuple(rest), c * e),), da))
     return _t_add(*pieces) if pieces else ()
 
 
 def _atom_diff(a, i: int):
     tag = a[0]
-    if tag == "c":
+    if tag == _C:
         return _T_ONE if a[1] == i else None
-    if tag == "p":
+    if tag == _P:
         return None
-    if tag == "f":
+    if tag == _F:
         _, name, deps, parts = a
         if i not in deps:
             return None
-        return _t_atom(("f", name, deps, tuple(sorted(parts + (i,)))))
-    if tag == "e":
-        d = _t_diff(a[1], i)
-        return d or None
-    # "w": d(B^e) is handled by the caller through the exponent; here we only
-    # supply dB, the caller multiplied by e and lowered the exponent.
-    d = _t_diff(a[1], i)
-    return d or None
+        return _t_atom((_F, name, deps, tuple(sorted(parts + (i,)))))
+    # _E: d(exp u) = exp(u) du, the caller keeps the atom; _W: d(B^e) is
+    # handled by the caller through the exponent, here we only supply dB
+    return _t_diff(a[2], i) or None
 
 
 def _t_subst(t, mapping: dict) -> tuple:
@@ -441,22 +474,22 @@ def _t_subst(t, mapping: dict) -> tuple:
         piece = _t_const(c)
         for a, e in m:
             tag = a[0]
-            if tag == "c":
+            if tag == _C:
                 repl = mapping.get(a[1])
                 fac = repl if repl is not None else _t_atom(a)
                 piece = _t_mul(piece, _t_pow(fac, e) if e != 1 else fac)
-            elif tag == "p":
+            elif tag == _P:
                 piece = _t_mul(piece, _t_atom(a, e))
-            elif tag == "f":
+            elif tag == _F:
                 if any(j in mapping for j in a[2]):
                     raise SubstitutionError(
                         f"cannot substitute inside abstract function {a[1]!r}"
                     )
                 piece = _t_mul(piece, _t_atom(a, e))
-            elif tag == "e":
-                piece = _t_mul(piece, _t_exp(_t_subst(a[1], mapping)))
+            elif tag == _E:
+                piece = _t_mul(piece, _t_exp(_t_subst(a[2], mapping)))
             else:
-                piece = _t_mul(piece, _t_pow(_t_subst(a[1], mapping), e))
+                piece = _t_mul(piece, _t_pow(_t_subst(a[2], mapping), e))
         pieces.append(piece)
     return _t_add(*pieces)
 
@@ -464,8 +497,8 @@ def _t_subst(t, mapping: dict) -> tuple:
 def _collect_atoms(t, into: set):
     for m, _ in t:
         for a, _e in m:
-            if a[0] in ("e", "w"):
-                _collect_atoms(a[1], into)
+            if a[0] >= _E:
+                _collect_atoms(a[2], into)
             else:
                 into.add(a)
 
@@ -473,15 +506,15 @@ def _collect_atoms(t, into: set):
 def _has_exp(t) -> bool:
     for m, _ in t:
         for a, _e in m:
-            if a[0] == "e":
+            if a[0] == _E:
                 return True
-            if a[0] == "w" and _has_exp(a[1]):
+            if a[0] == _W and _has_exp(a[2]):
                 return True
     return False
 
 
 def _clear_denominators(t) -> tuple:
-    """Multiply through by positive powers of every top-level "w" base.
+    """Multiply through by positive powers of every top-level _W base.
 
     Each term sheds its inverse-power atoms and picks up the complementary
     expanded polynomial factor, so equal ratios cancel structurally.
@@ -492,8 +525,8 @@ def _clear_denominators(t) -> tuple:
         need: dict = {}
         for m, _c in t:
             for a, e in m:
-                if a[0] == "w":
-                    need[a[1]] = max(need.get(a[1], 0), -e)
+                if a[0] == _W:
+                    need[a[2]] = max(need.get(a[2], 0), -e)
         if not need:
             return t
         pieces = []
@@ -501,8 +534,8 @@ def _clear_denominators(t) -> tuple:
             have = {base: 0 for base in need}
             rest = []
             for a, e in m:
-                if a[0] == "w" and a[1] in have:
-                    have[a[1]] += e
+                if a[0] == _W and a[2] in have:
+                    have[a[2]] += e
                 else:
                     rest.append((a, e))
             piece = ((tuple(rest), c),)
@@ -554,7 +587,7 @@ class Expr:
         )
 
     def __hash__(self):
-        return hash((self.chart.name, _terms_key(self.terms)))
+        return hash((self.chart.name, self.terms))
 
     # -- arithmetic
 
@@ -612,7 +645,7 @@ class Expr:
         if not self.terms:
             return Fraction(0)
         if len(self.terms) == 1 and self.terms[0][0] == ():
-            return self.terms[0][1]
+            return Fraction(self.terms[0][1])
         return None
 
     def has_exp(self) -> bool:
@@ -622,7 +655,7 @@ class Expr:
         """No exp atoms, no inverse powers, no negative coordinate powers."""
         for m, _ in self.terms:
             for a, e in m:
-                if a[0] in ("e", "w") or e < 0:
+                if a[0] >= _E or e < 0:
                     return False
         return True
 
@@ -667,7 +700,7 @@ def rational(chart: Chart, value: RatLike) -> Expr:
 
 
 def param(chart: Chart, name: str) -> Expr:
-    return Expr(chart, _t_atom(("p", name)))
+    return Expr(chart, _t_atom((_P, name)))
 
 
 def fn_symbol(
@@ -688,7 +721,7 @@ def fn_symbol(
     for p in parts:
         if p not in dep_idx:
             raise ValueError(f"partial in non-dependency direction {p}")
-    return Expr(chart, _t_atom(("f", name, dep_idx, tuple(sorted(parts)))))
+    return Expr(chart, _t_atom((_F, name, dep_idx, tuple(sorted(parts)))))
 
 
 def exp(e: Expr) -> Expr:
@@ -711,11 +744,11 @@ def diff(e: Expr, which: Union[int, str]) -> Expr:
 
 def _format_atom(chart: Chart, a) -> str:
     tag = a[0]
-    if tag == "c":
+    if tag == _C:
         return chart.coords[a[1]]
-    if tag == "p":
+    if tag == _P:
         return a[1]
-    if tag == "f":
+    if tag == _F:
         _, name, deps, parts = a
         args = ",".join(chart.coords[d] for d in deps)
         if parts:
@@ -723,12 +756,12 @@ def _format_atom(chart: Chart, a) -> str:
         else:
             suffix = ""
         return f"{name}{suffix}({args})"
-    if tag == "e":
-        return f"exp({_format_terms(chart, a[1])})"
-    return f"({_format_terms(chart, a[1])})"
+    if tag == _E:
+        return f"exp({_format_terms(chart, a[2])})"
+    return f"({_format_terms(chart, a[2])})"
 
 
-def _format_mono(chart: Chart, m, c: Fraction) -> str:
+def _format_mono(chart: Chart, m, c: RatLike) -> str:
     factors = []
     if c == -1 and m:
         sign = "-"
@@ -738,12 +771,12 @@ def _format_mono(chart: Chart, m, c: Fraction) -> str:
             factors.append(str(c))
     for a, e in m:
         s = _format_atom(chart, a)
-        if a[0] == "w":
+        if a[0] == _W:
             factors.append(f"{s}^{e}")
         elif e == 1:
             factors.append(s)
         else:
-            need_parens = a[0] in ("e", "f")
+            need_parens = a[0] in (_E, _F)
             factors.append(f"({s})^{e}" if need_parens else f"{s}^{e}")
     return sign + "*".join(factors)
 
@@ -825,7 +858,7 @@ def _atom_label(chart: Chart, a) -> str:
 
 def _sample_fractions(rng: random.Random, atoms, nice_first: bool, k: int):
     """Yield up to k assignments atom -> Fraction, origin first if asked."""
-    atoms = sorted(atoms, key=_atom_key)
+    atoms = sorted(atoms)
     produced = 0
     if nice_first and produced < k:
         yield {a: Fraction(0) for a in atoms}
@@ -844,10 +877,10 @@ def _eval_exact(t, assign) -> tuple:
         term_inexact = False
         for a, e in m:
             tag = a[0]
-            if tag in ("c", "p", "f"):
+            if tag < _E:
                 v = assign[a]
-            elif tag == "e":
-                d, x, u = _eval_exact(a[1], assign)
+            elif tag == _E:
+                d, x, u = _eval_exact(a[2], assign)
                 if not d:
                     return (False, False, None)
                 if x and u == 0:
@@ -856,7 +889,7 @@ def _eval_exact(t, assign) -> tuple:
                     term_inexact = True
                     continue
             else:
-                d, x, u = _eval_exact(a[1], assign)
+                d, x, u = _eval_exact(a[2], assign)
                 if not d or not x:
                     return (False, False, None) if not d else (True, False, None)
                 if u == 0:
@@ -882,12 +915,12 @@ def _eval_float(t, assign) -> float:
         val = float(c)
         for a, e in m:
             tag = a[0]
-            if tag in ("c", "p", "f"):
+            if tag < _E:
                 v = assign[a]
-            elif tag == "e":
-                v = math.exp(_eval_float(a[1], assign))
+            elif tag == _E:
+                v = math.exp(_eval_float(a[2], assign))
             else:
-                v = _eval_float(a[1], assign)
+                v = _eval_float(a[2], assign)
             if v == 0 and e < 0:
                 raise ZeroDivisionError
             val *= v**e
@@ -902,12 +935,11 @@ def _exp_groups(t):
         arg = None
         rest = []
         for a, e in m:
-            if a[0] == "e":
-                arg = a[1]
+            if a[0] == _E:
+                arg = a[2]
             else:
                 rest.append((a, e))
-        key = _terms_key(arg) if arg is not None else None
-        groups.setdefault(key, []).append((tuple(rest), c))
+        groups.setdefault(arg, []).append((tuple(rest), c))
     return [tuple(v) for v in groups.values()]
 
 
@@ -996,7 +1028,7 @@ def integrate_unit_param(e: Expr, name: str) -> Expr:
 
     e must be polynomial in the parameter (the radial-integration use case).
     """
-    key = ("p", name)
+    key = (_P, name)
     pieces = []
     for m, c in e.terms:
         k = 0
@@ -1007,10 +1039,10 @@ def integrate_unit_param(e: Expr, name: str) -> Expr:
                     raise DomainError(f"negative power of parameter {name!r}")
                 k = ex
             else:
-                if a[0] in ("e", "w") and key in _iter_atoms(((((a, 1),), Fraction(1)),)):
+                if a[0] >= _E and key in _iter_atoms(_t_atom(a)):
                     raise DomainError(f"parameter {name!r} inside nonpolynomial atom")
                 rest.append((a, ex))
-        pieces.append(((tuple(rest), c / (k + 1)),))
+        pieces.append(((tuple(rest), _div(c, k + 1)),))
     return Expr(e.chart, _t_add(*pieces))
 
 
@@ -1036,12 +1068,12 @@ def eval_numeric(
     assign = {}
     for a in e.atoms():
         tag = a[0]
-        if tag == "c":
+        if tag == _C:
             name = chart.coords[a[1]]
             if name not in point:
                 raise UnboundAtomError(f"coordinate {name!r} unbound")
             assign[a] = float(point[name])
-        elif tag == "p":
+        elif tag == _P:
             if a[1] not in params:
                 raise UnboundAtomError(f"parameter {a[1]!r} unbound")
             assign[a] = float(params[a[1]])

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .checks import CheckReport
 from .geometry import (
     KForm,
@@ -425,6 +423,8 @@ def spectral_report(
     generalized eigenspace dimensions (rank saturation of (K - l I)^r, Riesz
     index capped at dim), and whether all multiplicities are even.
     """
+    import numpy as np  # not at module level: its import takes more memory than haantjes
+
     chart = k.chart
     n = chart.dim
     out = {"points": [], "skipped": [], "all_multiplicities_even": True, "seed": seed}

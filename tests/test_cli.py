@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from haantjes import cli
 from haantjes.cli import Model, format_model, main, parse_model, run_checks
 from haantjes.symexpr import ParseError
 
@@ -171,6 +172,17 @@ class TestReportType:
         assert any("ChartMismatch" in n for n in rep.entries[0]["notes"])
         assert rep.exit_code == 1
 
+    def test_toolkit_error_propagates(self, monkeypatch):
+        # only the library's own errors become unknown; a fault in the
+        # toolkit itself must not be reported as an undecided check
+        def broken(v, zt):
+            raise TypeError("handler bug")
+
+        args, clauses, _ = cli._VERBS["dissipated"]
+        monkeypatch.setitem(cli._VERBS, "dissipated", (args, clauses, broken))
+        with pytest.raises(TypeError, match="handler bug"):
+            run_checks(parse_model(MINI), seed=1)
+
 
 class TestFormatter:
     def test_round_trip_fixture_models(self):
@@ -212,6 +224,20 @@ class TestEntryPoint:
             ("chart C (x, y) generic\nscalar a = 1/0\n", 2),
             (MINI + "check reeb CS equals (0, 1)\n", 7),
             (MINI + "check hamiltonian H on CS equals (1, p)\n", 7),
+            # structures whose validators would raise at run time
+            ("chart C (q, p) generic\nform t = d(q)\ncontact CS = t\n", 3),
+            ("chart C (q, p, z) generic\nform o = d(q) /\\ d(p)\nform e = d(z)\n"
+             "lcs L = (o, e)\n", 4),
+            ("chart C (q, p) lcs-local 1\nform o = d(q)\nform e = d(q)\nlcs L = (o, e)\n", 4),
+            # a 2-form contact "structure", whose reeb check used to pass
+            ("chart C (q, p, z) darboux-contact 1\nform t = d(q) /\\ d(p)\ncontact CS = t\n"
+             "check reeb CS\n", 3),
+            ("chart A (x, y) generic\nvector E = (0, 1)\nchart C (q, p, z) generic\n"
+             "vector V = (1, 0, 0)\nvector W = (0, 1, 0)\nbivector B = V /\\ W\n"
+             "jacobi J = (B, E)\n", 7),
+            ("chart C (a, b, c) generic\nform t = d(c) - b * d(a)\ncontact CS = t\n"
+             "operator K = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]\n"
+             "check techain b with K on CS kind first\n", 5),
         ]
         path = tmp_path / "bad.hj"
         for text, line in cases:
@@ -227,12 +253,17 @@ class TestEntryPoint:
         "hamiltonian H on JJ",                     # a jacobi, not a contact structure
         "haantjes K1 on CS",                       # a clause haantjes does not take
         "techain H with K1 on CS kind frist expect fail",
+        "chain H with K1 potentials (p - z, p)",   # more potentials than operators
+        "ext_chain H with EK1 EK1 potentials (p - z)",  # fewer
+        "dissipated S wrt H on CS",                # S is declared on chart D
     ])
     def test_malformed_directive_exit_2(self, tmp_path, capsys, directive):
-        text = (MINI
+        text = ("chart D (x, y) generic\nscalar S = x\n"
+                + MINI
                 + "operator K1 = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]\n"
                 + "vector V1 = (1, 0, p)\nvector V2 = (0, 1, 0)\nvector EV = (0, 0, 1)\n"
-                + "bivector LAM = V1 /\\ V2\njacobi JJ = (LAM, EV)\n")
+                + "bivector LAM = V1 /\\ V2\njacobi JJ = (LAM, EV)\n"
+                + "vector Y0 = (0, 0, 0)\nform ZF = 0 * d(q)\nextop EK1 = (K1, Y0, ZF, 1)\n")
         path = tmp_path / "m.hj"
         path.write_text(text + f"check {directive}\n")
         assert main(["check", str(path)]) == 2

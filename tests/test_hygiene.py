@@ -1,8 +1,12 @@
 """Source hygiene: library modules compile without a warning, import nothing
-they do not use, and every check directive is documented."""
+they do not use, and every check directive is documented; the kernel keeps
+no process-wide tables and importing the package does not load numpy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -38,3 +42,22 @@ def test_readme_documents_every_directive():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     missing = [verb for verb in _VERBS if f"| `{verb}` |" not in readme]
     assert not missing, missing
+
+
+def test_symexpr_keeps_no_process_wide_tables():
+    # canonical terms get their speed from their representation: a memo or
+    # intern table would live as long as the process, raise its peak memory
+    # and warm up across runs
+    import haantjes.symexpr as sx
+    held = {name for name, v in vars(sx).items()
+            if isinstance(v, (dict, set, list)) and name != "__builtins__"}
+    assert held == {"__all__", "_CERTAINTY_ORDER"}
+    assert not [name for name, v in vars(sx).items() if hasattr(v, "cache_info")]
+
+
+def test_import_does_not_load_numpy():
+    # numpy serves two float-sampling helpers only, and its import takes more
+    # resident memory than the rest of the package
+    code = "import sys, haantjes.cli; assert 'numpy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)

@@ -245,6 +245,10 @@ class TestFuzzSemantics:
 
     def test_random_trees_against_direct_evaluation(self, chart):
         from haantjes.symexpr import _eval_exact
+
+        def atom(x):  # the one atom of a coordinate or parameter
+            return x.terms[0][0][0][0]
+
         rng = random.Random(90210)
         checked = 0
         for _ in range(150):
@@ -257,8 +261,8 @@ class TestFuzzSemantics:
                         for i in range(chart.dim)}
                 vals["al"] = Fraction(rng.randint(-5, 5), 3)
                 vals["be"] = Fraction(rng.randint(-5, 5), 2)
-                assign = {a: (vals[a[1]] if a[0] in ("c", "p") else None)
-                          for a in e.atoms()}
+                assign = {atom(chart.coord(i)): vals[i] for i in range(chart.dim)}
+                assign.update({atom(param(chart, n)): vals[n] for n in ("al", "be")})
                 try:
                     want = direct(vals)
                 except ZeroDivisionError:
@@ -270,6 +274,156 @@ class TestFuzzSemantics:
                 assert got == want, (str(e), vals, got, want)
                 checked += 1
         assert checked > 200
+
+
+def _ref_atom_key(a):
+    """Reference canonical atom order, written as sort keys: rank, then
+    index, name or function data, then the argument terms' key."""
+    rank = a[0]
+    if rank in (sx._C, sx._P):
+        return (rank, a[1])
+    if rank == sx._F:
+        return (rank, a[1], a[2], a[3])
+    return (rank, _ref_terms_key(a[2]))
+
+
+def _ref_mono_key(m):
+    return tuple((_ref_atom_key(a), e) for a, e in m)
+
+
+def _ref_terms_key(t):
+    return tuple((_ref_mono_key(m), (Fraction(c).numerator, Fraction(c).denominator))
+                 for m, c in t)
+
+
+def _walk_terms(t):
+    """t and every terms tuple nested in its exp and inverse-power atoms."""
+    yield t
+    for m, _ in t:
+        for a, _e in m:
+            if a[0] in (sx._E, sx._W):
+                yield from _walk_terms(a[2])
+
+
+def _coefficients(t):
+    for u in _walk_terms(t):
+        for _, c in u:
+            yield c
+
+
+def _strictly_increasing(keys):
+    return all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
+
+
+class TestKernelInvariants:
+    """Canonical terms compare natively; these guard that the native order is
+    the reference key order and that coefficients stay exact."""
+
+    def _corpus(self, chart, rng):
+        q, p = chart.coord("q"), chart.coord("p")
+        f = fn_symbol(chart, "f", ["q", "z"])
+        al = param(chart, "al")
+        # exp atoms whose keys differ only in a coefficient, where the order
+        # of (numerator, denominator) is not the order of the values
+        yield (sx.exp(q / 2) + sx.exp(q / 3) + sx.exp(-q / 3)) * p
+        for i in range(60):
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            e = rand_poly(chart, rng, deg=3, terms=3) * (c + al * f)
+            e = e + sx.exp(c * rand_poly(chart, rng, deg=1, terms=2)) * rand_poly(chart, rng)
+            e = e + sx.exp(Fraction(1, rng.randint(1, 4)) * q) * f.diff("z")
+            if i % 2:
+                e = e / (rand_poly(chart, rng, deg=2, terms=2) + q**3 + 1)
+            if i % 3:
+                e = e * (c * p**2 + al + 2) ** -2
+            yield e
+
+    def test_terms_sorted_by_reference_key(self, chart):
+        rng = random.Random(31)
+        seen_exp = seen_inv = 0
+        for e in self._corpus(chart, rng):
+            for t in _walk_terms(e.terms):
+                assert _strictly_increasing([_ref_mono_key(m) for m, _ in t])
+                for m, _ in t:
+                    assert _strictly_increasing([_ref_atom_key(a) for a, _ in m])
+                    seen_exp += any(a[0] == sx._E for a, _ in m)
+                    seen_inv += sum(a[0] == sx._W for a, _ in m) > 1
+        assert seen_exp and seen_inv
+
+    def test_coefficients_exact(self, chart):
+        rng = random.Random(37)
+        q, p = chart.coord("q"), chart.coord("p")
+        t_ = param(chart, "t")
+        results = [sx.rational(chart, Fraction(6, 3)), (q + p) / 3, 6 / (2 * q + 4 * p),
+                   sx.integrate_unit_param(t_**2 * q + 3 * t_ * p + 1, "t")]
+        for e in self._corpus(chart, rng):
+            results += [e / 7, e ** -1, (Fraction(2, 3) * e + q) ** -2,
+                        sx.integrate_unit_param(t_**3 * e + t_ * q, "t")]
+        for e in results:
+            for c in _coefficients(e.terms):
+                # an int when integral, a Fraction otherwise; never a float
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (e, c)
+        assert results[0].terms == (((), 2),)
+        for e in (results[0], chart.zero(), q / q):
+            assert type(e.as_rational()) is Fraction
+        assert (q / q).as_rational() == 1
+
+
+class TestSympyOracle:
+    """Differential oracle that shares no code with the kernel: every result
+    is rebuilt by sympy from its printed text."""
+
+    def _gen(self, sp, chart, syms, rng, depth):
+        if depth == 0 or rng.random() < 0.2:
+            choice = rng.randrange(3)
+            if choice == 0:
+                i = rng.randrange(chart.dim)
+                return chart.coord(i), syms[chart.coords[i]]
+            if choice == 1:
+                c = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                return chart.const(c), sp.Rational(c.numerator, c.denominator)
+            return param(chart, "al"), syms["al"]
+        e1, s1 = self._gen(sp, chart, syms, rng, depth - 1)
+        e2, s2 = self._gen(sp, chart, syms, rng, depth - 1)
+        op = rng.randrange(4)
+        if op == 0:
+            return e1 + e2, s1 + s2
+        if op == 1:
+            return e1 - e2, s1 - s2
+        if op == 2:
+            return e1 * e2, s1 * s2
+        if e2.is_zero_expr():
+            return e1, s1
+        return e1 / e2, s1 / s2
+
+    def test_canonical_diff_subst_against_sympy(self, chart):
+        sp = pytest.importorskip("sympy")
+        syms = {n: sp.Symbol(n) for n in chart.coords + ("al",)}
+
+        def back(e):
+            return sp.sympify(sx.format_expr(e).replace("^", "**"), locals=syms)
+
+        def same(a, b):
+            return sp.simplify(a - b) == 0
+
+        rng = random.Random(2718)
+        q, p = chart.coord("q"), chart.coord("p")
+        checked = 0
+        for _ in range(16):
+            e, want = self._gen(sp, chart, syms, rng, 3)
+            if e.as_rational() is not None:
+                continue
+            assert same(back(e), want), str(e)
+            i = rng.randrange(chart.dim)
+            assert same(back(e.diff(i)), sp.diff(want, syms[chart.coords[i]])), str(e)
+            try:
+                got = e.subst({"q": p - 2 * q, "z": Fraction(1, 2)})
+            except ZeroDivisionError:
+                continue  # a denominator vanished identically under the map
+            sub = want.subs({syms["q"]: syms["p"] - 2 * syms["q"], syms["z"]: sp.Rational(1, 2)},
+                            simultaneous=True)
+            assert same(back(got), sub), str(e)
+            checked += 1
+        assert checked >= 8
 
 
 class TestBudget:
