@@ -57,6 +57,7 @@ from .symexpr import (
     ParseError,
     SubstitutionError,
     ZeroTester,
+    _Lexer,
     format_expr,
     parse_scalar,
 )
@@ -589,14 +590,22 @@ def _basis(cls, kind: str):
     return bind
 
 
-def _scalar(toks, chart, names, line) -> Expr:
-    """A scalar expression; a bare name in it must be a coordinate or a scalar."""
+def _checked_env(text: str, chart: Chart, names: dict, line: int) -> dict:
+    """The scalars of chart, once every bare name in the scalar text is a
+    coordinate or one of them; a called name (exp, an abstract function)
+    may be anything."""
     env = _scalar_env(names, chart)
-    for t in toks:
-        if t.isidentifier() and t not in env and t not in chart.coords:
-            _lookup(names, t, "scalar", line)
-            raise ParseError(f"scalar {t!r} is not declared on chart {chart.name}", line, 1)
-    return parse_scalar(" ".join(toks), chart, env)
+    toks = _Lexer(text).tokens
+    for (kind, name, *_), nxt in zip(toks, toks[1:]):
+        if kind == "ident" and nxt[0] != "(" and name not in env and name not in chart.coords:
+            _lookup(names, name, "scalar", line)
+            raise ParseError(f"scalar {name!r} is not declared on chart {chart.name}", line, 1)
+    return env
+
+
+def _scalar(toks, chart, names, line) -> Expr:
+    text = " ".join(toks)
+    return parse_scalar(text, chart, _checked_env(text, chart, names, line))
 
 
 def _two_scalars(toks, chart, names, line) -> list:
@@ -606,16 +615,18 @@ def _two_scalars(toks, chart, names, line) -> list:
 
 
 def _tuple(toks, chart, names, line) -> list:
-    return _parse_tuple(" ".join(toks), chart, _scalar_env(names, chart), line)
+    text = " ".join(toks)
+    return _parse_tuple(text, chart, _checked_env(text, chart, names, line), line)
 
 
 def _vector(toks, chart, names, line) -> VectorField:
-    return _parse_vector(" ".join(toks), chart, _scalar_env(names, chart), line)
+    text = " ".join(toks)
+    return _parse_vector(text, chart, _checked_env(text, chart, names, line), line)
 
 
 def _pairs(toks, chart, names, line) -> list:
     """(f,g) pairs, one token each."""
-    env = _scalar_env(names, chart)
+    env = _checked_env(" ".join(toks), chart, names, line)
     pairs = [tuple(_parse_tuple(t, chart, env, line)) for t in toks]
     if not pairs or any(len(p) != 2 for p in pairs):
         raise ParseError("pairs needs (f,g) pairs", line, 1)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .symexpr import Chart, ChartMismatch, Expr, _t_add, _t_mul, _t_neg, rational
+from .symexpr import Chart, ChartMismatch, Expr, _diff_pairs, _t_dot, _t_neg, rational
 
 __all__ = [
     "KForm",
@@ -57,17 +57,17 @@ def _same_chart(*objs):
 def dot(chart: Chart, xs: Iterable[Expr], ys: Iterable[Expr]) -> Expr:
     """sum_i xs[i] * ys[i] on chart, canonicalised once.
 
-    The products are formed on term tuples and accumulated in one pass, so
-    a long sum is not re-sorted after every term; the empty sum is
-    chart.zero().  Every operand must live on chart.
+    Every monomial product goes into one accumulator, so neither a product
+    nor a long sum is re-sorted on its own; the empty sum is chart.zero().
+    Every operand must live on chart.
     """
-    prods = []
+    pairs = []
     for x, y in zip(xs, ys, strict=True):
         for v in (x, y):
             if v.chart is not chart and v.chart != chart:
                 raise ChartMismatch(f"{v.chart.name} vs {chart.name}")
-        prods.append(_t_mul(x.terms, y.terms))
-    return Expr(chart, _t_add(*prods))
+        pairs.append((x.terms, y.terms))
+    return Expr(chart, _t_dot(pairs))
 
 
 def _antisym_contract(chart: Chart, table: Mapping, pairs: Sequence, width: int) -> list:
@@ -357,9 +357,11 @@ def exterior_derivative(omega: KForm) -> KForm:
             if ins is None:
                 continue
             pos, new_idx = ins
-            d = val.diff(i).terms
-            if d:
-                acc.setdefault(new_idx, []).append(d if pos % 2 == 0 else _t_neg(d))
+            pairs = _diff_pairs(val.terms, i)
+            if pos % 2:
+                pairs = [(_t_neg(a), b) for a, b in pairs]
+            if pairs:
+                acc.setdefault(new_idx, []).extend(pairs)
     return KForm(chart, omega.degree + 1, _summed(chart, acc))
 
 
@@ -372,26 +374,27 @@ def interior_product(x: VectorField, omega: KForm) -> KForm:
         for pos, i in enumerate(idx):
             if x[i].is_zero_expr():
                 continue
-            term = _t_mul(x[i].terms, val.terms)
+            xi = x[i].terms
             acc.setdefault(idx[:pos] + idx[pos + 1 :], []).append(
-                term if pos % 2 == 0 else _t_neg(term))
+                (xi if pos % 2 == 0 else _t_neg(xi), val.terms))
     return KForm(chart, omega.degree - 1, _summed(chart, acc))
 
 
 def _summed(chart: Chart, acc: Mapping) -> dict:
-    """index -> list of term tuples, summed to index -> Expr with one _t_add each."""
-    return {idx: Expr(chart, _t_add(*ts)) for idx, ts in acc.items()}
+    """index -> list of (t1, t2) term-tuple pairs, summed to index -> Expr
+    with one _t_dot each."""
+    return {idx: Expr(chart, _t_dot(pairs)) for idx, pairs in acc.items()}
 
 
 def _wedge_terms(a, b, acc: dict, sign: int = 1) -> dict:
-    """Collect the term tuples of sign * (a ^ b) into acc, per sorted index."""
+    """Collect the term-tuple pairs of sign * (a ^ b) into acc, per sorted index."""
     for ia, va in a.components.items():
         for ib, vb in b.components.items():
             s, idx = _sort_signed(ia + ib)
             if idx is None:
                 continue
-            term = _t_mul(va.terms, vb.terms)
-            acc.setdefault(idx, []).append(term if s * sign == 1 else _t_neg(term))
+            ta = va.terms
+            acc.setdefault(idx, []).append((ta if s * sign == 1 else _t_neg(ta), vb.terms))
     return acc
 
 

@@ -353,26 +353,37 @@ def _mono_mul_general(m1, m2):
     return tuple(out), expand
 
 
-def _t_mul(t1, t2) -> tuple:
-    if not t1 or not t2:
-        return ()
+def _t_dot(pairs) -> tuple:
+    """sum of t1 * t2 over the (t1, t2) pairs, canonicalised once.
+
+    Every monomial product goes into one dict, which is frozen and
+    budget-checked once; products whose _W exponents turn nonnegative are
+    expanded after the loop.
+    """
     acc: dict = {}
+    get = acc.get
     pending = []
-    for m1, c1 in t1:
-        for m2, c2 in t2:
-            m, expand = _mono_mul(m1, m2)
-            c = c1 * c2
-            if expand:
-                pending.append((m, c, expand))
-            else:
-                acc[m] = acc.get(m, 0) + c
+    for t1, t2 in pairs:
+        for m1, c1 in t1:
+            for m2, c2 in t2:
+                m, expand = _mono_mul(m1, m2)
+                if expand:
+                    pending.append((m, c1 * c2, expand))
+                else:
+                    acc[m] = get(m, 0) + c1 * c2
     for m, c, expand in pending:
         piece = ((m, c),)
         for base, e in expand:
             piece = _t_mul(piece, _t_pow(base, e))
         for pm, pc in piece:
-            acc[pm] = acc.get(pm, 0) + pc
+            acc[pm] = get(pm, 0) + pc
     return _budget_check(_freeze(acc))
+
+
+def _t_mul(t1, t2) -> tuple:
+    if not t1 or not t2:
+        return ()
+    return _t_dot(((t1, t2),))
 
 
 def _mono_pow(m, c, k: int):
@@ -435,7 +446,12 @@ def _t_exp(t) -> tuple:
 
 
 def _t_diff(t, i: int) -> tuple:
-    pieces = []
+    return _t_dot(_diff_pairs(t, i))
+
+
+def _diff_pairs(t, i: int) -> list:
+    """(t1, t2) pairs whose products sum to dt/dx_i."""
+    pairs = []
     for m, c in t:
         for pos, (a, e) in enumerate(m):
             da = _atom_diff(a, i)
@@ -448,8 +464,8 @@ def _t_diff(t, i: int) -> tuple:
                 del rest[pos]
             else:
                 rest[pos] = (a, e - 1)
-            pieces.append(_t_mul(((tuple(rest), c * e),), da))
-    return _t_add(*pieces) if pieces else ()
+            pairs.append((((tuple(rest), c * e),), da))
+    return pairs
 
 
 def _atom_diff(a, i: int):

@@ -66,3 +66,30 @@ def rand_point(chart, rng, lo=-1.5, hi=1.5):
 @pytest.fixture
 def rng():
     return random.Random(20250808)
+
+
+class _SelfOnly(tuple):
+    """A tuple equal only to itself, hashed by identity."""
+
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+    def __ne__(self, other):
+        return self is not other
+
+
+def self_only_matrix(k):
+    """k, with a matrix equal to no other: an algebra check then computes
+    one torsion per label, the unshared reference run."""
+    k.matrix = _SelfOnly(k.matrix)
+    return k
+
+
+def commuting_pair(chart):
+    """A non-Haantjes operator A and A + I on a 3-dimensional chart: they
+    commute, and A(A + I) is the one ring product that repeats."""
+    x, y, z = (chart.coord(i) for i in range(3))
+    a = Operator11(chart, [[0, z, 0], [0, 0, x], [y, 0, 0]])
+    return a, a + Operator11.identity(chart)

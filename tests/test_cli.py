@@ -46,6 +46,17 @@ class TestParsing:
             parse_model(text)
         assert "NOPE" in str(err.value)
 
+    def test_tuple_names(self):
+        # coordinates, scalars of the chart, exp and abstract-function calls
+        text = (MINI + "operator K = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]\n"
+                "check chain H with K potentials (exp(q) * g(q, p) - H)\n")
+        model = parse_model(text)
+        (pot,) = model.directives[-1].values["potentials"]
+        assert str(pot) == "-p + z + g(q,p)*exp(q)"
+        with pytest.raises(ParseError) as err:
+            parse_model(text.replace("- H)", "- G)"))
+        assert "'G'" in str(err.value)
+
     def test_redeclaration_rejected(self):
         text = "chart C (q,p) generic\nscalar a = q\nscalar a = p"
         with pytest.raises(ParseError):
@@ -256,6 +267,11 @@ class TestEntryPoint:
         "chain H with K1 potentials (p - z, p)",   # more potentials than operators
         "ext_chain H with EK1 EK1 potentials (p - z)",  # fewer
         "dissipated S wrt H on CS",                # S is declared on chart D
+        # a bare name inside a tuple: undeclared, or a scalar of chart D
+        "chain H with K1 potentials (nosuch)",
+        "chain H with K1 potentials (S)",
+        "poissonize JJ pairs (q,nosuch)",
+        "reeb CS equals (nosuch, 0, 1)",
     ])
     def test_malformed_directive_exit_2(self, tmp_path, capsys, directive):
         text = ("chart D (x, y) generic\nscalar S = x\n"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import haantjes.extended as extended
 import haantjes.symexpr as sx
 from haantjes.extended import (
     ExtFormPair,
@@ -27,7 +28,7 @@ from haantjes.contact import induced_jacobi_from_contact, standard_contact_form,
 from haantjes.geometry import KForm, KVector, Operator11, VectorField, d_scalar
 from haantjes.symexpr import ZeroTester, fn_symbol
 
-from conftest import rand_kform, rand_operator, rand_poly, rand_vector
+from conftest import commuting_pair, rand_kform, rand_operator, rand_poly, rand_vector, self_only_matrix
 
 
 @pytest.fixture
@@ -129,7 +130,7 @@ class TestCompose:
         ab = ext_compose(ek1, ek2)
         ba = ext_compose(ek2, ek1)
         from haantjes.extended import _ext_commutator_residuals
-        assert all(e.is_zero_expr() for _, e in _ext_commutator_residuals(ek1, ek2))
+        assert all(e.is_zero_expr() for _, e in _ext_commutator_residuals(ab, ba))
 
     def test_formula_vs_direct_50_random(self, C, rng):
         zt = ZeroTester(seed=555)
@@ -171,6 +172,33 @@ class TestTorsions:
         ek1, ek2 = worked_example_ops(C)
         rep = check_extended_algebra(ExtendedBasis([ek1, ek2], names=["EK1", "EK2"]), zt)
         assert rep.passed
+
+    def test_one_torsion_per_distinct_operator(self, zt, monkeypatch):
+        # EA EB = EB EA: 8 torsions, not 9, and the same report as a run that
+        # computes one per label
+        chart = sx.Chart("R3", ("x", "y", "z"))
+
+        def basis():
+            return [ExtendedOperator(k, VectorField.zero(chart), KForm.zero(chart, 1),
+                                     chart.const(c), name=nm)
+                    for k, c, nm in zip(commuting_pair(chart), (1, 2), ("EA", "EB"))]
+
+        calls = []
+        real = extended.is_ext_haantjes
+        monkeypatch.setattr(extended, "is_ext_haantjes", lambda ek, zt: calls.append(ek) or real(ek, zt))
+        shared = check_extended_algebra(ExtendedBasis(basis()), zt)
+        assert len(calls) == 8
+        calls.clear()
+        compose = extended.ext_compose
+
+        def self_only(ek):
+            self_only_matrix(ek.k_op)
+            return ek
+
+        monkeypatch.setattr(extended, "ext_compose", lambda a, b: self_only(compose(a, b)))
+        unshared = check_extended_algebra(ExtendedBasis([self_only(ek) for ek in basis()]), zt)
+        assert len(calls) == 9
+        assert shared == unshared and shared.status == "fail"
 
 
 class TestEJH:

@@ -1,8 +1,10 @@
 """Source hygiene: library modules compile without a warning, import nothing
-they do not use, and every check directive is documented; the kernel keeps
-no process-wide tables and importing the package does not load numpy."""
+they do not use, and every check directive is documented; the kernel and
+the tensor and torsion modules keep no process-wide tables, and importing
+the package does not load numpy."""
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -44,15 +46,26 @@ def test_readme_documents_every_directive():
     assert not missing, missing
 
 
+def _process_wide_tables(module: str):
+    """The module-level dicts, sets and lists of a module, and its caches."""
+    mod = importlib.import_module(f"haantjes.{module}")
+    held = {name for name, v in vars(mod).items()
+            if isinstance(v, (dict, set, list)) and name != "__builtins__"}
+    return held, [name for name, v in vars(mod).items() if hasattr(v, "cache_info")]
+
+
 def test_symexpr_keeps_no_process_wide_tables():
     # canonical terms get their speed from their representation: a memo or
     # intern table would live as long as the process, raise its peak memory
     # and warm up across runs
-    import haantjes.symexpr as sx
-    held = {name for name, v in vars(sx).items()
-            if isinstance(v, (dict, set, list)) and name != "__builtins__"}
-    assert held == {"__all__", "_CERTAINTY_ORDER"}
-    assert not [name for name, v in vars(sx).items() if hasattr(v, "cache_info")]
+    assert _process_wide_tables("symexpr") == ({"__all__", "_CERTAINTY_ORDER"}, [])
+
+
+@pytest.mark.parametrize("module", ["geometry", "torsion", "extended"])
+def test_builders_keep_no_process_wide_tables(module):
+    # an algebra check shares torsions within one call; a table kept across
+    # calls would be a process-wide cache, with the same faults
+    assert _process_wide_tables(module) == ({"__all__"}, [])
 
 
 def test_import_does_not_load_numpy():

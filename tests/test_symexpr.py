@@ -368,6 +368,81 @@ class TestKernelInvariants:
         assert (q / q).as_rational() == 1
 
 
+def _left_fold(pairs):
+    """The reference for _t_dot: each product canonicalised, then summed."""
+    return sx._t_add(*(sx._t_mul(a, b) for a, b in pairs))
+
+
+def _inverted(e):
+    """e ** -1 before canonicalisation, for a one-term quotient e: its
+    inverse-power atom has exponent +1 and must be expanded by the product."""
+    (m, c), = e.terms
+    return (sx._mono_pow(m, c, -1),)
+
+
+class TestFusedDot:
+    """_t_dot sums the products of its pairs in one accumulator; it must
+    equal the sum of the separately canonicalised products."""
+
+    def _pairs(self, chart, rng, n):
+        q, p, z = chart.coord("q"), chart.coord("p"), chart.coord("z")
+        f = fn_symbol(chart, "f", ["q", "p"])
+        pairs = []
+        for _ in range(n):
+            a, b = rand_poly(chart, rng, 3, 3), rand_poly(chart, rng, 2, 3)
+            kind = rng.randrange(4)
+            if kind == 1:
+                a = a * sx.exp(rand_poly(chart, rng, 1, 2))
+                b = b + sx.exp(-q) * f + f.diff("p")
+            elif kind == 2:
+                den = rand_poly(chart, rng, 2, 2) + q**2 + 1
+                a, b = a / den, b / (den * (p + 2))
+            pairs.append((a.terms, b.terms))
+            if kind == 3:
+                pairs.append((_inverted(q * p / (p + z + 2)), b.terms))
+        return pairs
+
+    def test_equals_left_fold(self, chart):
+        rng = random.Random(41)
+        seen_pending = 0
+        for n in (0, 1, 2, 3, 5, 8, 8, 8):
+            pairs = self._pairs(chart, rng, n)
+            seen_pending += any(e > 0 for a, _ in pairs for m, _ in a for at, e in m
+                                if at[0] == sx._W)
+            assert sx._t_dot(pairs) == _left_fold(pairs)
+        assert seen_pending
+
+    def test_pending_product_is_canonical(self, chart):
+        q, p, z = chart.coord("q"), chart.coord("p"), chart.coord("z")
+        # the expected value is built without an inverse power turning positive
+        want = (p + z + 2) * z**2 * q**-1 * p**-1
+        assert sx._t_dot([(_inverted(q * p / (p + z + 2)), (z**2).terms)]) == want.terms
+
+    def test_property_equals_left_fold(self, chart):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        q, p, z = chart.coord("q"), chart.coord("p"), chart.coord("z")
+        atoms = [q, p, z, sx.exp(q - p), sx.exp(p / 2), (p + 1) ** -1, (q - z) ** -2,
+                 fn_symbol(chart, "f", ["q"])]
+
+        @st.composite
+        def terms(draw):
+            e = chart.zero()
+            for _ in range(draw(st.integers(0, 3))):
+                t = chart.const(Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))))
+                for a in draw(st.lists(st.sampled_from(atoms), max_size=3)):
+                    t = t * a
+                e = e + t
+            return e.terms
+
+        @hyp.settings(derandomize=True, database=None, max_examples=60, deadline=None)
+        @hyp.given(st.lists(st.tuples(terms(), terms()), max_size=4))
+        def prop(pairs):
+            assert sx._t_dot(pairs) == _left_fold(pairs)
+
+        prop()
+
+
 class TestSympyOracle:
     """Differential oracle that shares no code with the kernel: every result
     is rebuilt by sympy from its printed text."""
@@ -434,6 +509,16 @@ class TestBudget:
             e = (q + p + z + 1) ** 4
             for _ in range(4):
                 e = e * e
+
+    def test_dot_budget_counts_the_sum(self, chart, monkeypatch):
+        # 400 one-term products of 3 nodes each: no product exceeds the
+        # budget, their sum does
+        monkeypatch.setattr(sx, "NODE_BUDGET", 500)
+        q, p = chart.coord("q"), chart.coord("p")
+        pairs = [((q**i).terms, (p**j).terms) for i in range(1, 21) for j in range(1, 21)]
+        assert all(sx._node_count(sx._t_mul(a, b)) < 500 for a, b in pairs)
+        with pytest.raises(sx.BudgetError):
+            sx._t_dot(pairs)
 
 
 class TestChart:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import haantjes.symexpr as sx
+import haantjes.torsion as torsion
 from haantjes.geometry import KForm, Operator11, VectorField, d_scalar
 from haantjes.symexpr import ZeroTester, eval_numeric, fn_symbol, is_zero
 from haantjes.torsion import (
@@ -21,7 +22,7 @@ from haantjes.torsion import (
     verify_chain,
 )
 
-from conftest import rand_operator, rand_point, rand_poly
+from conftest import commuting_pair, rand_operator, rand_point, rand_poly, self_only_matrix
 
 
 @pytest.fixture
@@ -111,6 +112,23 @@ class TestAlgebra:
         assert not haantjes_torsion(k).is_zero()
         rep = check_haantjes_algebra(HaantjesBasis([k]), zt)
         assert not rep.passed
+
+    def test_one_torsion_per_distinct_operator(self, zt, monkeypatch):
+        # K_i K_j = K_j K_i for a commuting pair: 8 torsions, not 9, and the
+        # same report as a run that computes one per label
+        chart = sx.Chart("R3", ("x", "y", "z"))
+        calls = []
+        real = torsion.is_haantjes
+        monkeypatch.setattr(torsion, "is_haantjes", lambda k, zt: calls.append(k) or real(k, zt))
+        shared = check_haantjes_algebra(HaantjesBasis(list(commuting_pair(chart)), names=["A", "B"]), zt)
+        assert len(calls) == 8
+        calls.clear()
+        compose = torsion.op_compose
+        monkeypatch.setattr(torsion, "op_compose", lambda a, b: self_only_matrix(compose(a, b)))
+        ops = [self_only_matrix(k) for k in commuting_pair(chart)]
+        unshared = check_haantjes_algebra(HaantjesBasis(ops, names=["A", "B"]), zt)
+        assert len(calls) == 9
+        assert shared == unshared and shared.status == "fail"
 
 
 class TestChains:
