@@ -4,16 +4,23 @@ A model is a line-oriented text file:
 
     # comments run to end of line
     chart NAME (id, id, ...) [generic | darboux-contact N | darboux-symplectic N | lcs-local N]
-    scalar NAME = <scalar expr>
-    form NAME = <form expr>            # d(expr), /\ wedge, scalar * form
+    scalar NAME = <scalar>
+    form NAME = <form>                 # d(<scalar>), /\ wedge, scalar * form
     vector NAME = (e1, ..., en)
-    bivector NAME = <tuple> /\ <tuple> [+ ...]
+    bivector NAME = <bivector>         # (e1, ..., en) /\ (f1, ..., fn) [+ ...]
     operator NAME = [[...], [...]]
-    extop NAME = (OP, VECTOR, FORM, SCALAR)
-    contact NAME = FORM
-    lcs NAME = (FORM2, FORM1)
+    extop NAME = (OPERATOR, VECTOR, 1-FORM, SCALAR)
+    contact NAME = 1-FORM
+    lcs NAME = (2-FORM, 1-FORM)
     jacobi NAME = (BIVECTOR, VECTOR)
     check <directive ...> [expect fail]
+
+Every right-hand side, and every scalar, tuple and vector of a directive, is
+one expression of symexpr.parse_expr: scalar arithmetic, d(<scalar>), the
+wedge /\, tuples (a, b, ...) and lists [a, b, ...], with a declared name
+standing for its value.  * and / scale a form or a multivector by a scalar;
+* between two of them is a parse error.  A tuple or a vector in a sum or a
+wedge is a 1-vector.
 
 Declarations bind to the most recent chart statement.  Structures are
 validated lazily when checks run, because validation itself consumes the
@@ -57,9 +64,8 @@ from .symexpr import (
     ParseError,
     SubstitutionError,
     ZeroTester,
-    _Lexer,
     format_expr,
-    parse_scalar,
+    parse_expr,
 )
 from .torsion import (
     HaantjesBasis,
@@ -120,44 +126,7 @@ class Model:
         raise KeyError(name)
 
 
-# -- line-level parsing helpers
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    for ch in line:
-        if ch == "#":
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def _split_top(text: str, sep: str, line: int) -> list:
-    """Split on sep at paren/bracket depth zero."""
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses", line, 1)
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
-
-
-def _expect_wrapped(text: str, open_ch: str, close_ch: str, line: int) -> str:
-    t = text.strip()
-    if not (t.startswith(open_ch) and t.endswith(close_ch)):
-        raise ParseError(f"expected {open_ch}...{close_ch}", line, 1)
-    return t[1:-1]
+# -- parsing
 
 
 def parse_model(text: str) -> Model:
@@ -165,7 +134,7 @@ def parse_model(text: str) -> Model:
     current: Optional[Chart] = None
     names: dict = {}  # name -> (kind, declaration)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
@@ -182,8 +151,7 @@ def parse_model(text: str) -> Model:
             model.directives.append(_parse_directive(rest, current, lineno))
             model.order.append(("check", len(model.directives) - 1))
             continue
-        if head not in ("scalar", "form", "vector", "bivector", "operator",
-                        "extop", "contact", "lcs", "jacobi"):
+        if head not in ("scalar", "form", "vector", "bivector", "operator", *_PARTS):
             raise ParseError(f"unknown statement {head!r}", lineno, 1)
         if current is None:
             raise ParseError("declaration before any chart", lineno, 1)
@@ -213,7 +181,7 @@ _MODEL_ERRORS = (ValueError, DomainError)
 
 
 def _at_line(exc: Exception, line: int) -> ParseError:
-    """exc as a parse error of model line `line`; the positions parse_scalar
+    """exc as a parse error of model line `line`; the positions parse_expr
     reports are relative to the expression, not to the model."""
     return ParseError(getattr(exc, "message", str(exc)), line, 1)
 
@@ -242,72 +210,35 @@ def _parse_chart_stmt(rest: str, line: int):
     return name, chart
 
 
-def _scalar_env(names: dict, chart: Chart) -> dict:
-    env = {}
-    for nm, (kind, decl) in names.items():
-        if kind == "scalar" and decl.chart_name == chart.name:
-            env[nm] = decl.payload["value"]
-    return env
+# declaration kind -> the kinds of the parts of its tuple; the parts of a
+# contact, lcs or jacobi structure are validated on first use at run time
+_PARTS = {
+    "extop": ("operator", "vector", "form", "scalar"),
+    "contact": ("1-form",),
+    "lcs": ("2-form", "1-form"),
+    "jacobi": ("bivector", "vector"),
+}
 
 
 def _build_declaration(decl: Declaration, chart: Chart, names: dict, line: int):
-    rhs = decl.payload["rhs"]
-    env = _scalar_env(names, chart)
-    if decl.kind == "scalar":
-        decl.payload["value"] = parse_scalar(rhs, chart, env)
-    elif decl.kind == "form":
-        decl.payload["value"] = _parse_form_expr(rhs, chart, names, env, line)
-    elif decl.kind == "vector":
-        decl.payload["value"] = _parse_vector(rhs, chart, env, line)
-    elif decl.kind == "bivector":
-        decl.payload["value"] = _parse_bivector_expr(rhs, chart, names, env, line)
-    elif decl.kind == "operator":
-        decl.payload["value"] = _parse_operator(rhs, chart, env, line)
-    elif decl.kind == "extop":
-        inner = _expect_wrapped(rhs, "(", ")", line)
-        parts = [p.strip() for p in _split_top(inner, ",", line)]
-        if len(parts) != 4:
-            raise ParseError("extop needs (operator, vector, form, scalar)", line, 1)
-        op = _lookup(names, parts[0], "operator", line)
-        vec = _lookup(names, parts[1], "vector", line)
-        form = _lookup(names, parts[2], "form", line)
-        if parts[3] in names:
-            sc = _lookup(names, parts[3], "scalar", line)
-        else:
-            sc = parse_scalar(parts[3], chart, env)
-        decl.payload["value"] = ExtendedOperator(op, vec, form, sc, name=decl.name)
-    elif decl.kind == "contact":
-        if chart.dim % 2 == 0:
-            raise ParseError(f"contact structure on even-dimensional chart {chart.name}", line, 1)
-        decl.payload["form"] = _structure_part(names, rhs.strip(), "form", 1, chart, line)
-    elif decl.kind == "lcs":
-        if chart.dim % 2 == 1:
-            raise ParseError(f"lcs structure on odd-dimensional chart {chart.name}", line, 1)
-        inner = _expect_wrapped(rhs, "(", ")", line)
-        parts = [p.strip() for p in _split_top(inner, ",", line)]
-        if len(parts) != 2:
-            raise ParseError("lcs needs (2-form, 1-form)", line, 1)
-        decl.payload["omega"] = _structure_part(names, parts[0], "form", 2, chart, line)
-        decl.payload["eta"] = _structure_part(names, parts[1], "form", 1, chart, line)
-    elif decl.kind == "jacobi":
-        inner = _expect_wrapped(rhs, "(", ")", line)
-        parts = [p.strip() for p in _split_top(inner, ",", line)]
-        if len(parts) != 2:
-            raise ParseError("jacobi needs (bivector, vector)", line, 1)
-        decl.payload["lam"] = _structure_part(names, parts[0], "bivector", 2, chart, line)
-        decl.payload["e"] = _structure_part(names, parts[1], "vector", None, chart, line)
-
-
-def _structure_part(names: dict, name: str, kind: str, degree: Optional[int],
-                    chart: Chart, line: int):
-    """A declared part of a structure: on the structure's chart and, for a
-    form or bivector, of the given degree (the validators assume both)."""
-    value = _lookup(names, name, kind, line)
-    if value.chart != chart:
-        raise ParseError(f"{name!r} is on chart {value.chart.name}, not {chart.name}", line, 1)
-    if degree is not None and value.degree != degree:
-        raise ParseError(f"{name!r} has degree {value.degree}, expected {degree}", line, 1)
-    return value
+    if decl.kind == "contact" and chart.dim % 2 == 0:
+        raise ParseError(f"contact structure on even-dimensional chart {chart.name}", line, 1)
+    if decl.kind == "lcs" and chart.dim % 2 == 1:
+        raise ParseError(f"lcs structure on odd-dimensional chart {chart.name}", line, 1)
+    scope = _Scope(chart, names, line, free=True)
+    value = parse_expr(decl.payload["rhs"], chart, scope)
+    kinds = _PARTS.get(decl.kind)
+    if kinds is None:
+        decl.payload["value"] = scope.value(value, decl.kind)
+        return
+    parts = value if isinstance(value, tuple) and len(kinds) > 1 else (value,)
+    if len(parts) != len(kinds):
+        raise ParseError(f"{decl.kind} needs ({', '.join(kinds)})", line, 1)
+    parts = [scope.value(v, k) for v, k in zip(parts, kinds)]
+    if decl.kind == "extop":
+        decl.payload["value"] = ExtendedOperator(*parts, name=decl.name)
+    else:
+        decl.payload["parts"] = parts
 
 
 def _lookup(names: dict, name: str, kind: str, line: int):
@@ -316,194 +247,104 @@ def _lookup(names: dict, name: str, kind: str, line: int):
     got, decl = names[name]
     if got != kind:
         raise ParseError(f"{name!r} is a {got}, expected {kind}", line, 1)
-    return decl.payload["value"] if "value" in decl.payload else decl
+    return decl.payload.get("value", decl)
 
 
-def _parse_tuple(text: str, chart: Chart, env: dict, line: int) -> list:
-    inner = _expect_wrapped(text, "(", ")", line)
-    return [parse_scalar(p, chart, env) for p in _split_top(inner, ",", line)]
+def _describe(v) -> str:
+    if isinstance(v, KForm):
+        return f"{v.degree}-form"
+    if isinstance(v, KVector):
+        return "bivector" if v.degree == 2 else f"{v.degree}-vector"
+    if isinstance(v, Declaration):
+        return v.kind
+    return {Expr: "scalar", VectorField: "vector", Operator11: "operator",
+            ExtendedOperator: "extop", tuple: "tuple", list: "list"}[type(v)]
 
 
-def _parse_vector(text: str, chart: Chart, env: dict, line: int) -> VectorField:
-    comps = _parse_tuple(text, chart, env, line)
-    if len(comps) != chart.dim:
-        raise ParseError(f"vector needs {chart.dim} components, got {len(comps)}", line, 1)
-    return VectorField(chart, comps)
+class _Scope:
+    """The hook through which parse_expr reads a model expression on
+    `chart`: the names declared there, d(...), and scaling, sums and wedges
+    of forms and multivectors (a tuple or vector operand is a 1-vector).  A
+    bare name that is not declared is a parameter when `free` (declarations)
+    and an error otherwise (directives); one declared on another chart is an
+    error."""
 
+    def __init__(self, chart: Chart, names: dict, line: int, free: bool = False):
+        self.chart = chart
+        self.names = names
+        self.line = line
+        self.free = free
 
-def _parse_operator(text: str, chart: Chart, env: dict, line: int) -> Operator11:
-    inner = _expect_wrapped(text, "[", "]", line)
-    rows = []
-    for chunk in _split_top(inner, ",", line):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        row_txt = _expect_wrapped(chunk, "[", "]", line)
-        rows.append([parse_scalar(p, chart, env) for p in _split_top(row_txt, ",", line)])
-    if not rows:
-        raise ParseError("empty operator", line, 1)
-    width = len(rows[0])
-    for r in rows:
-        if len(r) != width:
-            raise ParseError(f"row length mismatch at line {line}", line, 1)
-    if len(rows) != chart.dim or width != chart.dim:
-        raise ParseError(f"operator must be {chart.dim}x{chart.dim}", line, 1)
-    return Operator11(chart, rows)
+    def parse(self, text: str, kind: str):
+        return self.value(parse_expr(text, self.chart, self), kind)
 
+    def name(self, name: str):
+        if name not in self.names:
+            if self.free:
+                return None
+            raise ParseError(f"unknown identifier {name!r}", self.line, 1)
+        kind, decl = self.names[name]
+        if decl.chart_name != self.chart.name:
+            raise ParseError(f"{kind} {name!r} is not declared on chart {self.chart.name}",
+                             self.line, 1)
+        return decl.payload.get("value", decl)
 
-def _parse_form_expr(text: str, chart: Chart, names: dict, env: dict, line: int) -> KForm:
-    """Sums of products of scalar factors and form primaries (d(expr),
-    form names, parenthesised sub-expressions) joined by * and /\\ ."""
-    total: Optional[KForm] = None
-    for signed in _signed_terms(text, line):
-        sign, term = signed
-        val = _parse_graded_term(term, chart, names, env, line, vector_mode=False)
-        if isinstance(val, Expr):
-            raise ParseError("scalar where a form was expected", line, 1)
-        if sign < 0:
-            val = -val
-        total = val if total is None else total + val
-    if total is None:
-        raise ParseError("empty form expression", line, 1)
-    return total
+    def d(self, f: Expr) -> KForm:
+        return d_scalar(f)
 
+    def scale(self, v, f: Expr):
+        return self._graded(v).scale(f)
 
-def _parse_bivector_expr(text: str, chart: Chart, names: dict, env: dict, line: int) -> KVector:
-    total: Optional[KVector] = None
-    for sign, term in _signed_terms(text, line):
-        val = _parse_graded_term(term, chart, names, env, line, vector_mode=True)
-        if isinstance(val, Expr):
-            raise ParseError("scalar where a bivector was expected", line, 1)
-        if sign < 0:
-            val = -val
-        total = val if total is None else total + val
-    if total is None or total.degree != 2:
-        raise ParseError("bivector expression must have degree 2", line, 1)
-    return total
+    def add(self, a, b):
+        a, b = self._pair(a, b)
+        return a + b
 
+    def wedge(self, a, b):
+        a, b = self._pair(a, b)
+        return wedge(a, b) if isinstance(a, KForm) else wedge_v(a, b)
 
-def _signed_terms(text: str, line: int):
-    """Split a sum into (sign, term) pieces at depth zero."""
-    depth = 0
-    cur = []
-    sign = 1
-    first = True
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch in "+-":
-            # a sign right after an operator is unary and stays with its factor
-            last = "".join(cur).rstrip()[-1:]
-            if last and last not in "*/\\^(,+-":
-                yield sign, "".join(cur).strip()
-                sign = 1 if ch == "+" else -1
-                cur = []
-                first = False
-                continue
-            if not last and first:
-                sign = 1 if ch == "+" else -1
-                first = False
-                continue
-        cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        yield sign, tail
+    def _pair(self, a, b):
+        a, b = self._graded(a), self._graded(b)
+        if type(a) is not type(b):
+            raise ParseError(f"a {_describe(a)} and a {_describe(b)} do not combine", self.line, 1)
+        return a, b
 
+    def _graded(self, v):
+        if isinstance(v, (tuple, VectorField)):
+            return KVector.from_vector(self.value(v, "vector"))
+        if isinstance(v, (KForm, KVector)):
+            return v
+        raise ParseError(f"{_describe(v)} where a form or a multivector was expected", self.line, 1)
 
-def _split_factors(term: str, line: int):
-    """Split a term into factors at * and /\\ (depth zero), keeping ops."""
-    depth = 0
-    cur = []
-    i = 0
-    ops = []
-    factors = []
-    while i < len(term):
-        ch = term[i]
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if depth == 0 and ch == "/" and i + 1 < len(term) and term[i + 1] == "\\":
-            factors.append("".join(cur).strip())
-            ops.append("wedge")
-            cur = []
-            i += 2
-            continue
-        if depth == 0 and ch == "*":
-            factors.append("".join(cur).strip())
-            ops.append("mul")
-            cur = []
-            i += 1
-            continue
-        cur.append(ch)
-        i += 1
-    factors.append("".join(cur).strip())
-    return factors, ops
-
-
-def _parse_graded_term(term: str, chart: Chart, names: dict, env: dict, line: int, vector_mode: bool):
-    factors, ops = _split_factors(term, line)
-    scalar = chart.one()
-    graded = None
-    for idx, ftxt in enumerate(factors):
-        op = ops[idx - 1] if idx else None
-        val = _parse_factor(ftxt, chart, names, env, line, vector_mode)
-        if isinstance(val, Expr):
-            if op == "wedge":
-                raise ParseError("/\\ needs graded operands", line, 1)
-            scalar = scalar * val
-            continue
-        if graded is None:
-            graded = val
-        elif op == "wedge" or vector_mode:
-            graded = wedge_v(graded, val) if vector_mode else wedge(graded, val)
-        else:
-            raise ParseError("use /\\ to multiply graded objects", line, 1)
-    if graded is None:
-        return scalar
-    return graded.scale(scalar)
-
-
-def _parse_factor(text: str, chart: Chart, names: dict, env: dict, line: int, vector_mode: bool):
-    t = text.strip()
-    if not t:
-        raise ParseError("empty factor", line, 1)
-    if t.startswith("-"):
-        return -_parse_factor(t[1:], chart, names, env, line, vector_mode)
-    if not vector_mode and (t.startswith("d(") or t.startswith("d (")):
-        inner = t[t.index("(") + 1 : -1] if t.endswith(")") else None
-        if inner is None:
-            raise ParseError("unterminated d(...)", line, 1)
-        return d_scalar(parse_scalar(inner, chart, env))
-    if vector_mode and t.startswith("(") and t.endswith(")") and "," in t:
-        return KVector.from_vector(_parse_vector(t, chart, env, line))
-    if t in names:
-        kind, decl = names[t]
-        if not vector_mode and kind == "form":
-            return decl.payload["value"]
-        if vector_mode and kind == "vector":
-            return KVector.from_vector(decl.payload["value"])
-        if kind == "scalar":
-            return decl.payload["value"]
-    if t.startswith("(") and t.endswith(")"):
-        inner = t[1:-1]
-        if _contains_graded(inner, names):
-            if vector_mode:
-                return _parse_bivector_expr(inner, chart, names, env, line)
-            return _parse_form_expr(inner, chart, names, env, line)
-        return parse_scalar(inner, chart, env)
-    return parse_scalar(t, chart, env)
-
-
-def _contains_graded(text: str, names: dict) -> bool:
-    if "/\\" in text or "d(" in text.replace(" ", ""):
-        return True
-    for nm, (kind, _) in names.items():
-        if kind in ("form", "vector") and nm in text:
-            return True
-    return False
+    def value(self, v, kind: str):
+        """v as a `kind`: scalar, tuple (of scalars; a scalar is a one-tuple),
+        vector, operator, form, k-form or bivector."""
+        chart = self.chart
+        if kind == "scalar" and isinstance(v, Expr):
+            return v
+        if kind == "tuple":
+            return [self.value(c, "scalar") for c in (v if isinstance(v, tuple) else (v,))]
+        if kind == "vector":
+            if isinstance(v, VectorField):
+                return v
+            comps = self.value(v, "tuple")
+            if len(comps) != chart.dim:
+                raise ParseError(f"vector needs {chart.dim} components, got {len(comps)}", self.line, 1)
+            return VectorField(chart, comps)
+        if kind == "operator" and isinstance(v, list) and all(isinstance(r, list) for r in v):
+            rows = [[self.value(e, "scalar") for e in r] for r in v]
+            if any(len(r) != len(rows[0]) for r in rows):
+                raise ParseError(f"row length mismatch at line {self.line}", self.line, 1)
+            if len(rows) != chart.dim or len(rows[0]) != chart.dim:
+                raise ParseError(f"operator must be {chart.dim}x{chart.dim}", self.line, 1)
+            return Operator11(chart, rows)
+        if isinstance(v, KForm) and kind in ("form", f"{v.degree}-form"):
+            return v
+        if isinstance(v, KVector) and v.degree == 2 and kind == "bivector":
+            return v
+        if isinstance(v, Operator11) and kind == "operator":
+            return v
+        raise ParseError(f"{_describe(v)} where a {kind} was expected", self.line, 1)
 
 
 # -- directives
@@ -590,22 +431,8 @@ def _basis(cls, kind: str):
     return bind
 
 
-def _checked_env(text: str, chart: Chart, names: dict, line: int) -> dict:
-    """The scalars of chart, once every bare name in the scalar text is a
-    coordinate or one of them; a called name (exp, an abstract function)
-    may be anything."""
-    env = _scalar_env(names, chart)
-    toks = _Lexer(text).tokens
-    for (kind, name, *_), nxt in zip(toks, toks[1:]):
-        if kind == "ident" and nxt[0] != "(" and name not in env and name not in chart.coords:
-            _lookup(names, name, "scalar", line)
-            raise ParseError(f"scalar {name!r} is not declared on chart {chart.name}", line, 1)
-    return env
-
-
 def _scalar(toks, chart, names, line) -> Expr:
-    text = " ".join(toks)
-    return parse_scalar(text, chart, _checked_env(text, chart, names, line))
+    return _Scope(chart, names, line).parse(" ".join(toks), "scalar")
 
 
 def _two_scalars(toks, chart, names, line) -> list:
@@ -615,22 +442,19 @@ def _two_scalars(toks, chart, names, line) -> list:
 
 
 def _tuple(toks, chart, names, line) -> list:
-    text = " ".join(toks)
-    return _parse_tuple(text, chart, _checked_env(text, chart, names, line), line)
+    return _Scope(chart, names, line).parse(" ".join(toks), "tuple")
 
 
 def _vector(toks, chart, names, line) -> VectorField:
-    text = " ".join(toks)
-    return _parse_vector(text, chart, _checked_env(text, chart, names, line), line)
+    return _Scope(chart, names, line).parse(" ".join(toks), "vector")
 
 
 def _pairs(toks, chart, names, line) -> list:
     """(f,g) pairs, one token each."""
-    env = _checked_env(" ".join(toks), chart, names, line)
-    pairs = [tuple(_parse_tuple(t, chart, env, line)) for t in toks]
+    pairs = [_Scope(chart, names, line).parse(t, "tuple") for t in toks]
     if not pairs or any(len(p) != 2 for p in pairs):
         raise ParseError("pairs needs (f,g) pairs", line, 1)
-    return pairs
+    return [tuple(p) for p in pairs]
 
 
 def _flag(toks, chart, names, line) -> bool:
@@ -709,7 +533,7 @@ def _darboux_contact(toks, chart, names, line):
     """A contact structure on a darboux-contact chart (the special kinds are
     defined in Darboux coordinates)."""
     decl = _CONTACT(toks, chart, names, line)
-    if decl.payload["form"].chart.kind[0] != "darboux-contact":
+    if decl.payload["parts"][0].chart.kind[0] != "darboux-contact":
         raise ParseError(f"{toks[0]!r} is not on a darboux-contact chart", line, 1)
     return decl
 
@@ -813,13 +637,13 @@ class _Runtime:
     def structure(self, decl: Declaration):
         s = self.structs.get(decl.name)
         if s is None:
-            p = decl.payload
+            parts = decl.payload["parts"]
             if decl.kind == "contact":
-                s = validate_contact(p["form"], self.zt)
+                s = validate_contact(*parts, self.zt)
             elif decl.kind == "lcs":
-                s = validate_lcs(p["omega"], p["eta"], self.zt)
+                s = validate_lcs(*parts, self.zt)
             else:
-                s = validate_jacobi(p["lam"], p["e"], self.zt)
+                s = validate_jacobi(*parts, self.zt)
             self.structs[decl.name] = s
         return s
 
@@ -906,23 +730,21 @@ def format_model(model: Model) -> str:
             lines.append(f"chart {key} ({coords}){tail}")
         elif kind == "decl":
             d = by_name[key]
-            lines.append(_format_declaration(d, model.charts[d.chart_name]))
+            lines.append(_format_declaration(d))
         else:
             d = model.directives[key]
             lines.append("check " + _format_directive(d))
     return "\n".join(lines) + "\n"
 
 
-def _format_declaration(d: Declaration, chart: Chart) -> str:
+def _format_declaration(d: Declaration) -> str:
     if d.kind == "scalar":
         return f"scalar {d.name} = {format_expr(d.payload['value'])}"
-    if d.kind == "form":
-        return f"form {d.name} = {_format_form(d.payload['value'])}"
+    if d.kind in ("form", "bivector"):
+        return f"{d.kind} {d.name} = {_format_graded(d.payload['value'])}"
     if d.kind == "vector":
         v = d.payload["value"]
         return f"vector {d.name} = ({', '.join(format_expr(e) for e in v.components)})"
-    if d.kind == "bivector":
-        return f"bivector {d.name} = {_format_bivector(d.payload['value'])}"
     if d.kind == "operator":
         k = d.payload["value"]
         rows = ", ".join("[" + ", ".join(format_expr(e) for e in row) + "]" for row in k.matrix)
@@ -944,25 +766,19 @@ def _format_directive(d: Directive) -> str:
     return " ".join(parts)
 
 
-def _format_form(f: KForm) -> str:
-    chart = f.chart
-    if f.is_zero():
-        return f"0 * d({chart.coords[0]})"
-    parts = []
-    for idx, val in f.items():
-        wedge_txt = " /\\ ".join(f"d({chart.coords[i]})" for i in idx)
-        parts.append(f"({format_expr(val)}) * {wedge_txt}")
-    return " + ".join(parts)
-
-
-def _format_bivector(b: KVector) -> str:
-    chart = b.chart
-    parts = []
-    for (i, j), val in b.items():
-        ei = ", ".join("1" if a == i else "0" for a in range(chart.dim))
-        ej = ", ".join("1" if a == j else "0" for a in range(chart.dim))
-        parts.append(f"({format_expr(val)}) * ({ei}) /\\ ({ej})")
-    return " + ".join(parts) if parts else "0 * (" + ", ".join("0" for _ in chart.coords) + ")"
+def _format_graded(g) -> str:
+    """A form or bivector as a sum of scaled wedges of basis 1-forms or
+    vectors; zero keeps its degree."""
+    chart = g.chart
+    if isinstance(g, KForm):
+        basis = [f"d({c})" for c in chart.coords]
+    else:
+        basis = ["(" + ", ".join("1" if a == i else "0" for a in range(chart.dim)) + ")"
+                 for i in range(chart.dim)]
+    if g.is_zero():
+        return "0 * " + " /\\ ".join(basis[: g.degree])
+    return " + ".join(f"({format_expr(val)}) * " + " /\\ ".join(basis[i] for i in idx)
+                      for idx, val in g.items())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ Sign conventions, fixed once and calibrated by the test suite:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,7 +33,6 @@ from .symexpr import (
     Chart,
     Expr,
     ZeroTester,
-    eval_numeric,
     exp as exp_,
 )
 from .torsion import HaantjesBasis, verify_chain
@@ -175,18 +173,12 @@ def proposition_involutivity_check(
 class ParticularIntegralWitness:
     """How to certify {f_i, H} = sum_j a^i_j f_j.
 
-    ``coefficients`` holds the a^i_j matrix for the symbolic mode; the
-    sampled mode searches the common zero set M_f numerically instead.
-    ``pair_coefficients`` optionally certifies particular involution
-    {f_i, f_j} = sum_k a^{ij}_k f_k symbolically.
+    ``coefficients`` holds the a^i_j matrix.  ``pair_coefficients``
+    optionally certifies particular involution {f_i, f_j} = sum_k a^{ij}_k f_k.
     """
 
-    coefficients: Optional[Sequence[Sequence[Expr]]] = None
+    coefficients: Sequence[Sequence[Expr]]
     pair_coefficients: Optional[dict] = None
-    mode: str = "symbolic-coefficients"
-    newton_starts: int = 32
-    accept_tol: float = 1e-10
-    check_tol: float = 1e-7
 
 
 def particular_integral_check(
@@ -197,91 +189,29 @@ def particular_integral_check(
     zt: ZeroTester = ZeroTester(),
 ) -> CheckReport:
     rep = CheckReport("particular-integrals")
-    k = len(f_list)
-    if witness.mode == "symbolic-coefficients":
-        if witness.coefficients is None:
-            return rep.reject("symbolic mode needs coefficients")
-        for i, fi in enumerate(f_list):
-            resid = jacobi_bracket(fi, h, j)
+    for i, fi in enumerate(f_list):
+        resid = jacobi_bracket(fi, h, j)
+        for jj, fj in enumerate(f_list):
+            resid = resid - witness.coefficients[i][jj] * fj
+        rep.require_zero(f"{{f{i+1},H}} - sum a f", zt(resid))
+    if witness.pair_coefficients is not None:
+        for (a, b), coeffs in witness.pair_coefficients.items():
+            resid = jacobi_bracket(f_list[a], f_list[b], j)
             for jj, fj in enumerate(f_list):
-                resid = resid - witness.coefficients[i][jj] * fj
-            rep.require_zero(f"{{f{i+1},H}} - sum a f", zt(resid))
-        if witness.pair_coefficients is not None:
-            for (a, b), coeffs in witness.pair_coefficients.items():
-                resid = jacobi_bracket(f_list[a], f_list[b], j)
-                for jj, fj in enumerate(f_list):
-                    resid = resid - coeffs[jj] * fj
-                rep.require_zero(f"{{f{a+1},f{b+1}}} - sum a f", zt(resid))
-        # conservation vs dissipation bookkeeping: a == 0 rows are constants
-        # of motion in the bracket sense, yet may still be dissipated.
-        xh = hamiltonian_vf(h, j)
-        for i, fi in enumerate(f_list):
-            if witness.coefficients and all(c.is_zero_expr() for c in witness.coefficients[i]):
-                rate = xh.apply_to(fi)
-                rep.data.setdefault("evolution_rates", {})[f"f{i+1}"] = str(rate)
-                if not zt(rate).accepts_zero:
-                    rep.notes.append(
-                        f"f{i+1}: bracket-involution holds but X_H f{i+1} != 0 (dissipated)"
-                    )
-        return rep
-    # sampled-on-Mf mode
-    pts = _sample_level_set(f_list, witness, j.chart)
-    if not pts:
-        rep.status = "unknown"
-        rep.notes.append("no M_f points found")
-        return rep
-    rep.data["mf_points"] = len(pts)
-    brackets = [jacobi_bracket(fi, h, j) for fi in f_list]
-    pair_brackets = {
-        (a, b): jacobi_bracket(f_list[a], f_list[b], j)
-        for a in range(k) for b in range(a + 1, k)
-    }
-    worst = 0.0
-    for pt in pts:
-        for i, br in enumerate(brackets):
-            worst = max(worst, abs(eval_numeric(br, pt)))
-        for br in pair_brackets.values():
-            worst = max(worst, abs(eval_numeric(br, pt)))
-    rep.data["max_residual_on_Mf"] = worst
-    if worst < witness.check_tol:
-        rep.details.append(("residuals on M_f", f"< {witness.check_tol} at {len(pts)} points"))
-        rep.notes.append("sampled certification only (probably-zero grade)")
-    else:
-        rep.reject(f"residual {worst:.3e} on M_f exceeds {witness.check_tol}")
+                resid = resid - coeffs[jj] * fj
+            rep.require_zero(f"{{f{a+1},f{b+1}}} - sum a f", zt(resid))
+    # conservation vs dissipation bookkeeping: a == 0 rows are constants
+    # of motion in the bracket sense, yet may still be dissipated.
+    xh = hamiltonian_vf(h, j)
+    for i, fi in enumerate(f_list):
+        if all(c.is_zero_expr() for c in witness.coefficients[i]):
+            rate = xh.apply_to(fi)
+            rep.data.setdefault("evolution_rates", {})[f"f{i+1}"] = str(rate)
+            if not zt(rate).accepts_zero:
+                rep.notes.append(
+                    f"f{i+1}: bracket-involution holds but X_H f{i+1} != 0 (dissipated)"
+                )
     return rep
-
-
-def _sample_level_set(f_list, witness, chart, seed: int = 0):
-    """Newton refinement toward f_i = 0 from seeded random starts."""
-    import numpy as np  # not at module level: its import takes more memory than haantjes
-
-    rng = random.Random(seed)
-    names = chart.coords
-    pts = []
-    grads = [[fi.diff(i) for i in range(chart.dim)] for fi in f_list]
-    for _ in range(witness.newton_starts):
-        x = np.array([rng.uniform(-2, 2) for _ in names])
-        ok = False
-        for _ in range(40):
-            pt = dict(zip(names, x))
-            try:
-                vals = np.array([eval_numeric(fi, pt) for fi in f_list])
-            except Exception:
-                break
-            if np.max(np.abs(vals)) < witness.accept_tol:
-                ok = True
-                break
-            try:
-                jac = np.array([[eval_numeric(g, pt) for g in row] for row in grads])
-            except Exception:
-                break
-            step, *_ = np.linalg.lstsq(jac, -vals, rcond=None)
-            if not np.all(np.isfinite(step)):
-                break
-            x = x + step
-        if ok:
-            pts.append(dict(zip(names, x)))
-    return pts
 
 
 # ---------------------------------------------------------------------------

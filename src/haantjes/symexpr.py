@@ -44,6 +44,7 @@ __all__ = [
     "is_zero",
     "lcs_local",
     "param",
+    "parse_expr",
     "parse_scalar",
     "rational",
     "simplify",
@@ -1105,7 +1106,8 @@ def eval_numeric(
 
 
 # ---------------------------------------------------------------------------
-# Expression text parser (infix +, -, *, /, ^, exp(...), f(x1,...,xn))
+# Expression text parser (infix +, -, *, /, /\, ^, exp(...), f(x1,...,xn),
+# tuples and lists)
 
 
 class _Lexer:
@@ -1149,7 +1151,11 @@ class _Lexer:
                 self.tokens.append(("ident", text[self.pos : j], line, col))
                 self._advance(j - self.pos)
                 continue
-            if ch in "+-*/^(),":
+            if text.startswith("/\\", self.pos):
+                self.tokens.append(("/\\", "/\\", line, col))
+                self._advance(2)
+                continue
+            if ch in "+-*/^(),[]":
                 self.tokens.append((ch, ch, line, col))
                 self._advance(1)
                 continue
@@ -1182,83 +1188,163 @@ def parse_scalar(
     then to parameters; ``f(x1,...,xn)`` builds an abstract function symbol
     depending on the listed coordinates.
     """
-    lx = _Lexer(text)
-    e = _parse_sum(lx, chart, names or {})
-    tok = lx.peek()
-    if tok[0] != "eof":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
-    return e
+    return _scalar(_Parser(text, chart, (names or {}).get, None).parse(), 1, 1)
 
 
-def _parse_sum(lx, chart, names) -> Expr:
-    e = _parse_product(lx, chart, names)
-    while lx.peek()[0] in ("+", "-"):
-        op = lx.next()[0]
-        rhs = _parse_product(lx, chart, names)
-        e = e + rhs if op == "+" else e - rhs
-    return e
+def parse_expr(text: str, chart: Chart, hook):
+    """Parse the expression syntax of parse_scalar extended by ``/\\``,
+    tuples ``(a, b, ...)`` and lists ``[a, b, ...]`` (a matrix is a list of
+    lists); the value of a tuple is a Python tuple and of a list a list.
+
+    ``hook`` gives meaning to everything that is not a scalar:
+    ``hook.name(name)`` resolves a bare identifier that is not a coordinate
+    (``None`` makes it a parameter), ``hook.d(f)`` is ``d(<scalar>)``, and
+    ``hook.scale(v, f)``, ``hook.add(a, b)`` and ``hook.wedge(a, b)`` are
+    ``v * f``, ``a + b`` and ``a /\\ b`` when an operand is not a scalar.
+    ``*`` between two such operands is a ParseError.
+    """
+    return _Parser(text, chart, hook.name, hook).parse()
 
 
-def _parse_product(lx, chart, names) -> Expr:
-    e = _parse_unary(lx, chart, names)
-    while lx.peek()[0] in ("*", "/"):
-        op = lx.next()[0]
-        rhs = _parse_unary(lx, chart, names)
-        e = e * rhs if op == "*" else e / rhs
-    return e
+def _scalar(value, line: int, col: int) -> Expr:
+    if not isinstance(value, Expr):
+        raise ParseError("expected a scalar expression", line, col)
+    return value
 
 
-def _parse_unary(lx, chart, names) -> Expr:
-    tok = lx.peek()
-    if tok[0] == "-":
-        lx.next()
-        return -_parse_unary(lx, chart, names)
-    if tok[0] == "+":
-        lx.next()
-        return _parse_unary(lx, chart, names)
-    return _parse_power(lx, chart, names)
+class _Parser:
+    """Recursive descent:
 
+        sum     := product (('+' | '-') product)*
+        product := unary (('*' | '/' | '/\\') unary)*
+        unary   := ('-' | '+') unary | power
+        power   := primary ['^' ['('] ['-'] int [')']]
+        primary := int | '(' sum (',' sum)* ')' | '[' sum (',' sum)* ']'
+                 | ident ['(' ... ')']
 
-def _parse_power(lx, chart, names) -> Expr:
-    base = _parse_primary(lx, chart, names)
-    if lx.peek()[0] != "^":
-        return base
-    lx.next()
-    # exponent: optionally signed integer, possibly parenthesised
-    neg = False
-    tok = lx.peek()
-    parens = tok[0] == "("
-    if parens:
-        lx.next()
-        tok = lx.peek()
-    if tok[0] == "-":
-        lx.next()
-        neg = True
-        tok = lx.peek()
-    tok = lx.expect("int")
-    if parens:
-        lx.expect(")")
-    k = -tok[1] if neg else tok[1]
-    return base**k
+    Scalars combine as Expr; an operation with another operand goes to the
+    hook, and without one is a ParseError.
+    """
 
+    def __init__(self, text: str, chart: Chart, lookup, hook):
+        self.lx = _Lexer(text)
+        self.chart = chart
+        self.lookup = lookup
+        self.hook = hook
 
-def _parse_primary(lx, chart, names) -> Expr:
-    tok = lx.next()
-    kind = tok[0]
-    if kind == "int":
-        return rational(chart, tok[1])
-    if kind == "(":
-        e = _parse_sum(lx, chart, names)
-        lx.expect(")")
-        return e
-    if kind == "ident":
-        name = tok[1]
-        if name == "exp" and lx.peek()[0] == "(":
-            lx.next()
-            arg = _parse_sum(lx, chart, names)
-            lx.expect(")")
-            return exp(arg)
-        if lx.peek()[0] == "(":
+    def parse(self):
+        value = self._sum()
+        tok = self.lx.peek()
+        if tok[0] != "eof":
+            raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
+        return value
+
+    def _hook(self, tok):
+        if self.hook is None:
+            raise ParseError(f"{tok[1]!r} needs scalar operands", tok[2], tok[3])
+        return self.hook
+
+    def _neg(self, value, tok):
+        if isinstance(value, Expr):
+            return -value
+        return self._hook(tok).scale(value, rational(self.chart, -1))
+
+    def _sum(self):
+        value = self._product()
+        while self.lx.peek()[0] in ("+", "-"):
+            tok = self.lx.next()
+            rhs = self._product()
+            if tok[0] == "-":
+                rhs = self._neg(rhs, tok)
+            if isinstance(value, Expr) and isinstance(rhs, Expr):
+                value = value + rhs
+            else:
+                value = self._hook(tok).add(value, rhs)
+        return value
+
+    def _product(self):
+        value = self._unary()
+        while self.lx.peek()[0] in ("*", "/", "/\\"):
+            tok = self.lx.next()
+            op = tok[0]
+            rhs = self._unary()
+            if op == "/\\":
+                value = self._hook(tok).wedge(value, rhs)
+            elif op == "/":
+                rhs = _scalar(rhs, tok[2], tok[3])
+                value = value / rhs if isinstance(value, Expr) else self._hook(tok).scale(value, rhs**-1)
+            elif isinstance(rhs, Expr):
+                value = value * rhs if isinstance(value, Expr) else self._hook(tok).scale(value, rhs)
+            elif isinstance(value, Expr):
+                value = self._hook(tok).scale(rhs, value)
+            else:
+                raise ParseError("'*' needs a scalar operand; use /\\ between graded ones",
+                                 tok[2], tok[3])
+        return value
+
+    def _unary(self):
+        tok = self.lx.peek()
+        if tok[0] == "-":
+            self.lx.next()
+            return self._neg(self._unary(), tok)
+        if tok[0] == "+":
+            self.lx.next()
+            return self._unary()
+        return self._power()
+
+    def _power(self):
+        base = self._primary()
+        tok = self.lx.peek()
+        if tok[0] != "^":
+            return base
+        base = _scalar(base, tok[2], tok[3])
+        self.lx.next()
+        # exponent: optionally signed integer, possibly parenthesised
+        neg = False
+        tok = self.lx.peek()
+        parens = tok[0] == "("
+        if parens:
+            self.lx.next()
+            tok = self.lx.peek()
+        if tok[0] == "-":
+            self.lx.next()
+            neg = True
+        tok = self.lx.expect("int")
+        if parens:
+            self.lx.expect(")")
+        return base ** (-tok[1] if neg else tok[1])
+
+    def _items(self, close: str) -> list:
+        items = [self._sum()]
+        while self.lx.peek()[0] == ",":
+            self.lx.next()
+            items.append(self._sum())
+        self.lx.expect(close)
+        return items
+
+    def _primary(self):
+        lx, chart = self.lx, self.chart
+        tok = lx.next()
+        kind = tok[0]
+        if kind == "int":
+            return rational(chart, tok[1])
+        if kind == "(":
+            items = self._items(")")
+            return items[0] if len(items) == 1 else tuple(items)
+        if kind == "[":
+            return self._items("]")
+        if kind == "ident":
+            name = tok[1]
+            if lx.peek()[0] != "(":
+                if name in chart.coords:
+                    return chart.coord(name)
+                value = self.lookup(name)
+                return param(chart, name) if value is None else value
+            if name == "exp" or (name == "d" and self.hook is not None):
+                lx.next()
+                arg = _scalar(self._sum(), tok[2], tok[3])
+                lx.expect(")")
+                return exp(arg) if name == "exp" else self.hook.d(arg)
             lx.next()
             args = []
             if lx.peek()[0] != ")":
@@ -1277,11 +1363,6 @@ def _parse_primary(lx, chart, names) -> Expr:
             except KeyError as exc:
                 raise ParseError(str(exc), tok[2], tok[3]) from None
             return fn_symbol(chart, name, deps)
-        if name in chart.coords:
-            return chart.coord(name)
-        if name in names:
-            return names[name]
-        return param(chart, name)
-    if kind == "eof":
-        raise ParseError("unexpected end of input", tok[2], tok[3])
-    raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])
+        if kind == "eof":
+            raise ParseError("unexpected end of input", tok[2], tok[3])
+        raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])

@@ -83,6 +83,22 @@ class TestParsing:
         assert lam.degree == 2
         assert lam[(0, 1)] == m.charts["C"].one()
 
+    def test_form_name_inside_a_function_name(self):
+        # `e` is declared and is a substring of `exp`; it must not make the
+        # scalar factor a graded operand
+        m = parse_model("chart C (q, p) generic\nform e = d(q)\n"
+                        "form t = (exp(q) + 1) * d(p)")
+        assert repr(m.declaration("t").payload["value"]) == "(1 + exp(q)) d[p]"
+
+    def test_form_divided_by_scalar(self):
+        m = parse_model("chart C (q, p) generic\nform t = d(q) / 2")
+        assert repr(m.declaration("t").payload["value"]) == "(1/2) d[q]"
+
+    def test_one_element_potentials_tuple(self):
+        text = MINI + "operator K = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]\n"
+        m = parse_model(text + "check chain H with K potentials (p - z)\n")
+        assert [str(e) for e in m.directives[-1].values["potentials"]] == ["p - z"]
+
     def test_bundled_models_parse(self):
         for f in MODELS.glob("*.hj"):
             parse_model(f.read_text())
@@ -214,6 +230,18 @@ class TestFormatter:
         assert (th1 - th2).is_zero()
 
 
+    def test_round_trip_keeps_degree_of_zero(self):
+        text = ("chart C (q, p, z) generic\nform t = d(q) /\\ d(q)\n"
+                "vector V = (1, 0, p)\nbivector L = V /\\ V\n")
+        m1 = parse_model(text)
+        m2 = parse_model(format_model(m1))
+        for name in ("t", "L"):
+            a = m1.declaration(name).payload["value"]
+            b = m2.declaration(name).payload["value"]
+            assert a.is_zero() and a.degree == 2
+            assert b == a
+
+
 class TestEntryPoint:
     def test_check_command(self, tmp_path):
         path = tmp_path / "m.hj"
@@ -249,6 +277,13 @@ class TestEntryPoint:
             ("chart C (a, b, c) generic\nform t = d(c) - b * d(a)\ncontact CS = t\n"
              "operator K = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]\n"
              "check techain b with K on CS kind first\n", 5),
+            # a declared non-scalar name where a scalar belongs
+            ("chart C (q, p) generic\nvector V = (1, 0)\nscalar s = V + q\n", 3),
+            ("chart C (q, p) generic\nvector V = (1, 0)\nform t = V * d(q)\n", 3),
+            ("chart C (q, p) generic\nform t = d(q)\noperator K = [[t, 0], [0, 1]]\n", 3),
+            # * between two graded operands; /\ is the wedge
+            ("chart C (q, p) generic\nvector V = (1, 0)\nvector W = (0, 1)\n"
+             "bivector L = V * W\n", 4),
         ]
         path = tmp_path / "bad.hj"
         for text, line in cases:

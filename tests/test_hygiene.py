@@ -69,7 +69,7 @@ def test_builders_keep_no_process_wide_tables(module):
 
 
 def test_import_does_not_load_numpy():
-    # numpy serves two float-sampling helpers only, and its import takes more
+    # numpy serves the pointwise spectral report only, and its import takes more
     # resident memory than the rest of the package
     code = "import sys, haantjes.cli; assert 'numpy' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))

@@ -263,25 +263,6 @@ class TestParticularIntegrals:
         w2 = ParticularIntegralWitness(coefficients=[[chart.one()]])
         assert not particular_integral_check([p], h, contact_jacobi, w2, zt).passed
 
-    def test_sampled_mode(self, contact_jacobi, zt):
-        chart = contact_jacobi.chart
-        q, p, z = (chart.coord(i) for i in range(3))
-        h = p - z
-        w = ParticularIntegralWitness(mode="sampled-on-Mf")
-        rep = particular_integral_check([p], h, contact_jacobi, w, zt)
-        assert rep.passed
-        assert rep.data["mf_points"] > 0
-
-    def test_sampled_mode_detects_failure(self, contact_jacobi, zt):
-        chart = contact_jacobi.chart
-        q = chart.coord("q")
-        h = chart.coord("p") - chart.coord("z")
-        # {q - 1, H} = 1 - q + ... does not vanish on {q = 1}? it does not
-        # lie in span{q - 1} pointwise: residual at q = 1 is nonzero
-        w = ParticularIntegralWitness(mode="sampled-on-Mf")
-        rep = particular_integral_check([q - 1], h, contact_jacobi, w, zt)
-        assert not rep.passed
-
 
 class TestPoissonization:
     def test_poisson_case(self, poisson_jacobi, zt):

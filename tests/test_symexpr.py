@@ -209,6 +209,12 @@ class TestParser:
             parse_scalar("q + )", chart)
         assert "1:5" in str(err.value)
 
+    @pytest.mark.parametrize("text", ["(q, p)", "[q]", "d(q) /\\ d(p)", "(q, p) + 1"])
+    def test_non_scalar_syntax_rejected(self, chart, text):
+        # tuples, lists and wedges belong to the model language, not to scalars
+        with pytest.raises(ParseError):
+            parse_scalar(text, chart)
+
 
 class TestFuzzSemantics:
     """Differential oracle: random expression trees evaluated through the
