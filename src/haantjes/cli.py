@@ -301,6 +301,9 @@ class _Scope:
 
     def wedge(self, a, b):
         a, b = self._pair(a, b)
+        if a.degree + b.degree > self.chart.dim:
+            raise ParseError(f"wedge of degree {a.degree + b.degree} on the {self.chart.dim}-chart "
+                             f"{self.chart.name}", self.line, 1)
         return wedge(a, b) if isinstance(a, KForm) else wedge_v(a, b)
 
     def _pair(self, a, b):

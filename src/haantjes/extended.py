@@ -26,7 +26,7 @@ from .geometry import (
     KForm,
     Operator11,
     VectorField,
-    _antisym_contract,
+    _haantjes_table,
     d_scalar,
     dot,
     lie_bracket,
@@ -220,24 +220,14 @@ def _as_pair(coeffs: Sequence[Expr]) -> ExtPair:
 
 
 def ext_haantjes(ek: ExtendedOperator) -> dict:
-    """Extended Haantjes torsion on the generator pairs, contracting
-    composite arguments through the Nijenhuis table (function bilinearity)."""
+    """Extended Haantjes torsion on the generator pairs, factored through
+    the Nijenhuis table (function bilinearity): with
+    s(A, B) = EK tau(A, B) - tau(A, EK B), H(A, B) = EK s(A, B) - s(EK A, B)."""
     chart = ek.chart
     gens = list(_generators(chart))
-    tau = ext_nijenhuis(ek)
-    table = {uv: _pair_coeffs(t) for uv, t in tau.items() if not t.is_zero_pair()}
-    k_coeffs = [_pair_coeffs(ext_apply(ek, g)) for g in gens]
-    unit = [_pair_coeffs(g) for g in gens]
-    width = len(gens)
-    out = {}
-    for u in range(len(gens)):
-        for v in range(u + 1, len(gens)):
-            acc = _antisym_contract(chart, table, [(k_coeffs[u], k_coeffs[v])], width)
-            mid = _antisym_contract(chart, table,
-                                    [(unit[u], k_coeffs[v]), (k_coeffs[u], unit[v])], width)
-            h = ext_apply(ek, ext_apply(ek, tau[(u, v)]) - _as_pair(mid))
-            out[(u, v)] = h + _as_pair(acc)
-    return out
+    tau = {uv: _pair_coeffs(t) for uv, t in ext_nijenhuis(ek).items()}
+    cols = [_pair_coeffs(ext_apply(ek, g)) for g in gens]
+    return {uv: _as_pair(h) for uv, h in _haantjes_table(chart, cols, tau, len(gens)).items()}
 
 
 def is_ext_haantjes(ek: ExtendedOperator, zt: ZeroTester = ZeroTester()) -> CheckReport:

@@ -4,8 +4,8 @@ Vector fields, antisymmetric k-forms and k-vectors (sorted-tuple component
 storage, so antisymmetry is structural), (1,1)-operator fields with the
 (output, input) matrix convention, and the operations everything downstream
 consumes: Lie bracket, exterior derivative, interior product, wedge products,
-Schouten-Nijenhuis bracket, Lie derivative, operator algebra and exact linear
-solves.
+Schouten-Nijenhuis bracket, Lie derivative, operator algebra, determinants
+and exact inverses.
 
 The Schouten-Nijenhuis convention is the one under which the Darboux contact
 pair satisfies [L, L] = 2 E ^ L exactly; the calibration test lives in the
@@ -70,22 +70,29 @@ def dot(chart: Chart, xs: Iterable[Expr], ys: Iterable[Expr]) -> Expr:
     return Expr(chart, _t_dot(pairs))
 
 
-def _antisym_contract(chart: Chart, table: Mapping, pairs: Sequence, width: int) -> list:
-    """Components of sum over (ca, cb) in pairs of sum_{a,b} ca[a] cb[b] T(a, b).
+def _haantjes_table(chart: Chart, cols: Sequence, tau: Mapping, width: int) -> dict:
+    """Components of the Haantjes torsion H(e_i, e_j), i < j, on a frame e.
 
-    T is antisymmetric and given by its entries a < b, each a sequence of
-    `width` components; every entry carries the weight
-    ca[a] cb[b] - ca[b] cb[a], and one dot per output component runs over
-    the entries whose weight is nonzero.
+    cols[j] holds the frame components of K e_j, and tau maps a < b to those
+    of the Nijenhuis torsion tau(e_a, e_b); an absent entry is zero.  With
+    s(X, Y) = K tau(X, Y) - tau(X, KY), the torsion is
+    H(X, Y) = K s(X, Y) - s(KX, Y), i.e. (K_out - K_slot1)(K_out - K_slot2)
+    applied to tau.  Every component of s and of H is one dot; s(e_a, e_0) is
+    never read, so it is not built.
     """
-    weights, rows = [], []
-    for (a, b), comps in table.items():
-        w = dot(chart, [x for ca, _ in pairs for x in (ca[a], -ca[b])],
-                [y for _, cb in pairs for y in (cb[b], cb[a])])
-        if not w.is_zero_expr():
-            weights.append(w)
-            rows.append(comps)
-    return [dot(chart, weights, [r[c] for r in rows]) for c in range(width)]
+    zero = (chart.zero(),) * width
+    t = [[zero] * width for _ in range(width)]
+    for (a, b), comps in tau.items():
+        t[a][b] = comps
+        t[b][a] = [-c for c in comps]
+    rows = [[col[r] for col in cols] for r in range(width)]
+    neg = [[-c for c in col] for col in cols]
+    s = {(a, j): [dot(chart, rows[r] + neg[j], [*t[a][j], *(tb[r] for tb in t[a])])
+                  for r in range(width)]
+         for j in range(1, width) for a in range(width)}
+    return {(i, j): [dot(chart, rows[r] + neg[i], [*s[(i, j)], *(s[(a, j)][r] for a in range(width))])
+                     for r in range(width)]
+            for i in range(width) for j in range(i + 1, width)}
 
 
 def _merge_sorted(tup: tuple, i: int):
@@ -574,11 +581,6 @@ def op_commutator(k1: Operator11, k2: Operator11) -> Operator11:
     return op_compose(k1, k2) - op_compose(k2, k1)
 
 
-def op_transpose_matrix(k: Operator11) -> Operator11:
-    chart = k.chart
-    return Operator11(chart, [[k.matrix[j][i] for j in range(chart.dim)] for i in range(chart.dim)])
-
-
 # ---------------------------------------------------------------------------
 # Exact linear algebra (small dimensions)
 
@@ -604,20 +606,6 @@ def det(matrix: Sequence[Sequence[Expr]]) -> Expr:
         return out
 
     return minor(tuple(range(n)), 0)
-
-
-def solve_linear(matrix: Sequence[Sequence[Expr]], rhs: Sequence[Expr]) -> list:
-    """Solve M x = rhs exactly by Cramer's rule (dimensions here are small)."""
-    n = len(matrix)
-    d = det(matrix)
-    if d.is_zero_expr():
-        raise ValueError("singular matrix")
-    inv_d = d**-1
-    out = []
-    for j in range(n):
-        col = [[matrix[i][k] if k != j else rhs[i] for k in range(n)] for i in range(n)]
-        out.append(det(col) * inv_d)
-    return out
 
 
 def invert_matrix(matrix: Sequence[Sequence[Expr]]) -> list:

@@ -4,7 +4,9 @@ Torsions are reported on the coordinate frame.  `nijenhuis_eval` /
 `haantjes_eval` expand the defining formulas literally on arbitrary vector
 fields; the frame tables exploit tensoriality (itself a tested property) to
 contract composite arguments through the tables instead of re-deriving
-brackets of composite fields.
+brackets of composite fields.  The Haantjes table is factored: with
+s(X, Y) = K tau(X, Y) - tau(X, KY), H(X, Y) = K s(X, Y) - s(KX, Y), which is
+(K_out - K_slot1)(K_out - K_slot2) tau.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .geometry import (
     KVector,
     Operator11,
     VectorField,
-    _antisym_contract,
+    _haantjes_table,
     d_scalar,
     dot,
     exterior_derivative,
@@ -130,28 +132,21 @@ def haantjes_eval(k: Operator11, x: VectorField, y: VectorField) -> VectorField:
 
 
 def haantjes_torsion(k: Operator11) -> VectorValued2Form:
-    """H_K on the frame, contracting through the Nijenhuis table.
+    """H_K on the frame, factored through the Nijenhuis table.
 
-    tau is tensorial, so tau(K d_i, K d_j) = sum K^a_i K^b_j tau(d_a, d_b);
-    tensoriality itself is exercised by the test suite against the literal
-    evaluation.
+    With s(X, Y) = K tau(X, Y) - tau(X, KY), H(X, Y) = K s(X, Y) - s(KX, Y).
+    tau is tensorial, so s(K d_i, d_j) = sum_a K^a_i s(d_a, d_j) and
+    tau(d_a, K d_j) = sum_b K^b_j tau(d_a, d_b); tensoriality itself is
+    exercised by the test suite against the literal evaluation.
     """
     chart = k.chart
     n = chart.dim
-    tau = nijenhuis_torsion(k)
-    cols = [k.column(j).components for j in range(n)]
-    units = [VectorField.basis(chart, j).components for j in range(n)]
+    tau = {ij: v.components for ij, v in nijenhuis_torsion(k).values.items()}
     values = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            # tau(K d_i, K d_j) and tau(d_i, K d_j) + tau(K d_i, d_j)
-            acc = _antisym_contract(chart, tau.values, [(cols[i], cols[j])], n)
-            mid = _antisym_contract(chart, tau.values,
-                                    [(units[i], cols[j]), (cols[i], units[j])], n)
-            h = op_apply(k, op_apply(k, tau[(i, j)]) - VectorField(chart, mid))
-            h = h + VectorField(chart, acc)
-            if not h.is_zero_field():
-                values[(i, j)] = h
+    for ij, comps in _haantjes_table(chart, list(zip(*k.matrix)), tau, n).items():
+        h = VectorField(chart, comps)
+        if not h.is_zero_field():
+            values[ij] = h
     return VectorValued2Form(chart, values)
 
 

@@ -284,6 +284,9 @@ class TestEntryPoint:
             # * between two graded operands; /\ is the wedge
             ("chart C (q, p) generic\nvector V = (1, 0)\nvector W = (0, 1)\n"
              "bivector L = V * W\n", 4),
+            # a wedge past the chart dimension
+            ("chart C (q, p) generic\nform o = d(q) /\\ d(p) /\\ d(q)\nform e = d(q)\n"
+             "lcs L = (o, e)\ncheck lcs L\n", 2),
         ]
         path = tmp_path / "bad.hj"
         for text, line in cases:

@@ -16,6 +16,7 @@ from haantjes.extended import (
     ext_bracket,
     ext_compose,
     ext_compose_check,
+    ext_haantjes,
     ext_identity,
     ext_nijenhuis_eval,
     ext_transpose_apply,
@@ -59,6 +60,15 @@ def rand_extop(chart, rng, deg=1, sparse=True):
     g = rand_kform(chart, rng, 1, deg) if rng.random() > zero_chance else KForm.zero(chart, 1)
     ks = rand_poly(chart, rng, deg) if rng.random() > zero_chance else chart.zero()
     return ExtendedOperator(k, y, g, ks)
+
+
+def ext_haantjes_eval(ek, a, b):
+    """Extended Haantjes torsion from its defining formula, the Nijenhuis
+    torsion evaluated literally on composite arguments (slow oracle)."""
+    ka, kb = ext_apply(ek, a), ext_apply(ek, b)
+    out = ext_apply(ek, ext_apply(ek, ext_nijenhuis_eval(ek, a, b)))
+    out = out + ext_nijenhuis_eval(ek, ka, kb)
+    return out - ext_apply(ek, ext_nijenhuis_eval(ek, a, kb) + ext_nijenhuis_eval(ek, ka, b))
 
 
 class TestBasicOps:
@@ -167,6 +177,17 @@ class TestTorsions:
                 ExtPair(VectorField.basis(C, 1), C.zero()))
             diff = lhs - base.scale(f)
             assert all(zt(e).is_proven_zero for _, e in diff.residuals())
+
+    def test_table_matches_literal_eval(self, C):
+        # a non-Haantjes operator, so a contraction that drops terms fails
+        ek = rand_extop(C, random.Random(7), sparse=False)
+        gens = [ExtPair(VectorField.basis(C, i), C.zero()) for i in range(C.dim)]
+        gens.append(ExtPair(VectorField.zero(C), C.one()))
+        table = ext_haantjes(ek)
+        assert list(table) == [(u, v) for u in range(len(gens)) for v in range(u + 1, len(gens))]
+        assert not all(h.is_zero_pair() for h in table.values())
+        for (u, v), h in table.items():
+            assert h == ext_haantjes_eval(ek, gens[u], gens[v]), (u, v)
 
     def test_example_algebra(self, C, zt):
         ek1, ek2 = worked_example_ops(C)

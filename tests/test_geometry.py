@@ -19,9 +19,7 @@ from haantjes.geometry import (
     op_apply,
     op_compose,
     op_transpose_apply,
-    op_transpose_matrix,
     schouten_bracket,
-    solve_linear,
     wedge,
     wedge_v,
 )
@@ -189,18 +187,6 @@ class TestOperators:
         x = rand_vector(C, rng)
         assert op_apply(Operator11.identity(C), x) == x
 
-    def test_diagonal_transpose(self, C):
-        k = Operator11.diagonal(C, [C.coord("q"), C.coord("p"), C.coord("z")])
-        assert op_transpose_matrix(k) == k
-
-    def test_transpose_of_product(self, C, rng):
-        k1 = Operator11(C, [[rand_poly(C, rng, 1) for _ in range(3)] for _ in range(3)])
-        k2 = Operator11(C, [[rand_poly(C, rng, 1) for _ in range(3)] for _ in range(3)])
-        lhs = op_transpose_matrix(op_compose(k1, k2))
-        rhs = op_compose(op_transpose_matrix(k2), op_transpose_matrix(k1))
-        assert all((a - b).is_zero_expr() for ra, rb in zip(lhs.matrix, rhs.matrix)
-                   for a, b in zip(ra, rb))
-
     def test_transpose_pairing(self, C, rng):
         k = Operator11(C, [[rand_poly(C, rng, 1) for _ in range(3)] for _ in range(3)])
         a = rand_kform(C, rng, 1)
@@ -242,13 +228,6 @@ class TestLinearAlgebra:
             for j in range(3):
                 s = sum((b[i][k] * inv[k][j] for k in range(3)), zero)
                 assert s == (one if i == j else zero)
-
-    def test_solve(self, C):
-        p = C.coord("p")
-        one, zero = C.one(), C.zero()
-        b = [[p * p, -one, -p], [one, zero, zero], [-p, zero, one]]
-        sol = solve_linear(b, [-p, zero, one])
-        assert sol[0].is_zero_expr() and sol[1].is_zero_expr() and sol[2] == one
 
     def test_singular_rejected(self, C):
         zero = C.zero()
