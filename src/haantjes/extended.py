@@ -28,6 +28,7 @@ from .geometry import (
     VectorField,
     _haantjes_table,
     d_scalar,
+    det,
     dot,
     lie_bracket,
     op_apply,
@@ -396,7 +397,6 @@ def symbolic_rank(rows: Sequence[Sequence[Expr]], zt: ZeroTester) -> int:
     """Generic rank via minors: a minor counts when its determinant is
     provably nonzero, or (numeric fallback, probable grade) when a seeded
     sample rejects zero."""
-    from .geometry import det as det_
     if not rows:
         return 0
     ncols = len(rows[0])
@@ -404,7 +404,7 @@ def symbolic_rank(rows: Sequence[Sequence[Expr]], zt: ZeroTester) -> int:
         for rsel in combinations(range(len(rows)), size):
             for csel in combinations(range(ncols), size):
                 minor = [[rows[r][c] for c in csel] for r in rsel]
-                d = det_(minor)
+                d = det(minor)
                 if d.is_zero_expr():
                     continue
                 if zt(d).rejects_zero:
@@ -544,8 +544,7 @@ def build_action_angle_basis(
     if not rep.passed:
         return None, rep
     hess = [[h.diff(a).diff(b) for b in action_idx] for a in action_idx]
-    from .geometry import det as det_
-    hdet = det_(hess)
+    hdet = det(hess)
     cert = zt(hdet)
     if not cert.rejects_zero:
         rep.reject(f"degenerate Hessian det = {hdet}")

@@ -7,6 +7,13 @@ consumes: Lie bracket, exterior derivative, interior product, wedge products,
 Schouten-Nijenhuis bracket, Lie derivative, operator algebra, determinants
 and exact inverses.
 
+Operator compatibility with a structure has one form everywhere: K is
+symmetric for the structure's bilinear data.  `compat_residuals` yields the
+entries of A^T M - M A, with A = K for a 2-form matrix and A = K^T for a
+bivector matrix; `raised` turns a 2-form and a sharp map into the bivector
+Lambda(a, b) = B(sharp a, sharp b).  The Jacobi, contact and LCS layers use
+both.
+
 The Schouten-Nijenhuis convention is the one under which the Darboux contact
 pair satisfies [L, L] = 2 E ^ L exactly; the calibration test lives in the
 test suite because sign conventions differ across sources.
@@ -24,6 +31,7 @@ __all__ = [
     "KVector",
     "Operator11",
     "VectorField",
+    "compat_residuals",
     "dot",
     "exterior_derivative",
     "interior_product",
@@ -32,6 +40,7 @@ __all__ = [
     "op_apply",
     "op_compose",
     "op_transpose_apply",
+    "raised",
     "schouten_bracket",
     "wedge",
     "wedge_v",
@@ -220,6 +229,13 @@ class _Graded:
     def is_zero(self) -> bool:
         return not self.components
 
+    def full_matrix(self) -> list:
+        """Full antisymmetric component matrix of a 2-form or bivector."""
+        if self.degree != 2:
+            raise ValueError("full_matrix() needs degree 2")
+        n = self.chart.dim
+        return [[self[(i, j)] for j in range(n)] for i in range(n)]
+
     def _binop(self, other, op):
         _same_chart(self, other)
         if self.degree != other.degree:
@@ -319,13 +335,6 @@ class KVector(_Graded):
         if self.degree != 1:
             raise ValueError("vector_field() needs a 1-vector")
         return VectorField(self.chart, [self[(i,)] for i in range(self.chart.dim)])
-
-    def full_matrix(self) -> list:
-        """Full antisymmetric component matrix of a bivector."""
-        if self.degree != 2:
-            raise ValueError("full_matrix() needs a bivector")
-        n = self.chart.dim
-        return [[self[(i, j)] for j in range(n)] for i in range(n)]
 
     def pair(self, alpha: KForm, beta: KForm) -> Expr:
         """Evaluate a bivector on two 1-forms."""
@@ -579,6 +588,39 @@ def op_compose(k1: Operator11, k2: Operator11) -> Operator11:
 
 def op_commutator(k1: Operator11, k2: Operator11) -> Operator11:
     return op_compose(k1, k2) - op_compose(k2, k1)
+
+
+# ---------------------------------------------------------------------------
+# Operators against a structure's matrix
+
+
+def compat_residuals(chart: Chart, a: Sequence[Sequence[Expr]], m: Sequence[Sequence[Expr]],
+                     pairs: Iterable[tuple]):
+    """Yield ((i, j), (A^T M - M A)[i][j]) for each pair (i, j) whose entry is
+    not structurally zero.
+
+    With A = K and M the matrix of a 2-form B, the entry is
+    B(K e_i, e_j) - B(e_i, K e_j), so K is B-symmetric when all vanish; with
+    A = K^T and M a bivector matrix it is (K M - M K^T)[i][j].  Each entry is
+    one dot: A's column i and -M's row i against M's column j and A's
+    column j.
+    """
+    a_cols, m_cols = list(zip(*a)), list(zip(*m))
+    left = [col + tuple(-v for v in row) for col, row in zip(a_cols, m)]
+    right = [m_col + a_col for m_col, a_col in zip(m_cols, a_cols)]
+    for i, j in pairs:
+        resid = dot(chart, left[i], right[j])
+        if not resid.is_zero_expr():
+            yield (i, j), resid
+
+
+def raised(b: KForm, sharp: Sequence[Sequence[Expr]]) -> KVector:
+    """The bivector Lambda(alpha, beta) = B(sharp alpha, sharp beta) of a
+    2-form B, where column i of the sharp matrix is sharp(dx^i)."""
+    chart = b.chart
+    cols = [VectorField(chart, col) for col in zip(*sharp)]
+    return KVector(chart, 2, {(i, j): b.apply(cols[i], cols[j])
+                              for i in range(chart.dim) for j in range(i + 1, chart.dim)})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Jacobi structures: brackets, Hamiltonian fields, compatibility,
 particular integrals, Poissonization.
 
+Compatibility K L = L K^T, for K and for its trivial lift against the
+Poissonized bivector, goes through `geometry.compat_residuals` with A = K^T.
+The chain-bracket identity {H_a,H_b} = H_a E H_b - H_b E H_a is stated once
+here and shared with the contact theorems.
+
 Sign conventions, fixed once and calibrated by the test suite:
 
 * the Jacobi bracket is {f,g} = L(df,dg) + f Eg - g Ef with {q,p} = +1 on
@@ -15,6 +20,7 @@ Sign conventions, fixed once and calibrated by the test suite:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .checks import CheckReport
@@ -23,6 +29,7 @@ from .geometry import (
     KVector,
     Operator11,
     VectorField,
+    compat_residuals,
     d_scalar,
     dot,
     op_apply,
@@ -99,35 +106,24 @@ def hamiltonian_vf(f: Expr, j: JacobiStructure) -> VectorField:
     return lambda_sharp(j, d_scalar(f)) - j.e_field.scale(f)
 
 
-def check_jh_compatibility(
-    k: Operator11,
-    j: JacobiStructure,
-    omega: Optional[KForm] = None,
-    zt: ZeroTester = ZeroTester(),
-) -> CheckReport:
-    """K L = L K^T componentwise; optionally the symplectic special case
-    O K = K^T O for a supplied nondegenerate 2-form."""
+def check_jh_compatibility(k: Operator11, j: JacobiStructure, zt: ZeroTester = ZeroTester()) -> CheckReport:
+    """K L = L K^T componentwise."""
     rep = CheckReport("jh-compatibility")
     chart = j.chart
-    n = chart.dim
-    lam = j.full_matrix()
-    lam_cols = list(zip(*lam))
-    km = k.matrix
-    for i in range(n):
-        for jj in range(n):
-            resid = dot(chart, km[i], lam_cols[jj]) - dot(chart, lam[i], km[jj])
-            if not resid.is_zero_expr():
-                rep.require_zero(f"(KL - LK^T)[{i}][{jj}]", zt(resid))
-    if omega is not None:
-        om = [[omega[(i, jj)] for jj in range(n)] for i in range(n)]
-        om_cols = list(zip(*om))
-        k_cols = list(zip(*km))
-        for i in range(n):
-            for jj in range(n):
-                resid = dot(chart, om[i], k_cols[jj]) - dot(chart, k_cols[i], om_cols[jj])
-                if not resid.is_zero_expr():
-                    rep.require_zero(f"(OK - K^T O)[{i}][{jj}]", zt(resid))
+    square = product(range(chart.dim), repeat=2)
+    for (i, jj), resid in compat_residuals(chart, list(zip(*k.matrix)), j.full_matrix(), square):
+        rep.require_zero(f"(KL - LK^T)[{i}][{jj}]", zt(resid))
     return rep
+
+
+def _require_chain_brackets(rep: CheckReport, pots: Sequence[Expr], j: JacobiStructure,
+                            zt: ZeroTester) -> None:
+    """{H_a,H_b} = H_a E H_b - H_b E H_a for every pair a < b of potentials."""
+    e = j.e_field
+    for a, b in combinations(range(len(pots)), 2):
+        ha, hb = pots[a], pots[b]
+        resid = jacobi_bracket(ha, hb, j) - (ha * e.apply_to(hb) - hb * e.apply_to(ha))
+        rep.require_zero(f"{{H{a+1},H{b+1}}} identity", zt(resid))
 
 
 def proposition_involutivity_check(
@@ -149,12 +145,8 @@ def proposition_involutivity_check(
     pots = chain.potentials
     if any(p is None for p in pots):
         return rep.reject("potential recovery failed; cannot state bracket identities")
+    _require_chain_brackets(rep, pots, j, zt)
     e = j.e_field
-    for a in range(len(pots)):
-        for b in range(a + 1, len(pots)):
-            ha, hb = pots[a], pots[b]
-            resid = jacobi_bracket(ha, hb, j) - (ha * e.apply_to(hb) - hb * e.apply_to(ha))
-            rep.require_zero(f"{{H{a+1},H{b+1}}} identity", zt(resid))
     xh = hamiltonian_vf(h, j)
     for a, ha in enumerate(pots):
         resid = jacobi_bracket(ha, h, j) - (ha * e.apply_to(h) - h * e.apply_to(ha))
@@ -268,18 +260,12 @@ def poissonize_lift_check(
     p_tilde, _ = poissonize(j, zt)
     big = p_tilde.chart
     n = chart.dim
-    km = [[k.matrix[i][jj].on_chart(big) for jj in range(n)] for i in range(n)]
-    for i in range(n):
-        km[i].append(big.zero())
-    km.append([big.zero()] * n + [big.one()])
-    lam = p_tilde.full_matrix()
-    lam_cols = list(zip(*lam))
-    m = big.dim
-    for i in range(m):
-        for jj in range(m):
-            resid = dot(big, km[i], lam_cols[jj]) - dot(big, lam[i], km[jj])
-            if not resid.is_zero_expr():
-                rep.require_zero(f"(K~P~ - P~K~^T)[{i}][{jj}]", zt(resid))
+    # K~^T: K^T on the old coordinates, 1 on t
+    kt = [[k.matrix[jj][i].on_chart(big) for jj in range(n)] + [big.zero()] for i in range(n)]
+    kt.append([big.zero()] * n + [big.one()])
+    square = product(range(big.dim), repeat=2)
+    for (i, jj), resid in compat_residuals(big, kt, p_tilde.full_matrix(), square):
+        rep.require_zero(f"(K~P~ - P~K~^T)[{i}][{jj}]", zt(resid))
     base = check_jh_compatibility(k, j, zt=zt)
     ke_res = op_apply(k, j.e_field) - j.e_field
     rep.data["KL=LK^T"] = base.status

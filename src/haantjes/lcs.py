@@ -3,25 +3,31 @@
 The conformal factor enters through exact exponential atoms: for polynomial
 Lee potentials l the forms e^l dq^i ^ dp_i invert exactly and every identity
 below is certified symbolically.
+
+Omega-symmetry goes through `geometry.compat_residuals` and the induced
+Jacobi bivector through `geometry.raised`, as in `contact`; the exact sharp
+map is back-checked by flat(E) = eta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Optional
 
 from .checks import CheckReport
 from .geometry import (
     KForm,
-    KVector,
     Operator11,
     VectorField,
+    compat_residuals,
     d_scalar,
     dot,
     exterior_derivative,
     interior_product,
     invert_matrix,
     op_apply,
+    raised,
     wedge,
 )
 from .jacobi import JacobiStructure, jacobi_bracket, validate_jacobi
@@ -93,27 +99,17 @@ def validate_lcs(omega: KForm, eta: KForm, zt: ZeroTester = ZeroTester()) -> LCS
     sharp = invert_matrix(flat)
     eta_co = eta.covector()
     e_field = VectorField(chart, [dot(chart, row, eta_co) for row in sharp])
-    struct = LCSStructure(chart, omega, eta, flat, sharp, e_field, rep)
-    # flat(E) = eta back-check
-    back = struct.sharp_form(eta) - e_field
-    for i, e in enumerate(back.components):
+    # flat(E) = eta back-check, which catches a wrong inverse
+    for i, row in enumerate(flat):
+        e = dot(chart, row, e_field.components) - eta_co[i]
         if not e.is_zero_expr():
-            rep.require_zero(f"sharp(eta) [{i}]", zt(e))
-    return struct
+            rep.require_zero(f"flat(E) - eta [{i}]", zt(e))
+    return LCSStructure(chart, omega, eta, flat, sharp, e_field, rep)
 
 
 def induced_jacobi_from_lcs(l: LCSStructure, zt: ZeroTester = ZeroTester()) -> JacobiStructure:
     """Lambda(a, b) = Omega(sharp a, sharp b), E = sharp(eta)."""
-    chart = l.chart
-    basis_sharp = [l.sharp_form(KForm.d_coord(chart, i)) for i in range(chart.dim)]
-    comps = {}
-    for i in range(chart.dim):
-        for j in range(i + 1, chart.dim):
-            val = l.omega.apply(basis_sharp[i], basis_sharp[j])
-            if not val.is_zero_expr():
-                comps[(i, j)] = val
-    lam = KVector(chart, 2, comps)
-    return validate_jacobi(lam, l.e_field, zt)
+    return validate_jacobi(raised(l.omega, l.sharp), l.e_field, zt)
 
 
 def lcs_hamiltonian_vf(f: Expr, l: LCSStructure) -> VectorField:
@@ -130,16 +126,10 @@ def lcs_bracket(f: Expr, g: Expr, l: LCSStructure) -> Expr:
 
 def check_lcsh(k: Operator11, l: LCSStructure, zt: ZeroTester = ZeroTester()) -> CheckReport:
     """Omega(KX, Y) = Omega(X, KY) as the matrix identity O K = K^T O."""
-    chart = l.chart
-    n = chart.dim
     rep = CheckReport("lcsh-compatibility")
-    om = [[l.omega[(i, j)] for j in range(n)] for i in range(n)]
-    k_cols, om_cols = list(zip(*k.matrix)), list(zip(*om))
-    for a in range(n):
-        for b in range(a, n):
-            resid = dot(chart, k_cols[a], om_cols[b]) - dot(chart, om[a], k_cols[b])
-            if not resid.is_zero_expr():
-                rep.require_zero(f"Omega-symmetry [{a},{b}]", zt(resid))
+    upper = combinations_with_replacement(range(l.chart.dim), 2)
+    for (a, b), resid in compat_residuals(l.chart, k.matrix, l.omega.full_matrix(), upper):
+        rep.require_zero(f"Omega-symmetry [{a},{b}]", zt(resid))
     return rep
 
 

@@ -869,20 +869,13 @@ def weakest(certs: Iterable[ZeroCertainty]) -> ZeroCertainty:
     return min(certs, key=lambda c: _CERTAINTY_ORDER[c.tag])
 
 
-def _atom_label(chart: Chart, a) -> str:
-    return _format_atom(chart, a)
-
-
-def _sample_fractions(rng: random.Random, atoms, nice_first: bool, k: int):
-    """Yield up to k assignments atom -> Fraction, origin first if asked."""
+def _sample_fractions(rng: random.Random, atoms, k: int):
+    """Yield up to k assignments atom -> Fraction, the origin first."""
     atoms = sorted(atoms)
-    produced = 0
-    if nice_first and produced < k:
+    if k > 0:
         yield {a: Fraction(0) for a in atoms}
-        produced += 1
-    while produced < k:
+    for _ in range(k - 1):
         yield {a: Fraction(rng.randint(-20, 20), 7) for a in atoms}
-        produced += 1
 
 
 def _eval_exact(t, assign) -> tuple:
@@ -978,12 +971,12 @@ def is_zero(e: Expr, seed: int = 0, samples: int = 16, tol: float = 1e-9) -> Zer
     chart = e.chart
     rng = random.Random(seed)
     if not _has_exp(t):
-        for assign in _sample_fractions(rng, _iter_atoms(t), True, samples):
+        for assign in _sample_fractions(rng, _iter_atoms(t), samples):
             defined, exact, val = _eval_exact(t, assign)
             if defined and exact and val != 0:
                 return ZeroCertainty(
                     "proven_nonzero",
-                    witness={_atom_label(chart, a): v for a, v in assign.items()},
+                    witness={_format_atom(chart, a): v for a, v in assign.items()},
                 )
         return ZeroCertainty("unknown", note="no nonzero sample found")
     # exponential case: split into exp-argument groups; if some group's
@@ -1001,7 +994,7 @@ def is_zero(e: Expr, seed: int = 0, samples: int = 16, tol: float = 1e-9) -> Zer
     defined = 0
     worst = 0.0
     worst_assign = None
-    for assign in _sample_fractions(rng, atoms, True, samples):
+    for assign in _sample_fractions(rng, atoms, samples):
         fassign = {a: float(v) for a, v in assign.items()}
         try:
             val = _eval_float(t, fassign)
@@ -1017,7 +1010,7 @@ def is_zero(e: Expr, seed: int = 0, samples: int = 16, tol: float = 1e-9) -> Zer
         return ZeroCertainty("probably_zero", samples=defined, tol=tol)
     return ZeroCertainty(
         "unknown",
-        witness={_atom_label(chart, a): v for a, v in worst_assign.items()},
+        witness={_format_atom(chart, a): v for a, v in worst_assign.items()},
         note="numeric-nonzero",
     )
 

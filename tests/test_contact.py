@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -26,6 +27,7 @@ from haantjes.geometry import (
     KVector,
     Operator11,
     VectorField,
+    compat_residuals,
     interior_product,
     op_apply,
     op_commutator,
@@ -129,9 +131,11 @@ class TestHamiltonianDynamics:
 
 class TestCompatibility:
     def test_identity_passes_all(self, cs1, zt):
-        rep = check_contact_haantjes(Operator11.identity(cs1.chart), cs1, zt,
-                                     with_sharp_condition=True)
-        assert rep.passed
+        k = Operator11.identity(cs1.chart)
+        assert check_contact_haantjes(k, cs1, zt).passed
+        # sharp K^T = K sharp, as the matrix identity K^T flat = flat K
+        square = product(range(cs1.chart.dim), repeat=2)
+        assert all(zt(e).accepts_zero for _, e in compat_residuals(cs1.chart, k.matrix, cs1.flat, square))
 
     def test_asymmetric_operator_fails(self, cs1, C1, zt):
         k = Operator11(C1, [[C1.zero(), C1.one(), C1.zero()],

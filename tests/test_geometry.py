@@ -1,13 +1,16 @@
 import random
+from itertools import product
 
 import pytest
 
 import haantjes.symexpr as sx
+from haantjes.contact import standard_contact_form, validate_contact
 from haantjes.geometry import (
     KForm,
     KVector,
     Operator11,
     VectorField,
+    compat_residuals,
     d_scalar,
     det,
     dot,
@@ -19,13 +22,15 @@ from haantjes.geometry import (
     op_apply,
     op_compose,
     op_transpose_apply,
+    raised,
     schouten_bracket,
     wedge,
     wedge_v,
 )
+from haantjes.lcs import standard_lcs_pair, validate_lcs
 from haantjes.symexpr import is_zero
 
-from conftest import rand_kform, rand_kvector, rand_poly, rand_vector
+from conftest import rand_kform, rand_kvector, rand_operator, rand_poly, rand_vector
 
 
 @pytest.fixture
@@ -215,6 +220,64 @@ class TestDot:
         for xs, ys in (([other.one()], [C.one()]), ([C.one()], [other.one()])):
             with pytest.raises(sx.ChartMismatch):
                 dot(C, xs, ys)
+
+
+def _literal_residuals(chart, a, m):
+    """(A^T M - M A)[i][j] as two dots, over the full square."""
+    cols_a, cols_m = list(zip(*a)), list(zip(*m))
+    n = chart.dim
+    return {(i, j): dot(chart, cols_a[i], cols_m[j]) - dot(chart, m[i], cols_a[j])
+            for i in range(n) for j in range(n)}
+
+
+def _charts_with_structures():
+    """A 3-chart with its contact structure and a 4-chart with an LCS one."""
+    c3 = sx.darboux_contact(1)
+    c4 = sx.lcs_local(2)
+    om, eta = standard_lcs_pair(c4, c4.coord("q1"))
+    return [(c3, validate_contact(standard_contact_form(c3))), (c4, validate_lcs(om, eta))]
+
+
+class TestCompatResiduals:
+    @pytest.mark.parametrize("case", ["2-form", "flat", "bivector"])
+    def test_matches_literal_difference(self, case, rng):
+        charts = _charts_with_structures()
+        if case == "flat":
+            charts = charts[:1]     # a contact flat lives on odd charts only
+        for chart, struct in charts:
+            for _ in range(2):
+                k = rand_operator(chart, rng).matrix
+                if case == "2-form":
+                    a, m = k, rand_kform(chart, rng, 2).full_matrix()
+                elif case == "flat":
+                    a, m = k, struct.flat
+                else:
+                    a, m = list(zip(*k)), rand_kvector(chart, rng, 2).full_matrix()
+                got = dict(compat_residuals(chart, a, m, product(range(chart.dim), repeat=2)))
+                want = {ij: e for ij, e in _literal_residuals(chart, a, m).items()
+                        if not e.is_zero_expr()}
+                assert got == want and got
+                if case != "flat":
+                    # an antisymmetric M gives a symmetric residual, so an
+                    # upper triangle decides compatibility
+                    assert all(got[(j, i)] == e for (i, j), e in got.items())
+
+    def test_pairs_select_entries(self, rng):
+        chart = sx.darboux_contact(1)
+        k, m = rand_operator(chart, rng).matrix, rand_kform(chart, rng, 2).full_matrix()
+        full = dict(compat_residuals(chart, k, m, product(range(3), repeat=2)))
+        picked = list(compat_residuals(chart, k, m, [(0, 2), (0, 0), (1, 2)]))
+        assert picked == [(ij, full[ij]) for ij in [(0, 2), (0, 0), (1, 2)] if ij in full]
+
+    def test_raised_matches_pairing_of_sharps(self, rng):
+        for chart, struct in _charts_with_structures():
+            b = rand_kform(chart, rng, 2)
+            sharps = [struct.sharp_form(KForm.d_coord(chart, i)) for i in range(chart.dim)]
+            lam = raised(b, struct.sharp)
+            assert lam.degree == 2
+            for i in range(chart.dim):
+                for j in range(i + 1, chart.dim):
+                    assert lam[(i, j)] == b.apply(sharps[i], sharps[j])
 
 
 class TestLinearAlgebra:

@@ -1,7 +1,7 @@
 """Source hygiene: library modules compile without a warning, import nothing
-they do not use, and every check directive is documented; the kernel and
-the tensor and torsion modules keep no process-wide tables, and importing
-the package does not load numpy."""
+they do not use, and every check directive is documented; the kernel, the
+tensor module and the torsion and compatibility builders keep no
+process-wide tables, and importing the package does not load numpy."""
 
 import ast
 import importlib
@@ -61,7 +61,7 @@ def test_symexpr_keeps_no_process_wide_tables():
     assert _process_wide_tables("symexpr") == ({"__all__", "_CERTAINTY_ORDER"}, [])
 
 
-@pytest.mark.parametrize("module", ["geometry", "torsion", "extended"])
+@pytest.mark.parametrize("module", ["geometry", "torsion", "extended", "jacobi", "contact", "lcs"])
 def test_builders_keep_no_process_wide_tables(module):
     # an algebra check shares torsions within one call; a table kept across
     # calls would be a process-wide cache, with the same faults

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -8,6 +9,7 @@ from haantjes.geometry import (
     KVector,
     Operator11,
     VectorField,
+    compat_residuals,
     d_scalar,
     lie_bracket,
     lie_derivative,
@@ -177,7 +179,10 @@ class TestCompatibility:
         omega = KForm(chart, 2, {(0, 2): chart.one(), (1, 3): chart.one()})
         l, m = fn_symbol(chart, "lam"), fn_symbol(chart, "mu")
         k = Operator11.diagonal(chart, [l, m, l, m])
-        assert check_jh_compatibility(k, j, omega=omega, zt=zt).passed
+        assert check_jh_compatibility(k, j, zt=zt).passed
+        # the symplectic special case O K = K^T O
+        square = product(range(chart.dim), repeat=2)
+        assert all(zt(e).accepts_zero for _, e in compat_residuals(chart, k.matrix, omega.full_matrix(), square))
 
 
 class TestInvolutivity:

@@ -1,5 +1,6 @@
 import pytest
 
+import haantjes.lcs as lcs
 import haantjes.symexpr as sx
 from haantjes.geometry import KForm, KVector, Operator11, VectorField, interior_product
 from haantjes.jacobi import jacobi_bracket
@@ -50,6 +51,16 @@ class TestValidation:
         om, _ = standard_lcs_pair(chart, chart.zero())
         bad = validate_lcs(om, KForm.d_coord(chart, 2), zt)  # eta = dp1, not Lee
         assert not bad.validated
+
+    def test_wrong_inverse_caught(self, zt, monkeypatch):
+        # the back-check flat(E) = eta is the only guard on the inverse
+        chart = sx.lcs_local(2)
+        om, eta = standard_lcs_pair(chart, chart.coord("q1"))
+        real = lcs.invert_matrix
+        monkeypatch.setattr(lcs, "invert_matrix", lambda m: [[2 * v for v in row] for row in real(m)])
+        bad = validate_lcs(om, eta, zt)
+        assert not bad.validated
+        assert any(label.startswith("flat(E) - eta") for label, _ in bad.validity.details)
 
     def test_flat_sharp_identity(self, L1):
         chart = L1.chart
