@@ -66,19 +66,12 @@ from .jacobi import (
     validate_jacobi,
 )
 from .extended import (
-    ExtFormPair,
-    ExtPair,
     ExtendedBasis,
     ExtendedOperator,
     build_action_angle_basis,
     check_ejh,
     check_extended_algebra,
-    ext_apply,
-    ext_bracket,
-    ext_compose,
     ext_identity,
-    ext_transpose_apply,
-    lambda_e_sharp,
     thm_main_check,
     verify_ext_chain,
 )

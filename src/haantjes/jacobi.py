@@ -1,10 +1,12 @@
 """Jacobi structures: brackets, Hamiltonian fields, compatibility,
 particular integrals, Poissonization.
 
-Compatibility K L = L K^T, for K and for its trivial lift against the
-Poissonized bivector, goes through `geometry.compat_residuals` with A = K^T.
-The chain-bracket identity {H_a,H_b} = H_a E H_b - H_b E H_a is stated once
-here and shared with the contact theorems.
+Compatibility K L = L K^T goes through `geometry.compat_residuals` with
+A = K^T.  `lambda_hat` builds the bivector Lambda^ = Lambda + d_t ^ E on
+M x R once: Poissonization scales it by e^{-t}, and the EJH operator route of
+`extended` tests lifted extended operators against it.  The chain-bracket
+identity {H_a,H_b} = H_a E H_b - H_b E H_a is stated once here and shared
+with the contact theorems.
 
 Sign conventions, fixed once and calibrated by the test suite:
 
@@ -13,8 +15,8 @@ Sign conventions, fixed once and calibrated by the test suite:
 * the Hamiltonian field is forced by {g,f} = X_f g + g Ef, which pins the
   musical map to  (sharp a)^i = sum_j L^ij a_j  (argument in the second
   slot).  On a contact chart this reproduces the contact Hamiltonian field
-  exactly.  The extended (Lambda, E)-sharp used by the EJH theory contracts
-  the FIRST slot instead; see `extended`.
+  exactly.  The EJH compatibility of `extended` is K^ Lambda^ = Lambda^ K^^T,
+  which does not depend on the slot its sharp map contracts.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .geometry import (
     compat_residuals,
     d_scalar,
     dot,
-    op_apply,
     schouten_bracket,
     wedge_v,
 )
@@ -50,10 +51,10 @@ __all__ = [
     "check_jh_compatibility",
     "hamiltonian_vf",
     "jacobi_bracket",
+    "lambda_hat",
     "lambda_sharp",
     "particular_integral_check",
     "poissonize",
-    "poissonize_lift_check",
     "proposition_involutivity_check",
     "validate_jacobi",
 ]
@@ -210,26 +211,31 @@ def particular_integral_check(
 # Poissonization
 
 
+def lambda_hat(j: JacobiStructure) -> KVector:
+    """The bivector Lambda^ = Lambda + d_t ^ E on j.chart.extended(), so
+    Lambda^(a, t) = -E^a.  It is independent of t, it is e^t times the
+    Poissonized P~, and its first-slot sharp is the (Lambda, E)-sharp map of
+    the extended theory."""
+    big = j.chart.extended()
+    it = big.dim - 1
+    comps = {ab: v.on_chart(big) for ab, v in j.lam.components.items()}
+    for a, ea in enumerate(j.e_field.components):
+        comps[(a, it)] = -ea.on_chart(big)
+    return KVector(big, 2, comps)
+
+
 def poissonize(j: JacobiStructure, zt: ZeroTester = ZeroTester(), test_pairs: Sequence = ()) -> tuple:
-    """P~ = e^{ -t }(L + dt ^ E) on the chart extended by t.
+    """P~ = e^{ -t }(L + dt ^ E) = e^{ -t } Lambda^ on the chart extended by t.
 
     Returns (p_tilde, report); the report certifies [P~,P~] = 0 and, for
     each supplied (f, g) pair, the bracket restriction identity with the
     liftings f~ = e^t f.
     """
-    chart = j.chart
-    big = chart.extended("t")
+    lam_hat = lambda_hat(j)
+    big = lam_hat.chart
     it = big.dim - 1
     t = big.coord(it)
-    damp = exp_(-t)
-    comps = {}
-    for (a, b), v in j.lam.components.items():
-        comps[(a, b)] = v.on_chart(big) * damp
-    for a, ea in enumerate(j.e_field.components):
-        if not ea.is_zero_expr():
-            # dt ^ E = sum_a E^a dt ^ d_a = -sum_a E^a d_a ^ dt
-            comps[(a, it)] = comps.get((a, it), big.zero()) - ea.on_chart(big) * damp
-    p_tilde = KVector(big, 2, comps)
+    p_tilde = lam_hat.scale(exp_(-t))
     rep = CheckReport("poissonization")
     sn = schouten_bracket(p_tilde, p_tilde)
     for idx, e in sn.items():
@@ -243,31 +249,3 @@ def poissonize(j: JacobiStructure, zt: ZeroTester = ZeroTester(), test_pairs: Se
         resid = restricted - jacobi_bracket(f, g, j).on_chart(big)
         rep.require_zero(f"bracket restriction ({f},{g})", zt(resid))
     return p_tilde, rep
-
-
-def poissonize_lift_check(
-    k: Operator11,
-    j: JacobiStructure,
-    zt: ZeroTester = ZeroTester(),
-) -> CheckReport:
-    """Trivial lift K~ = K (+) 1 against the Poissonized bivector.
-
-    K~ P~ = P~ K~^T holds exactly when K L = L K^T and K E = E; both
-    prerequisites are reported so failures explain themselves.
-    """
-    rep = CheckReport("poissonization-lift")
-    chart = j.chart
-    p_tilde, _ = poissonize(j, zt)
-    big = p_tilde.chart
-    n = chart.dim
-    # K~^T: K^T on the old coordinates, 1 on t
-    kt = [[k.matrix[jj][i].on_chart(big) for jj in range(n)] + [big.zero()] for i in range(n)]
-    kt.append([big.zero()] * n + [big.one()])
-    square = product(range(big.dim), repeat=2)
-    for (i, jj), resid in compat_residuals(big, kt, p_tilde.full_matrix(), square):
-        rep.require_zero(f"(K~P~ - P~K~^T)[{i}][{jj}]", zt(resid))
-    base = check_jh_compatibility(k, j, zt=zt)
-    ke_res = op_apply(k, j.e_field) - j.e_field
-    rep.data["KL=LK^T"] = base.status
-    rep.data["KE=E"] = "pass" if all(zt(c).accepts_zero for c in ke_res.components) else "fail"
-    return rep

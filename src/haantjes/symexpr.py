@@ -169,10 +169,14 @@ class Chart:
     def const(self, value: RatLike) -> "Expr":
         return rational(self, value)
 
-    def extended(self, extra: str = "t") -> "Chart":
-        """Chart with one appended coordinate (used by Poissonization)."""
-        if extra in self.coords:
-            raise ValueError(f"coordinate {extra!r} already present")
+    def extended(self) -> "Chart":
+        """This chart times R: one appended coordinate named ``t``, or ``t1``,
+        ``t2``, ... when that name is taken.  Poissonization and the lift of
+        extended operators live on it."""
+        extra, k = "t", 0
+        while extra in self.coords:
+            k += 1
+            extra = f"t{k}"
         return Chart(self.name + "_x" + extra, self.coords + (extra,), ("generic",))
 
     def __repr__(self):

@@ -188,10 +188,16 @@ def check_haantjes_algebra(basis: HaantjesBasis, zt: ZeroTester = ZeroTester()) 
     """Generators Haantjes, function-linear module closure with fresh
     abstract coefficients, ring closure under composition, and (optionally)
     commutativity."""
-    rep = CheckReport("haantjes-algebra")
-    chart = basis.chart
-    ops = basis.operators
-    names = basis.names
+    return _algebra_check("haantjes-algebra", basis.chart, basis.operators, basis.names,
+                          basis.abelian_required, zt)
+
+
+def _algebra_check(name: str, chart: Chart, ops: Sequence[Operator11], names: Sequence[str],
+                   abelian: bool, zt: ZeroTester) -> CheckReport:
+    """The algebra loop of `check_haantjes_algebra`.  The operators live on
+    chart or on an extension of it; the module coefficients are functions on
+    chart, lifted to the operators' chart."""
+    rep = CheckReport(name)
     # one torsion per distinct operator: K_i K_j and K_j K_i coincide for a
     # commuting pair, and a generator may repeat
     seen: dict = {}
@@ -203,8 +209,8 @@ def check_haantjes_algebra(basis: HaantjesBasis, zt: ZeroTester = ZeroTester()) 
 
     for nm, k in zip(names, ops):
         rep.merge(CheckReport(f"generator {nm}", status=torsion_report(k).status))
-    f = fn_symbol(chart, "_modf")
-    g = fn_symbol(chart, "_modg")
+    f = fn_symbol(chart, "_modf").on_chart(ops[0].chart)
+    g = fn_symbol(chart, "_modg").on_chart(ops[0].chart)
     for i, (nm, k) in enumerate(zip(names, ops)):
         sub = torsion_report(k.scale(f))
         rep.merge(CheckReport(f"module f*{nm}", status=sub.status, details=sub.details))
@@ -218,7 +224,7 @@ def check_haantjes_algebra(basis: HaantjesBasis, zt: ZeroTester = ZeroTester()) 
             ring[i, j] = op_compose(ki, kj)
             sub = torsion_report(ring[i, j])
             rep.merge(CheckReport(f"ring {names[i]}*{names[j]}", status=sub.status, details=sub.details))
-    if basis.abelian_required:
+    if abelian:
         for i in range(len(ops)):
             for j in range(i + 1, len(ops)):
                 comm = ring[i, j] - ring[j, i]

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -323,6 +324,27 @@ class TestEntryPoint:
         assert main(["check", str(path)]) == 2
         line = text.count("\n") + 1
         assert capsys.readouterr().err.startswith(f"{path}:{line}:1: ")
+
+    def test_chart_with_a_coordinate_named_t(self, tmp_path):
+        # the extra coordinate of Poissonization and of the extended lift
+        # takes the first free name, here t1
+        path = tmp_path / "t.hj"
+        path.write_text("chart C (q, p, t) darboux-contact 1\n"
+                        "vector V1 = (1, 0, p)\nvector V2 = (0, 1, 0)\nvector EV = (0, 0, 1)\n"
+                        "bivector LAM = V1 /\\ V2\njacobi JJ = (LAM, EV)\n"
+                        "operator K2 = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]\n"
+                        "vector Y2 = (0, p, 0)\nform ZF = 0 * d(q)\nextop EK2 = (K2, Y2, ZF, 0)\n"
+                        "check jacobi JJ\ncheck poissonize JJ pairs (q,p) (p,t)\ncheck ejh EK2 on JJ\n")
+        assert main(["check", str(path)]) == 0
+
+    @pytest.mark.parametrize("command", ["check", "fmt"])
+    def test_python_m_haantjes(self, command):
+        # run from a checkout: no warning from runpy or anywhere else
+        env = {**os.environ, "PYTHONPATH": str(MODELS.parent / "src")}
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "haantjes", command,
+                               str(MODELS / "example_p_minus_z.hj")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
 
     def test_missing_file_exit_2(self):
         assert main(["check", "/nonexistent/model.hj"]) == 2

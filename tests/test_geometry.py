@@ -126,7 +126,7 @@ class TestWedge:
         assert (wedge(a, b) - wedge(b, a).scale(C.const((-1) ** (1 * 2)))).is_zero()
 
     def test_basis_bivector(self):
-        big = sx.darboux_contact(1).extended("t")
+        big = sx.darboux_contact(1).extended()
         e_z = VectorField.basis(big, 2)
         d_t = VectorField.basis(big, 3)
         w = wedge_v(KVector.from_vector(d_t), KVector.from_vector(e_z))

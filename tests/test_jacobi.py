@@ -14,6 +14,7 @@ from haantjes.geometry import (
     lie_bracket,
     lie_derivative,
 )
+from haantjes.extended import ExtendedOperator, check_ejh
 from haantjes.jacobi import (
     JacobiStructure,
     ParticularIntegralWitness,
@@ -22,7 +23,6 @@ from haantjes.jacobi import (
     jacobi_bracket,
     particular_integral_check,
     poissonize,
-    poissonize_lift_check,
     proposition_involutivity_check,
     validate_jacobi,
 )
@@ -285,8 +285,22 @@ class TestPoissonization:
         assert rep.passed
 
     def test_lift_check(self, contact_jacobi, zt):
-        rep = poissonize_lift_check(Operator11.identity(contact_jacobi.chart), contact_jacobi, zt)
-        assert rep.passed and rep.data["KE=E"] == "pass"
-        k2 = Operator11.identity(contact_jacobi.chart).scale(contact_jacobi.chart.const(2))
-        rep2 = poissonize_lift_check(k2, contact_jacobi, zt)
-        assert not rep2.passed and rep2.data["KE=E"] == "fail"
+        # the trivial lift K (+) 1 is compatible with the Poissonized bivector
+        # exactly when KL = LK^T and KE = E, which are eq1 and eq2 of the EJH
+        # system route for the extended operator (K, 0, 0, 1)
+        chart = contact_jacobi.chart
+
+        def lift_check(k):
+            ek = ExtendedOperator(k, VectorField.zero(chart), KForm.zero(chart, 1), chart.one())
+            rep = check_ejh(ek, contact_jacobi, zt)
+            assert rep.data["routes_agree"]
+            failed = {lab.split(": ")[1][:3] for lab, c in rep.details
+                      if isinstance(c, sx.ZeroCertainty) and c.rejects_zero}
+            return rep, {"KL=LK^T": "fail" if "eq1" in failed else "pass",
+                         "KE=E": "fail" if "eq2" in failed else "pass"}
+
+        rep, data = lift_check(Operator11.identity(chart))
+        assert rep.passed and data["KE=E"] == "pass"
+        rep2, data2 = lift_check(Operator11.identity(chart).scale(chart.const(2)))
+        assert not rep2.passed and data2["KE=E"] == "fail"
+        assert data2["KL=LK^T"] == "pass"

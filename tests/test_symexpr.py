@@ -547,7 +547,9 @@ class TestChart:
 
     def test_extended(self):
         c = sx.darboux_contact(1)
-        big = c.extended("t")
+        big = c.extended()
         assert big.dim == 4 and big.coords[-1] == "t"
         e = c.coord("p").on_chart(big)
         assert e.diff("t").is_zero_expr()
+        # a taken name gives way to the first free variant
+        assert Chart("T", ("q", "t", "t1")).extended().coords == ("q", "t", "t1", "t2")
