@@ -79,31 +79,6 @@ def dot(chart: Chart, xs: Iterable[Expr], ys: Iterable[Expr]) -> Expr:
     return Expr(chart, _t_dot(pairs))
 
 
-def _haantjes_table(chart: Chart, cols: Sequence, tau: Mapping, width: int) -> dict:
-    """Components of the Haantjes torsion H(e_i, e_j), i < j, on a frame e.
-
-    cols[j] holds the frame components of K e_j, and tau maps a < b to those
-    of the Nijenhuis torsion tau(e_a, e_b); an absent entry is zero.  With
-    s(X, Y) = K tau(X, Y) - tau(X, KY), the torsion is
-    H(X, Y) = K s(X, Y) - s(KX, Y), i.e. (K_out - K_slot1)(K_out - K_slot2)
-    applied to tau.  Every component of s and of H is one dot; s(e_a, e_0) is
-    never read, so it is not built.
-    """
-    zero = (chart.zero(),) * width
-    t = [[zero] * width for _ in range(width)]
-    for (a, b), comps in tau.items():
-        t[a][b] = comps
-        t[b][a] = [-c for c in comps]
-    rows = [[col[r] for col in cols] for r in range(width)]
-    neg = [[-c for c in col] for col in cols]
-    s = {(a, j): [dot(chart, rows[r] + neg[j], [*t[a][j], *(tb[r] for tb in t[a])])
-                  for r in range(width)]
-         for j in range(1, width) for a in range(width)}
-    return {(i, j): [dot(chart, rows[r] + neg[i], [*s[(i, j)], *(s[(a, j)][r] for a in range(width))])
-                     for r in range(width)]
-            for i in range(width) for j in range(i + 1, width)}
-
-
 def _merge_sorted(tup: tuple, i: int):
     """Insert index i into a strictly increasing tuple.
 

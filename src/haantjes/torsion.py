@@ -4,9 +4,17 @@ Torsions are reported on the coordinate frame.  `nijenhuis_eval` /
 `haantjes_eval` expand the defining formulas literally on arbitrary vector
 fields; the frame tables exploit tensoriality (itself a tested property) to
 contract composite arguments through the tables instead of re-deriving
-brackets of composite fields.  The Haantjes table is factored: with
-s(X, Y) = K tau(X, Y) - tau(X, KY), H(X, Y) = K s(X, Y) - s(KX, Y), which is
-(K_out - K_slot1)(K_out - K_slot2) tau.
+brackets of composite fields.
+
+Each Nijenhuis component is one dot over the entry partials of K, each
+taken once per torsion:
+tau(e_i, e_j)^r = sum_c K^c_i d_c K^r_j - K^c_j d_c K^r_i
+                        - K^r_c (d_i K^c_j - d_j K^c_i).
+The Haantjes table is factored: with s(X, Y) = K tau(X, Y) - tau(X, KY),
+H(X, Y) = K s(X, Y) - s(KX, Y), which is (K_out - K_slot1)(K_out - K_slot2)
+tau.  H(e_i, e_j), i < j, reads s(e_i, e_j) and s(e_a, e_j) where K^a_i is
+not zero, so s(e_a, e_j) is built only when a < j or K^a_i is not zero for
+some i < j.
 """
 
 from __future__ import annotations
@@ -20,7 +28,6 @@ from .geometry import (
     KVector,
     Operator11,
     VectorField,
-    _haantjes_table,
     d_scalar,
     dot,
     exterior_derivative,
@@ -80,10 +87,6 @@ class VectorValued2Form:
             return self.values.get((i, j), VectorField.zero(self.chart))
         return -self.values.get((j, i), VectorField.zero(self.chart))
 
-    def pairs(self):
-        n = self.chart.dim
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
     def is_zero(self) -> bool:
         return all(v.is_zero_field() for v in self.values.values())
 
@@ -105,17 +108,23 @@ def nijenhuis_eval(k: Operator11, x: VectorField, y: VectorField) -> VectorField
 
 
 def nijenhuis_torsion(k: Operator11) -> VectorValued2Form:
+    """tau_K on the frame, one dot per component (see the module docstring)."""
     chart = k.chart
     n = chart.dim
-    cols = [k.column(j) for j in range(n)]
+    m = k.matrix
+    cols = list(zip(*m))
+    neg_rows = [tuple(-e for e in row) for row in m]
+    neg_cols = list(zip(*neg_rows))
+    jac = [[[e.diff(c) for e in col] for col in cols] for c in range(n)]  # [c][j][r]: d_c K^r_j
     values = {}
     for i in range(n):
         for j in range(i + 1, n):
-            # [d_i, d_j] = 0, [d_i, K d_j] = d_i(K d_j) componentwise
-            t = lie_bracket(cols[i], cols[j])
-            di_kj = VectorField(chart, [c.diff(i) for c in cols[j].components])
-            dj_ki = VectorField(chart, [c.diff(j) for c in cols[i].components])
-            t = t - op_apply(k, di_kj - dj_ki)
+            t = VectorField(chart, [
+                dot(chart, cols[i] + neg_cols[j] + neg_rows[r] + m[r],
+                    [*(jac[c][j][r] for c in range(n)), *(jac[c][i][r] for c in range(n)),
+                     *jac[i][j], *jac[j][i]])
+                for r in range(n)
+            ])
             if not t.is_zero_field():
                 values[(i, j)] = t
     return VectorValued2Form(chart, values)
@@ -135,18 +144,33 @@ def haantjes_torsion(k: Operator11) -> VectorValued2Form:
     """H_K on the frame, factored through the Nijenhuis table.
 
     With s(X, Y) = K tau(X, Y) - tau(X, KY), H(X, Y) = K s(X, Y) - s(KX, Y).
-    tau is tensorial, so s(K d_i, d_j) = sum_a K^a_i s(d_a, d_j) and
-    tau(d_a, K d_j) = sum_b K^b_j tau(d_a, d_b); tensoriality itself is
-    exercised by the test suite against the literal evaluation.
+    tau is tensorial, so s(K e_i, e_j) = sum_a K^a_i s(e_a, e_j) and
+    tau(e_a, K e_j) = sum_b K^b_j tau(e_a, e_b); tensoriality itself is
+    exercised by the test suite against the literal evaluation.  Each tau
+    component is one dot, tau(e_i, e_j)^r = sum_c K^c_i d_c K^r_j
+    - K^c_j d_c K^r_i - K^r_c (d_i K^c_j - d_j K^c_i), over entry partials
+    taken once.  s(e_a, e_j) is built only where H reads it: when a < j, or
+    when K^a_i is not zero for some i < j; elsewhere it stands as zero.
     """
     chart = k.chart
     n = chart.dim
-    tau = {ij: v.components for ij, v in nijenhuis_torsion(k).values.items()}
+    m = k.matrix
+    zero = (chart.zero(),) * n
+    t = [[zero] * n for _ in range(n)]
+    for (a, b), v in nijenhuis_torsion(k).values.items():
+        t[a][b] = v.components
+        t[b][a] = [-c for c in v.components]
+    neg = [tuple(-e for e in col) for col in zip(*m)]
+    s = {(a, j): [dot(chart, m[r] + neg[j], [*t[a][j], *(tb[r] for tb in t[a])]) for r in range(n)]
+         if a < j or not all(e.is_zero_expr() for e in m[a][:j]) else zero
+         for j in range(1, n) for a in range(n)}
     values = {}
-    for ij, comps in _haantjes_table(chart, list(zip(*k.matrix)), tau, n).items():
-        h = VectorField(chart, comps)
-        if not h.is_zero_field():
-            values[ij] = h
+    for i in range(n):
+        for j in range(i + 1, n):
+            h = VectorField(chart, [dot(chart, m[r] + neg[i], [*s[i, j], *(s[a, j][r] for a in range(n))])
+                                    for r in range(n)])
+            if not h.is_zero_field():
+                values[(i, j)] = h
     return VectorValued2Form(chart, values)
 
 

@@ -1,3 +1,4 @@
+import pathlib
 import random
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import haantjes.symexpr as sx
 import haantjes.torsion as torsion
+from haantjes.cli import parse_model
 from haantjes.geometry import KForm, Operator11, VectorField, d_scalar
 from haantjes.symexpr import ZeroTester, eval_numeric, fn_symbol, is_zero
 from haantjes.torsion import (
@@ -25,9 +27,33 @@ from haantjes.torsion import (
 from conftest import commuting_pair, rand_operator, rand_point, rand_poly, self_only_matrix
 
 
+MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
+
+
 @pytest.fixture
 def C2():
     return sx.Chart("R2", ("x", "y"))
+
+
+def _appendix_pattern(name):
+    """The nonzero entries of operator `name` in models/appendix_families.hj."""
+    k = parse_model((MODELS / "appendix_families.hj").read_text()).declaration(name).payload["value"]
+    return lambda n, r, c: not k.matrix[r][c].is_zero_expr()
+
+
+# (n, r, c) -> whether entry K^r_c of an n x n operator may be nonzero
+_MASKS = {
+    "upper": lambda n, r, c: r <= c,
+    "lower": lambda n, r, c: r >= c,
+    "block": lambda n, r, c: r // 2 == c // 2,
+    "nilpotent": lambda n, r, c: (r, c) == (n - 1, 0),
+    "diagonal+nilpotent": lambda n, r, c: r == c or (r, c) == (n - 1, 0),
+    "F1": _appendix_pattern("F1A"),
+    "F2": _appendix_pattern("F2A"),
+    "F3": _appendix_pattern("F3A"),
+}
+_SPARSE_CASES = [(mask, dim) for mask in ("upper", "lower", "block", "nilpotent", "diagonal+nilpotent")
+                 for dim in (3, 4, 5)] + [("F1", 5), ("F2", 5), ("F3", 5)]
 
 
 class TestNijenhuis:
@@ -47,6 +73,16 @@ class TestNijenhuis:
         k = rand_operator(C2, rng)
         tau = nijenhuis_torsion(k)
         assert (tau[(0, 1)] + tau[(1, 0)]).is_zero_field()
+
+    def test_entry_partials_taken_once(self, monkeypatch):
+        # the frame table differentiates each entry of K once per coordinate
+        chart = sx.Chart("R4", ("x", "y", "z", "w"))
+        k = rand_operator(chart, random.Random(53))
+        calls = []
+        diff = sx.Expr.diff
+        monkeypatch.setattr(sx.Expr, "diff", lambda e, which: calls.append(which) or diff(e, which))
+        assert not nijenhuis_torsion(k).is_zero()
+        assert 0 < len(calls) <= chart.dim ** 3
 
     def test_tensoriality(self, C2, zt):
         rng = random.Random(41)
@@ -87,6 +123,22 @@ class TestHaantjes:
                     for j in range(i + 1, chart.dim):
                         lit = haantjes_eval(k, VectorField.basis(chart, i), VectorField.basis(chart, j))
                         assert h[(i, j)].components == lit.components, (chart.name, i, j)
+
+    @pytest.mark.parametrize("mask,dim", _SPARSE_CASES)
+    def test_sparse_tables_match_literal_eval(self, mask, dim):
+        # zero entries leave some s(e_a, e_j) unread, so haantjes_torsion skips
+        # them; the literal formulas check both tables exactly on every pair
+        chart = sx.Chart(f"R{dim}", tuple(f"x{i+1}" for i in range(dim)))
+        rng = random.Random(47)
+        keep = _MASKS[mask]
+        k = Operator11(chart, [[rand_poly(chart, rng) if keep(dim, r, c) else chart.zero()
+                                for c in range(dim)] for r in range(dim)])
+        tau, h = nijenhuis_torsion(k), haantjes_torsion(k)
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                x, y = VectorField.basis(chart, i), VectorField.basis(chart, j)
+                assert tau[(i, j)].components == nijenhuis_eval(k, x, y).components, (i, j)
+                assert h[(i, j)].components == haantjes_eval(k, x, y).components, (i, j)
 
     def test_numeric_cross_check(self, C2, rng):
         # symbolic torsions vs finite differences of the defining formulas
