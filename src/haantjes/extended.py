@@ -119,9 +119,11 @@ class ExtendedBasis:
 
 
 def check_extended_algebra(basis: ExtendedBasis, zt: ZeroTester = ZeroTester()) -> CheckReport:
-    """Each generator extended-Haantjes, module closure with fresh abstract
-    coefficients on M, ring closure, and commutativity: the Haantjes algebra
-    check of the lifts."""
+    """Each generator extended-Haantjes, module closure, ring closure, and
+    commutativity: the Haantjes algebra check of the lifts.  By H_{fK} =
+    f^4 H_K, f*K is decided by K itself and f*A + g*B by h*A + B with one
+    abstract coefficient h on M (Bogoyavlenskij 2004; Tempesta and Tondo
+    2022)."""
     return _algebra_check("extended-algebra", basis.chart,
                           [ek.lifted for ek in basis.operators], basis.names, True, zt)
 

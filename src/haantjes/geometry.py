@@ -306,11 +306,6 @@ class KVector(_Graded):
     def from_vector(cls, x: VectorField) -> "KVector":
         return cls(x.chart, 1, {(i,): c for i, c in enumerate(x.components)})
 
-    def vector_field(self) -> VectorField:
-        if self.degree != 1:
-            raise ValueError("vector_field() needs a 1-vector")
-        return VectorField(self.chart, [self[(i,)] for i in range(self.chart.dim)])
-
     def pair(self, alpha: KForm, beta: KForm) -> Expr:
         """Evaluate a bivector on two 1-forms."""
         if self.degree != 2 or alpha.degree != 1 or beta.degree != 1:

@@ -669,9 +669,6 @@ class Expr:
             return Fraction(self.terms[0][1])
         return None
 
-    def has_exp(self) -> bool:
-        return _has_exp(self.terms)
-
     def is_polynomial(self) -> bool:
         """No exp atoms, no inverse powers, no negative coordinate powers."""
         for m, _ in self.terms:
@@ -684,9 +681,6 @@ class Expr:
         out: set = set()
         _collect_atoms(self.terms, out)
         return out
-
-    def depends_on(self, i: int) -> bool:
-        return not self.diff(i).is_zero_expr()
 
     # -- calculus
 

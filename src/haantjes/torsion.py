@@ -15,6 +15,12 @@ H(X, Y) = K s(X, Y) - s(KX, Y), which is (K_out - K_slot1)(K_out - K_slot2)
 tau.  H(e_i, e_j), i < j, reads s(e_i, e_j) and s(e_a, e_j) where K^a_i is
 not zero, so s(e_a, e_j) is built only when a < j or K^a_i is not zero for
 some i < j.
+
+H is homogeneous of degree 4 under scaling by a function, H_{fK} = f^4 H_K
+(Bogoyavlenskij, J. Math. Phys. 45, 2004; Tempesta and Tondo, Ann. Mat. Pura
+Appl. 201, 2022).  So an algebra check reports f*K with the torsion of K, and
+decides f*A + g*B = g (h*A + B) from H of h*A + B, with one abstract
+coefficient h = f/g.
 """
 
 from __future__ import annotations
@@ -55,7 +61,6 @@ __all__ = [
     "ChainReport",
     "HaantjesBasis",
     "VectorValued2Form",
-    "chain_codistribution",
     "check_haantjes_algebra",
     "frobenius_codistribution",
     "frobenius_distribution",
@@ -209,9 +214,10 @@ class HaantjesBasis:
 
 
 def check_haantjes_algebra(basis: HaantjesBasis, zt: ZeroTester = ZeroTester()) -> CheckReport:
-    """Generators Haantjes, function-linear module closure with fresh
-    abstract coefficients, ring closure under composition, and (optionally)
-    commutativity."""
+    """Generators Haantjes, function-linear module closure, ring closure
+    under composition, and (optionally) commutativity.  By H_{fK} = f^4 H_K,
+    f*K is decided by K itself and f*A + g*B by h*A + B with one abstract
+    coefficient h (Bogoyavlenskij 2004; Tempesta and Tondo 2022)."""
     return _algebra_check("haantjes-algebra", basis.chart, basis.operators, basis.names,
                           basis.abelian_required, zt)
 
@@ -233,14 +239,14 @@ def _algebra_check(name: str, chart: Chart, ops: Sequence[Operator11], names: Se
 
     for nm, k in zip(names, ops):
         rep.merge(CheckReport(f"generator {nm}", status=torsion_report(k).status))
-    f = fn_symbol(chart, "_modf").on_chart(ops[0].chart)
-    g = fn_symbol(chart, "_modg").on_chart(ops[0].chart)
+    # H_{fK} = f^4 H_K, so f*K shares the torsion of K; and f A + g B =
+    # g (h A + B) with h = f/g, so H_{fA+gB} = g^4 H_{hA+B}
+    h = fn_symbol(chart, "_modf").on_chart(ops[0].chart)
     for i, (nm, k) in enumerate(zip(names, ops)):
-        sub = torsion_report(k.scale(f))
+        sub = torsion_report(k)
         rep.merge(CheckReport(f"module f*{nm}", status=sub.status, details=sub.details))
         for j in range(i + 1, len(ops)):
-            comb = k.scale(f) + ops[j].scale(g)
-            sub = torsion_report(comb)
+            sub = torsion_report(k.scale(h) + ops[j])
             rep.merge(CheckReport(f"module f*{nm}+g*{names[j]}", status=sub.status, details=sub.details))
     ring = {}
     for i, ki in enumerate(ops):
@@ -297,10 +303,7 @@ def _radial_potential(omega: KForm) -> Optional[Expr]:
     except SubstitutionError:
         return None
     integrand = dot(chart, pulled, [chart.coord(j) for j in live])
-    try:
-        return integrate_unit_param(integrand, "_t")
-    except Exception:
-        return None
+    return integrate_unit_param(integrand, "_t")
 
 
 def generic_rank(forms: Sequence[KForm], zt: ZeroTester) -> tuple:
@@ -340,7 +343,6 @@ def verify_chain(h: Expr, basis: HaantjesBasis, zt: ZeroTester = ZeroTester()) -
     """Check d(K_i^T dH) = 0 per operator, recover potentials where the
     forms are polynomial, and test independence plus Frobenius integrability
     of the chain codistribution."""
-    chart = basis.chart
     dh = d_scalar(h)
     rep = ChainReport(generator=h)
     for nm, k in zip(basis.names, basis.operators):
@@ -372,11 +374,6 @@ def verify_chain(h: Expr, basis: HaantjesBasis, zt: ZeroTester = ZeroTester()) -
     return rep
 
 
-def chain_codistribution(h: Expr, basis: HaantjesBasis) -> list:
-    dh = d_scalar(h)
-    return [op_transpose_apply(k, dh) for k in basis.operators]
-
-
 def frobenius_codistribution(forms: Sequence[KForm], zt: ZeroTester = ZeroTester()) -> CheckReport:
     """d alpha_i ^ alpha_1 ^ ... ^ alpha_m = 0 for each i."""
     rep = CheckReport("frobenius-codistribution")
@@ -385,7 +382,7 @@ def frobenius_codistribution(forms: Sequence[KForm], zt: ZeroTester = ZeroTester
     big = forms[0]
     for f in forms[1:]:
         big = wedge(big, f)
-    rank, note = generic_rank(list(forms), zt)
+    rank, _ = generic_rank(list(forms), zt)
     if rank < len(forms):
         rep.notes.append(f"rank-deficient codistribution (rank {rank})")
     for i, a in enumerate(forms):
@@ -400,7 +397,6 @@ def frobenius_distribution(fields: Sequence[VectorField], zt: ZeroTester = ZeroT
     rep = CheckReport("frobenius-distribution")
     if not fields:
         return rep
-    chart = fields[0].chart
     big = KVector.from_vector(fields[0])
     for f in fields[1:]:
         big = wedge_v(big, KVector.from_vector(f))
@@ -426,7 +422,7 @@ def invariance_check(k: Operator11, forms: Sequence[KForm], zt: ZeroTester = Zer
     rep = CheckReport("invariance")
     if not forms:
         return rep
-    rank, note = generic_rank(list(forms), zt)
+    rank, _ = generic_rank(list(forms), zt)
     if rank < len(forms):
         rep.notes.append(f"input forms dependent (rank {rank}); membership test unreliable")
         rep.status = "unknown"
@@ -483,7 +479,7 @@ def spectral_report(
             else:
                 clusters.append([lam, [lam]])
         entry = {"point": pt, "eigenvalues": []}
-        for center, members in clusters:
+        for _, members in clusters:
             alg = len(members)
             lam = complex(np.mean(members))
             a = mat - lam * np.eye(n)

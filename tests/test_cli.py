@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from haantjes import cli
+from haantjes import cli, torsion
 from haantjes.cli import Model, format_model, main, parse_model, run_checks
-from haantjes.symexpr import ParseError
+from haantjes.symexpr import BudgetError, ParseError
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 
@@ -198,6 +198,19 @@ class TestReportType:
         rep = run_checks(parse_model(text), seed=1)
         assert rep.entries[0]["status"] == "unknown"
         assert any("ChartMismatch" in n for n in rep.entries[0]["notes"])
+        assert rep.exit_code == 1
+
+    def test_budget_error_in_potential_recovery_is_unknown(self, monkeypatch):
+        # a blow-up while integrating a potential leaves the chain undecided;
+        # it must not read as "potential unavailable", which fails the check
+        def over_budget(e, name):
+            raise BudgetError("node budget exceeded")
+
+        monkeypatch.setattr(torsion, "integrate_unit_param", over_budget)
+        rep = run_checks(parse_model((MODELS / "example_p_minus_z.hj").read_text()), seed=1)
+        chain = next(e for e in rep.entries if e["name"].startswith("15 chain "))
+        assert chain["status"] == "unknown"
+        assert chain["notes"] == ["BudgetError: node budget exceeded"]
         assert rep.exit_code == 1
 
     def test_toolkit_error_propagates(self, monkeypatch):

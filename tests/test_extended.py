@@ -265,6 +265,20 @@ class TestTorsions:
                 for u, g in enumerate(gens):
                     assert ab.column(u) == lift(pair_apply(a, pair_apply(b, g))), u
 
+    def test_scaling_law_on_the_lift(self, C):
+        # H_{fK} = f^4 H_K on the lift, which lets the extended algebra check
+        # report f*K with the torsion of K
+        ek = rand_extop(C, random.Random(11), sparse=False)
+        base = haantjes_torsion(ek.lifted)
+        assert not base.is_zero()
+        f = fn_symbol(C, "f")
+        scaled = haantjes_torsion(ek.scale(f).lifted)
+        f4 = f.on_chart(base.chart) ** 4
+        for i in range(base.chart.dim):
+            for j in range(i + 1, base.chart.dim):
+                for c, d in zip(scaled[i, j].components, base[i, j].components):
+                    assert (c - f4 * d).is_zero_expr(), (i, j)
+
     def test_example_algebra(self, C, zt):
         ek1, ek2 = worked_example_ops(C)
         rep = check_extended_algebra(ExtendedBasis([ek1, ek2], names=["EK1", "EK2"]), zt)

@@ -1,7 +1,8 @@
 """Source hygiene: library modules compile without a warning, import nothing
-they do not use, and every check directive is documented; the kernel, the
-tensor module and the torsion and compatibility builders keep no
-process-wide tables, and importing the package does not load numpy."""
+they do not use, assign no local they never read, and every check directive
+is documented; the kernel, the tensor module and the torsion and
+compatibility builders keep no process-wide tables, and importing the
+package does not load numpy."""
 
 import ast
 import importlib
@@ -38,6 +39,27 @@ def test_module_imports_are_used(path):
             imported.update((a.asname or a.name).split(".")[0] for a in node.names)
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert not imported - used, f"unused imports: {sorted(imported - used)}"
+
+
+def _outer_functions(body):
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from _outer_functions(node.body)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_function_locals_are_read(path):
+    # a name a function assigns and never reads (nested functions and
+    # comprehensions included) is dead; `_`-prefixed names are exempt
+    unread = []
+    for fn in _outer_functions(ast.parse(path.read_text(encoding="utf-8")).body):
+        names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+        read = {n.id for n in names if not isinstance(n.ctx, ast.Store)}
+        unread += sorted({f"{fn.name}: {n.id}" for n in names if isinstance(n.ctx, ast.Store)
+                          and n.id not in read and not n.id.startswith("_")})
+    assert not unread, unread
 
 
 def test_readme_documents_every_directive():

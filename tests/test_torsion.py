@@ -171,21 +171,74 @@ class TestAlgebra:
         assert not rep.passed
 
     def test_one_torsion_per_distinct_operator(self, zt, monkeypatch):
-        # K_i K_j = K_j K_i for a commuting pair: 8 torsions, not 9, and the
-        # same report as a run that computes one per label
+        # f*K reuses the torsion of K, and K_i K_j = K_j K_i for a commuting
+        # pair: 6 torsions, not 7, and the same report as a run that computes
+        # one per label
         chart = sx.Chart("R3", ("x", "y", "z"))
         calls = []
         real = torsion.is_haantjes
         monkeypatch.setattr(torsion, "is_haantjes", lambda k, zt: calls.append(k) or real(k, zt))
         shared = check_haantjes_algebra(HaantjesBasis(list(commuting_pair(chart)), names=["A", "B"]), zt)
-        assert len(calls) == 8
+        assert len(calls) == 6
         calls.clear()
         compose = torsion.op_compose
         monkeypatch.setattr(torsion, "op_compose", lambda a, b: self_only_matrix(compose(a, b)))
         ops = [self_only_matrix(k) for k in commuting_pair(chart)]
         unshared = check_haantjes_algebra(HaantjesBasis(ops, names=["A", "B"]), zt)
-        assert len(calls) == 9
+        assert len(calls) == 7
         assert shared == unshared and shared.status == "fail"
+
+    @pytest.mark.parametrize("diagonal", [("x", "y", "z"), (1, 0, 0)], ids=["xyz", "100"])
+    def test_only_the_pair_member_fails(self, zt, diagonal):
+        # a diagonal operator and a nilpotent Jordan block are each Haantjes,
+        # and so are their products, but their function-linear sums are not;
+        # for the constant diag(1, 0, 0), A + B is Haantjes and only a
+        # nonconstant coefficient exposes the failure
+        chart = sx.Chart("R3", ("x", "y", "z"))
+        a = Operator11.diagonal(chart, [chart.coord(e) if isinstance(e, str) else e for e in diagonal])
+        b = Operator11(chart, [[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        rep = check_haantjes_algebra(HaantjesBasis([a, b], abelian_required=False, names=["A", "B"]), zt)
+        members = {label: st for label, st in rep.details if ": " not in label}
+        assert members == {"generator A": "pass", "generator B": "pass", "module f*A": "pass",
+                           "module f*B": "pass", "module f*A+g*B": "fail", "ring A*A": "pass",
+                           "ring A*B": "pass", "ring B*A": "pass", "ring B*B": "pass"}
+        evidence = [c.tag for label, c in rep.details if label.startswith("module f*A+g*B: ")]
+        assert evidence and set(evidence) == {"proven_nonzero"}
+        assert rep.status == "fail"
+
+
+class TestHomogeneity:
+    """H_{fK} = f^4 H_K, and so H_{fA+gB} = g^4 H_{(f/g)A+B}: the laws the
+    algebra check uses instead of building those torsions."""
+
+    @staticmethod
+    def _non_haantjes_pair(chart):
+        x, y, z = (chart.coord(i) for i in range(3))
+        a = Operator11(chart, [[x * y, z, 0], [0, y, x], [y * z, 0, x + z]])
+        b = Operator11(chart, [[1, 0, z], [x, y**2, 0], [0, z, x]])
+        return a, b
+
+    @staticmethod
+    def _assert_scaled(lhs, rhs, factor):
+        for i in range(lhs.chart.dim):
+            for j in range(i + 1, lhs.chart.dim):
+                for c, d in zip(lhs[(i, j)].components, rhs[(i, j)].components):
+                    assert (c - factor * d).is_zero_expr(), (i, j)
+
+    def test_scaling_by_a_function(self):
+        chart = sx.Chart("R3", ("x", "y", "z"))
+        f = fn_symbol(chart, "f")
+        for k in self._non_haantjes_pair(chart):
+            h = haantjes_torsion(k)
+            assert not h.is_zero()
+            self._assert_scaled(haantjes_torsion(k.scale(f)), h, f**4)
+
+    def test_function_linear_pair(self):
+        chart = sx.Chart("R3", ("x", "y", "z"))
+        f, g = fn_symbol(chart, "f"), fn_symbol(chart, "g")
+        a, b = self._non_haantjes_pair(chart)
+        self._assert_scaled(haantjes_torsion(a.scale(f) + b.scale(g)),
+                            haantjes_torsion(a.scale(f / g) + b), g**4)
 
 
 class TestChains:
@@ -235,15 +288,14 @@ class TestChains:
 
     def test_chain_implies_invariance(self, zt):
         # a generator's codistribution is preserved by the whole basis
-        from haantjes.torsion import chain_codistribution
         chart = sx.darboux_symplectic(2)
         q1, q2 = chart.coord(0), chart.coord(1)
         basis = HaantjesBasis([Operator11.identity(chart),
                                Operator11.diagonal(chart, [q1, q2, q1, q2])])
-        assert verify_chain(q1 + q2, basis, zt).passed
-        forms = chain_codistribution(q1 + q2, basis)
+        chain = verify_chain(q1 + q2, basis, zt)
+        assert chain.passed
         for k in basis.operators:
-            assert invariance_check(k, forms, zt).passed
+            assert invariance_check(k, chain.forms, zt).passed
 
 
 class TestFrobenius:
