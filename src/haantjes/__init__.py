@@ -51,7 +51,6 @@ from .torsion import (
     invariance_check,
     is_haantjes,
     nijenhuis_torsion,
-    spectral_report,
     verify_chain,
 )
 from .jacobi import (

@@ -9,6 +9,10 @@ from .symexpr import ZeroCertainty, weakest
 
 __all__ = ["CheckReport"]
 
+# the note prefix of a disagreement between two independent routes to one
+# verdict: a toolkit bug, never a property of the input
+INTERNAL_INCONSISTENCY = "internal-inconsistency"
+
 
 @dataclass
 class CheckReport:

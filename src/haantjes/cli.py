@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import __version__
-from .checks import CheckReport
+from .checks import INTERNAL_INCONSISTENCY, CheckReport
 from .contact import (
     contact_hamiltonian_vf,
     is_dissipated,
@@ -241,15 +241,6 @@ def _build_declaration(decl: Declaration, chart: Chart, names: dict, line: int):
         decl.payload["parts"] = parts
 
 
-def _lookup(names: dict, name: str, kind: str, line: int):
-    if name not in names:
-        raise ParseError(f"unknown identifier {name!r}", line, 1)
-    got, decl = names[name]
-    if got != kind:
-        raise ParseError(f"{name!r} is a {got}, expected {kind}", line, 1)
-    return decl.payload.get("value", decl)
-
-
 def _describe(v) -> str:
     if isinstance(v, KForm):
         return f"{v.degree}-form"
@@ -266,8 +257,8 @@ class _Scope:
     `chart`: the names declared there, d(...), and scaling, sums and wedges
     of forms and multivectors (a tuple or vector operand is a 1-vector).  A
     bare name that is not declared is a parameter when `free` (declarations)
-    and an error otherwise (directives); one declared on another chart is an
-    error."""
+    and an error otherwise (directives); one declared on another chart, or
+    of another kind than a directive asks for, is an error."""
 
     def __init__(self, chart: Chart, names: dict, line: int, free: bool = False):
         self.chart = chart
@@ -278,15 +269,17 @@ class _Scope:
     def parse(self, text: str, kind: str):
         return self.value(parse_expr(text, self.chart, self), kind)
 
-    def name(self, name: str):
+    def name(self, name: str, kind: Optional[str] = None):
         if name not in self.names:
             if self.free:
                 return None
             raise ParseError(f"unknown identifier {name!r}", self.line, 1)
-        kind, decl = self.names[name]
+        got, decl = self.names[name]
         if decl.chart_name != self.chart.name:
-            raise ParseError(f"{kind} {name!r} is not declared on chart {self.chart.name}",
+            raise ParseError(f"{got} {name!r} is not declared on chart {self.chart.name}",
                              self.line, 1)
+        if kind is not None and got != kind:
+            raise ParseError(f"{name!r} is a {got}, expected {kind}", self.line, 1)
         return decl.payload.get("value", decl)
 
     def d(self, f: Expr) -> KForm:
@@ -422,7 +415,8 @@ def _named(kind: str, count: int = 1):
     def bind(toks, chart, names, line):
         if len(toks) != count:
             raise ParseError(f"expected {count} {kind} name(s), got {len(toks)}", line, 1)
-        vals = [_lookup(names, t, kind, line) for t in toks]
+        scope = _Scope(chart, names, line)
+        vals = [scope.name(t, kind) for t in toks]
         return vals[0] if count == 1 else vals
     return bind
 
@@ -430,7 +424,8 @@ def _named(kind: str, count: int = 1):
 def _basis(cls, kind: str):
     """One or more names of `kind`, bound as a `cls` basis labelled by them."""
     def bind(toks, chart, names, line):
-        return cls([_lookup(names, t, kind, line) for t in toks], names=list(toks))
+        scope = _Scope(chart, names, line)
+        return cls([scope.name(t, kind) for t in toks], names=list(toks))
     return bind
 
 
@@ -677,7 +672,7 @@ def run_checks(model: Model, seed: int = 0, samples: int = 16, tol: float = 1e-9
             cert = sub.certainty.tag if sub.certainty else None
             witness = _jsonable(sub.witness)
             notes = list(sub.notes)
-            if any("internal-inconsistency" in n for n in notes):
+            if any(INTERNAL_INCONSISTENCY in n for n in notes):
                 report.internal_inconsistency = True
             residual = [
                 [str(lab), str(cert_ or "")] for lab, cert_ in sub.details[:6]

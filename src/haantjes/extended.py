@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .checks import CheckReport
+from .checks import INTERNAL_INCONSISTENCY, CheckReport
 from .geometry import (
     KForm,
     Operator11,
@@ -173,7 +173,7 @@ def check_ejh(ek: ExtendedOperator, j: JacobiStructure, zt: ZeroTester = ZeroTes
     rep.data["system_route"] = sys_rep.status
     if not agree:
         rep.status = "fail"
-        rep.notes.append("internal-inconsistency: operator and system routes disagree")
+        rep.notes.append(f"{INTERNAL_INCONSISTENCY}: operator and system routes disagree")
     return rep
 
 
@@ -233,7 +233,7 @@ def thm_main_check(
         sub = check_ejh(ek, j, zt)
         pre.require(f"{nm} EJH-compatible", sub.passed)
         if not sub.data.get("routes_agree", True):
-            pre.reject("internal inconsistency in EJH routes")
+            pre.reject(f"{INTERNAL_INCONSISTENCY} in EJH routes")
     ops = basis.operators
     lifts = [ek.lifted for ek in ops]
     for i in range(len(ops)):

@@ -494,13 +494,6 @@ class Operator11:
             for i in range(chart.dim)
         ])
 
-    @classmethod
-    def tensor(cls, x: VectorField, alpha: KForm) -> "Operator11":
-        """Rank-one operator x (x) alpha."""
-        chart = _same_chart(x, alpha)
-        co = alpha.covector()
-        return cls(chart, [[x[i] * co[j] for j in range(chart.dim)] for i in range(chart.dim)])
-
     def column(self, j: int) -> VectorField:
         return VectorField(self.chart, [self.matrix[i][j] for i in range(self.chart.dim)])
 

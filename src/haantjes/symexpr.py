@@ -253,6 +253,8 @@ def _t_atom(a, exp: int = 1) -> tuple:
 
 def _t_const(c: RatLike) -> tuple:
     if type(c) is not int:
+        if not isinstance(c, (int, Fraction)):  # a float would store its binary fraction
+            raise TypeError(f"exact constant must be int or Fraction, not {type(c).__name__}")
         c = _canon(Fraction(c))
     return (((), c),) if c else ()
 
@@ -876,45 +878,23 @@ def _sample_fractions(rng: random.Random, atoms, k: int):
         yield {a: Fraction(rng.randint(-20, 20), 7) for a in atoms}
 
 
-def _eval_exact(t, assign) -> tuple:
-    """Return (defined, exact, value). value is a Fraction when exact."""
+def _eval_exact(t, assign) -> Optional[Fraction]:
+    """The exact value of exp-free terms at assign, or None at a pole."""
     total = Fraction(0)
-    inexact = False
     for m, c in t:
         val = c
-        term_inexact = False
         for a, e in m:
-            tag = a[0]
-            if tag < _E:
-                v = assign[a]
-            elif tag == _E:
-                d, x, u = _eval_exact(a[2], assign)
-                if not d:
-                    return (False, False, None)
-                if x and u == 0:
-                    v = Fraction(1)
-                else:
-                    term_inexact = True
-                    continue
+            if a[0] == _W:
+                v = _eval_exact(a[2], assign)
+                if not v:  # _W exponents are negative
+                    return None
             else:
-                d, x, u = _eval_exact(a[2], assign)
-                if not d or not x:
-                    return (False, False, None) if not d else (True, False, None)
-                if u == 0:
-                    return (False, False, None)
-                v = u**e
-                e = 1
-            if v == 0 and e < 0:
-                return (False, False, None)
+                v = assign[a]
+                if v == 0 and e < 0:
+                    return None
             val *= v**e if e != 1 else v
-        if term_inexact:
-            if val != 0:
-                inexact = True
-            continue
         total += val
-    if inexact:
-        return (True, False, None)
-    return (True, True, total)
+    return total
 
 
 def _eval_float(t, assign) -> float:
@@ -970,8 +950,7 @@ def is_zero(e: Expr, seed: int = 0, samples: int = 16, tol: float = 1e-9) -> Zer
     rng = random.Random(seed)
     if not _has_exp(t):
         for assign in _sample_fractions(rng, _iter_atoms(t), samples):
-            defined, exact, val = _eval_exact(t, assign)
-            if defined and exact and val != 0:
+            if _eval_exact(t, assign):
                 return ZeroCertainty(
                     "proven_nonzero",
                     witness={_format_atom(chart, a): v for a, v in assign.items()},

@@ -50,7 +50,6 @@ from .symexpr import (
     SubstitutionError,
     ZeroCertainty,
     ZeroTester,
-    eval_numeric,
     fn_symbol,
     integrate_unit_param,
     param,
@@ -70,7 +69,6 @@ __all__ = [
     "is_haantjes",
     "nijenhuis_eval",
     "nijenhuis_torsion",
-    "spectral_report",
     "verify_chain",
 ]
 
@@ -237,23 +235,23 @@ def _algebra_check(name: str, chart: Chart, ops: Sequence[Operator11], names: Se
             seen[k.matrix] = is_haantjes(k, zt)
         return seen[k.matrix]
 
+    def member(label: str, sub: CheckReport):
+        rep.merge(CheckReport(label, status=sub.status, certainty=sub.certainty, details=sub.details))
+
     for nm, k in zip(names, ops):
         rep.merge(CheckReport(f"generator {nm}", status=torsion_report(k).status))
     # H_{fK} = f^4 H_K, so f*K shares the torsion of K; and f A + g B =
     # g (h A + B) with h = f/g, so H_{fA+gB} = g^4 H_{hA+B}
     h = fn_symbol(chart, "_modf").on_chart(ops[0].chart)
     for i, (nm, k) in enumerate(zip(names, ops)):
-        sub = torsion_report(k)
-        rep.merge(CheckReport(f"module f*{nm}", status=sub.status, details=sub.details))
+        member(f"module f*{nm}", torsion_report(k))
         for j in range(i + 1, len(ops)):
-            sub = torsion_report(k.scale(h) + ops[j])
-            rep.merge(CheckReport(f"module f*{nm}+g*{names[j]}", status=sub.status, details=sub.details))
+            member(f"module f*{nm}+g*{names[j]}", torsion_report(k.scale(h) + ops[j]))
     ring = {}
     for i, ki in enumerate(ops):
         for j, kj in enumerate(ops):
             ring[i, j] = op_compose(ki, kj)
-            sub = torsion_report(ring[i, j])
-            rep.merge(CheckReport(f"ring {names[i]}*{names[j]}", status=sub.status, details=sub.details))
+            member(f"ring {names[i]}*{names[j]}", torsion_report(ring[i, j]))
     if abelian:
         for i in range(len(ops)):
             for j in range(i + 1, len(ops)):
@@ -435,78 +433,3 @@ def invariance_check(k: Operator11, forms: Sequence[KForm], zt: ZeroTester = Zer
             rep.require_zero(f"K^T a{i+1} in span [{idx}]", zt(e))
     return rep
 
-
-# ---------------------------------------------------------------------------
-# Pointwise numeric spectral report
-
-
-def spectral_report(
-    k: Operator11,
-    points: Sequence[dict],
-    seed: int = 0,
-    params: Optional[dict] = None,
-    fn_bindings: Optional[dict] = None,
-    cluster_tol: float = 1e-8,
-) -> dict:
-    """Numeric eigen-structure of K at sample points.
-
-    For each usable point: clustered eigenvalues, algebraic multiplicities,
-    generalized eigenspace dimensions (rank saturation of (K - l I)^r, Riesz
-    index capped at dim), and whether all multiplicities are even.
-    """
-    import numpy as np  # not at module level: its import takes more memory than haantjes
-
-    chart = k.chart
-    n = chart.dim
-    out = {"points": [], "skipped": [], "all_multiplicities_even": True, "seed": seed}
-    for pt in points:
-        try:
-            mat = np.array(
-                [[eval_numeric(e, pt, params, fn_bindings) for e in row] for row in k.matrix],
-                dtype=float,
-            )
-        except Exception as exc:
-            out["skipped"].append({"point": pt, "reason": str(exc)})
-            continue
-        eigs = np.linalg.eigvals(mat)
-        clusters: list = []
-        scale = max(1.0, float(np.max(np.abs(eigs))))
-        for lam in sorted(eigs, key=lambda v: (v.real, v.imag)):
-            for cl in clusters:
-                if abs(lam - cl[0]) <= cluster_tol * scale:
-                    cl[1].append(lam)
-                    break
-            else:
-                clusters.append([lam, [lam]])
-        entry = {"point": pt, "eigenvalues": []}
-        for _, members in clusters:
-            alg = len(members)
-            lam = complex(np.mean(members))
-            a = mat - lam * np.eye(n)
-            prev_rank = n
-            riesz = n
-            dims = []
-            power = np.eye(n)
-            for r in range(1, n + 1):
-                power = power @ a
-                rank = int(np.linalg.matrix_rank(power, tol=1e-9 * scale**r if scale > 0 else None))
-                dims.append(n - rank)
-                if rank == prev_rank:
-                    riesz = r - 1
-                    break
-                prev_rank = rank
-            gen_dim = dims[-1]
-            entry["eigenvalues"].append(
-                {
-                    "value": [lam.real, lam.imag],
-                    "algebraic": alg,
-                    "geometric": dims[0],
-                    "generalized_dim": gen_dim,
-                    "riesz_index": riesz,
-                }
-            )
-            if alg % 2 == 1:
-                out["all_multiplicities_even"] = False
-        out["points"].append(entry)
-    out["omega_h_consistent"] = out["all_multiplicities_even"]
-    return out

@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from haantjes import cli, torsion
+from haantjes import cli, extended, torsion
 from haantjes.cli import Model, format_model, main, parse_model, run_checks
-from haantjes.symexpr import BudgetError, ParseError
+from haantjes.symexpr import BudgetError, ChartMismatch, ParseError
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 
@@ -180,22 +180,31 @@ class TestReportType:
         rep.internal_inconsistency = True
         assert rep.exit_code == 3
 
-    def test_runtime_error_surfaces_as_unknown(self):
-        # directives that blow up at run time (here: a chart mismatch between
-        # the operator and the Jacobi structure) surface as unknown entries
-        # with the reason recorded, never as a crash
-        text = (
-            "chart A (q, p) darboux-symplectic 1\n"
-            "operator KA = [[1, 0], [0, 1]]\n"
-            "chart B (x, y, z) darboux-contact 1\n"
-            "vector V1 = (1, 0, y)\n"
-            "vector V2 = (0, 1, 0)\n"
-            "vector EV = (0, 0, 1)\n"
-            "bivector LAM = V1 /\\ V2\n"
-            "jacobi JJ = (LAM, EV)\n"
-            "check jh KA on JJ\n"
-        )
-        rep = run_checks(parse_model(text), seed=1)
+    def test_ejh_route_disagreement_in_thm_main_exits_3(self, monkeypatch):
+        # the theorem's preconditions rerun the EJH check; routes that
+        # disagree there are a toolkit bug, not a failed theorem
+        real = extended.check_ejh
+
+        def disagreeing(ek, j, zt):
+            rep = real(ek, j, zt)
+            rep.data["routes_agree"] = False
+            return rep
+
+        monkeypatch.setattr(extended, "check_ejh", disagreeing)
+        rep = run_checks(parse_model((MODELS / "example_p_minus_z.hj").read_text()), seed=1)
+        thm = [e for e in rep.entries if " thm_main " in e["name"]]
+        assert [e["status"] for e in thm] == ["fail"]
+        assert rep.exit_code == 3
+
+    def test_runtime_error_surfaces_as_unknown(self, monkeypatch):
+        # directives that blow up at run time with one of the library's own
+        # errors (here: a chart mismatch) surface as unknown entries with the
+        # reason recorded, never as a crash
+        def mismatched(*args):
+            raise ChartMismatch("C vs D")
+
+        monkeypatch.setattr(cli, "is_dissipated", mismatched)
+        rep = run_checks(parse_model(MINI), seed=1)
         assert rep.entries[0]["status"] == "unknown"
         assert any("ChartMismatch" in n for n in rep.entries[0]["notes"])
         assert rep.exit_code == 1
@@ -337,6 +346,21 @@ class TestEntryPoint:
         assert main(["check", str(path)]) == 2
         line = text.count("\n") + 1
         assert capsys.readouterr().err.startswith(f"{path}:{line}:1: ")
+
+    def test_directive_name_from_another_chart_exit_2(self, tmp_path, capsys):
+        # a structure or operator declared on chart A cannot be read by a
+        # directive of chart B, whatever clause or argument names it
+        text = ("chart A (q, p, z) darboux-contact 1\nform theta = d(z) - p * d(q)\n"
+                "contact CS = theta\noperator K = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
+                "chart B (x, y, w) darboux-contact 1\nscalar H = x\n")
+        path = tmp_path / "m.hj"
+        for directive, line, err in [
+            ("check hamiltonian H on CS\ncheck haantjes K\n", 7, "contact 'CS' is not declared on chart B"),
+            ("check haantjes K\n", 7, "operator 'K' is not declared on chart B"),
+        ]:
+            path.write_text(text + directive)
+            assert main(["check", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"{path}:{line}:1: {err}")
 
     def test_chart_with_a_coordinate_named_t(self, tmp_path):
         # the extra coordinate of Poissonization and of the extended lift
