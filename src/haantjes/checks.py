@@ -1,13 +1,28 @@
-"""Check reports: the uniform outcome type for every verification."""
+"""Check reports: the uniform outcome type for every verification, and the
+run-scoped memo through which a run decides each sub-check once.
+
+A theorem states its preconditions as checks that a model also runs as
+directives of their own.  `once(fn, *args)` returns ``fn(*args)``, computed
+at most once per memo scope for equal arguments.  `memo_scope()` opens a
+scope for a block or, as a decorator, for a call (`cli.run_checks` opens one
+per run); with no scope open, `once` is a plain call.  A memo key holds its
+arguments: by value where the type has value equality and a hash (``Expr``,
+``ZeroTester``, operators, fields, forms, bases), else by identity.  Zero
+testing is pure, so a shared verdict is the verdict a fresh call would give.
+A memoized report is shared by every caller of its key, so no caller may
+change it; `CheckReport.copy` gives one that may be extended.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .symexpr import ZeroCertainty, weakest
 
-__all__ = ["CheckReport"]
+__all__ = ["CheckReport", "memo_scope", "once"]
 
 # the note prefix of a disagreement between two independent routes to one
 # verdict: a toolkit bug, never a property of the input
@@ -100,6 +115,10 @@ class CheckReport:
         else:
             self.certainty = None
 
+    def copy(self) -> "CheckReport":
+        """A copy that a caller may extend without changing this report."""
+        return replace(self, details=list(self.details), notes=list(self.notes), data=dict(self.data))
+
     def summary(self) -> str:
         cert = f" [{self.certainty.tag}]" if self.certainty else ""
         note = f" ({'; '.join(self.notes)})" if self.notes else ""
@@ -108,3 +127,48 @@ class CheckReport:
     def __str__(self):
         return self.summary()
 
+
+# the memo of the open scope: (fn, *argument keys) -> result; None outside
+# a scope, so no table outlives the block that opened it
+_MEMO = ContextVar("haantjes_memo", default=None)
+
+
+@contextmanager
+def memo_scope():
+    """Open the memo of `once` for the block, unless a scope is open."""
+    if _MEMO.get() is not None:
+        yield
+        return
+    token = _MEMO.set({})
+    try:
+        yield
+    finally:
+        _MEMO.reset(token)
+
+
+class _Same:
+    """An argument keyed by identity.  The key holds the argument, so its id
+    cannot be reused while the memo lives."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+    def __eq__(self, other):
+        return isinstance(other, _Same) and self.obj is other.obj
+
+
+def once(fn, *args):
+    """fn(*args), computed at most once per memo scope for equal arguments."""
+    memo = _MEMO.get()
+    if memo is None:
+        return fn(*args)
+    key = (fn, *(a if type(a).__hash__ is not None else _Same(a) for a in args))
+    result = memo.get(key, _Same)
+    if result is _Same:  # not computed in this scope yet
+        result = memo[key] = fn(*args)
+    return result

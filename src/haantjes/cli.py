@@ -23,9 +23,10 @@ standing for its value.  * and / scale a form or a multivector by a scalar;
 wedge is a 1-vector.
 
 Declarations bind to the most recent chart statement.  Structures are
-validated lazily when checks run, because validation itself consumes the
-seeded zero tester.  Reports are deterministic for a fixed (model, seed,
-samples, tol); wall-times live outside the comparable section.
+validated on first use when checks run, once per run.  A run decides each
+sub-check once: a theorem reuses the verdicts of preconditions that the run
+has already checked (`checks.once`).  Reports are deterministic for a fixed
+(model, seed, samples, tol); wall-times live outside the comparable section.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import __version__
-from .checks import INTERNAL_INCONSISTENCY, CheckReport
+from .checks import INTERNAL_INCONSISTENCY, CheckReport, memo_scope, once
 from .contact import (
     contact_hamiltonian_vf,
     is_dissipated,
@@ -410,8 +411,7 @@ def _bind(d: Directive, chart: Chart, names: dict):
 
 def _named(kind: str, count: int = 1):
     """`count` declared names of `kind`; a structure binds to its Declaration
-    and is validated on first use at run time, because validation consumes
-    the seeded zero tester."""
+    and is validated on first use at run time, once per run."""
     def bind(toks, chart, names, line):
         if len(toks) != count:
             raise ParseError(f"expected {count} {kind} name(s), got {len(toks)}", line, 1)
@@ -496,7 +496,7 @@ def _bracket(v: dict, zt: ZeroTester) -> CheckReport:
 
 
 def _chain(v: dict, zt: ZeroTester) -> CheckReport:
-    chain = verify_chain(v["args"], v["with"], zt)
+    chain = once(verify_chain, v["args"], v["with"], zt)
     rep = CheckReport("chain")
     rep.status = chain.status
     for nm, cert in chain.closedness:
@@ -509,7 +509,8 @@ def _chain(v: dict, zt: ZeroTester) -> CheckReport:
 
 
 def _ext_chain(v: dict, zt: ZeroTester) -> CheckReport:
-    rep = verify_ext_chain(v["args"], v["with"], zt)
+    # the chain report is thm_main's precondition too: extend a copy
+    rep = once(verify_ext_chain, v["args"], v["with"], zt).copy()
     return _require_potentials(rep, rep.data["potentials"], v, zt)
 
 
@@ -538,9 +539,10 @@ def _darboux_contact(toks, chart, names, line):
 
 # verb -> (argument kind, {clause: (kind, required)}, handler).  Handlers
 # call library functions by their global name, so that tracing that
-# rebinds those names sees every call.
+# rebinds those names sees every call; a check that a theorem also runs as
+# a precondition goes through `once`, so the run decides it once.
 _VERBS = {
-    "haantjes": (_OPERATOR, {}, lambda v, zt: is_haantjes(v["args"], zt)),
+    "haantjes": (_OPERATOR, {}, lambda v, zt: once(is_haantjes, v["args"], zt)),
     "algebra": (_OPERATORS, {"abelian": (_flag, False)}, lambda v, zt: check_haantjes_algebra(
         replace(v["args"], abelian_required="abelian" in v), zt)),
     "commute": (_named("operator", 2), {}, _commute),
@@ -555,12 +557,13 @@ _VERBS = {
                    lambda v, zt: is_dissipated(v["args"], v["wrt"], v["on"], zt)),
     "bracket": (_two_scalars, {"on": (_JACOBI, True), "equals": (_scalar, False)}, _bracket),
     "chain": (_scalar, {"with": (_OPERATORS, True), "potentials": (_tuple, False)}, _chain),
-    "ejh": (_EXTOP, {"on": (_JACOBI, True)}, lambda v, zt: check_ejh(v["args"], v["on"], zt)),
+    "ejh": (_EXTOP, {"on": (_JACOBI, True)}, lambda v, zt: once(check_ejh, v["args"], v["on"], zt)),
     "ext_chain": (_scalar, {"with": (_EXTOPS, True), "potentials": (_tuple, False)}, _ext_chain),
     "thm_main": (_scalar, {"with": (_EXTOPS, True), "on": (_JACOBI, True)},
                  lambda v, zt: thm_main_check(v["args"], v["with"], v["on"], zt)),
-    "lcsh": (_OPERATOR, {"on": (_LCS, True)}, lambda v, zt: check_lcsh(v["args"], v["on"], zt)),
-    "eta_ke": (_OPERATOR, {"on": (_LCS, True)}, lambda v, zt: eta_KE_check(v["args"], v["on"], zt)),
+    "lcsh": (_OPERATOR, {"on": (_LCS, True)}, lambda v, zt: once(check_lcsh, v["args"], v["on"], zt)),
+    "eta_ke": (_OPERATOR, {"on": (_LCS, True)},
+               lambda v, zt: once(eta_KE_check, v["args"], v["on"], zt)),
     "theorem9": (_scalar, {"with": (_OPERATORS, True), "on": (_LCS, True)},
                  lambda v, zt: theorem9_check(v["args"], v["with"], v["on"], zt)),
     "techain": (_scalar, {"with": (_OPERATORS, True), "on": (_darboux_contact, True),
@@ -625,36 +628,15 @@ class Report:
         return "\n".join(lines)
 
 
-class _Runtime:
-    """The zero tester of one run and the structures it has validated."""
-
-    def __init__(self, zt: ZeroTester):
-        self.zt = zt
-        self.structs: dict = {}
-
-    def structure(self, decl: Declaration):
-        s = self.structs.get(decl.name)
-        if s is None:
-            parts = decl.payload["parts"]
-            if decl.kind == "contact":
-                s = validate_contact(*parts, self.zt)
-            elif decl.kind == "lcs":
-                s = validate_lcs(*parts, self.zt)
-            else:
-                s = validate_jacobi(*parts, self.zt)
-            self.structs[decl.name] = s
-        return s
-
-
 # What a well-formed model can still raise while its checks run; anything
 # else is a fault of the toolkit and propagates.
 _RUN_ERRORS = (BudgetError, DomainError, SubstitutionError, ChartMismatch)
 
 
+@memo_scope()
 def run_checks(model: Model, seed: int = 0, samples: int = 16, tol: float = 1e-9,
                fail_fast: bool = False) -> Report:
     zt = ZeroTester(seed=seed, samples=samples, tol=tol)
-    rt = _Runtime(zt)
     report = Report(meta={
         "model": "inline",
         "seed": seed,
@@ -666,7 +648,7 @@ def run_checks(model: Model, seed: int = 0, samples: int = 16, tol: float = 1e-9
         t0 = time.perf_counter()
         name = f"{idx+1:02d} {d.label()}"
         try:
-            sub = _execute(d, rt)
+            sub = _execute(d, zt).copy()  # the handler's report may be shared
             sub._update_certainty()
             status = sub.status
             cert = sub.certainty.tag if sub.certainty else None
@@ -708,9 +690,19 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _execute(d: Directive, rt: _Runtime) -> CheckReport:
-    v = {k: rt.structure(x) if isinstance(x, Declaration) else x for k, x in d.values.items()}
-    return _VERBS[d.verb][2](v, rt.zt)
+def _execute(d: Directive, zt: ZeroTester) -> CheckReport:
+    v = {k: once(_validated, x, zt) if isinstance(x, Declaration) else x for k, x in d.values.items()}
+    return _VERBS[d.verb][2](v, zt)
+
+
+def _validated(decl: Declaration, zt: ZeroTester):
+    """The structure `decl` declares, validated; run once per declaration."""
+    parts = decl.payload["parts"]
+    if decl.kind == "contact":
+        return validate_contact(*parts, zt)
+    if decl.kind == "lcs":
+        return validate_lcs(*parts, zt)
+    return validate_jacobi(*parts, zt)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .checks import CheckReport
+from .checks import CheckReport, once
 from .geometry import (
     KForm,
     KVector,
@@ -143,6 +143,12 @@ def induced_jacobi_from_contact(c: ContactStructure, zt: ZeroTester = ZeroTester
             if not e.is_zero_expr():
                 j.validity.require_zero(f"Darboux E [{i}]", zt(e))
     return j
+
+
+def _induced_pair(c: ContactStructure) -> JacobiStructure:
+    """The induced Jacobi pair (Lambda, E = R), not validated: the theorems
+    read only Lambda and E."""
+    return JacobiStructure(c.chart, raised(c.d_theta, c.sharp), c.reeb)
 
 
 def contact_hamiltonian_vf(f: Expr, c: ContactStructure) -> VectorField:
@@ -357,7 +363,7 @@ def theorem6_check(
     basis operator and each pairwise product, on H and the potentials), the
     potentials satisfy {H_i,H_j} = H_i R H_j - H_j R H_i."""
     rep = CheckReport("theorem-involution-identity")
-    chain = verify_chain(h, basis, zt)
+    chain = once(verify_chain, h, basis, zt)
     if not chain.passed or any(p is None for p in chain.potentials):
         return rep.reject("chain with explicit potentials required")
     pots = chain.potentials
@@ -376,7 +382,7 @@ def theorem6_check(
             pre.merge(CheckReport(f"theta({nm} X_{fl}) condition", status=sub2.status,
                                   details=sub2.details))
     rep.merge(pre)
-    _require_chain_brackets(rep, pots, induced_jacobi_from_contact(c, zt), zt)
+    _require_chain_brackets(rep, pots, _induced_pair(c), zt)
     rep.data["potentials"] = pots
     return rep
 
@@ -399,7 +405,7 @@ def techain_check(
     rep = CheckReport(f"techain-{kind}")
     chart = c.chart
     pre = CheckReport("preconditions")
-    chain = verify_chain(h, basis, zt)
+    chain = once(verify_chain, h, basis, zt)
     pre.require("chain verified", chain.passed)
     pots = chain.potentials
     if any(p is None for p in pots):
@@ -417,7 +423,7 @@ def techain_check(
             sub.name = f"H{i+1} degree-0"
             pre.merge(sub)
     rep.merge(pre)
-    j = induced_jacobi_from_contact(c, zt)
+    j = _induced_pair(c)
     r = c.reeb
     conc = CheckReport("conclusions")
     if kind == "first":

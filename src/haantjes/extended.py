@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .checks import INTERNAL_INCONSISTENCY, CheckReport
+from .checks import INTERNAL_INCONSISTENCY, CheckReport, once
 from .geometry import (
     KForm,
     Operator11,
@@ -117,6 +117,10 @@ class ExtendedBasis:
     def chart(self) -> Chart:
         return self.operators[0].chart
 
+    def __hash__(self):
+        # a memo key: equal bases have equal operators and names
+        return hash((tuple(self.operators), tuple(self.names)))
+
 
 def check_extended_algebra(basis: ExtendedBasis, zt: ZeroTester = ZeroTester()) -> CheckReport:
     """Each generator extended-Haantjes, module closure, ring closure, and
@@ -204,7 +208,7 @@ def verify_ext_chain(h: Expr, basis: ExtendedBasis, zt: ZeroTester = ZeroTester(
         if not ok:
             rep.notes.append(f"{nm}: chain consistency fails")
         forms.append(KForm.one_form(big, [e.on_chart(big) for e in dhi.covector() + (hi,)]))
-    rank, _ = generic_rank(forms, zt)
+    rank = generic_rank(forms, zt)[0]
     rep.data["rank"] = rank
     rep.data["potentials"] = pots
     if rank < len(basis.operators):
@@ -230,7 +234,7 @@ def thm_main_check(
     rep = CheckReport("dissipation-involution-theorem")
     pre = CheckReport("preconditions")
     for nm, ek in zip(basis.names, basis.operators):
-        sub = check_ejh(ek, j, zt)
+        sub = once(check_ejh, ek, j, zt)
         pre.require(f"{nm} EJH-compatible", sub.passed)
         if not sub.data.get("routes_agree", True):
             pre.reject(f"{INTERNAL_INCONSISTENCY} in EJH routes")
@@ -243,7 +247,7 @@ def thm_main_check(
                    if not zt(e).accepts_zero]
             pre.require(f"[{basis.names[i]},{basis.names[jj]}] = 0", not bad,
                         note=f"noncommuting entries: {bad[:3]}")
-    chain = verify_ext_chain(h, basis, zt)
+    chain = once(verify_ext_chain, h, basis, zt)
     pre.require("extended chain", chain.passed)
     rep.merge(pre)
     if not pre.passed:

@@ -163,6 +163,9 @@ class VectorField:
             and self.components == other.components
         )
 
+    def __hash__(self):
+        return hash((self.chart, self.components))
+
     def __repr__(self):
         names = self.chart.coords
         parts = [f"({c})@d_{names[i]}" for i, c in enumerate(self.components) if not c.is_zero_expr()]
@@ -244,6 +247,9 @@ class _Graded:
             and self.degree == other.degree
             and self.components == other.components
         )
+
+    def __hash__(self):
+        return hash((type(self), self.chart, self.degree, frozenset(self.components.items())))
 
     def map(self, fn: Callable[[Expr], Expr]):
         return type(self)(self.chart, self.degree, {k: fn(v) for k, v in self.components.items()})
@@ -525,6 +531,9 @@ class Operator11:
             and self.chart == other.chart
             and self.matrix == other.matrix
         )
+
+    def __hash__(self):
+        return hash((self.chart, self.matrix))
 
     def __repr__(self):
         rows = "; ".join("[" + ", ".join(str(v) for v in row) + "]" for row in self.matrix)

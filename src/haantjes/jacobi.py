@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional, Sequence
 
-from .checks import CheckReport
+from .checks import CheckReport, once
 from .geometry import (
     KForm,
     KVector,
@@ -136,7 +136,7 @@ def proposition_involutivity_check(
     """On a Jacobi-Haantjes chain: {H_i,H_j} = H_i E H_j - H_j E H_i for all
     potential pairs, and the evolution consequence dH_i/dt = -H E H_i."""
     rep = CheckReport("jh-involutivity")
-    chain = verify_chain(h, basis, zt)
+    chain = once(verify_chain, h, basis, zt)
     if not chain.passed:
         return rep.reject("chain verification failed: " + chain.summary())
     for nm, k in zip(basis.names, basis.operators):

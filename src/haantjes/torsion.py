@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .checks import CheckReport
+from .checks import CheckReport, memo_scope, once
 from .geometry import (
     KForm,
     KVector,
@@ -210,6 +210,10 @@ class HaantjesBasis:
     def chart(self) -> Chart:
         return self.operators[0].chart
 
+    def __hash__(self):
+        # a memo key: equal bases have equal operators and names
+        return hash((tuple(self.operators), tuple(self.names)))
+
 
 def check_haantjes_algebra(basis: HaantjesBasis, zt: ZeroTester = ZeroTester()) -> CheckReport:
     """Generators Haantjes, function-linear module closure, ring closure
@@ -220,38 +224,33 @@ def check_haantjes_algebra(basis: HaantjesBasis, zt: ZeroTester = ZeroTester()) 
                           basis.abelian_required, zt)
 
 
+@memo_scope()
 def _algebra_check(name: str, chart: Chart, ops: Sequence[Operator11], names: Sequence[str],
                    abelian: bool, zt: ZeroTester) -> CheckReport:
     """The algebra loop of `check_haantjes_algebra`.  The operators live on
     chart or on an extension of it; the module coefficients are functions on
-    chart, lifted to the operators' chart."""
+    chart, lifted to the operators' chart.  One torsion per distinct
+    operator, through the memo: K_i K_j and K_j K_i coincide for a commuting
+    pair, and a generator may repeat or be checked by a directive of its own."""
     rep = CheckReport(name)
-    # one torsion per distinct operator: K_i K_j and K_j K_i coincide for a
-    # commuting pair, and a generator may repeat
-    seen: dict = {}
-
-    def torsion_report(k: Operator11) -> CheckReport:
-        if k.matrix not in seen:
-            seen[k.matrix] = is_haantjes(k, zt)
-        return seen[k.matrix]
 
     def member(label: str, sub: CheckReport):
         rep.merge(CheckReport(label, status=sub.status, certainty=sub.certainty, details=sub.details))
 
     for nm, k in zip(names, ops):
-        rep.merge(CheckReport(f"generator {nm}", status=torsion_report(k).status))
+        rep.merge(CheckReport(f"generator {nm}", status=once(is_haantjes, k, zt).status))
     # H_{fK} = f^4 H_K, so f*K shares the torsion of K; and f A + g B =
     # g (h A + B) with h = f/g, so H_{fA+gB} = g^4 H_{hA+B}
     h = fn_symbol(chart, "_modf").on_chart(ops[0].chart)
     for i, (nm, k) in enumerate(zip(names, ops)):
-        member(f"module f*{nm}", torsion_report(k))
+        member(f"module f*{nm}", once(is_haantjes, k, zt))
         for j in range(i + 1, len(ops)):
-            member(f"module f*{nm}+g*{names[j]}", torsion_report(k.scale(h) + ops[j]))
+            member(f"module f*{nm}+g*{names[j]}", once(is_haantjes, k.scale(h) + ops[j], zt))
     ring = {}
     for i, ki in enumerate(ops):
         for j, kj in enumerate(ops):
             ring[i, j] = op_compose(ki, kj)
-            member(f"ring {names[i]}*{names[j]}", torsion_report(ring[i, j]))
+            member(f"ring {names[i]}*{names[j]}", once(is_haantjes, ring[i, j], zt))
     if abelian:
         for i in range(len(ops)):
             for j in range(i + 1, len(ops)):
@@ -307,23 +306,21 @@ def _radial_potential(omega: KForm) -> Optional[Expr]:
 def generic_rank(forms: Sequence[KForm], zt: ZeroTester) -> tuple:
     """Largest k with a provably nonzero k-fold wedge; numeric fallback.
 
-    Returns (rank, note).
+    Returns (rank, note, alpha_1 ^ ... ^ alpha_m); the full wedge is built on
+    the way, and past the rank it is wedged on without zero tests.
     """
-    m = len(forms)
-    if m == 0:
-        return 0, ""
-    w = forms[0]
-    rank = 0
-    note = ""
-    for k in range(m):
-        w = forms[k] if k == 0 else wedge(w, forms[k])
+    rank, note, w = 0, "", None
+    for k, f in enumerate(forms):
+        w = f if k == 0 else wedge(w, f)
+        if rank < k:
+            continue  # the rank stopped short of k
         cert = _first_nonzero(w, zt)
         if cert is None:
-            break
+            continue
         rank = k + 1
         if cert.tag != "proven_nonzero":
             note = "rank certified numerically"
-    return rank, note
+    return rank, note, w
 
 
 def _first_nonzero(w: KForm, zt: ZeroTester) -> Optional[ZeroCertainty]:
@@ -361,12 +358,12 @@ def verify_chain(h: Expr, basis: HaantjesBasis, zt: ZeroTester = ZeroTester()) -
                 if not resid.is_proven_zero:
                     pot = None
         rep.potentials.append(pot)
-    rep.rank, rep.rank_note = generic_rank(rep.forms, zt)
+    rep.rank, rep.rank_note, big = generic_rank(rep.forms, zt)
     if rep.rank < len(basis.operators):
         rep.rank_note = (rep.rank_note + "; " if rep.rank_note else "") + "chain forms not independent"
         rep.status = "fail" if rep.status == "pass" else rep.status
     if rep.status == "pass":
-        rep.frobenius = frobenius_codistribution(rep.forms, zt)
+        rep.frobenius = _frobenius(rep.forms, rep.rank, big, zt)
         if not rep.frobenius.passed:
             rep.status = rep.frobenius.status
     return rep
@@ -374,13 +371,13 @@ def verify_chain(h: Expr, basis: HaantjesBasis, zt: ZeroTester = ZeroTester()) -
 
 def frobenius_codistribution(forms: Sequence[KForm], zt: ZeroTester = ZeroTester()) -> CheckReport:
     """d alpha_i ^ alpha_1 ^ ... ^ alpha_m = 0 for each i."""
+    rank, _, big = generic_rank(forms, zt)
+    return _frobenius(forms, rank, big, zt)
+
+
+def _frobenius(forms: Sequence[KForm], rank: int, big: Optional[KForm], zt: ZeroTester) -> CheckReport:
+    """`frobenius_codistribution` given the rank and the full wedge `big`."""
     rep = CheckReport("frobenius-codistribution")
-    if not forms:
-        return rep
-    big = forms[0]
-    for f in forms[1:]:
-        big = wedge(big, f)
-    rank, _ = generic_rank(list(forms), zt)
     if rank < len(forms):
         rep.notes.append(f"rank-deficient codistribution (rank {rank})")
     for i, a in enumerate(forms):
@@ -420,16 +417,12 @@ def invariance_check(k: Operator11, forms: Sequence[KForm], zt: ZeroTester = Zer
     rep = CheckReport("invariance")
     if not forms:
         return rep
-    rank, _ = generic_rank(list(forms), zt)
+    rank, _, big = generic_rank(forms, zt)
     if rank < len(forms):
         rep.notes.append(f"input forms dependent (rank {rank}); membership test unreliable")
         rep.status = "unknown"
-    big = forms[0]
-    for f in forms[1:]:
-        big = wedge(big, f)
     for i, a in enumerate(forms):
         w = wedge(big, op_transpose_apply(k, a))
         for idx, e in w.items():
             rep.require_zero(f"K^T a{i+1} in span [{idx}]", zt(e))
     return rep
-

@@ -1,12 +1,15 @@
+import itertools
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from haantjes import cli, extended, torsion
+from haantjes import cli, contact, extended, jacobi, lcs, torsion
+from haantjes.checks import memo_scope, once
 from haantjes.cli import Model, format_model, main, parse_model, run_checks
 from haantjes.symexpr import BudgetError, ChartMismatch, ParseError
 
@@ -232,6 +235,111 @@ class TestReportType:
         monkeypatch.setitem(cli._VERBS, "dissipated", (args, clauses, broken))
         with pytest.raises(TypeError, match="handler bug"):
             run_checks(parse_model(MINI), seed=1)
+
+
+def _entries(model):
+    """A run's entries without their names, which number the directives."""
+    return [{k: v for k, v in e.items() if k != "name"} for e in run_checks(model, seed=42).entries]
+
+
+def _scope_open() -> bool:
+    calls = []
+    once(calls.append, 1)
+    once(calls.append, 1)
+    return len(calls) == 1
+
+
+def _count_calls(monkeypatch, name):
+    """The argument tuples of every call of the library function `name`,
+    through every module that binds it (one wrapper, so memo keys match)."""
+    layers = (cli, torsion, extended, jacobi, contact, lcs)
+    real = next(getattr(m, name) for m in layers if hasattr(m, name))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for m in layers:
+        if getattr(m, name, None) is real:
+            monkeypatch.setattr(m, name, counted)
+    return calls
+
+
+class TestRunMemo:
+    """A run decides each sub-check once: theorems reuse the verdicts of the
+    preconditions the run has already checked."""
+
+    @pytest.mark.parametrize("path", sorted(MODELS.glob("*.hj")), ids=lambda p: p.stem)
+    def test_entries_do_not_depend_on_the_other_directives(self, path):
+        model = parse_model(path.read_text())
+        whole = _entries(model)
+        assert [_entries(replace(model, directives=[d]))[0] for d in model.directives] == whole
+        # the checks reversed within each chart section
+        sections = itertools.groupby(range(len(whole)), key=lambda i: model.directives[i].chart_name)
+        order = [i for _, section in sections for i in reversed(list(section))]
+        reordered = _entries(replace(model, directives=[model.directives[i] for i in order]))
+        assert [reordered[order.index(i)] for i in range(len(whole))] == whole
+
+    @pytest.mark.parametrize("stem, counts", [
+        ("appendix_families", {"haantjes_torsion": 14}),
+        ("example_p_minus_z", {"check_ejh": 2, "verify_ext_chain": 1, "generic_rank": 2}),
+        ("lcs_example", {"check_lcsh": 4, "eta_KE_check": 3, "validate_jacobi": 0,
+                         "generic_rank": 3}),
+    ])
+    def test_each_sub_check_runs_once(self, monkeypatch, stem, counts):
+        # at the parent of the memo: 18 torsions; 4 check_ejh, 2
+        # verify_ext_chain and 4 generic_rank; 6 check_lcsh, 5 eta_KE_check,
+        # 3 validate_jacobi and 6 generic_rank
+        calls = {name: _count_calls(monkeypatch, name) for name in counts}
+        run_checks(parse_model((MODELS / f"{stem}.hj").read_text()), seed=42)
+        assert {name: len(c) for name, c in calls.items()} == counts
+
+    def test_no_scope_outlives_a_run(self, monkeypatch):
+        assert not _scope_open()
+        run_checks(parse_model(MINI), seed=1)
+        assert not _scope_open()
+
+        def broken(v, zt):
+            assert _scope_open()
+            raise TypeError("handler bug")
+
+        args, clauses, _ = cli._VERBS["dissipated"]
+        monkeypatch.setitem(cli._VERBS, "dissipated", (args, clauses, broken))
+        with pytest.raises(TypeError, match="handler bug"):
+            run_checks(parse_model(MINI), seed=1)
+        assert not _scope_open()
+        with memo_scope():
+            assert _scope_open()
+        assert not _scope_open()
+
+    def test_keys_by_value_or_by_identity(self, contact1):
+        calls = []
+
+        def f(*args):
+            calls.append(args)
+            return len(calls)
+
+        p = contact1.coord(1)
+        a, b = [p], [p]
+        with memo_scope():
+            assert once(f, p + 1, a) == once(f, p + 1, a) == 1   # equal Expr, same list
+            assert once(f, p + 1, b) == 2                          # an equal list is another key
+            assert once(f, p + 2, a) == 3
+        assert once(f, p + 1, a) == 4                              # no scope: a plain call
+
+    def test_ext_chain_potentials_do_not_reach_thm_main(self):
+        # ext_chain adds its potentials to a copy of the chain report that
+        # thm_main reads as a precondition
+        text = (MODELS / "example_p_minus_z.hj").read_text()
+        old = "check ext_chain H with EK1 EK2 potentials (p - z, p)"
+        assert old in text
+        text = text.replace(old, "check ext_chain H with EK1 EK2 potentials (p, p) expect fail")
+        entries = run_checks(parse_model(text), seed=42).entries
+        ext_chain, thm_main = entries[10:12]
+        assert ext_chain["name"].startswith("11 ext_chain ") and ext_chain["status"] == "pass"
+        assert thm_main["name"].startswith("12 thm_main ")
+        assert (thm_main["status"], thm_main["certainty"]) == ("pass", "proven_zero")
 
 
 class TestFormatter:

@@ -1,9 +1,9 @@
 """Source hygiene: library modules compile without a warning, import nothing
 they do not use, assign no local they never read, define no function, method
 or class that nothing names, and every check directive is documented; the
-kernel, the tensor module and the torsion and compatibility builders keep no
-process-wide tables, and the library imports no numpy, at module or function
-level."""
+kernel, the tensor module, the check reports and the torsion and
+compatibility builders keep no process-wide tables, and the library imports
+no numpy, at module or function level."""
 
 import ast
 import importlib
@@ -81,10 +81,12 @@ def test_symexpr_keeps_no_process_wide_tables():
     assert _process_wide_tables("symexpr") == ({"__all__", "_CERTAINTY_ORDER"}, [])
 
 
-@pytest.mark.parametrize("module", ["geometry", "torsion", "extended", "jacobi", "contact", "lcs"])
+@pytest.mark.parametrize("module", ["checks", "geometry", "torsion", "extended", "jacobi", "contact",
+                                    "lcs"])
 def test_builders_keep_no_process_wide_tables(module):
-    # an algebra check shares torsions within one call; a table kept across
-    # calls would be a process-wide cache, with the same faults
+    # a run shares sub-check verdicts through the memo of `checks.once`,
+    # which lives in a context variable only while a scope is open; a table
+    # kept across runs would be a process-wide cache, with the same faults
     assert _process_wide_tables(module) == ({"__all__"}, [])
 
 
