@@ -42,7 +42,6 @@ from .geometry import (
 )
 from .checks import CheckReport
 from .torsion import (
-    ChainReport,
     HaantjesBasis,
     check_haantjes_algebra,
     frobenius_codistribution,

@@ -75,20 +75,15 @@ class CheckReport:
         self._update_certainty()
         return self
 
-    def require(self, label: str, ok: bool, note: str = "") -> "CheckReport":
-        self.details.append((label, "ok" if ok else "violated"))
-        if not ok:
-            self.status = "fail"
-            if note:
-                self.notes.append(note)
-        return self
-
     def reject(self, reason: str) -> "CheckReport":
         self.status = "fail"
         self.notes.append(reason)
         return self
 
     def merge(self, sub: "CheckReport") -> "CheckReport":
+        """Record a sub-report with its status, certainty, evidence, witness
+        and notes.  A theorem takes each premise this way, as
+        ``merge(replace(sub, name=label))``."""
         self.details.append((sub.name, sub.status))
         if sub.status == "fail":
             self.status = "fail"

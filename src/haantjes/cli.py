@@ -53,7 +53,7 @@ from .extended import (
     thm_main_check,
     verify_ext_chain,
 )
-from .geometry import KForm, KVector, Operator11, VectorField, d_scalar, op_commutator, wedge, wedge_v
+from .geometry import KForm, KVector, Operator11, VectorField, d_scalar, wedge, wedge_v
 from .jacobi import check_jh_compatibility, jacobi_bracket, poissonize, validate_jacobi
 from .lcs import check_lcsh, eta_KE_check, theorem9_check, validate_lcs
 from .symexpr import (
@@ -71,6 +71,7 @@ from .symexpr import (
 from .torsion import (
     HaantjesBasis,
     check_haantjes_algebra,
+    commute_check,
     is_haantjes,
     verify_chain,
 )
@@ -470,15 +471,6 @@ def _first_or_second(toks, chart, names, line) -> str:
 # -- handlers: (values, zt) -> CheckReport, structures already validated
 
 
-def _commute(v: dict, zt: ZeroTester) -> CheckReport:
-    rep = CheckReport("commute")
-    for i, row in enumerate(op_commutator(*v["args"]).matrix):
-        for j, e in enumerate(row):
-            if not e.is_zero_expr():
-                rep.require_zero(f"[{i}][{j}]", zt(e))
-    return rep
-
-
 def _equals(label: str, got: VectorField, v: dict, zt: ZeroTester) -> CheckReport:
     """Require got to equal the optional `equals` vector, component-wise."""
     rep = CheckReport(label)
@@ -495,27 +487,11 @@ def _bracket(v: dict, zt: ZeroTester) -> CheckReport:
     return rep
 
 
-def _chain(v: dict, zt: ZeroTester) -> CheckReport:
-    chain = once(verify_chain, v["args"], v["with"], zt)
-    rep = CheckReport("chain")
-    rep.status = chain.status
-    for nm, cert in chain.closedness:
-        rep.details.append((f"closed {nm}", cert))
-    _require_potentials(rep, chain.potentials, v, zt)
-    if chain.frobenius is not None:
-        rep.merge(chain.frobenius)
-    rep._update_certainty()
-    return rep
-
-
-def _ext_chain(v: dict, zt: ZeroTester) -> CheckReport:
-    # the chain report is thm_main's precondition too: extend a copy
-    rep = once(verify_ext_chain, v["args"], v["with"], zt).copy()
-    return _require_potentials(rep, rep.data["potentials"], v, zt)
-
-
-def _require_potentials(rep: CheckReport, pots: list, v: dict, zt: ZeroTester) -> CheckReport:
-    for i, (got, want) in enumerate(zip(pots, v.get("potentials", ()))):
+def _with_potentials(chain: CheckReport, v: dict, zt: ZeroTester) -> CheckReport:
+    """A chain report with the expected potentials required.  The chain
+    report is a theorem's precondition too, so a copy is extended."""
+    rep = chain.copy()
+    for i, (got, want) in enumerate(zip(rep.data["potentials"], v.get("potentials", ()))):
         if got is None:
             rep.reject(f"potential {i+1} unavailable")
         else:
@@ -545,7 +521,7 @@ _VERBS = {
     "haantjes": (_OPERATOR, {}, lambda v, zt: once(is_haantjes, v["args"], zt)),
     "algebra": (_OPERATORS, {"abelian": (_flag, False)}, lambda v, zt: check_haantjes_algebra(
         replace(v["args"], abelian_required="abelian" in v), zt)),
-    "commute": (_named("operator", 2), {}, _commute),
+    "commute": (_named("operator", 2), {}, lambda v, zt: commute_check(*v["args"], zt)),
     "jacobi": (_JACOBI, {}, lambda v, zt: v["args"].validity),
     "contact": (_CONTACT, {}, lambda v, zt: v["args"].validity),
     "lcs": (_LCS, {}, lambda v, zt: v["args"].validity),
@@ -556,9 +532,11 @@ _VERBS = {
     "dissipated": (_scalar, {"wrt": (_scalar, True), "on": (_CONTACT, True)},
                    lambda v, zt: is_dissipated(v["args"], v["wrt"], v["on"], zt)),
     "bracket": (_two_scalars, {"on": (_JACOBI, True), "equals": (_scalar, False)}, _bracket),
-    "chain": (_scalar, {"with": (_OPERATORS, True), "potentials": (_tuple, False)}, _chain),
+    "chain": (_scalar, {"with": (_OPERATORS, True), "potentials": (_tuple, False)},
+              lambda v, zt: _with_potentials(once(verify_chain, v["args"], v["with"], zt), v, zt)),
     "ejh": (_EXTOP, {"on": (_JACOBI, True)}, lambda v, zt: once(check_ejh, v["args"], v["on"], zt)),
-    "ext_chain": (_scalar, {"with": (_EXTOPS, True), "potentials": (_tuple, False)}, _ext_chain),
+    "ext_chain": (_scalar, {"with": (_EXTOPS, True), "potentials": (_tuple, False)},
+                  lambda v, zt: _with_potentials(once(verify_ext_chain, v["args"], v["with"], zt), v, zt)),
     "thm_main": (_scalar, {"with": (_EXTOPS, True), "on": (_JACOBI, True)},
                  lambda v, zt: thm_main_check(v["args"], v["with"], v["on"], zt)),
     "lcsh": (_OPERATOR, {"on": (_LCS, True)}, lambda v, zt: once(check_lcsh, v["args"], v["on"], zt)),

@@ -14,7 +14,7 @@ the Jacobi layer, as in `lcs`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
@@ -168,18 +168,19 @@ def is_dissipated(f: Expr, h: Expr, c: ContactStructure, zt: ZeroTester = ZeroTe
     return rep
 
 
-def _dtheta_residuals(k: Operator11, c: ContactStructure, n: int):
-    """dtheta(K d_a, d_b) - dtheta(d_a, K d_b) for a <= b < n."""
-    return compat_residuals(c.chart, k.matrix, c.d_theta.full_matrix(),
-                            combinations_with_replacement(range(n), 2))
+def _dtheta_symmetry(rep: CheckReport, k: Operator11, c: ContactStructure, n: int,
+                     zt: ZeroTester) -> CheckReport:
+    """Require dtheta(K d_a, d_b) - dtheta(d_a, K d_b) = 0 for a <= b < n."""
+    pairs = combinations_with_replacement(range(n), 2)
+    for (a, b), resid in compat_residuals(c.chart, k.matrix, c.d_theta.full_matrix(), pairs):
+        rep.require_zero(f"dtheta-symmetry [{a},{b}]", zt(resid))
+    return rep
 
 
 def check_contact_haantjes(k: Operator11, c: ContactStructure, zt: ZeroTester = ZeroTester()) -> CheckReport:
     """(a) dtheta(KX, Y) = dtheta(X, KY); (b) theta(KX)theta(Y) =
     theta(X)theta(KY), decided as K^T theta ^ theta = 0."""
-    rep = CheckReport("contact-haantjes")
-    for (a, b), resid in _dtheta_residuals(k, c, c.chart.dim):
-        rep.require_zero(f"dtheta-symmetry [{a},{b}]", zt(resid))
+    rep = _dtheta_symmetry(CheckReport("contact-haantjes"), k, c, c.chart.dim, zt)
     ktheta = op_transpose_apply(k, c.theta)
     for idx, e in wedge(ktheta, c.theta).items():
         rep.require_zero(f"K^T theta ^ theta [{idx}]", zt(e))
@@ -248,8 +249,7 @@ def _structural_special(k: Operator11, c: ContactStructure, zt: ZeroTester) -> C
     km = k.matrix
     for i in range(2 * n):
         rep.require_zero(f"K[{i}][z]", zt(km[i][zi]))
-    for (a, b), resid in _dtheta_residuals(k, c, 2 * n):
-        rep.require_zero(f"dtheta-symmetry [{a},{b}]", zt(resid))
+    _dtheta_symmetry(rep, k, c, 2 * n, zt)
     # z-row coupling: K[z][j] = sum_i p_i K[q_i][j] for x-columns j
     momenta = [chart.coord(i) for i in chart.p_indices]
     for j in range(2 * n):
@@ -363,11 +363,12 @@ def theorem6_check(
     basis operator and each pairwise product, on H and the potentials), the
     potentials satisfy {H_i,H_j} = H_i R H_j - H_j R H_i."""
     rep = CheckReport("theorem-involution-identity")
-    chain = once(verify_chain, h, basis, zt)
-    if not chain.passed or any(p is None for p in chain.potentials):
-        return rep.reject("chain with explicit potentials required")
-    pots = chain.potentials
     pre = CheckReport("preconditions")
+    chain = once(verify_chain, h, basis, zt)
+    pre.merge(replace(chain, name="chain verified"))
+    pots = chain.data["potentials"]
+    if not chain.passed or any(p is None for p in pots):
+        return rep.merge(pre).reject("chain with explicit potentials required")
     ops = list(basis.operators)
     names = list(basis.names)
     for i, ki in enumerate(list(ops)):
@@ -375,12 +376,9 @@ def theorem6_check(
             ops.append(op_compose(kj, ki))
             names.append(f"{basis.names[jj]}{basis.names[i]}")
     for nm, k in zip(names, ops):
-        pre.require(f"{nm} dtheta-symmetric", not any(
-            zt(e).rejects_zero for _, e in _dtheta_residuals(k, c, c.chart.dim)))
+        pre.merge(_dtheta_symmetry(CheckReport(f"{nm} dtheta-symmetric"), k, c, c.chart.dim, zt))
         for fl, f in [("H", h)] + [(f"H{i+1}", p) for i, p in enumerate(pots)]:
-            sub2 = theta_Kf_condition(k, f, c, zt)
-            pre.merge(CheckReport(f"theta({nm} X_{fl}) condition", status=sub2.status,
-                                  details=sub2.details))
+            pre.merge(replace(theta_Kf_condition(k, f, c, zt), name=f"theta({nm} X_{fl}) condition"))
     rep.merge(pre)
     _require_chain_brackets(rep, pots, _induced_pair(c), zt)
     rep.data["potentials"] = pots
@@ -406,22 +404,18 @@ def techain_check(
     chart = c.chart
     pre = CheckReport("preconditions")
     chain = once(verify_chain, h, basis, zt)
-    pre.require("chain verified", chain.passed)
-    pots = chain.potentials
+    pre.merge(replace(chain, name="chain verified"))
+    pots = chain.data["potentials"]
     if any(p is None for p in pots):
-        rep.reject("potentials unavailable; identities cannot be stated")
-        rep.merge(pre)
-        return rep
+        return rep.merge(pre).reject("potentials unavailable; identities cannot be stated")
     for nm, k in zip(basis.names, basis.operators):
-        got, _ev = classify_special_kind(k, c, zt)
-        pre.require(f"{nm} classified {kind}", got == kind,
-                    note=f"{nm} classified as {got}")
+        got, evidence = classify_special_kind(k, c, zt)
+        pre.merge(replace(evidence, name=f"{nm} classified {kind}"))
+        if got != kind:
+            pre.reject(f"{nm} classified as {got}")
     if kind == "second":
-        pre.merge(is_homogeneous_deg0_momenta(h, chart, zt))
-        for i, p in enumerate(pots):
-            sub = is_homogeneous_deg0_momenta(p, chart, zt)
-            sub.name = f"H{i+1} degree-0"
-            pre.merge(sub)
+        for fl, f in [("H", h)] + [(f"H{i+1}", p) for i, p in enumerate(pots)]:
+            pre.merge(replace(is_homogeneous_deg0_momenta(f, chart, zt), name=f"{fl} degree-0"))
     rep.merge(pre)
     j = _induced_pair(c)
     r = c.reeb

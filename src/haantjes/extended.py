@@ -22,8 +22,8 @@ which shares no code with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from dataclasses import dataclass, replace
+from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
 
 from .checks import INTERNAL_INCONSISTENCY, CheckReport, once
@@ -36,13 +36,12 @@ from .geometry import (
     det,
     dot,
     op_apply,
-    op_commutator,
     op_compose,
     op_transpose_apply,
 )
 from .jacobi import JacobiStructure, jacobi_bracket, lambda_hat
 from .symexpr import Chart, Expr, ZeroTester
-from .torsion import _algebra_check, generic_rank
+from .torsion import _algebra_check, commute_check, generic_rank
 
 __all__ = [
     "ExtendedBasis",
@@ -233,26 +232,20 @@ def thm_main_check(
     """
     rep = CheckReport("dissipation-involution-theorem")
     pre = CheckReport("preconditions")
-    for nm, ek in zip(basis.names, basis.operators):
+    names, ops = basis.names, basis.operators
+    for nm, ek in zip(names, ops):
         sub = once(check_ejh, ek, j, zt)
-        pre.require(f"{nm} EJH-compatible", sub.passed)
+        pre.merge(replace(sub, name=f"{nm} EJH-compatible"))
         if not sub.data.get("routes_agree", True):
             pre.reject(f"{INTERNAL_INCONSISTENCY} in EJH routes")
-    ops = basis.operators
     lifts = [ek.lifted for ek in ops]
-    for i in range(len(ops)):
-        for jj in range(i + 1, len(ops)):
-            comm = op_commutator(lifts[i], lifts[jj]).matrix
-            bad = [f"[{a}][{b}]" for a, row in enumerate(comm) for b, e in enumerate(row)
-                   if not zt(e).accepts_zero]
-            pre.require(f"[{basis.names[i]},{basis.names[jj]}] = 0", not bad,
-                        note=f"noncommuting entries: {bad[:3]}")
+    for i, jj in combinations(range(len(ops)), 2):
+        pre.merge(replace(commute_check(lifts[i], lifts[jj], zt), name=f"[{names[i]},{names[jj]}] = 0"))
     chain = once(verify_ext_chain, h, basis, zt)
-    pre.require("extended chain", chain.passed)
+    pre.merge(replace(chain, name="extended chain"))
     rep.merge(pre)
-    if not pre.passed:
-        rep.reject("preconditions not met")
-        return rep
+    if pre.status == "fail":
+        return rep.reject("preconditions not met")
     pots = chain.data["potentials"]
     conc = CheckReport("conclusions")
     for i, hi in enumerate(pots):

@@ -11,7 +11,7 @@ map is back-checked by flat(E) = eta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from typing import Optional
 
@@ -154,14 +154,12 @@ def theorem9_check(
     rep = CheckReport("lcsh-theorem")
     pre = CheckReport("preconditions")
     chain = once(verify_chain, h, basis, zt)
-    pre.require("chain verified", chain.passed)
+    pre.merge(replace(chain, name="chain verified"))
     for nm, k in zip(basis.names, basis.operators):
-        sub = once(check_lcsh, k, l, zt)
-        pre.merge(CheckReport(f"{nm} lcsh-compatible", status=sub.status, details=sub.details))
-        sub2 = once(eta_KE_check, k, l, zt)
-        pre.merge(CheckReport(f"{nm} eta(KE)=0", status=sub2.status, details=sub2.details))
+        pre.merge(replace(once(check_lcsh, k, l, zt), name=f"{nm} lcsh-compatible"))
+        pre.merge(replace(once(eta_KE_check, k, l, zt), name=f"{nm} eta(KE)=0"))
     rep.merge(pre)
-    pots = chain.potentials
+    pots = chain.data["potentials"]
     if not chain.passed or any(p is None for p in pots):
         rep.reject("chain with explicit potentials required")
         return rep

@@ -610,7 +610,13 @@ class Expr:
         )
 
     def __hash__(self):
-        return hash((self.chart.name, self.terms))
+        # a constant hashes as its value, since it equals that int or Fraction
+        t = self.terms
+        if not t:
+            return 0
+        if len(t) == 1 and not t[0][0]:
+            return hash(t[0][1])
+        return hash((self.chart.name, t))
 
     # -- arithmetic
 

@@ -25,7 +25,7 @@ coefficient h = f/g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .checks import CheckReport, memo_scope, once
@@ -39,6 +39,7 @@ from .geometry import (
     exterior_derivative,
     lie_bracket,
     op_apply,
+    op_commutator,
     op_compose,
     op_transpose_apply,
     wedge,
@@ -57,10 +58,10 @@ from .symexpr import (
 )
 
 __all__ = [
-    "ChainReport",
     "HaantjesBasis",
     "VectorValued2Form",
     "check_haantjes_algebra",
+    "commute_check",
     "frobenius_codistribution",
     "frobenius_distribution",
     "haantjes_eval",
@@ -235,10 +236,10 @@ def _algebra_check(name: str, chart: Chart, ops: Sequence[Operator11], names: Se
     rep = CheckReport(name)
 
     def member(label: str, sub: CheckReport):
-        rep.merge(CheckReport(label, status=sub.status, certainty=sub.certainty, details=sub.details))
+        rep.merge(replace(sub, name=label))
 
     for nm, k in zip(names, ops):
-        rep.merge(CheckReport(f"generator {nm}", status=once(is_haantjes, k, zt).status))
+        member(f"generator {nm}", once(is_haantjes, k, zt))
     # H_{fK} = f^4 H_K, so f*K shares the torsion of K; and f A + g B =
     # g (h A + B) with h = f/g, so H_{fA+gB} = g^4 H_{hA+B}
     h = fn_symbol(chart, "_modf").on_chart(ops[0].chart)
@@ -254,37 +255,27 @@ def _algebra_check(name: str, chart: Chart, ops: Sequence[Operator11], names: Se
     if abelian:
         for i in range(len(ops)):
             for j in range(i + 1, len(ops)):
-                comm = ring[i, j] - ring[j, i]
-                for a, row in enumerate(comm.matrix):
-                    for b, e in enumerate(row):
-                        if not e.is_zero_expr():
-                            rep.require_zero(f"[{names[i]},{names[j]}][{a}][{b}]", zt(e))
+                _require_zero_entries(rep, f"[{names[i]},{names[j]}]", ring[i, j] - ring[j, i], zt)
     rep._update_certainty()
+    return rep
+
+
+def commute_check(a: Operator11, b: Operator11, zt: ZeroTester = ZeroTester()) -> CheckReport:
+    """[A, B] = AB - BA vanishes entry by entry."""
+    return _require_zero_entries(CheckReport("commute"), "", op_commutator(a, b), zt)
+
+
+def _require_zero_entries(rep: CheckReport, prefix: str, m: Operator11, zt: ZeroTester) -> CheckReport:
+    """Require each entry of m that is not structurally zero to vanish."""
+    for a, row in enumerate(m.matrix):
+        for b, e in enumerate(row):
+            if not e.is_zero_expr():
+                rep.require_zero(f"{prefix}[{a}][{b}]", zt(e))
     return rep
 
 
 # ---------------------------------------------------------------------------
 # Chains
-
-
-@dataclass
-class ChainReport:
-    generator: Expr
-    closedness: list = field(default_factory=list)      # (op name, ZeroCertainty-ish status)
-    potentials: list = field(default_factory=list)      # Optional[Expr] per operator
-    forms: list = field(default_factory=list)           # the 1-forms K_i^T dH
-    rank: Optional[int] = None
-    rank_note: str = ""
-    frobenius: Optional[CheckReport] = None
-    status: str = "pass"
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-    def summary(self) -> str:
-        pots = [str(p) if p is not None else "-" for p in self.potentials]
-        return f"chain: {self.status}, rank {self.rank}, potentials {pots}"
 
 
 def _radial_potential(omega: KForm) -> Optional[Expr]:
@@ -334,38 +325,34 @@ def _first_nonzero(w: KForm, zt: ZeroTester) -> Optional[ZeroCertainty]:
     return best
 
 
-def verify_chain(h: Expr, basis: HaantjesBasis, zt: ZeroTester = ZeroTester()) -> ChainReport:
+def verify_chain(h: Expr, basis: HaantjesBasis, zt: ZeroTester = ZeroTester()) -> CheckReport:
     """Check d(K_i^T dH) = 0 per operator, recover potentials where the
     forms are polynomial, and test independence plus Frobenius integrability
-    of the chain codistribution."""
+    of the chain codistribution.  ``data`` holds the potentials (None where
+    none was recovered), the forms K_i^T dH and their rank."""
     dh = d_scalar(h)
-    rep = ChainReport(generator=h)
+    rep = CheckReport("chain")
+    forms, pots = [], []
     for nm, k in zip(basis.names, basis.operators):
         omega = op_transpose_apply(k, dh)
-        rep.forms.append(omega)
+        forms.append(omega)
         closed = weakest(zt(e) for _, e in exterior_derivative(omega).items())
-        rep.closedness.append((nm, closed))
-        if not closed.accepts_zero:
-            rep.status = "fail"
-            rep.potentials.append(None)
-            continue
+        rep.require_zero(f"closed {nm}", closed)
         # potentials only when closedness is proven and d(pot) = omega exactly
-        pot = None
-        if closed.is_proven_zero:
-            pot = _radial_potential(omega)
-            if pot is not None:
-                resid = weakest(zt(e) for _, e in (d_scalar(pot) - omega).items())
-                if not resid.is_proven_zero:
-                    pot = None
-        rep.potentials.append(pot)
-    rep.rank, rep.rank_note, big = generic_rank(rep.forms, zt)
-    if rep.rank < len(basis.operators):
-        rep.rank_note = (rep.rank_note + "; " if rep.rank_note else "") + "chain forms not independent"
-        rep.status = "fail" if rep.status == "pass" else rep.status
-    if rep.status == "pass":
-        rep.frobenius = _frobenius(rep.forms, rep.rank, big, zt)
-        if not rep.frobenius.passed:
-            rep.status = rep.frobenius.status
+        pot = _radial_potential(omega) if closed.is_proven_zero else None
+        if pot is not None and not weakest(zt(e) for _, e in (d_scalar(pot) - omega).items()).is_proven_zero:
+            pot = None
+        pots.append(pot)
+    rank, note, big = generic_rank(forms, zt)
+    rep.data.update(potentials=pots, forms=forms, rank=rank)
+    if note:
+        rep.notes.append(note)
+    if rank < len(forms):
+        rep.notes.append(f"chain forms not independent: rank {rank} < {len(forms)}")
+        if rep.status == "pass":
+            rep.status = "fail"
+    if rep.passed:
+        rep.merge(_frobenius(forms, rank, big, zt))
     return rep
 
 

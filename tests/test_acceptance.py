@@ -281,7 +281,7 @@ def test_criterion_08_frobenius_link():
     for h, basis in chains:
         rep = verify_chain(h, basis, ZT)
         ok = ok and rep.passed
-        ok = ok and frobenius_codistribution(rep.forms, ZT).passed
+        ok = ok and frobenius_codistribution(rep.data["forms"], ZT).passed
     # and the contact kernel distribution genuinely fails integrability
     p = con.coord("p")
     ker = [VectorField.basis(con, 1), VectorField(con, [con.one(), con.zero(), p])]

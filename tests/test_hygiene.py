@@ -2,8 +2,9 @@
 they do not use, assign no local they never read, define no function, method
 or class that nothing names, and every check directive is documented; the
 kernel, the tensor module, the check reports and the torsion and
-compatibility builders keep no process-wide tables, and the library imports
-no numpy, at module or function level."""
+compatibility builders keep no process-wide tables, the library imports
+no numpy, at module or function level, and builds no report from another
+report's parts."""
 
 import ast
 import importlib
@@ -103,6 +104,22 @@ def test_library_imports_no_numpy():
             else:
                 continue
             found += [f"{path.name}:{node.lineno}" for m in mods if m.split(".")[0] == "numpy"]
+    assert not found, found
+
+
+def test_sub_reports_enter_only_through_merge():
+    # a report rebuilt from another's status, details or certainty keeps
+    # only what it copies; a sub-report enters a report through
+    # CheckReport.merge, which carries its status, certainty, evidence,
+    # witness and notes
+    found = []
+    for path in sorted(SRC.glob("**/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "CheckReport"
+                    and (len(node.args) > 1
+                         or {k.arg for k in node.keywords} & {"status", "details", "certainty"})):
+                found.append(f"{path.name}:{node.lineno}")
     assert not found, found
 
 

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 import haantjes.symexpr as sx
+from haantjes.checks import CheckReport
 from haantjes.geometry import (
     KForm,
     KVector,
@@ -29,7 +30,7 @@ from haantjes.jacobi import (
 from haantjes.symexpr import ZeroTester, fn_symbol, is_zero
 from haantjes.torsion import HaantjesBasis
 
-from conftest import rand_poly
+from conftest import rand_operator, rand_poly
 
 
 @pytest.fixture
@@ -171,6 +172,24 @@ class TestCompatibility:
         l, m = fn_symbol(chart, "lam"), fn_symbol(chart, "mu")
         assert check_jh_compatibility(Operator11.diagonal(chart, [l, m, l, m]), j, zt=zt).passed
         assert not check_jh_compatibility(Operator11.diagonal(chart, [l, l, m, m]), j, zt=zt).passed
+
+    def test_upper_triangle_decides_like_the_full_square(self, contact_jacobi, zt, rng):
+        # K L - L K^T is symmetric, so a failing report lists each
+        # off-diagonal residual once, with the full square's verdict
+        chart = contact_jacobi.chart
+        k2 = Operator11.diagonal(chart, [chart.one(), chart.one(), chart.zero()])
+        rep = check_jh_compatibility(k2, contact_jacobi, zt=zt)
+        assert [lab for lab, _ in rep.details] == ["(KL - LK^T)[1][2]"]
+        for k in [k2] + [rand_operator(chart, rng) for _ in range(4)]:
+            rep = check_jh_compatibility(k, contact_jacobi, zt=zt)
+            square = dict(compat_residuals(chart, list(zip(*k.matrix)), contact_jacobi.full_matrix(),
+                                           product(range(chart.dim), repeat=2)))
+            full = CheckReport("square")
+            for (i, jj), e in square.items():
+                full.require_zero(f"[{i}][{jj}]", zt(e))
+            assert rep.status == full.status
+            labels = [lab for lab, _ in rep.details]
+            assert len(labels) == len(set(labels)) == len({tuple(sorted(ij)) for ij in square})
 
     def test_omega_variant(self, zt):
         chart = sx.darboux_symplectic(2)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import haantjes.symexpr as sx
+from haantjes.checks import memo_scope, once
 from haantjes.geometry import Operator11, VectorField
 from haantjes.symexpr import (
     Chart,
@@ -89,6 +90,25 @@ class TestCanonicalisation:
     def test_zero_inverse_raises(self, chart):
         with pytest.raises(ZeroDivisionError):
             chart.zero() ** -1
+
+    def test_constant_hashes_as_its_value(self, chart):
+        # a constant equals its int or Fraction, so it must hash as one too
+        half = chart.const(Fraction(1, 2))
+        for expr, value in ((chart.zero(), 0), (chart.one(), 1), (half, Fraction(1, 2))):
+            assert expr == value and hash(expr) == hash(value)
+            assert value in {expr} and expr in {value}
+            assert {value: "number"}[expr] == "number" and {expr: "expr"}[value] == "expr"
+        assert len({0, chart.zero(), Fraction(0), chart.one(), 1}) == 2
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return len(calls)
+
+        with memo_scope():
+            assert once(f, 0) == once(f, chart.zero()) == 1
+            assert once(f, Fraction(1, 2)) == once(f, half) == 2
+            assert once(f, chart.coord("q")) == 3
 
 
 class TestDiff:
