@@ -20,7 +20,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .symexpr import ZeroCertainty, weakest
+from .symexpr import PROVEN_ZERO, ZeroCertainty, weakest
 
 __all__ = ["CheckReport", "memo_scope", "once"]
 
@@ -33,15 +33,14 @@ INTERNAL_INCONSISTENCY = "internal-inconsistency"
 class CheckReport:
     """Outcome of one verification.
 
-    ``status`` is ``pass`` / ``fail`` / ``unknown``; ``certainty`` the weakest
-    zero-certainty among the residuals that had to vanish; ``details`` keeps
-    per-residual outcomes for diagnosis; ``witness`` a counterexample or
-    certificate point when one exists.
+    ``status`` is ``pass`` / ``fail`` / ``unknown``; ``details`` keeps
+    per-residual outcomes for diagnosis, and ``certainty`` follows from
+    them; ``witness`` is a counterexample or certificate point when one
+    exists.
     """
 
     name: str
     status: str = "pass"
-    certainty: Optional[ZeroCertainty] = None
     details: list = field(default_factory=list)
     witness: Optional[dict] = None
     notes: list = field(default_factory=list)
@@ -50,6 +49,15 @@ class CheckReport:
     @property
     def passed(self) -> bool:
         return self.status == "pass"
+
+    @property
+    def certainty(self) -> Optional[ZeroCertainty]:
+        """The weakest zero-certainty among the recorded residuals; a pass
+        with none recorded cancelled structurally, so it is proven_zero."""
+        certs = [c for _, c in self.details if isinstance(c, ZeroCertainty)]
+        if certs:
+            return weakest(certs)
+        return PROVEN_ZERO if self.status == "pass" else None
 
     def require_zero(self, label: str, cert: ZeroCertainty) -> "CheckReport":
         """Record a residual that must vanish."""
@@ -60,7 +68,6 @@ class CheckReport:
                 self.witness = cert.witness
         elif not cert.accepts_zero and self.status != "fail":
             self.status = "unknown"
-        self._update_certainty()
         return self
 
     def require_nonzero(self, label: str, cert: ZeroCertainty) -> "CheckReport":
@@ -72,7 +79,6 @@ class CheckReport:
             self.status = "unknown"
         if cert.tag == "proven_nonzero" and self.witness is None:
             self.witness = cert.witness
-        self._update_certainty()
         return self
 
     def reject(self, reason: str) -> "CheckReport":
@@ -92,23 +98,12 @@ class CheckReport:
             self.notes.extend(f"{sub.name}: {n}" for n in sub.notes)
         elif sub.status == "unknown" and self.status == "pass":
             self.status = "unknown"
-        if sub.certainty is not None:
+        if sub.status != "fail":
             self.details.extend((f"{sub.name}: {l}", c) for l, c in sub.details
-                                if isinstance(c, ZeroCertainty) and sub.status != "fail")
-            self._update_certainty()
+                                if isinstance(c, ZeroCertainty))
         if self.witness is None:
             self.witness = sub.witness
         return self
-
-    def _update_certainty(self):
-        certs = [c for _, c in self.details if isinstance(c, ZeroCertainty)]
-        if certs:
-            self.certainty = weakest(certs)
-        elif self.status == "pass":
-            # nothing sampled: every residual cancelled structurally
-            self.certainty = ZeroCertainty("proven_zero")
-        else:
-            self.certainty = None
 
     def copy(self) -> "CheckReport":
         """A copy that a caller may extend without changing this report."""

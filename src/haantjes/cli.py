@@ -626,8 +626,7 @@ def run_checks(model: Model, seed: int = 0, samples: int = 16, tol: float = 1e-9
         t0 = time.perf_counter()
         name = f"{idx+1:02d} {d.label()}"
         try:
-            sub = _execute(d, zt).copy()  # the handler's report may be shared
-            sub._update_certainty()
+            sub = _execute(d, zt)
             status = sub.status
             cert = sub.certainty.tag if sub.certainty else None
             witness = _jsonable(sub.witness)

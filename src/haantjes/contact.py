@@ -255,7 +255,6 @@ def _structural_special(k: Operator11, c: ContactStructure, zt: ZeroTester) -> C
     for j in range(2 * n):
         expect = dot(chart, momenta, [km[i][j] for i in range(n)])
         rep.require_zero(f"z-row coupling col {j}", zt(km[zi][j] - expect))
-    rep._update_certainty()
     return rep
 
 

@@ -393,6 +393,94 @@ def _t_mul(t1, t2) -> tuple:
     return _t_dot(((t1, t2),))
 
 
+class _PackedRing:
+    """Polynomials in the top-level atoms of some canonical terms, each
+    monomial packed into one int, so a monomial product is one integer
+    addition (Kronecker substitution; M. Monagan and R. Pearce, CASC 2007).
+
+    Atom number i, in canonical atom order, owns the signed (balanced) digit
+    of bits [i w, (i + 1) w).  A product of at most `factors` input
+    monomials cannot overflow a digit: w is sized for `factors` times the
+    largest |exponent| of the inputs.  A polynomial is a dict {code: coeff}.
+    _E and _W atoms are opaque variables: _W exponents are negative and stay
+    so under products, so no expansion is ever pending, and exp(u) exp(v) is
+    merged into exp(u + v) only when a monomial is decoded.  The ring lives
+    for one computation; it is set up from every input it will multiply.
+    """
+
+    __slots__ = ("atoms", "shift", "width", "mask", "half")
+
+    def __init__(self, ts: Iterable[tuple], factors: int):
+        atoms: set = set()
+        top = 0
+        for t in ts:
+            for m, _c in t:
+                for a, e in m:
+                    atoms.add(a)
+                    top = max(top, abs(e))
+        self.atoms = sorted(atoms)
+        self.width = w = (factors * top).bit_length() + 1
+        self.shift = {a: i * w for i, a in enumerate(self.atoms)}
+        self.mask = (1 << w) - 1
+        self.half = 1 << (w - 1)
+
+    def pack(self, t) -> dict:
+        shift = self.shift
+        return {sum(e << shift[a] for a, e in m): c for m, c in t}
+
+    def dot(self, xs: Sequence[dict], ys: Sequence[dict]) -> dict:
+        """sum_i xs[i] * ys[i]; BudgetError when its canonical form would
+        exceed NODE_BUDGET, with `_budget_check`'s term-count guard first (a
+        decoded form has no more terms than the packed one)."""
+        acc: dict = {}
+        get = acc.get
+        for x, y in zip(xs, ys, strict=True):
+            if not y:
+                continue
+            y = y.items()
+            for m1, c1 in x.items():
+                for m2, c2 in y:
+                    m = m1 + m2
+                    acc[m] = get(m, 0) + c1 * c2
+        acc = {m: c for m, c in acc.items() if c}
+        if len(acc) > NODE_BUDGET // 256:
+            self.terms(acc)
+        return acc
+
+    def terms(self, p: dict) -> tuple:
+        """p as canonical terms, budget-checked."""
+        acc: dict = {}
+        get = acc.get
+        for code, c in p.items():
+            m = self._mono(code)
+            acc[m] = get(m, 0) + c
+        return _budget_check(_freeze(acc))
+
+    def _mono(self, code: int) -> tuple:
+        """The canonical monomial of a code: digits come out in atom order,
+        and _E atoms beyond a single exp(u) merge as in `_mono_mul`."""
+        w, mask, half = self.width, self.mask, self.half
+        out = []
+        exps = 0
+        for a in self.atoms:
+            if not code:
+                break
+            e = code & mask
+            if e >= half:
+                e -= mask + 1
+            if e:
+                out.append((a, e))
+                code -= e
+                if a[0] == _E:
+                    exps += e
+            code >>= w
+        if exps <= 1:
+            return tuple(out)
+        # exp(u)^k as k factors exp(u), merged by the kernel's product
+        rest = tuple(f for f in out if f[0][0] != _E)
+        return _mono_mul_general(rest, tuple((a, 1) for a, e in out if a[0] == _E for _ in range(e)))[0]
+
+
 def _mono_pow(m, c, k: int):
     # the exponents change, the atoms do not (an _E atom stays the one _E
     # atom), so the factors stay sorted

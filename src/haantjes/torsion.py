@@ -16,6 +16,22 @@ tau.  H(e_i, e_j), i < j, reads s(e_i, e_j) and s(e_a, e_j) where K^a_i is
 not zero, so s(e_a, e_j) is built only when a < j or K^a_i is not zero for
 some i < j.
 
+Both tables come from one builder, `_frame_table`, in a packed ring
+(`symexpr._PackedRing`) set up once per torsion.  The ring's variables are
+the top-level atoms of K's entries and of their n^3 partials (taken through
+`Expr.diff`), in canonical atom order; each owns one signed digit of a
+Python int, a monomial is one int, and a monomial product is one integer
+addition.  Every H term is a product of four factors from K and its
+partials, so a digit is sized for four times the largest |exponent| of
+those inputs and cannot overflow.  Inverse-power and exp atoms are opaque
+variables: their products need no expansion, and exp(u) exp(v) becomes
+exp(u + v) when a component is decoded to canonical terms.  Only the
+nonzero components that leave the builder are decoded.  Every tau, s and H
+component keeps the kernel's budget: it raises BudgetError exactly when its
+canonical form exceeds NODE_BUDGET nodes (a packed component has at least
+as many terms as its canonical form, so the cheap term-count guard comes
+first).
+
 H is homogeneous of degree 4 under scaling by a function, H_{fK} = f^4 H_K
 (Bogoyavlenskij, J. Math. Phys. 45, 2004; Tempesta and Tondo, Ann. Mat. Pura
 Appl. 201, 2022).  So an algebra check reports f*K with the torsion of K, and
@@ -51,6 +67,7 @@ from .symexpr import (
     SubstitutionError,
     ZeroCertainty,
     ZeroTester,
+    _PackedRing,
     fn_symbol,
     integrate_unit_param,
     param,
@@ -112,26 +129,9 @@ def nijenhuis_eval(k: Operator11, x: VectorField, y: VectorField) -> VectorField
 
 
 def nijenhuis_torsion(k: Operator11) -> VectorValued2Form:
-    """tau_K on the frame, one dot per component (see the module docstring)."""
-    chart = k.chart
-    n = chart.dim
-    m = k.matrix
-    cols = list(zip(*m))
-    neg_rows = [tuple(-e for e in row) for row in m]
-    neg_cols = list(zip(*neg_rows))
-    jac = [[[e.diff(c) for e in col] for col in cols] for c in range(n)]  # [c][j][r]: d_c K^r_j
-    values = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = VectorField(chart, [
-                dot(chart, cols[i] + neg_cols[j] + neg_rows[r] + m[r],
-                    [*(jac[c][j][r] for c in range(n)), *(jac[c][i][r] for c in range(n)),
-                     *jac[i][j], *jac[j][i]])
-                for r in range(n)
-            ])
-            if not t.is_zero_field():
-                values[(i, j)] = t
-    return VectorValued2Form(chart, values)
+    """tau_K on the frame, one packed dot per component (see the module
+    docstring)."""
+    return VectorValued2Form(k.chart, _frame_table(k, haantjes=False))
 
 
 def haantjes_eval(k: Operator11, x: VectorField, y: VectorField) -> VectorField:
@@ -150,32 +150,55 @@ def haantjes_torsion(k: Operator11) -> VectorValued2Form:
     With s(X, Y) = K tau(X, Y) - tau(X, KY), H(X, Y) = K s(X, Y) - s(KX, Y).
     tau is tensorial, so s(K e_i, e_j) = sum_a K^a_i s(e_a, e_j) and
     tau(e_a, K e_j) = sum_b K^b_j tau(e_a, e_b); tensoriality itself is
-    exercised by the test suite against the literal evaluation.  Each tau
-    component is one dot, tau(e_i, e_j)^r = sum_c K^c_i d_c K^r_j
-    - K^c_j d_c K^r_i - K^r_c (d_i K^c_j - d_j K^c_i), over entry partials
-    taken once.  s(e_a, e_j) is built only where H reads it: when a < j, or
-    when K^a_i is not zero for some i < j; elsewhere it stands as zero.
+    exercised by the test suite against the literal evaluation.
     """
+    return VectorValued2Form(k.chart, _frame_table(k, haantjes=True))
+
+
+def _frame_table(k: Operator11, haantjes: bool) -> dict:
+    """The nonzero components {(i, j): VectorField}, i < j, of the Nijenhuis
+    table of k, or with `haantjes` of its Haantjes table, built in one packed
+    ring over K and its entry partials (see the module docstring)."""
     chart = k.chart
     n = chart.dim
-    m = k.matrix
-    zero = (chart.zero(),) * n
-    t = [[zero] * n for _ in range(n)]
-    for (a, b), v in nijenhuis_torsion(k).values.items():
-        t[a][b] = v.components
-        t[b][a] = [-c for c in v.components]
-    neg = [tuple(-e for e in col) for col in zip(*m)]
-    s = {(a, j): [dot(chart, m[r] + neg[j], [*t[a][j], *(tb[r] for tb in t[a])]) for r in range(n)]
-         if a < j or not all(e.is_zero_expr() for e in m[a][:j]) else zero
-         for j in range(1, n) for a in range(n)}
-    values = {}
+    jac = [[[e.diff(c).terms for e in col] for col in zip(*k.matrix)] for c in range(n)]
+    # every H term is a product of four factors from K and its partials
+    ring = _PackedRing([e.terms for row in k.matrix for e in row]
+                       + [t for plane in jac for col in plane for t in col], 4)
+    jac = [[[ring.pack(t) for t in col] for col in plane] for plane in jac]  # [c][j][r]: d_c K^r_j
+    m = [tuple(ring.pack(e.terms) for e in row) for row in k.matrix]
+    neg_rows = [tuple(_neg(e) for e in row) for row in m]
+    cols, neg_cols = list(zip(*m)), list(zip(*neg_rows))
+    zero = [{}] * n
+    tau = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            h = VectorField(chart, [dot(chart, m[r] + neg[i], [*s[i, j], *(s[a, j][r] for a in range(n))])
-                                    for r in range(n)])
-            if not h.is_zero_field():
-                values[(i, j)] = h
-    return VectorValued2Form(chart, values)
+            tau[i][j] = [ring.dot(cols[i] + neg_cols[j] + neg_rows[r] + m[r],
+                                  [*(jac[c][j][r] for c in range(n)), *(jac[c][i][r] for c in range(n)),
+                                   *jac[i][j], *jac[j][i]])
+                         for r in range(n)]
+            tau[j][i] = [_neg(e) for e in tau[i][j]]
+    table = {(i, j): tau[i][j] for i in range(n) for j in range(i + 1, n)}
+    if haantjes:
+        # s(e_a, e_j) only where H reads it: when a < j, or when K^a_i is
+        # not zero for some i < j
+        s = {(a, j): [ring.dot(m[r] + neg_cols[j], [*tau[a][j], *(tb[r] for tb in tau[a])])
+                      for r in range(n)]
+             if a < j or any(m[a][:j]) else zero
+             for j in range(1, n) for a in range(n)}
+        table = {(i, j): [ring.dot(m[r] + neg_cols[i], [*s[i, j], *(s[a, j][r] for a in range(n))])
+                          for r in range(n)]
+                 for i, j in table}
+    values = {}
+    for ij, comps in table.items():
+        v = VectorField(chart, [Expr(chart, ring.terms(p)) for p in comps])
+        if not v.is_zero_field():
+            values[ij] = v
+    return values
+
+
+def _neg(p: dict) -> dict:
+    return {m: -c for m, c in p.items()}
 
 
 def is_haantjes(k: Operator11, zt: ZeroTester = ZeroTester()) -> CheckReport:
@@ -256,7 +279,6 @@ def _algebra_check(name: str, chart: Chart, ops: Sequence[Operator11], names: Se
         for i in range(len(ops)):
             for j in range(i + 1, len(ops)):
                 _require_zero_entries(rep, f"[{names[i]},{names[j]}]", ring[i, j] - ring[j, i], zt)
-    rep._update_certainty()
     return rep
 
 

@@ -6,11 +6,12 @@ import pytest
 import haantjes.symexpr as sx
 import haantjes.torsion as torsion
 from haantjes.cli import parse_model
-from haantjes.geometry import KForm, Operator11, VectorField, d_scalar
-from haantjes.symexpr import ZeroTester, fn_symbol, is_zero
+from haantjes.geometry import KForm, Operator11, VectorField, d_scalar, invert_matrix, op_apply, op_compose
+from haantjes.symexpr import ZeroTester, exp, fn_symbol, is_zero
 from haantjes.torsion import (
     HaantjesBasis,
     check_haantjes_algebra,
+    commute_check,
     frobenius_codistribution,
     frobenius_distribution,
     haantjes_eval,
@@ -50,8 +51,38 @@ _MASKS = {
     "F2": _appendix_pattern("F2A"),
     "F3": _appendix_pattern("F3A"),
 }
-_SPARSE_CASES = [(mask, dim) for mask in ("upper", "lower", "block", "nilpotent", "diagonal+nilpotent")
-                 for dim in (3, 4, 5)] + [("F1", 5), ("F2", 5), ("F3", 5)]
+
+
+def _atom_entry(chart, rng):
+    """A random polynomial times one factor that reaches a decode path of
+    the packed ring: an inverse-power (_W) atom, a negative coordinate
+    power, an abstract function whose partials are new atoms, exp atoms
+    whose products cancel or merge, or a power of x whose fourfold product
+    needs a wider digit than the power alone."""
+    x, y = chart.coord(0), chart.coord(1)
+    factors = (x / (y + 1), x**-3, fn_symbol(chart, "f"), exp(x), exp(-x), x**9)
+    return rand_poly(chart, rng, terms=1) * factors[rng.randrange(len(factors))]
+
+
+_SPARSE_CASES = [pytest.param(mask, dim, rand_poly, id=f"{mask}-{dim}")
+                 for mask in ("upper", "lower", "block", "nilpotent", "diagonal+nilpotent")
+                 for dim in (3, 4, 5)] + [pytest.param(f, 5, rand_poly, id=f"{f}-5") for f in ("F1", "F2", "F3")]
+_SPARSE_CASES += [pytest.param(mask, 3, _atom_entry, id=f"{mask}-3-atoms")
+                  for mask in ("upper", "lower", "block", "diagonal+nilpotent")]
+
+
+def _decode_path_operators():
+    """Operators whose torsion tables reach every decode path of the packed
+    ring (see `_atom_entry`): on a 2-chart, where H vanishes identically and
+    only tau is at stake, and on a 3-chart, one factor at a time."""
+    c2 = sx.Chart("R2", ("x", "y"))
+    x, y = c2.coord(0), c2.coord(1)
+    yield Operator11(c2, [[x / (y + 1), exp(y)], [x**-3, fn_symbol(c2, "f") * exp(-y)]])
+    c3 = sx.Chart("R3", ("x", "y", "z"))
+    x, y, z = (c3.coord(i) for i in range(3))
+    for u, v in ((x / (y + 1), y / (y + 1)), (x**-3, y * x**-1), (fn_symbol(c3, "f"), fn_symbol(c3, "g", ("x", "z"))),
+                 (exp(x), exp(-x)), (exp(x), x * exp(x)), (x**16, z**3)):
+        yield Operator11(c3, [[x * y, z * u, 0], [0, y, v], [y * z, 0, x + z]])
 
 
 class TestNijenhuis:
@@ -108,35 +139,80 @@ class TestHaantjes:
         assert not nijenhuis_torsion(k).is_zero()
         assert haantjes_torsion(k).is_zero()
 
+    @staticmethod
+    def _assert_tables_match_literal_eval(k):
+        chart = k.chart
+        tau, h = nijenhuis_torsion(k), haantjes_torsion(k)
+        for i in range(chart.dim):
+            for j in range(i + 1, chart.dim):
+                x, y = VectorField.basis(chart, i), VectorField.basis(chart, j)
+                assert tau[(i, j)].components == nijenhuis_eval(k, x, y).components, (chart.name, i, j)
+                assert h[(i, j)].components == haantjes_eval(k, x, y).components, (chart.name, i, j)
+
     def test_frame_table_matches_literal_eval(self, C2):
         # every pair i < j up to a 4-chart, so the factored contraction reads
-        # s(e_a, e_j) for j >= 2; canonical terms make the match exact
+        # s(e_a, e_j) for j >= 2; then operators that reach every decode path
+        # of the packed ring; canonical terms make the match exact
         rng = random.Random(43)
         charts = (C2, sx.Chart("R3", ("x", "y", "z")), sx.Chart("R4", ("x", "y", "z", "w")))
         for chart, count in zip(charts, (3, 2, 2)):
             for _ in range(count):
-                k = rand_operator(chart, rng)
-                h = haantjes_torsion(k)
-                for i in range(chart.dim):
-                    for j in range(i + 1, chart.dim):
-                        lit = haantjes_eval(k, VectorField.basis(chart, i), VectorField.basis(chart, j))
-                        assert h[(i, j)].components == lit.components, (chart.name, i, j)
+                self._assert_tables_match_literal_eval(rand_operator(chart, rng))
+        for k in _decode_path_operators():
+            assert not (nijenhuis_torsion(k) if k.chart.dim == 2 else haantjes_torsion(k)).is_zero()
+            self._assert_tables_match_literal_eval(k)
 
-    @pytest.mark.parametrize("mask,dim", _SPARSE_CASES)
-    def test_sparse_tables_match_literal_eval(self, mask, dim):
+    @pytest.mark.parametrize("mask,dim,entry", _SPARSE_CASES)
+    def test_sparse_tables_match_literal_eval(self, mask, dim, entry):
         # zero entries leave some s(e_a, e_j) unread, so haantjes_torsion skips
         # them; the literal formulas check both tables exactly on every pair
         chart = sx.Chart(f"R{dim}", tuple(f"x{i+1}" for i in range(dim)))
         rng = random.Random(47)
         keep = _MASKS[mask]
-        k = Operator11(chart, [[rand_poly(chart, rng) if keep(dim, r, c) else chart.zero()
-                                for c in range(dim)] for r in range(dim)])
-        tau, h = nijenhuis_torsion(k), haantjes_torsion(k)
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                x, y = VectorField.basis(chart, i), VectorField.basis(chart, j)
-                assert tau[(i, j)].components == nijenhuis_eval(k, x, y).components, (i, j)
-                assert h[(i, j)].components == haantjes_eval(k, x, y).components, (i, j)
+        self._assert_tables_match_literal_eval(Operator11(chart, [
+            [entry(chart, rng) if keep(dim, r, c) else chart.zero() for c in range(dim)]
+            for r in range(dim)]))
+
+    def test_budget_counts_tau_and_s_entries(self, monkeypatch):
+        # H of a diagonal operator cancels structurally, so only a tau or an
+        # s entry can exceed the budget; each raises exactly when its
+        # canonical form, built here through operator arithmetic, does
+        chart = sx.Chart("R3", ("x", "y", "z"))
+        k = Operator11.diagonal(chart, [fn_symbol(chart, f"L{i}") for i in range(3)])
+        tau = nijenhuis_torsion(k)
+        s = [op_apply(k, tau[(a, j)]) - sum((tau[(a, b)].scale(k.matrix[b][j]) for b in range(3)),
+                                            VectorField.zero(chart))
+             for a in range(3) for j in range(a + 1, 3)]
+
+        def nodes(fields):
+            return max(sx._node_count(c.terms) for v in fields for c in v.components)
+
+        tau_nodes, s_nodes = nodes(tau.values.values()), nodes(s)
+        assert tau_nodes < s_nodes
+        for budget in (tau_nodes - 1, s_nodes - 1):
+            monkeypatch.setattr(sx, "NODE_BUDGET", budget)
+            with pytest.raises(sx.BudgetError):
+                haantjes_torsion(k)
+        monkeypatch.setattr(sx, "NODE_BUDGET", s_nodes)
+        assert haantjes_torsion(k).is_zero()
+
+    @pytest.mark.parametrize("perturb,verdict", [(False, ("pass", "proven_zero")),
+                                                 (True, ("fail", "proven_nonzero"))],
+                             ids=["pass", "fail"])
+    def test_known_answer_from_a_coordinate_map(self, zt, perturb, verdict):
+        # K = J^-1 diag(L0, L1, L2) J is diagonal in the coordinates of phi,
+        # so it is Haantjes (Haantjes, Indag. Math. 17, 1955); adding x0 to
+        # J[0][1] leaves a J whose first row is not closed, and K is not
+        chart = sx.Chart("R3", ("x0", "x1", "x2"))
+        x0, x1, x2 = (chart.coord(i) for i in range(3))
+        phi = [(x0 + x1**2) * (1 + x2), x1 + x2**2 + x1 * x2, x2 + x2 * x0]
+        jac = [[f.diff(b) for b in range(3)] for f in phi]
+        if perturb:
+            jac[0][1] = jac[0][1] + x0
+        d = Operator11.diagonal(chart, [fn_symbol(chart, f"L{i}") for i in range(3)])
+        k = op_compose(op_compose(Operator11(chart, invert_matrix(jac)), d), Operator11(chart, jac))
+        rep = is_haantjes(k, zt)
+        assert (rep.status, rep.certainty.tag) == verdict
 
     def test_numeric_cross_check(self, C2, rng):
         # symbolic torsions vs finite differences of the defining formulas
@@ -218,6 +294,20 @@ class TestAlgebra:
         assert (torsion_rep.status, torsion_rep.certainty.tag) == ("pass", "probably_zero")
         rep = check_haantjes_algebra(HaantjesBasis([Operator11.identity(chart), a], names=["I", "A"]), sampling)
         assert (rep.status, rep.certainty.tag) == ("pass", "probably_zero")
+
+
+class TestStructuralCertainty:
+    """A pass whose residuals all cancel structurally is proven_zero, also
+    for a library caller."""
+
+    @pytest.mark.parametrize("diagonal", [(1, 1, 1), (1, 2, 3)], ids=["identity", "constant"])
+    def test_structural_pass_is_proven_zero(self, zt, diagonal):
+        chart = sx.Chart("R3", ("x", "y", "z"))
+        k = Operator11.diagonal(chart, list(diagonal))
+        ident = Operator11.identity(chart)
+        reps = [is_haantjes(k, zt), commute_check(ident, k, zt),
+                check_haantjes_algebra(HaantjesBasis([ident, k], names=["I", "D"]), zt)]
+        assert [(r.status, r.certainty and r.certainty.tag) for r in reps] == [("pass", "proven_zero")] * 3
 
 
 class TestHomogeneity:
