@@ -12,9 +12,9 @@ from haantjes import (
     ZeroTester,
     check_lcsh,
     eta_KE_check,
+    hamiltonian_vf,
     induced_jacobi_from_lcs,
-    lcs_bracket,
-    lcs_hamiltonian_vf,
+    jacobi_bracket,
     standard_lcs_pair,
     theorem9_check,
     validate_lcs,
@@ -36,7 +36,7 @@ J = induced_jacobi_from_lcs(L, zt)
 print("induced Lambda =", J.lam)
 
 H = q1 + q2
-XH = lcs_hamiltonian_vf(H, L)
+XH = hamiltonian_vf(H, L.jacobi)
 print("\nH =", H, "  X_H =", XH)
 print("Hdot = H eta(X_H):", (XH.apply_to(H)))
 
@@ -49,7 +49,7 @@ rep = theorem9_check(H, HaantjesBasis([Operator11.identity(chart), K], names=["I
 print("chain + bracket identities:", rep.summary())
 print("potentials:", [str(x) for x in rep.data["potentials"]])
 h1, h2 = rep.data["potentials"]
-print("{H1,H2} =", lcs_bracket(h1, h2, L), " (equals H1 E H2 - H2 E H1)")
+print("{H1,H2} =", jacobi_bracket(h1, h2, L.jacobi), " (equals H1 E H2 - H2 E H1)")
 
 print("\n=== a broken operator is rejected before any conclusion ===")
 chart2 = sx.lcs_local(2)

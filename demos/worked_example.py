@@ -18,8 +18,8 @@ from haantjes import (
     ZeroTester,
     check_ejh,
     check_extended_algebra,
-    contact_hamiltonian_vf,
     ext_identity,
+    hamiltonian_vf,
     induced_jacobi_from_contact,
     is_dissipated,
     jacobi_bracket,
@@ -44,7 +44,7 @@ cs = validate_contact(theta, zt)
 print("validated:", cs.validity.summary())
 print("Reeb field    R =", cs.reeb)
 
-XH = contact_hamiltonian_vf(H, cs)
+XH = hamiltonian_vf(H, cs.jacobi)
 print("\nHamiltonian   H =", H)
 print("dynamics    X_H =", XH)
 print("dissipation rate  RH =", cs.reeb.apply_to(H))

@@ -79,7 +79,6 @@ from .contact import (
     appendix_general_form,
     check_contact_haantjes,
     classify_special_kind,
-    contact_hamiltonian_vf,
     induced_jacobi_from_contact,
     is_dissipated,
     is_homogeneous_deg0_momenta,
@@ -96,8 +95,6 @@ from .lcs import (
     check_lcsh,
     eta_KE_check,
     induced_jacobi_from_lcs,
-    lcs_bracket,
-    lcs_hamiltonian_vf,
     standard_lcs_pair,
     theorem9_check,
     validate_lcs,

@@ -23,10 +23,11 @@ standing for its value.  * and / scale a form or a multivector by a scalar;
 wedge is a 1-vector.
 
 Declarations bind to the most recent chart statement.  Structures are
-validated on first use when checks run, once per run.  A run decides each
-sub-check once: a theorem reuses the verdicts of preconditions that the run
-has already checked (`checks.once`).  Reports are deterministic for a fixed
-(model, seed, samples, tol); wall-times live outside the comparable section.
+validated on first use when checks run, once per run; a directive on one
+that failed validation is unknown.  A run decides each sub-check once: a
+theorem reuses the verdicts of preconditions that the run has already
+checked (`checks.once`).  Reports are deterministic for a fixed (model,
+seed, samples, tol); wall-times live outside the comparable section.
 """
 
 from __future__ import annotations
@@ -40,12 +41,7 @@ from typing import Optional
 
 from . import __version__
 from .checks import INTERNAL_INCONSISTENCY, CheckReport, memo_scope, once
-from .contact import (
-    contact_hamiltonian_vf,
-    is_dissipated,
-    techain_check,
-    validate_contact,
-)
+from .contact import is_dissipated, techain_check, validate_contact
 from .extended import (
     ExtendedBasis,
     ExtendedOperator,
@@ -54,7 +50,7 @@ from .extended import (
     verify_ext_chain,
 )
 from .geometry import KForm, KVector, Operator11, VectorField, d_scalar, wedge, wedge_v
-from .jacobi import check_jh_compatibility, jacobi_bracket, poissonize, validate_jacobi
+from .jacobi import check_jh_compatibility, hamiltonian_vf, jacobi_bracket, poissonize, validate_jacobi
 from .lcs import check_lcsh, eta_KE_check, theorem9_check, validate_lcs
 from .symexpr import (
     BudgetError,
@@ -528,7 +524,7 @@ _VERBS = {
     "reeb": (_CONTACT, {"equals": (_vector, False)},
              lambda v, zt: _equals("R", v["args"].reeb, v, zt)),
     "hamiltonian": (_scalar, {"on": (_CONTACT, True), "equals": (_vector, False)},
-                    lambda v, zt: _equals("X_H", contact_hamiltonian_vf(v["args"], v["on"]), v, zt)),
+                    lambda v, zt: _equals("X_H", hamiltonian_vf(v["args"], v["on"].jacobi), v, zt)),
     "dissipated": (_scalar, {"wrt": (_scalar, True), "on": (_CONTACT, True)},
                    lambda v, zt: is_dissipated(v["args"], v["wrt"], v["on"], zt)),
     "bracket": (_two_scalars, {"on": (_JACOBI, True), "equals": (_scalar, False)}, _bracket),
@@ -669,6 +665,14 @@ def _jsonable(obj):
 
 def _execute(d: Directive, zt: ZeroTester) -> CheckReport:
     v = {k: once(_validated, x, zt) if isinstance(x, Declaration) else x for k, x in d.values.items()}
+    # a directive on a structure that failed validation is undecided; the
+    # directive named after the structure's kind reports the validation
+    for k, x in d.values.items():
+        if isinstance(x, Declaration) and x.kind != d.verb and not v[k].validated:
+            rep = CheckReport(d.verb)
+            rep.status = "unknown"
+            rep.notes.append(f"{x.kind} {x.name} did not validate: {v[k].validity.status}")
+            return rep
     return _VERBS[d.verb][2](v, zt)
 
 

@@ -1,15 +1,16 @@
 """Contact structures in Darboux form and contact-Haantjes compatibility.
 
 The flat map b(X) = i_X dtheta + theta(X) theta is inverted exactly, so the
-Reeb field, Hamiltonian fields and the induced Jacobi pair are exact.  The
-special first/second-kind operator classes follow the structural reading
-under which theta(K X_f) = K^z_z (p^s df/dp^s - f) holds identically; that
-identity is certified symbolically with an abstract f and serves as the
-calibration for the row/column conventions.
+Reeb field R and the induced Jacobi pair (Lambda, R), with Lambda(a, b) =
+dtheta(sharp a, sharp b), are exact; `validate_contact` builds the pair once,
+as ``s.jacobi``.  Contact Hamiltonian fields and brackets are the Jacobi ones
+of that pair.  The special first/second-kind operator classes follow the
+structural reading under which theta(K X_f) = K^z_z (p^s df/dp^s - f) holds
+identically; that identity is certified symbolically with an abstract f and
+serves as the calibration for the row/column conventions.
 
-dtheta-symmetry goes through `geometry.compat_residuals`, the induced Jacobi
-bivector through `geometry.raised`, and the chain-bracket identity through
-the Jacobi layer, as in `lcs`.
+dtheta-symmetry goes through `geometry.compat_residuals` and the
+chain-bracket identity through the Jacobi layer, as in `lcs`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .geometry import (
     Operator11,
     VectorField,
     compat_residuals,
-    d_scalar,
     dot,
     exterior_derivative,
     interior_product,
@@ -37,7 +37,7 @@ from .geometry import (
     wedge,
     wedge_v,
 )
-from .jacobi import JacobiStructure, _require_chain_brackets, jacobi_bracket, validate_jacobi
+from .jacobi import JacobiStructure, _require_chain_brackets, hamiltonian_vf, jacobi_bracket, validate_jacobi
 from .symexpr import Chart, Expr, ZeroTester, fn_symbol
 from .torsion import HaantjesBasis, verify_chain
 
@@ -47,7 +47,6 @@ __all__ = [
     "appendix_general_form",
     "check_contact_haantjes",
     "classify_special_kind",
-    "contact_hamiltonian_vf",
     "induced_jacobi_from_contact",
     "is_dissipated",
     "is_homogeneous_deg0_momenta",
@@ -70,19 +69,12 @@ class ContactStructure:
     flat: list              # matrix of b
     sharp: list             # exact inverse of flat
     reeb: VectorField
+    jacobi: Optional[JacobiStructure]   # the induced pair; None when degenerate
     validity: Optional[CheckReport] = None
 
     @property
     def validated(self) -> bool:
         return self.validity is not None and self.validity.passed
-
-    def sharp_form(self, alpha: KForm) -> VectorField:
-        chart = self.chart
-        co = alpha.covector()
-        return VectorField(chart, [dot(chart, row, co) for row in self.sharp])
-
-    def flat_field(self, x: VectorField) -> KForm:
-        return KForm.one_form(self.chart, [dot(self.chart, row, x.components) for row in self.flat])
 
 
 def standard_contact_form(chart: Chart) -> KForm:
@@ -95,7 +87,8 @@ def standard_contact_form(chart: Chart) -> KForm:
 
 
 def validate_contact(theta: KForm, zt: ZeroTester = ZeroTester()) -> ContactStructure:
-    """Certify theta ^ (dtheta)^n != 0, build flat/sharp and the Reeb field."""
+    """Certify theta ^ (dtheta)^n != 0, build flat/sharp, the Reeb field and
+    the induced Jacobi pair (Lambda, R), not validated."""
     chart = theta.chart
     if chart.dim % 2 == 0:
         raise ValueError("contact structures need an odd-dimensional chart")
@@ -109,7 +102,7 @@ def validate_contact(theta: KForm, zt: ZeroTester = ZeroTester()) -> ContactStru
     rep.require_nonzero("theta^(dtheta)^n", zt(coeff))
     if not rep.passed:
         rep.notes.append("degenerate contact form")
-        return ContactStructure(chart, theta, dtheta, [], [], VectorField.zero(chart), rep)
+        return ContactStructure(chart, theta, dtheta, [], [], VectorField.zero(chart), None, rep)
     co = theta.covector()
     dt = [[dtheta[(j, i)] for j in range(chart.dim)] for i in range(chart.dim)]
     # flat[i][j]: dx^i component of b(d_j) = i_{d_j} dtheta + theta_j theta
@@ -119,15 +112,16 @@ def validate_contact(theta: KForm, zt: ZeroTester = ZeroTester()) -> ContactStru
     rep.require_zero("i_R theta - 1", zt(interior_product(reeb, theta)[()] - chart.one()))
     for idx, e in interior_product(reeb, dtheta).items():
         rep.require_zero(f"i_R dtheta [{idx}]", zt(e))
-    return ContactStructure(chart, theta, dtheta, flat, sharp, reeb, rep)
+    jacobi = JacobiStructure(chart, raised(dtheta, sharp), reeb)
+    return ContactStructure(chart, theta, dtheta, flat, sharp, reeb, jacobi, rep)
 
 
 def induced_jacobi_from_contact(c: ContactStructure, zt: ZeroTester = ZeroTester()) -> JacobiStructure:
-    """Lambda(a, b) = dtheta(sharp a, sharp b), E = R; cross-checked against
-    the printed Darboux expressions on Darboux charts."""
+    """c.jacobi, validated: Lambda(a, b) = dtheta(sharp a, sharp b), E = R;
+    cross-checked against the printed Darboux expressions on Darboux charts."""
     chart = c.chart
-    lam = raised(c.d_theta, c.sharp)
-    j = validate_jacobi(lam, c.reeb, zt)
+    lam = c.jacobi.lam
+    j = validate_jacobi(lam, c.jacobi.e_field, zt)
     if chart.kind[0] == "darboux-contact" and c.theta == standard_contact_form(chart):
         n = chart.n_pairs
         printed = {}
@@ -145,24 +139,10 @@ def induced_jacobi_from_contact(c: ContactStructure, zt: ZeroTester = ZeroTester
     return j
 
 
-def _induced_pair(c: ContactStructure) -> JacobiStructure:
-    """The induced Jacobi pair (Lambda, E = R), not validated: the theorems
-    read only Lambda and E."""
-    return JacobiStructure(c.chart, raised(c.d_theta, c.sharp), c.reeb)
-
-
-def contact_hamiltonian_vf(f: Expr, c: ContactStructure) -> VectorField:
-    """The unique X with i_X theta = -f and i_X dtheta = df - (Rf) theta,
-    obtained as sharp(df - (Rf + f) theta)."""
-    rf = c.reeb.apply_to(f)
-    rhs = d_scalar(f) - c.theta.scale(rf + f)
-    return c.sharp_form(rhs)
-
-
 def is_dissipated(f: Expr, h: Expr, c: ContactStructure, zt: ZeroTester = ZeroTester()) -> CheckReport:
     """X_H f = -f RH: f decays at the Hamiltonian's own rate."""
     rep = CheckReport("dissipated")
-    xh = contact_hamiltonian_vf(h, c)
+    xh = hamiltonian_vf(h, c.jacobi)
     resid = xh.apply_to(f) + f * c.reeb.apply_to(h)
     rep.require_zero("X_H f + f RH", zt(resid))
     return rep
@@ -194,8 +174,8 @@ def theta_condition_hamiltonian(k: Operator11, c: ContactStructure, zt: ZeroTest
     rep = CheckReport("theta-condition-hamiltonian")
     f = fn_symbol(chart, "_thf")
     g = fn_symbol(chart, "_thg")
-    xf = contact_hamiltonian_vf(f, c)
-    xg = contact_hamiltonian_vf(g, c)
+    xf = hamiltonian_vf(f, c.jacobi)
+    xg = hamiltonian_vf(g, c.jacobi)
     th = lambda x: interior_product(x, c.theta)[()]
     resid = th(op_apply(k, xf)) * th(xg) - th(xf) * th(op_apply(k, xg))
     rep.require_zero("theta(KX_f)theta(X_g) - theta(X_f)theta(KX_g)", zt(resid))
@@ -217,7 +197,7 @@ def reeb_eigen_check(k: Operator11, c: ContactStructure, zt: ZeroTester = ZeroTe
 def theta_Kf_condition(k: Operator11, f: Expr, c: ContactStructure, zt: ZeroTester = ZeroTester()) -> CheckReport:
     """theta(K X_f) = -f theta(K R)."""
     rep = CheckReport("theta-Kf-condition")
-    xf = contact_hamiltonian_vf(f, c)
+    xf = hamiltonian_vf(f, c.jacobi)
     lhs = interior_product(op_apply(k, xf), c.theta)[()]
     kr = interior_product(op_apply(k, c.reeb), c.theta)[()]
     rep.require_zero("theta(KX_f) + f theta(KR)", zt(lhs + f * kr))
@@ -279,7 +259,7 @@ def classify_special_kind(k: Operator11, c: ContactStructure, zt: ZeroTester = Z
     zi = chart.z_index
     kzz = k.matrix[zi][zi]
     f = fn_symbol(chart, "_clsf")
-    xf = contact_hamiltonian_vf(f, c)
+    xf = hamiltonian_vf(f, c.jacobi)
     theta_kxf = interior_product(op_apply(k, xf), c.theta)[()]
     euler = _momentum_euler(chart, f)
     evidence.require_zero("calibration theta(KX_f) - K^z_z (p df/dp - f)",
@@ -292,7 +272,7 @@ def classify_special_kind(k: Operator11, c: ContactStructure, zt: ZeroTester = Z
     # second kind: check the defining identity on the degree-0 test family
     kr = interior_product(op_apply(k, c.reeb), c.theta)[()]
     for label, g in _deg0_family(chart):
-        xg = contact_hamiltonian_vf(g, c)
+        xg = hamiltonian_vf(g, c.jacobi)
         lhs = interior_product(op_apply(k, xg), c.theta)[()]
         evidence.require_zero(f"second kind on {label}", zt(lhs + g * kr))
     kind = "second" if evidence.passed else "neither"
@@ -379,7 +359,7 @@ def theorem6_check(
         for fl, f in [("H", h)] + [(f"H{i+1}", p) for i, p in enumerate(pots)]:
             pre.merge(replace(theta_Kf_condition(k, f, c, zt), name=f"theta({nm} X_{fl}) condition"))
     rep.merge(pre)
-    _require_chain_brackets(rep, pots, _induced_pair(c), zt)
+    _require_chain_brackets(rep, pots, c.jacobi, zt)
     rep.data["potentials"] = pots
     return rep
 
@@ -416,7 +396,7 @@ def techain_check(
         for fl, f in [("H", h)] + [(f"H{i+1}", p) for i, p in enumerate(pots)]:
             pre.merge(replace(is_homogeneous_deg0_momenta(f, chart, zt), name=f"{fl} degree-0"))
     rep.merge(pre)
-    j = _induced_pair(c)
+    j = c.jacobi
     r = c.reeb
     conc = CheckReport("conclusions")
     if kind == "first":

@@ -6,7 +6,7 @@ A = K^T.  `lambda_hat` builds the bivector Lambda^ = Lambda + d_t ^ E on
 M x R once: Poissonization scales it by e^{-t}, and the EJH operator route of
 `extended` tests lifted extended operators against it.  The chain-bracket
 identity {H_a,H_b} = H_a E H_b - H_b E H_a is stated once here and shared
-with the contact theorems.
+with the contact and LCS theorems.
 
 Sign conventions, fixed once and calibrated by the test suite:
 
@@ -14,9 +14,11 @@ Sign conventions, fixed once and calibrated by the test suite:
   the Darboux contact chart;
 * the Hamiltonian field is forced by {g,f} = X_f g + g Ef, which pins the
   musical map to  (sharp a)^i = sum_j L^ij a_j  (argument in the second
-  slot).  On a contact chart this reproduces the contact Hamiltonian field
-  exactly.  The EJH compatibility of `extended` is K^ Lambda^ = Lambda^ K^^T,
-  which does not depend on the slot its sharp map contracts.
+  slot).  Contact and LCS structures carry their induced pair as
+  ``s.jacobi``, so their Hamiltonian fields and brackets are these, by
+  construction.  The EJH compatibility of `extended` is
+  K^ Lambda^ = Lambda^ K^^T, which does not depend on the slot its sharp map
+  contracts.
 """
 
 from __future__ import annotations

@@ -4,15 +4,17 @@ The conformal factor enters through exact exponential atoms: for polynomial
 Lee potentials l the forms e^l dq^i ^ dp_i invert exactly and every identity
 below is certified symbolically.
 
-Omega-symmetry goes through `geometry.compat_residuals` and the induced
-Jacobi bivector through `geometry.raised`, as in `contact`; the exact sharp
-map is back-checked by flat(E) = eta.
+Omega-symmetry goes through `geometry.compat_residuals`, as in `contact`; the
+exact sharp map is back-checked by flat(E) = eta.  `validate_lcs` builds the
+induced Jacobi pair (Lambda, E), with Lambda(a, b) = Omega(sharp a, sharp b),
+once as ``s.jacobi``; LCS Hamiltonian fields (i_X Omega = df - f eta) and
+brackets are the Jacobi ones of that pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from typing import Optional
 
 from .checks import CheckReport, once
@@ -30,7 +32,7 @@ from .geometry import (
     raised,
     wedge,
 )
-from .jacobi import JacobiStructure, jacobi_bracket, validate_jacobi
+from .jacobi import JacobiStructure, _require_chain_brackets, hamiltonian_vf, jacobi_bracket, validate_jacobi
 from .symexpr import Chart, Expr, ZeroTester, exp as exp_
 from .torsion import HaantjesBasis, verify_chain
 
@@ -39,8 +41,6 @@ __all__ = [
     "check_lcsh",
     "eta_KE_check",
     "induced_jacobi_from_lcs",
-    "lcs_bracket",
-    "lcs_hamiltonian_vf",
     "standard_lcs_pair",
     "theorem9_check",
     "validate_lcs",
@@ -55,16 +55,12 @@ class LCSStructure:
     flat: list
     sharp: list
     e_field: VectorField
+    jacobi: Optional[JacobiStructure]   # the induced pair; None when degenerate
     validity: Optional[CheckReport] = None
 
     @property
     def validated(self) -> bool:
         return self.validity is not None and self.validity.passed
-
-    def sharp_form(self, alpha: KForm) -> VectorField:
-        chart = self.chart
-        co = alpha.covector()
-        return VectorField(chart, [dot(chart, row, co) for row in self.sharp])
 
 
 def standard_lcs_pair(chart: Chart, lee_potential: Expr) -> tuple:
@@ -77,7 +73,8 @@ def standard_lcs_pair(chart: Chart, lee_potential: Expr) -> tuple:
 
 def validate_lcs(omega: KForm, eta: KForm, zt: ZeroTester = ZeroTester()) -> LCSStructure:
     """Certify d eta = 0, d Omega - eta ^ Omega = 0 and nondegeneracy;
-    build the exact sharp map and E = sharp(eta)."""
+    build the exact sharp map, E = sharp(eta) and the induced Jacobi pair
+    (Lambda, E), not validated."""
     chart = omega.chart
     if chart.dim % 2 == 1:
         raise ValueError("LCS structures need an even-dimensional chart")
@@ -93,7 +90,7 @@ def validate_lcs(omega: KForm, eta: KForm, zt: ZeroTester = ZeroTester()) -> LCS
         vol = wedge(vol, omega)
     rep.require_nonzero("Omega^n", zt(vol[tuple(range(chart.dim))]))
     if not rep.passed:
-        return LCSStructure(chart, omega, eta, [], [], VectorField.zero(chart), rep)
+        return LCSStructure(chart, omega, eta, [], [], VectorField.zero(chart), None, rep)
     # flat[i][j] = dx^i component of i_{d_j} Omega = Omega_{j i}
     flat = [[omega[(j, i)] for j in range(chart.dim)] for i in range(chart.dim)]
     sharp = invert_matrix(flat)
@@ -104,24 +101,14 @@ def validate_lcs(omega: KForm, eta: KForm, zt: ZeroTester = ZeroTester()) -> LCS
         e = dot(chart, row, e_field.components) - eta_co[i]
         if not e.is_zero_expr():
             rep.require_zero(f"flat(E) - eta [{i}]", zt(e))
-    return LCSStructure(chart, omega, eta, flat, sharp, e_field, rep)
+    jacobi = JacobiStructure(chart, raised(omega, sharp), e_field)
+    return LCSStructure(chart, omega, eta, flat, sharp, e_field, jacobi, rep)
 
 
 def induced_jacobi_from_lcs(l: LCSStructure, zt: ZeroTester = ZeroTester()) -> JacobiStructure:
-    """Lambda(a, b) = Omega(sharp a, sharp b), E = sharp(eta)."""
-    return validate_jacobi(raised(l.omega, l.sharp), l.e_field, zt)
-
-
-def lcs_hamiltonian_vf(f: Expr, l: LCSStructure) -> VectorField:
-    """The unique X with i_X Omega = df - f eta."""
-    rhs = d_scalar(f) - l.eta.scale(f)
-    return l.sharp_form(rhs)
-
-
-def lcs_bracket(f: Expr, g: Expr, l: LCSStructure) -> Expr:
-    """{f,g} = X_g f - f eta(X_g)."""
-    xg = lcs_hamiltonian_vf(g, l)
-    return xg.apply_to(f) - f * interior_product(xg, l.eta)[()]
+    """l.jacobi, validated: Lambda(a, b) = Omega(sharp a, sharp b),
+    E = sharp(eta)."""
+    return validate_jacobi(l.jacobi.lam, l.jacobi.e_field, zt)
 
 
 def check_lcsh(k: Operator11, l: LCSStructure, zt: ZeroTester = ZeroTester()) -> CheckReport:
@@ -163,25 +150,17 @@ def theorem9_check(
     if not chain.passed or any(p is None for p in pots):
         rep.reject("chain with explicit potentials required")
         return rep
-    # the induced Jacobi pair, not validated: only Lambda and E are read
-    j = JacobiStructure(l.chart, raised(l.omega, l.sharp), l.e_field)
+    j = l.jacobi
     eta_of = lambda x: interior_product(x, l.eta)[()]
-    xh = lcs_hamiltonian_vf(h, l)
+    xh = hamiltonian_vf(h, j)
+    eta_x = [eta_of(hamiltonian_vf(p, j)) for p in pots]
     for i, (nm, k) in enumerate(zip(basis.names, basis.operators)):
-        resid = eta_of(op_apply(k, xh)) - eta_of(lcs_hamiltonian_vf(pots[i], l))
+        resid = eta_of(op_apply(k, xh)) - eta_x[i]
         rep.require_zero(f"eta({nm} X_H) = eta(X_H{i+1})", zt(resid))
-    for a in range(len(pots)):
-        for b in range(a + 1, len(pots)):
-            ha, hb = pots[a], pots[b]
-            xa = lcs_hamiltonian_vf(ha, l)
-            xb = lcs_hamiltonian_vf(hb, l)
-            br = lcs_bracket(ha, hb, l)
-            resid1 = br - (hb * eta_of(xa) - ha * eta_of(xb))
-            rep.require_zero(f"{{H{a+1},H{b+1}}} eta identity", zt(resid1))
-            e = l.e_field
-            resid2 = br - (ha * e.apply_to(hb) - hb * e.apply_to(ha))
-            rep.require_zero(f"{{H{a+1},H{b+1}}} Jacobi identity", zt(resid2))
-            resid3 = br - jacobi_bracket(ha, hb, j)
-            rep.require_zero(f"{{H{a+1},H{b+1}}} bracket consistency", zt(resid3))
+    for a, b in combinations(range(len(pots)), 2):
+        ha, hb = pots[a], pots[b]
+        resid = jacobi_bracket(ha, hb, j) - (hb * eta_x[a] - ha * eta_x[b])
+        rep.require_zero(f"{{H{a+1},H{b+1}}} eta identity", zt(resid))
+    _require_chain_brackets(rep, pots, j, zt)
     rep.data["potentials"] = pots
     return rep

@@ -176,6 +176,52 @@ class TestDirectiveSurface:
         assert rep.exit_code == 0, [e for e in rep.entries if e["status"] != "pass"]
 
 
+DEGENERATE = {
+    "contact": """
+chart C (q, p, z) darboux-contact 1
+form theta = d(z)
+contact S = theta
+operator K = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+""",
+    "lcs": """
+chart L (q, p) lcs-local 1
+form omega = 0 * d(q) /\\ d(p)
+lcs S = (omega, d(q))
+operator K = [[1, 0], [0, 1]]
+""",
+    # [L,L] = 0, but 2 E ^ L = 2 d_z ^ d_q ^ d_p
+    "jacobi": """
+chart G (q, p, z) generic
+bivector L = (1, 0, 0) /\\ (0, 1, 0)
+jacobi S = (L, (0, 0, 1))
+""",
+}
+
+
+class TestUnvalidatedStructure:
+    """A directive on a structure that failed validation is undecided, with
+    a note naming the structure; the structure's own directive reports the
+    failed validation."""
+
+    @pytest.mark.parametrize("kind, directive", [
+        ("contact", "hamiltonian p on S"),
+        ("contact", "dissipated p wrt p on S"),
+        ("contact", "techain q with K on S kind first"),
+        ("contact", "reeb S"),
+        ("lcs", "theorem9 q with K on S"),
+        ("lcs", "lcsh K on S"),
+        ("lcs", "eta_ke K on S"),
+        ("jacobi", "bracket q p on S equals 1"),
+    ])
+    def test_directive_is_unknown(self, kind, directive):
+        text = DEGENERATE[kind] + f"check {kind} S\ncheck {directive}\n"
+        rep = run_checks(parse_model(text), seed=1)
+        own, entry = rep.entries
+        assert own["status"] == "fail"
+        assert (entry["status"], entry["notes"]) == ("unknown", [f"{kind} S did not validate: fail"])
+        assert rep.exit_code == 1
+
+
 class TestReportType:
     def test_internal_inconsistency_exit_3(self):
         rep = run_checks(parse_model(MINI), seed=1)

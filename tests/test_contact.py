@@ -9,7 +9,6 @@ from haantjes.contact import (
     appendix_general_form,
     check_contact_haantjes,
     classify_special_kind,
-    contact_hamiltonian_vf,
     induced_jacobi_from_contact,
     is_dissipated,
     is_homogeneous_deg0_momenta,
@@ -28,13 +27,14 @@ from haantjes.geometry import (
     Operator11,
     VectorField,
     compat_residuals,
+    d_scalar,
     interior_product,
     op_apply,
     op_commutator,
     op_compose,
 )
-from haantjes.jacobi import jacobi_bracket
-from haantjes.symexpr import ZeroTester, fn_symbol, is_zero
+from haantjes.jacobi import hamiltonian_vf, jacobi_bracket
+from haantjes.symexpr import ZeroTester, exp, fn_symbol, is_zero
 from haantjes.torsion import HaantjesBasis, check_haantjes_algebra, haantjes_torsion, is_haantjes
 
 from conftest import rand_poly
@@ -78,9 +78,12 @@ class TestValidation:
         assert interior_product(cs1.reeb, cs1.d_theta).is_zero()
 
     def test_flat_sharp_identity(self, cs1, C1):
+        # sharp(flat(v)) = v, through row-wise matrix-vector products
+        def mv(m, x):
+            return [sum((a * b for a, b in zip(row, x)), C1.zero()) for row in m]
         for i in range(C1.dim):
             v = VectorField.basis(C1, i)
-            assert cs1.sharp_form(cs1.flat_field(v)) == v
+            assert VectorField(C1, mv(cs1.sharp, mv(cs1.flat, v.components))) == v
 
 
 class TestInducedJacobi:
@@ -103,15 +106,32 @@ class TestInducedJacobi:
 class TestHamiltonianDynamics:
     def test_worked_example_field(self, cs1, C1):
         h = C1.coord("p") - C1.coord("z")
-        assert contact_hamiltonian_vf(h, cs1) == VectorField(C1, [C1.one(), C1.coord("p"), C1.coord("z")])
+        assert hamiltonian_vf(h, cs1.jacobi) == VectorField(C1, [C1.one(), C1.coord("p"), C1.coord("z")])
 
     def test_unit_hamiltonian_minus_reeb(self, cs1):
-        assert contact_hamiltonian_vf(cs1.chart.one(), cs1) == -cs1.reeb
+        assert hamiltonian_vf(cs1.chart.one(), cs1.jacobi) == -cs1.reeb
 
     def test_hamiltonian_dissipation_rate(self, cs1, C1):
         h = C1.coord("p") - C1.coord("z")
-        xh = contact_hamiltonian_vf(h, cs1)
+        xh = hamiltonian_vf(h, cs1.jacobi)
         assert (xh.apply_to(h) + h * cs1.reeb.apply_to(h)).is_zero_expr()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("conformal", [False, True], ids=["theta", "exp(q)theta"])
+    def test_defining_equations(self, n, conformal, zt, rng):
+        # X_f of s.jacobi is the contact field: i_X theta = -f and
+        # i_X dtheta = df - (Rf) theta, read off the forms alone
+        chart = sx.darboux_contact(n)
+        theta = standard_contact_form(chart)
+        if conformal:
+            theta = theta.scale(exp(chart.coord(0)))
+        s = validate_contact(theta, zt)
+        assert s.validated
+        for f in [rand_poly(chart, rng) for _ in range(3)] + [fn_symbol(chart, "f")]:
+            x = hamiltonian_vf(f, s.jacobi)
+            assert zt(interior_product(x, s.theta)[()] + f).is_proven_zero
+            resid = interior_product(x, s.d_theta) - (d_scalar(f) - s.theta.scale(s.reeb.apply_to(f)))
+            assert all(zt(e).is_proven_zero for _, e in resid.items())
 
     def test_dissipated_quantities(self, cs1, C1, zt):
         h = C1.coord("p") - C1.coord("z")
@@ -124,7 +144,7 @@ class TestHamiltonianDynamics:
         for _ in range(4):
             f = rand_poly(C1, rng)
             h = rand_poly(C1, rng)
-            xh = contact_hamiltonian_vf(h, cs1)
+            xh = hamiltonian_vf(h, cs1.jacobi)
             resid = xh.apply_to(f) - (jacobi_bracket(f, h, j) - f * cs1.reeb.apply_to(h))
             assert resid.is_zero_expr()
 

@@ -272,7 +272,10 @@ class TestCompatResiduals:
     def test_raised_matches_pairing_of_sharps(self, rng):
         for chart, struct in _charts_with_structures():
             b = rand_kform(chart, rng, 2)
-            sharps = [struct.sharp_form(KForm.d_coord(chart, i)) for i in range(chart.dim)]
+            # sharp(dx^i) as the row-wise product of the sharp matrix with dx^i
+            sharps = [VectorField(chart, [sum((a * c for a, c in zip(row, KForm.d_coord(chart, i).covector())),
+                                              chart.zero()) for row in struct.sharp])
+                      for i in range(chart.dim)]
             lam = raised(b, struct.sharp)
             assert lam.degree == 2
             for i in range(chart.dim):

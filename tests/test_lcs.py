@@ -2,14 +2,12 @@ import pytest
 
 import haantjes.lcs as lcs
 import haantjes.symexpr as sx
-from haantjes.geometry import KForm, KVector, Operator11, VectorField, interior_product
-from haantjes.jacobi import jacobi_bracket
+from haantjes.geometry import KForm, KVector, Operator11, VectorField, d_scalar, interior_product
+from haantjes.jacobi import hamiltonian_vf, jacobi_bracket
 from haantjes.lcs import (
     check_lcsh,
     eta_KE_check,
     induced_jacobi_from_lcs,
-    lcs_bracket,
-    lcs_hamiltonian_vf,
     standard_lcs_pair,
     theorem9_check,
     validate_lcs,
@@ -66,11 +64,11 @@ class TestValidation:
         chart = L1.chart
         for i in range(chart.dim):
             v = VectorField.basis(chart, i)
-            back = L1.sharp_form(KForm.one_form(chart, [
-                sum((L1.flat[a][j] * v[j] for j in range(chart.dim)), chart.zero())
-                for a in range(chart.dim)
-            ]))
-            assert back == v
+            flat_v = [sum((L1.flat[a][j] * v[j] for j in range(chart.dim)), chart.zero())
+                      for a in range(chart.dim)]
+            back = [sum((L1.sharp[a][j] * flat_v[j] for j in range(chart.dim)), chart.zero())
+                    for a in range(chart.dim)]
+            assert VectorField(chart, back) == v
 
 
 class TestInducedJacobi:
@@ -94,19 +92,32 @@ class TestDynamics:
         chart = sx.lcs_local(1)
         om, _ = standard_lcs_pair(chart, chart.zero())
         l = validate_lcs(om, KForm.zero(chart, 1), zt)
-        assert lcs_hamiltonian_vf(chart.one(), l).is_zero_field()
+        assert hamiltonian_vf(chart.one(), l.jacobi).is_zero_field()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("lee", ["0", "q", "q+p"])
+    def test_defining_equation(self, n, lee, zt, rng):
+        # X_f of s.jacobi is the LCS field: i_X Omega = df - f eta, read off
+        # the forms alone
+        chart = sx.lcs_local(n)
+        q, p = chart.coord(0), chart.coord(n)
+        s = validate_lcs(*standard_lcs_pair(chart, {"0": chart.zero(), "q": q, "q+p": q + p}[lee]), zt)
+        assert s.validated
+        for f in [rand_poly(chart, rng) for _ in range(3)] + [sx.fn_symbol(chart, "f")]:
+            resid = interior_product(hamiltonian_vf(f, s.jacobi), s.omega) - (d_scalar(f) - s.eta.scale(f))
+            assert all(zt(e).is_proven_zero for _, e in resid.items())
 
     def test_eta_xf_is_minus_ef(self, L1, zt, rng):
         chart = L1.chart
         for _ in range(4):
             f = rand_poly(chart, rng)
-            xf = lcs_hamiltonian_vf(f, L1)
+            xf = hamiltonian_vf(f, L1.jacobi)
             resid = interior_product(xf, L1.eta)[()] + L1.e_field.apply_to(f)
             assert zt(resid).is_proven_zero
 
     def test_bracket_triangle(self, zt, rng):
-        # lcs_bracket = Omega(X_f, X_g) = induced Jacobi bracket, for both
-        # chart sizes and Lee potentials 0, q, q + p
+        # the bracket of s.jacobi = Omega(X_f, X_g) = the validated induced
+        # Jacobi bracket, for both chart sizes and Lee potentials 0, q, q + p
         for n in (1, 2):
             chart = sx.lcs_local(n)
             q = chart.coord(0)
@@ -118,25 +129,25 @@ class TestDynamics:
                 j = induced_jacobi_from_lcs(struct, zt)
                 for _ in range(2):
                     f, g = rand_poly(chart, rng), rand_poly(chart, rng)
-                    xf = lcs_hamiltonian_vf(f, struct)
-                    xg = lcs_hamiltonian_vf(g, struct)
-                    br = lcs_bracket(f, g, struct)
+                    xf = hamiltonian_vf(f, struct.jacobi)
+                    xg = hamiltonian_vf(g, struct.jacobi)
+                    br = jacobi_bracket(f, g, struct.jacobi)
                     assert zt(br - struct.omega.apply(xf, xg)).is_proven_zero
                     assert zt(br - jacobi_bracket(f, g, j)).is_proven_zero
-                    assert zt(br + lcs_bracket(g, f, struct)).is_proven_zero
+                    assert zt(br + jacobi_bracket(g, f, struct.jacobi)).is_proven_zero
 
     def test_evolution_law(self, L1, zt, rng):
         chart = L1.chart
         for _ in range(3):
             f, h = rand_poly(chart, rng), rand_poly(chart, rng)
-            xh = lcs_hamiltonian_vf(h, L1)
-            resid = xh.apply_to(f) - (lcs_bracket(f, h, L1)
+            xh = hamiltonian_vf(h, L1.jacobi)
+            resid = xh.apply_to(f) - (jacobi_bracket(f, h, L1.jacobi)
                                       + f * interior_product(xh, L1.eta)[()])
             assert zt(resid).is_proven_zero
 
     def test_hamiltonian_not_conserved(self, L1, zt):
         h = L1.chart.coord("q")
-        xh = lcs_hamiltonian_vf(h, L1)
+        xh = hamiltonian_vf(h, L1.jacobi)
         resid = xh.apply_to(h) - h * interior_product(xh, L1.eta)[()]
         assert zt(resid).is_proven_zero
 
@@ -164,6 +175,14 @@ class TestCompatibility:
         assert eta_KE_check(k, L2, zt).passed
 
 
+def _assert_pair_identities(rep):
+    """A two-potential theorem9 report states both bracket identities of the
+    pair, each proven zero."""
+    certs = dict(rep.details)
+    for label in ("{H1,H2} eta identity", "{H1,H2} identity"):
+        assert certs[label].is_proven_zero, label
+
+
 class TestTheorem9:
     def test_n1_scalar_chain(self, L1, zt):
         chart = L1.chart
@@ -180,6 +199,7 @@ class TestTheorem9:
         k = Operator11.diagonal(chart, [q1, q2, q1, q2])
         rep = theorem9_check(q1 + q2, HaantjesBasis([Operator11.identity(chart), k]), l, zt)
         assert rep.passed
+        _assert_pair_identities(rep)
 
     def test_identity_basis(self, L1, zt):
         rep = theorem9_check(L1.chart.coord("q"),
@@ -193,6 +213,7 @@ class TestTheorem9:
         rep = theorem9_check(q1 + q2, HaantjesBasis([Operator11.identity(chart), k],
                                                     names=["I", "K"]), L2, zt)
         assert rep.passed
+        _assert_pair_identities(rep)
 
     def test_poissonization_of_lcs_jacobi(self, L1, zt):
         # nested exponentials: e^{-t} against e^{-l} factors cancel exactly

@@ -1,8 +1,11 @@
+import inspect
 import pathlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import haantjes
 import haantjes.symexpr as sx
 import haantjes.torsion as torsion
 from haantjes.cli import parse_model
@@ -308,6 +311,63 @@ class TestStructuralCertainty:
         reps = [is_haantjes(k, zt), commute_check(ident, k, zt),
                 check_haantjes_algebra(HaantjesBasis([ident, k], names=["I", "D"]), zt)]
         assert [(r.status, r.certainty and r.certainty.tag) for r in reps] == [("pass", "proven_zero")] * 3
+
+    # every public check that returns a CheckReport, on the identity (a
+    # special operator of the second kind for techain) of the contact, LCS
+    # and Jacobi charts, where every residual cancels structurally
+    CHECKS = {
+        "is_haantjes": lambda s: haantjes.is_haantjes(s.I, s.zt),
+        "check_haantjes_algebra": lambda s: haantjes.check_haantjes_algebra(s.basis, s.zt),
+        "verify_chain": lambda s: haantjes.verify_chain(s.h, s.basis, s.zt),
+        "invariance_check": lambda s: haantjes.invariance_check(s.I, [d_scalar(s.h)], s.zt),
+        "frobenius_codistribution": lambda s: haantjes.frobenius_codistribution([d_scalar(s.h)], s.zt),
+        "frobenius_distribution": lambda s: haantjes.frobenius_distribution(
+            [VectorField.basis(s.C, 0)], s.zt),
+        "check_jh_compatibility": lambda s: haantjes.check_jh_compatibility(s.I, s.j, s.zt),
+        "particular_integral_check": lambda s: haantjes.particular_integral_check(
+            [s.h], s.h, s.j, haantjes.ParticularIntegralWitness([[s.C.zero()]]), s.zt),
+        "proposition_involutivity_check": lambda s: haantjes.proposition_involutivity_check(
+            s.h, s.basis, s.j, s.zt),
+        "check_ejh": lambda s: haantjes.check_ejh(s.ext.operators[0], s.j, s.zt),
+        "check_extended_algebra": lambda s: haantjes.check_extended_algebra(s.ext, s.zt),
+        "verify_ext_chain": lambda s: haantjes.verify_ext_chain(s.h, s.ext, s.zt),
+        "thm_main_check": lambda s: haantjes.thm_main_check(s.h, s.ext, s.j, s.zt),
+        "check_contact_haantjes": lambda s: haantjes.check_contact_haantjes(s.I, s.cs, s.zt),
+        "is_dissipated": lambda s: haantjes.is_dissipated(s.h, s.h, s.cs, s.zt),
+        "is_homogeneous_deg0_momenta": lambda s: haantjes.is_homogeneous_deg0_momenta(
+            s.C.coord("q"), s.C, s.zt),
+        "reeb_eigen_check": lambda s: haantjes.reeb_eigen_check(s.I, s.cs, s.zt),
+        "theorem6_check": lambda s: haantjes.theorem6_check(s.h, s.basis, s.cs, s.zt),
+        "techain_check": lambda s: haantjes.techain_check(s.C.coord("q"), s.second, s.cs, "second", s.zt),
+        "theta_Kf_condition": lambda s: haantjes.theta_Kf_condition(s.I, s.h, s.cs, s.zt),
+        "check_lcsh": lambda s: haantjes.check_lcsh(s.IL, s.ls, s.zt),
+        "eta_KE_check": lambda s: haantjes.eta_KE_check(s.IL, s.ls, s.zt),
+        "theorem9_check": lambda s: haantjes.theorem9_check(
+            s.ls.chart.coord("q"), HaantjesBasis([s.IL]), s.ls, s.zt),
+    }
+
+    @pytest.fixture(scope="class")
+    def charts(self):
+        zt = ZeroTester(seed=1234)
+        c, lc = sx.darboux_contact(1), sx.lcs_local(1)
+        cs = haantjes.validate_contact(haantjes.standard_contact_form(c), zt)
+        second = haantjes.special_structure_operator(c, [[c.one()]], kzz=c.one())
+        return SimpleNamespace(
+            zt=zt, C=c, cs=cs, j=haantjes.induced_jacobi_from_contact(cs, zt),
+            I=Operator11.identity(c), basis=HaantjesBasis([Operator11.identity(c)]),
+            ext=haantjes.ExtendedBasis([haantjes.ext_identity(c)]), h=c.coord("p") - c.coord("z"),
+            second=HaantjesBasis([second]), IL=Operator11.identity(lc),
+            ls=haantjes.validate_lcs(*haantjes.standard_lcs_pair(lc, lc.coord("q")), zt))
+
+    def test_cases_cover_every_public_check(self):
+        public = {name for name, fn in vars(haantjes).items()
+                  if inspect.isfunction(fn) and inspect.signature(fn).return_annotation == "CheckReport"}
+        assert public == set(self.CHECKS)
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_public_check_structural_pass_is_proven_zero(self, charts, check):
+        rep = self.CHECKS[check](charts)
+        assert (rep.status, rep.certainty and rep.certainty.tag) == ("pass", "proven_zero")
 
 
 class TestHomogeneity:
