@@ -13,7 +13,6 @@ from .symexpr import (
     ZeroTester,
     darboux_contact,
     darboux_symplectic,
-    eval_numeric,
     exp,
     fn_symbol,
     is_zero,

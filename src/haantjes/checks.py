@@ -118,6 +118,16 @@ class CheckReport:
         return self.summary()
 
 
+def _unvalidated(rep: CheckReport, kind: str, s) -> bool:
+    """Whether the structure s failed validation; if so, rep, a check on s,
+    is undecided, with the note ``<kind> did not validate: <status>``."""
+    if s.validated:
+        return False
+    rep.status = "unknown"
+    rep.notes.append(f"{kind} did not validate: {s.validity.status}")
+    return True
+
+
 # the memo of the open scope: (fn, *argument keys) -> result; None outside
 # a scope, so no table outlives the block that opened it
 _MEMO = ContextVar("haantjes_memo", default=None)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import __version__
-from .checks import INTERNAL_INCONSISTENCY, CheckReport, memo_scope, once
+from .checks import INTERNAL_INCONSISTENCY, CheckReport, _unvalidated, memo_scope, once
 from .contact import is_dissipated, techain_check, validate_contact
 from .extended import (
     ExtendedBasis,
@@ -668,11 +668,10 @@ def _execute(d: Directive, zt: ZeroTester) -> CheckReport:
     # a directive on a structure that failed validation is undecided; the
     # directive named after the structure's kind reports the validation
     for k, x in d.values.items():
-        if isinstance(x, Declaration) and x.kind != d.verb and not v[k].validated:
+        if isinstance(x, Declaration) and x.kind != d.verb:
             rep = CheckReport(d.verb)
-            rep.status = "unknown"
-            rep.notes.append(f"{x.kind} {x.name} did not validate: {v[k].validity.status}")
-            return rep
+            if _unvalidated(rep, f"{x.kind} {x.name}", v[k]):
+                return rep
     return _VERBS[d.verb][2](v, zt)
 
 

@@ -11,6 +11,8 @@ serves as the calibration for the row/column conventions.
 
 dtheta-symmetry goes through `geometry.compat_residuals` and the
 chain-bracket identity through the Jacobi layer, as in `lcs`.
+A check on a structure that failed validation is unknown, and its
+induced pair is refused (`checks._unvalidated`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .checks import CheckReport, once
+from .checks import CheckReport, _unvalidated, once
 from .geometry import (
     KForm,
     KVector,
@@ -119,6 +121,9 @@ def validate_contact(theta: KForm, zt: ZeroTester = ZeroTester()) -> ContactStru
 def induced_jacobi_from_contact(c: ContactStructure, zt: ZeroTester = ZeroTester()) -> JacobiStructure:
     """c.jacobi, validated: Lambda(a, b) = dtheta(sharp a, sharp b), E = R;
     cross-checked against the printed Darboux expressions on Darboux charts."""
+    rep = CheckReport("jacobi-structure")
+    if _unvalidated(rep, "contact", c):
+        raise ValueError(rep.notes[0])
     chart = c.chart
     lam = c.jacobi.lam
     j = validate_jacobi(lam, c.jacobi.e_field, zt)
@@ -142,6 +147,8 @@ def induced_jacobi_from_contact(c: ContactStructure, zt: ZeroTester = ZeroTester
 def is_dissipated(f: Expr, h: Expr, c: ContactStructure, zt: ZeroTester = ZeroTester()) -> CheckReport:
     """X_H f = -f RH: f decays at the Hamiltonian's own rate."""
     rep = CheckReport("dissipated")
+    if _unvalidated(rep, "contact", c):
+        return rep
     xh = hamiltonian_vf(h, c.jacobi)
     resid = xh.apply_to(f) + f * c.reeb.apply_to(h)
     rep.require_zero("X_H f + f RH", zt(resid))
@@ -160,7 +167,10 @@ def _dtheta_symmetry(rep: CheckReport, k: Operator11, c: ContactStructure, n: in
 def check_contact_haantjes(k: Operator11, c: ContactStructure, zt: ZeroTester = ZeroTester()) -> CheckReport:
     """(a) dtheta(KX, Y) = dtheta(X, KY); (b) theta(KX)theta(Y) =
     theta(X)theta(KY), decided as K^T theta ^ theta = 0."""
-    rep = _dtheta_symmetry(CheckReport("contact-haantjes"), k, c, c.chart.dim, zt)
+    rep = CheckReport("contact-haantjes")
+    if _unvalidated(rep, "contact", c):
+        return rep
+    _dtheta_symmetry(rep, k, c, c.chart.dim, zt)
     ktheta = op_transpose_apply(k, c.theta)
     for idx, e in wedge(ktheta, c.theta).items():
         rep.require_zero(f"K^T theta ^ theta [{idx}]", zt(e))
@@ -172,6 +182,8 @@ def theta_condition_hamiltonian(k: Operator11, c: ContactStructure, zt: ZeroTest
     generators: theta(K X_f) theta(X_g) = theta(X_f) theta(K X_g)."""
     chart = c.chart
     rep = CheckReport("theta-condition-hamiltonian")
+    if _unvalidated(rep, "contact", c):
+        return rep
     f = fn_symbol(chart, "_thf")
     g = fn_symbol(chart, "_thg")
     xf = hamiltonian_vf(f, c.jacobi)
@@ -185,6 +197,8 @@ def theta_condition_hamiltonian(k: Operator11, c: ContactStructure, zt: ZeroTest
 def reeb_eigen_check(k: Operator11, c: ContactStructure, zt: ZeroTester = ZeroTester()) -> CheckReport:
     """K R must be proportional to R; the factor g = theta(KR) is reported."""
     rep = CheckReport("reeb-eigenvector")
+    if _unvalidated(rep, "contact", c):
+        return rep
     kr = op_apply(k, c.reeb)
     w = wedge_v(KVector.from_vector(kr), KVector.from_vector(c.reeb))
     for idx, e in w.items():
@@ -197,6 +211,8 @@ def reeb_eigen_check(k: Operator11, c: ContactStructure, zt: ZeroTester = ZeroTe
 def theta_Kf_condition(k: Operator11, f: Expr, c: ContactStructure, zt: ZeroTester = ZeroTester()) -> CheckReport:
     """theta(K X_f) = -f theta(K R)."""
     rep = CheckReport("theta-Kf-condition")
+    if _unvalidated(rep, "contact", c):
+        return rep
     xf = hamiltonian_vf(f, c.jacobi)
     lhs = interior_product(op_apply(k, xf), c.theta)[()]
     kr = interior_product(op_apply(k, c.reeb), c.theta)[()]
@@ -251,6 +267,8 @@ def classify_special_kind(k: Operator11, c: ContactStructure, zt: ZeroTester = Z
     if chart.kind[0] != "darboux-contact":
         raise ValueError("classification needs a Darboux contact chart")
     evidence = CheckReport("special-kind")
+    if _unvalidated(evidence, "contact", c):
+        raise ValueError(evidence.notes[0])
     structural = _structural_special(k, c, zt)
     evidence.merge(structural)
     if not structural.passed:
@@ -342,6 +360,8 @@ def theorem6_check(
     basis operator and each pairwise product, on H and the potentials), the
     potentials satisfy {H_i,H_j} = H_i R H_j - H_j R H_i."""
     rep = CheckReport("theorem-involution-identity")
+    if _unvalidated(rep, "contact", c):
+        return rep
     pre = CheckReport("preconditions")
     chain = once(verify_chain, h, basis, zt)
     pre.merge(replace(chain, name="chain verified"))
@@ -380,6 +400,8 @@ def techain_check(
     evaluated so the report stays informative.
     """
     rep = CheckReport(f"techain-{kind}")
+    if _unvalidated(rep, "contact", c):
+        return rep
     chart = c.chart
     pre = CheckReport("preconditions")
     chain = once(verify_chain, h, basis, zt)

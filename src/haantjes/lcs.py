@@ -9,6 +9,8 @@ exact sharp map is back-checked by flat(E) = eta.  `validate_lcs` builds the
 induced Jacobi pair (Lambda, E), with Lambda(a, b) = Omega(sharp a, sharp b),
 once as ``s.jacobi``; LCS Hamiltonian fields (i_X Omega = df - f eta) and
 brackets are the Jacobi ones of that pair.
+A check on a structure that failed validation is unknown, and its
+induced pair is refused (`checks._unvalidated`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations, combinations_with_replacement
 from typing import Optional
 
-from .checks import CheckReport, once
+from .checks import CheckReport, _unvalidated, once
 from .geometry import (
     KForm,
     Operator11,
@@ -108,12 +110,17 @@ def validate_lcs(omega: KForm, eta: KForm, zt: ZeroTester = ZeroTester()) -> LCS
 def induced_jacobi_from_lcs(l: LCSStructure, zt: ZeroTester = ZeroTester()) -> JacobiStructure:
     """l.jacobi, validated: Lambda(a, b) = Omega(sharp a, sharp b),
     E = sharp(eta)."""
+    rep = CheckReport("jacobi-structure")
+    if _unvalidated(rep, "lcs", l):
+        raise ValueError(rep.notes[0])
     return validate_jacobi(l.jacobi.lam, l.jacobi.e_field, zt)
 
 
 def check_lcsh(k: Operator11, l: LCSStructure, zt: ZeroTester = ZeroTester()) -> CheckReport:
     """Omega(KX, Y) = Omega(X, KY) as the matrix identity O K = K^T O."""
     rep = CheckReport("lcsh-compatibility")
+    if _unvalidated(rep, "lcs", l):
+        return rep
     upper = combinations_with_replacement(range(l.chart.dim), 2)
     for (a, b), resid in compat_residuals(l.chart, k.matrix, l.omega.full_matrix(), upper):
         rep.require_zero(f"Omega-symmetry [{a},{b}]", zt(resid))
@@ -122,6 +129,8 @@ def check_lcsh(k: Operator11, l: LCSStructure, zt: ZeroTester = ZeroTester()) ->
 
 def eta_KE_check(k: Operator11, l: LCSStructure, zt: ZeroTester = ZeroTester()) -> CheckReport:
     rep = CheckReport("eta(KE)")
+    if _unvalidated(rep, "lcs", l):
+        return rep
     val = interior_product(op_apply(k, l.e_field), l.eta)[()]
     rep.require_zero("eta(KE)", zt(val))
     rep.data["eta(KE)"] = val
@@ -139,6 +148,8 @@ def theorem9_check(
     {H_i,H_j} = H_i E H_j - H_j E H_i, with the intermediate identity
     eta(K_i X_H) = eta(X_{H_i})."""
     rep = CheckReport("lcsh-theorem")
+    if _unvalidated(rep, "lcs", l):
+        return rep
     pre = CheckReport("preconditions")
     chain = once(verify_chain, h, basis, zt)
     pre.merge(replace(chain, name="chain verified"))

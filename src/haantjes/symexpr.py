@@ -30,13 +30,11 @@ __all__ = [
     "Expr",
     "ParseError",
     "SubstitutionError",
-    "UnboundAtomError",
     "ZeroCertainty",
     "ZeroTester",
     "darboux_contact",
     "darboux_symplectic",
     "diff",
-    "eval_numeric",
     "exp",
     "fn_symbol",
     "format_expr",
@@ -53,7 +51,6 @@ __all__ = [
 
 NODE_BUDGET = 10**6
 
-Rat = Fraction
 RatLike = Union[int, Fraction]
 
 
@@ -71,10 +68,6 @@ class DomainError(ZeroDivisionError):
 
 class SubstitutionError(ValueError):
     """A coordinate substitution hit an abstract-function dependency."""
-
-
-class UnboundAtomError(KeyError):
-    """Numeric evaluation met an atom with no binding."""
 
 
 class ParseError(ValueError):
@@ -972,40 +965,21 @@ def _sample_fractions(rng: random.Random, atoms, k: int):
         yield {a: Fraction(rng.randint(-20, 20), 7) for a in atoms}
 
 
-def _eval_exact(t, assign) -> Optional[Fraction]:
-    """The exact value of exp-free terms at assign, or None at a pole."""
-    total = Fraction(0)
+def _eval(t, assign):
+    """The value of t at assign: exact when the values are Fractions, a
+    float when they are floats; ZeroDivisionError at a pole."""
+    total = 0
     for m, c in t:
         val = c
-        for a, e in m:
-            if a[0] == _W:
-                v = _eval_exact(a[2], assign)
-                if not v:  # _W exponents are negative
-                    return None
-            else:
-                v = assign[a]
-                if v == 0 and e < 0:
-                    return None
-            val *= v**e if e != 1 else v
-        total += val
-    return total
-
-
-def _eval_float(t, assign) -> float:
-    total = 0.0
-    for m, c in t:
-        val = float(c)
         for a, e in m:
             tag = a[0]
             if tag < _E:
                 v = assign[a]
             elif tag == _E:
-                v = math.exp(_eval_float(a[2], assign))
+                v = math.exp(_eval(a[2], assign))
             else:
-                v = _eval_float(a[2], assign)
-            if v == 0 and e < 0:
-                raise ZeroDivisionError
-            val *= v**e
+                v = _eval(a[2], assign)
+            val *= v if e == 1 else v**e
         total += val
     return total
 
@@ -1044,7 +1018,11 @@ def is_zero(e: Expr, seed: int = 0, samples: int = 16, tol: float = 1e-9) -> Zer
     rng = random.Random(seed)
     if not _has_exp(t):
         for assign in _sample_fractions(rng, _iter_atoms(t), samples):
-            if _eval_exact(t, assign):
+            try:
+                val = _eval(t, assign)
+            except ZeroDivisionError:  # a pole of an inverse power
+                continue
+            if val:
                 return ZeroCertainty(
                     "proven_nonzero",
                     witness={_format_atom(chart, a): v for a, v in assign.items()},
@@ -1068,7 +1046,7 @@ def is_zero(e: Expr, seed: int = 0, samples: int = 16, tol: float = 1e-9) -> Zer
     for assign in _sample_fractions(rng, atoms, samples):
         fassign = {a: float(v) for a, v in assign.items()}
         try:
-            val = _eval_float(t, fassign)
+            val = _eval(t, fassign)
         except (ZeroDivisionError, OverflowError):
             continue
         defined += 1
@@ -1125,48 +1103,6 @@ def integrate_unit_param(e: Expr, name: str) -> Expr:
                 rest.append((a, ex))
         pieces.append(((tuple(rest), _div(c, k + 1)),))
     return Expr(e.chart, _t_add(*pieces))
-
-
-# ---------------------------------------------------------------------------
-# Numeric evaluation
-
-
-def eval_numeric(
-    e: Expr,
-    point: Mapping[str, float],
-    params: Optional[Mapping[str, float]] = None,
-    fn_bindings: Optional[Mapping[str, Expr]] = None,
-) -> float:
-    """IEEE-double value of e at a chart point.
-
-    Abstract function symbols must be bound (by name) to concrete Expr
-    instantiations; their partial-derivative atoms evaluate by exact
-    differentiation of the binding followed by numeric evaluation.
-    """
-    params = params or {}
-    fn_bindings = fn_bindings or {}
-    chart = e.chart
-    assign = {}
-    for a in e.atoms():
-        tag = a[0]
-        if tag == _C:
-            name = chart.coords[a[1]]
-            if name not in point:
-                raise UnboundAtomError(f"coordinate {name!r} unbound")
-            assign[a] = float(point[name])
-        elif tag == _P:
-            if a[1] not in params:
-                raise UnboundAtomError(f"parameter {a[1]!r} unbound")
-            assign[a] = float(params[a[1]])
-        else:
-            _, name, _deps, parts = a
-            if name not in fn_bindings:
-                raise UnboundAtomError(f"abstract function {name!r} unbound")
-            inst = fn_bindings[name]
-            for p in parts:
-                inst = inst.diff(p)
-            assign[a] = eval_numeric(inst, point, params, fn_bindings)
-    return _eval_float(e.terms, assign)
 
 
 # ---------------------------------------------------------------------------

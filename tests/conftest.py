@@ -59,10 +59,6 @@ def rand_kvector(chart, rng, degree, deg=2):
     return KVector(chart, degree, comps)
 
 
-def rand_point(chart, rng, lo=-1.5, hi=1.5):
-    return {c: rng.uniform(lo, hi) for c in chart.coords}
-
-
 @pytest.fixture
 def rng():
     return random.Random(20250808)

@@ -1,86 +1,122 @@
-"""Independent numeric oracles used by the test suite.
+"""Exact oracles that share no code with the kernel they check.
 
-The finite-difference torsion oracle rebuilds the Nijenhuis table from entry
-values and central-difference entry partials only, then contracts the
-Haantjes formula through that table with plain matrix arithmetic; it shares
-no code path with the symbolic differentiation it cross-checks.
+`to_sympy` reads an Expr's canonical terms into sympy, and `value` evaluates
+them at a rational point; neither calls the kernel.  An Expr's ``terms`` are
+``((monomial, coefficient), ...)``, a monomial ``((atom, exponent), ...)``,
+and an atom one of (see ``haantjes.symexpr``):
+
+    (0, i)                      the i-th chart coordinate
+    (1, name)                   a parameter
+    (2, name, deps, parts)      a partial of an abstract function of deps
+    (3, key, terms)             exp(terms)
+    (4, key, terms)             terms, raised to the (negative) exponent
+
+`torsions_match` checks the kernel's Nijenhuis and Haantjes frame tables of
+an operator K at rational points.  sympy differentiates K's entries, and
+tau and H are computed in Fractions from their definitions (Haantjes,
+Indag. Math. 17, 1955), with K^r_c the r-th component of K e_c:
+
+    tau(e_i, e_j)^r = sum_c K^c_i d_c K^r_j - K^c_j d_c K^r_i
+                            - K^r_c (d_i K^c_j - d_j K^c_i),
+    H(X, Y) = K^2 tau(X, Y) + tau(KX, KY) - K (tau(X, KY) + tau(KX, Y)),
+
+with tau extended bilinearly.  Equality is exact.
 """
 
-import numpy as np
+from fractions import Fraction
 
-from haantjes.symexpr import eval_numeric
+import sympy
+
 from haantjes.torsion import haantjes_torsion, nijenhuis_torsion
 
-
-def numeric_matrix(k, pt, shift=None, h=1e-5, params=None, fn_bindings=None):
-    chart = k.chart
-    pt2 = dict(pt)
-    if shift is not None:
-        pt2[chart.coords[shift[0]]] += shift[1]
-    return np.array([
-        [eval_numeric(e, pt2, params, fn_bindings) for e in row] for row in k.matrix
-    ])
+COORD, PARAM, FN, EXP, INV = range(5)
 
 
-def fd_nijenhuis_table(k, pt, h=1e-5, params=None, fn_bindings=None):
-    """tau^c_ab from finite differences of the operator entries."""
+def to_sympy(e):
+    """e in sympy, with one Symbol per chart coordinate, named after it."""
+    return _sympy_terms(e.terms, [sympy.Symbol(c) for c in e.chart.coords])
+
+
+def _sympy_terms(t, xs):
+    return sympy.Add(*(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*(_sympy_atom(a, xs) ** k for a, k in m)) for m, c in t))
+
+
+def _sympy_atom(a, xs):
+    tag = a[0]
+    if tag == COORD:
+        return xs[a[1]]
+    if tag == PARAM:
+        return sympy.Symbol(a[1])
+    if tag == FN:
+        _, name, deps, parts = a
+        f = sympy.Function(name)(*(xs[d] for d in deps))
+        return sympy.diff(f, *(xs[p] for p in parts)) if parts else f
+    if tag == EXP:
+        return sympy.exp(_sympy_terms(a[2], xs))
+    return _sympy_terms(a[2], xs)
+
+
+def value(t, pt):
+    """The exact value of the terms t of a rational expression at pt, a
+    Fraction per coordinate; ZeroDivisionError at a pole."""
+    total = Fraction(0)
+    for m, v in t:
+        for a, k in m:
+            if a[0] == COORD:
+                x = pt[a[1]]
+            elif a[0] == INV:
+                x = value(a[2], pt)
+            else:
+                raise ValueError(f"not a rational expression: atom {a[:2]}")
+            v *= x if k == 1 else x**k
+        total += v
+    return total
+
+
+def rational_points(chart, rng, count):
+    """count seeded points, a Fraction per coordinate."""
+    return [tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in chart.coords)
+            for _ in range(count)]
+
+
+def torsions_match(k, points):
+    """Whether the kernel's Nijenhuis and Haantjes tables of k equal the
+    definitions' values at each point."""
     n = k.chart.dim
-    k0 = numeric_matrix(k, pt, params=params, fn_bindings=fn_bindings)
-    dk = [
-        (numeric_matrix(k, pt, (m, h), params=params, fn_bindings=fn_bindings)
-         - numeric_matrix(k, pt, (m, -h), params=params, fn_bindings=fn_bindings)) / (2 * h)
-        for m in range(n)
-    ]
-    tau = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for c in range(n):
-                acc = 0.0
-                for m in range(n):
-                    acc += k0[m][i] * dk[m][c][j] - k0[m][j] * dk[m][c][i]
-                    acc -= k0[c][m] * (dk[i][m][j] - dk[j][m][i])
-                tau[i][j][c] = acc
-    return k0, tau
-
-
-def fd_haantjes_table(k0, tau):
-    """H^c_ab by contracting the FD Nijenhuis table (tensoriality)."""
-    n = k0.shape[0]
-    h_fd = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            term = k0 @ (k0 @ tau[i][j])
-            for a in range(n):
-                for b in range(n):
-                    term = term + k0[a][i] * k0[b][j] * tau[a][b]
-            mid = np.zeros(n)
-            for b in range(n):
-                mid = mid + k0[b][j] * tau[i][b] + k0[b][i] * tau[b][j]
-            h_fd[i][j] = term - k0 @ mid
-    return h_fd
-
-
-def symbolic_torsions(k):
-    """(Nijenhuis, Haantjes) frame tables of k, computed once per operator."""
-    return nijenhuis_torsion(k), haantjes_torsion(k)
-
-
-def torsions_match_fd(k, pt, torsions, tol=1e-5, params=None, fn_bindings=None):
-    """Relative agreement of the symbolic torsions of k, as returned by
-    ``symbolic_torsions(k)``, with FD torsions at one point."""
-    n = k.chart.dim
-    k0, tau_fd = fd_nijenhuis_table(k, pt, params=params, fn_bindings=fn_bindings)
-    h_fd = fd_haantjes_table(k0, tau_fd)
-    tau_sym, h_sym = torsions
-    scale_t = max(1.0, np.max(np.abs(tau_fd)))
-    scale_h = max(1.0, np.max(np.abs(h_fd)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for c in range(n):
-                sym = eval_numeric(tau_sym[(i, j)][c], pt, params, fn_bindings)
-                if abs(sym - tau_fd[i][j][c]) / scale_t > tol:
-                    return False
-                sym_h = eval_numeric(h_sym[(i, j)][c], pt, params, fn_bindings)
-                if abs(sym_h - h_fd[i][j][c]) / scale_h > tol:
-                    return False
+    xs = [sympy.Symbol(c) for c in k.chart.coords]
+    cols = [[to_sympy(e) for e in col] for col in zip(*k.matrix)]
+    jet = [cols] + [[[sympy.diff(e, x) for e in col] for col in cols] for x in xs]
+    tau_k, h_k = nijenhuis_torsion(k), haantjes_torsion(k)
+    rn = range(n)
+    for pt in points:
+        at = {x: sympy.Rational(v.numerator, v.denominator) for x, v in zip(xs, pt)}
+        # kc[c] = K e_c, so K v = _lin(v, kc), and dkc[m][c] = d_m (K e_c)
+        kc, *dkc = [[[Fraction(e.xreplace(at)) for e in col] for col in m] for m in jet]
+        # tau[i][j][r], by the coordinate formula above
+        tau = [[[u - w - z for u, w, z in zip(
+                    _lin(kc[i], [d[j] for d in dkc]), _lin(kc[j], [d[i] for d in dkc]),
+                    _lin([a - b for a, b in zip(dkc[i][j], dkc[j][i])], kc))]
+                for j in rn] for i in rn]
+        for i in rn:
+            for j in range(i + 1, n):
+                # tau(K e_i, K e_j), and tau(e_i, K e_j) + tau(K e_i, e_j)
+                t_kk = _lin(kc[i], [_lin(kc[j], tau[a]) for a in rn])
+                mixed = [u + w for u, w in zip(_lin(kc[j], tau[i]),
+                                               _lin(kc[i], [tau[a][j] for a in rn]))]
+                h = [u + w - z for u, w, z in zip(_lin(_lin(tau[i][j], kc), kc), t_kk,
+                                                  _lin(mixed, kc))]
+                for r in rn:
+                    if (value(tau_k[i, j][r].terms, pt) != tau[i][j][r]
+                            or value(h_k[i, j][r].terms, pt) != h[r]):
+                        return False
     return True
+
+
+def _lin(weights, vectors):
+    """sum_a weights[a] vectors[a]."""
+    out = [0] * len(vectors[0])
+    for w, v in zip(weights, vectors):
+        if w:
+            out = [o + w * x for o, x in zip(out, v)]
+    return out

@@ -34,6 +34,7 @@ from haantjes.geometry import (
     op_compose,
 )
 from haantjes.jacobi import hamiltonian_vf, jacobi_bracket
+from haantjes.lcs import check_lcsh, eta_KE_check, induced_jacobi_from_lcs, theorem9_check, validate_lcs
 from haantjes.symexpr import ZeroTester, exp, fn_symbol, is_zero
 from haantjes.torsion import HaantjesBasis, check_haantjes_algebra, haantjes_torsion, is_haantjes
 
@@ -84,6 +85,49 @@ class TestValidation:
         for i in range(C1.dim):
             v = VectorField.basis(C1, i)
             assert VectorField(C1, mv(cs1.sharp, mv(cs1.flat, v.components))) == v
+
+
+
+def _degenerate(kind, zt):
+    """(structure, K, basis of K, h): theta = dz, or Omega = 0 dq ^ dp with
+    eta = dq, both failing validation, and K the identity."""
+    if kind == "contact":
+        ch = sx.darboux_contact(1)
+        s = validate_contact(KForm(ch, 1, {(2,): ch.one()}), zt)
+    else:
+        ch = sx.lcs_local(1)
+        s = validate_lcs(KForm(ch, 2, {(0, 1): ch.zero()}), d_scalar(ch.coord(0)), zt)
+    k = Operator11.identity(ch)
+    return s, k, HaantjesBasis([k]), ch.coord(0)
+
+
+class TestUnvalidatedStructure:
+    """A check on a structure that failed validation is undecided, and the
+    induced Jacobi pair of one is refused, naming the failed validation."""
+
+    @pytest.mark.parametrize("kind, call, raises", [
+        ("contact", lambda s, k, b, h, zt: is_dissipated(h, h, s, zt), False),
+        ("contact", lambda s, k, b, h, zt: theorem6_check(h, b, s, zt), False),
+        ("contact", lambda s, k, b, h, zt: techain_check(h, b, s, "first", zt), False),
+        ("contact", lambda s, k, b, h, zt: induced_jacobi_from_contact(s, zt), True),
+        ("contact", lambda s, k, b, h, zt: reeb_eigen_check(k, s, zt), False),
+        ("contact", lambda s, k, b, h, zt: check_contact_haantjes(k, s, zt), False),
+        ("lcs", lambda s, k, b, h, zt: theorem9_check(h, b, s, zt), False),
+        ("lcs", lambda s, k, b, h, zt: induced_jacobi_from_lcs(s, zt), True),
+        ("lcs", lambda s, k, b, h, zt: check_lcsh(k, s, zt), False),
+        ("lcs", lambda s, k, b, h, zt: eta_KE_check(k, s, zt), False),
+    ], ids=["dissipated", "theorem6", "techain", "induced-contact", "reeb", "contact-haantjes",
+            "theorem9", "induced-lcs", "lcsh", "eta_ke"])
+    def test_check_is_unknown(self, zt, kind, call, raises):
+        s, k, basis, h = _degenerate(kind, zt)
+        assert s.validity.status == "fail"
+        note = f"{kind} did not validate: fail"
+        if raises:
+            with pytest.raises(ValueError, match=note):
+                call(s, k, basis, h, zt)
+        else:
+            rep = call(s, k, basis, h, zt)
+            assert (rep.status, rep.notes) == ("unknown", [note])
 
 
 class TestInducedJacobi:

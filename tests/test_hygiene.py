@@ -1,10 +1,11 @@
 """Source hygiene: library modules compile without a warning, import nothing
-they do not use, assign no local they never read, define no function, method
-or class that nothing names, and every check directive is documented; the
-kernel, the tensor module, the check reports and the torsion and
-compatibility builders keep no process-wide tables, the library imports
-no numpy, at module or function level, and builds no report from another
-report's parts."""
+they do not use, assign no local they never read, define no function, method,
+class or module-level name that nothing names, and every check directive is
+documented; the kernel, the tensor module, the check reports and the torsion
+and compatibility builders keep no process-wide tables, the library imports
+no numpy, at module or function level, computes in floats only in the zero
+test's sampling tier, and builds no report from another report's parts; the
+test oracles import nothing from the kernel."""
 
 import ast
 import importlib
@@ -92,8 +93,7 @@ def test_builders_keep_no_process_wide_tables(module):
 
 
 def test_library_imports_no_numpy():
-    # the core is exact and has no runtime dependency; numpy serves only the
-    # tests' floating-point oracle
+    # the core is exact and has no runtime dependency
     found = []
     for path in sorted(SRC.glob("**/*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -123,23 +123,75 @@ def test_sub_reports_enter_only_through_merge():
     assert not found, found
 
 
+def _float_uses(tree):
+    """The float( calls and math.exp references under tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            yield node
+        elif (isinstance(node, ast.Attribute) and node.attr == "exp"
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            yield node
+
+
+def test_floats_only_in_the_sampling_tier():
+    # exact reasoning decides every proven_* tag; floating point serves only
+    # is_zero's last tier, through the one evaluator _eval
+    allowed = set()
+    found = []
+    for path in sorted(SRC.glob("**/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "symexpr.py":
+            for fn in _outer_functions(tree.body):
+                if fn.name in ("is_zero", "_eval"):
+                    allowed.update(map(id, _float_uses(fn)))
+        found += [f"{path.name}:{n.lineno}" for n in _float_uses(tree) if id(n) not in allowed]
+    assert allowed and not found, found
+
+
+def test_oracle_imports_nothing_from_the_kernel():
+    # an oracle that ran the kernel's evaluator or derivative would share
+    # the faults it is meant to catch
+    found = []
+    for node in ast.walk(ast.parse((ROOT / "tests" / "oracle.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.startswith("haantjes.symexpr")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("haantjes"):
+            mod = importlib.import_module(node.module)
+            found += [f"{node.module}.{a.name}" for a in node.names
+                      if a.name == "symexpr" or node.module == "haantjes.symexpr"
+                      or getattr(getattr(mod, a.name), "__module__", "") == "haantjes.symexpr"]
+    assert not found, found
+
+
+def _assigned_names(target):
+    if isinstance(target, ast.Name):
+        yield target.id
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _assigned_names(elt)
+
+
 def test_every_definition_is_named_somewhere():
-    # a function, method or class of the library that no source, test, demo
-    # or benchmark names (as a bare name or an attribute) serves nothing;
-    # dunder methods are called by the language
+    # a function, method, class or module-level name of the library that no
+    # source, test, demo or benchmark names (as a bare name read, or an
+    # attribute) serves nothing; dunder names are read by the language
     named = set()
     for top in ("src", "tests", "demos", "bench"):
         for path in (ROOT / top).glob("**/*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                     named.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     named.add(node.attr)
     unnamed = []
     for path in sorted(SRC.glob("**/*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not (node.name.startswith("__") and node.name.endswith("__"))
-                    and node.name not in named):
-                unnamed.append(f"{path.name}:{node.lineno} {node.name}")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = [(node.lineno, node.name) for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(node.lineno, name) for t in targets for name in _assigned_names(t)]
+        unnamed += [f"{path.name}:{line} {name}" for line, name in defined
+                    if not (name.startswith("__") and name.endswith("__")) and name not in named]
     assert not unnamed, unnamed
