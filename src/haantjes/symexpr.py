@@ -279,10 +279,10 @@ def _node_count(t) -> int:
     return n
 
 
-def _budget_check(t):
+def _budget_check(t, nodes=_node_count):
     # cheap guard first: only count nodes when the term count already hints
     # at trouble relative to the active budget
-    if len(t) > NODE_BUDGET // 256 and _node_count(t) > NODE_BUDGET:
+    if len(t) > NODE_BUDGET // 256 and nodes(t) > NODE_BUDGET:
         raise BudgetError(f"canonical form exceeds {NODE_BUDGET} nodes")
     return t
 
@@ -421,15 +421,14 @@ class _PackedRing:
         shift = self.shift
         return {sum(e << shift[a] for a, e in m): c for m, c in t}
 
-    def dot(self, xs: Sequence[dict], ys: Sequence[dict]) -> dict:
-        """sum_i xs[i] * ys[i]; BudgetError when its canonical form would
-        exceed NODE_BUDGET, with `_budget_check`'s term-count guard first (a
-        decoded form has no more terms than the packed one)."""
+    def dot(self, pairs) -> dict:
+        """sum of x * y over the (x, y) pairs, as `_t_dot`; BudgetError when
+        its canonical form would exceed NODE_BUDGET, with `_budget_check`'s
+        term-count guard first (a decoded form has no more terms than the
+        packed one)."""
         acc: dict = {}
         get = acc.get
-        for x, y in zip(xs, ys, strict=True):
-            if not y:
-                continue
+        for x, y in pairs:
             y = y.items()
             for m1, c1 in x.items():
                 for m2, c2 in y:
@@ -437,7 +436,10 @@ class _PackedRing:
                     acc[m] = get(m, 0) + c1 * c2
         acc = {m: c for m, c in acc.items() if c}
         if len(acc) > NODE_BUDGET // 256:
-            self.terms(acc)
+            if any(a[0] == _E for a in self.atoms):
+                self.terms(acc)  # exp products may merge monomials: count the decoded form
+            else:
+                _budget_check(acc, self._nodes)
         return acc
 
     def terms(self, p: dict) -> tuple:
@@ -448,6 +450,24 @@ class _PackedRing:
             m = self._mono(code)
             acc[m] = get(m, 0) + c
         return _budget_check(_freeze(acc))
+
+    def _nodes(self, p: dict) -> int:
+        """The node count of p's canonical form, read from the codes: one per
+        term, and per nonzero digit one for the atom plus, for a _W atom, the
+        nodes of its base.  Exact when the ring holds no _E atom: then no two
+        codes decode to one monomial."""
+        w, mask, half = self.width, self.mask, self.half
+        weights = [1 + _node_count(a[2]) if a[0] == _W else 1 for a in self.atoms]
+        n = len(p)
+        for code in p:
+            for weight in weights:
+                if not code:
+                    break
+                if code & mask:
+                    n += weight
+                # the next balanced digit: borrow one when this digit is negative
+                code = (code + half) >> w
+        return n
 
     def _mono(self, code: int) -> tuple:
         """The canonical monomial of a code: digits come out in atom order,

@@ -12,16 +12,17 @@ tau(e_i, e_j)^r = sum_c K^c_i d_c K^r_j - K^c_j d_c K^r_i
                         - K^r_c (d_i K^c_j - d_j K^c_i).
 The Haantjes table is factored: with s(X, Y) = K tau(X, Y) - tau(X, KY),
 H(X, Y) = K s(X, Y) - s(KX, Y), which is (K_out - K_slot1)(K_out - K_slot2)
-tau.  H(e_i, e_j), i < j, reads s(e_i, e_j) and s(e_a, e_j) where K^a_i is
-not zero, so s(e_a, e_j) is built only when a < j or K^a_i is not zero for
-some i < j.
+tau.  A frame component s(e_a, e_j)^r is built the first time H reads it.
 
 Both tables come from one builder, `_frame_table`, in a packed ring
-(`symexpr._PackedRing`) set up once per torsion.  The ring's variables are
-the top-level atoms of K's entries and of their n^3 partials (taken through
-`Expr.diff`), in canonical atom order; each owns one signed digit of a
-Python int, a monomial is one int, and a monomial product is one integer
-addition.  Every H term is a product of four factors from K and its
+(`symexpr._PackedRing`) set up once per torsion.  Only the nonzero entries
+of K are differentiated (through `Expr.diff`), and only their nonzero
+partials are kept.  K's nonzero entries are indexed by row and by column,
+so every tau, s and H component is one dot over the pairs of nonzero
+factors only.  The ring's variables are the top-level atoms of K's entries
+and of those partials, in canonical atom order; each owns one signed digit
+of a Python int, a monomial is one int, and a monomial product is one
+integer addition.  Every H term is a product of four factors from K and its
 partials, so a digit is sized for four times the largest |exponent| of
 those inputs and cannot overflow.  Inverse-power and exp atoms are opaque
 variables: their products need no expansion, and exp(u) exp(v) becomes
@@ -36,7 +37,12 @@ H is homogeneous of degree 4 under scaling by a function, H_{fK} = f^4 H_K
 (Bogoyavlenskij, J. Math. Phys. 45, 2004; Tempesta and Tondo, Ann. Mat. Pura
 Appl. 201, 2022).  So an algebra check reports f*K with the torsion of K, and
 decides f*A + g*B = g (h*A + B) from H of h*A + B, with one abstract
-coefficient h = f/g.
+coefficient h = f/g.  By the same authors, H_K = 0 implies H_{p(K)} = 0 for
+every polynomial p(K) = sum_j a_j K^j whose coefficients a_j are functions;
+so the ring member K*K of a Haantjes generator K reports the torsion of K,
+as surely as K's own report (a probably_zero premise gives a probably_zero
+conclusion).  A generator that fails says nothing about its square, which
+gets a torsion of its own.
 """
 
 from __future__ import annotations
@@ -161,33 +167,42 @@ def _frame_table(k: Operator11, haantjes: bool) -> dict:
     ring over K and its entry partials (see the module docstring)."""
     chart = k.chart
     n = chart.dim
-    jac = [[[e.diff(c).terms for e in col] for col in zip(*k.matrix)] for c in range(n)]
+    rn = range(n)
+    nonzero = [(r, c, e) for r, row in enumerate(k.matrix) for c, e in enumerate(row) if not e.is_zero_expr()]
+    # (x, r, c) -> d_x K^r_c: the nonzero partials of the nonzero entries
+    dk = {(x, r, c): d for r, c, e in nonzero for x in rn if (d := e.diff(x).terms)}
     # every H term is a product of four factors from K and its partials
-    ring = _PackedRing([e.terms for row in k.matrix for e in row]
-                       + [t for plane in jac for col in plane for t in col], 4)
-    jac = [[[ring.pack(t) for t in col] for col in plane] for plane in jac]  # [c][j][r]: d_c K^r_j
-    m = [tuple(ring.pack(e.terms) for e in row) for row in k.matrix]
-    neg_rows = [tuple(_neg(e) for e in row) for row in m]
-    cols, neg_cols = list(zip(*m)), list(zip(*neg_rows))
+    ring = _PackedRing([*(e.terms for _, _, e in nonzero), *dk.values()], 4)
+    dk = {key: ring.pack(t) for key, t in dk.items()}
+    m = {(r, c): ring.pack(e.terms) for r, c, e in nonzero}
+    # the nonzero entries K^r_c by row r, as (c, K^r_c, -K^r_c), and by column c, as (r, ...)
+    rows = [[(c, p, _neg(p)) for c in rn if (p := m.get((r, c)))] for r in rn]
+    cols = [[(r, p, _neg(p)) for r in rn if (p := m.get((r, c)))] for c in rn]
+    get = dk.get
     zero = [{}] * n
-    tau = [[zero] * n for _ in range(n)]
-    for i in range(n):
+    tau = [[zero] * n for _ in rn]
+    for i in rn:
         for j in range(i + 1, n):
-            tau[i][j] = [ring.dot(cols[i] + neg_cols[j] + neg_rows[r] + m[r],
-                                  [*(jac[c][j][r] for c in range(n)), *(jac[c][i][r] for c in range(n)),
-                                   *jac[i][j], *jac[j][i]])
-                         for r in range(n)]
-            tau[j][i] = [_neg(e) for e in tau[i][j]]
-    table = {(i, j): tau[i][j] for i in range(n) for j in range(i + 1, n)}
+            tau[i][j] = [ring.dot([*((p, d) for c, p, _ in cols[i] if (d := get((c, r, j)))),
+                                   *((q, d) for c, _, q in cols[j] if (d := get((c, r, i)))),
+                                   *((q, d) for c, _, q in rows[r] if (d := get((i, c, j)))),
+                                   *((p, d) for c, p, _ in rows[r] if (d := get((j, c, i))))])
+                         for r in rn]
+            tau[j][i] = [_neg(p) for p in tau[i][j]]
+    table = {(i, j): tau[i][j] for i in rn for j in range(i + 1, n)}
     if haantjes:
-        # s(e_a, e_j) only where H reads it: when a < j, or when K^a_i is
-        # not zero for some i < j
-        s = {(a, j): [ring.dot(m[r] + neg_cols[j], [*tau[a][j], *(tb[r] for tb in tau[a])])
-                      for r in range(n)]
-             if a < j or any(m[a][:j]) else zero
-             for j in range(1, n) for a in range(n)}
-        table = {(i, j): [ring.dot(m[r] + neg_cols[i], [*s[i, j], *(s[a, j][r] for a in range(n))])
-                          for r in range(n)]
+        s = {}
+
+        def s_at(a: int, j: int, r: int) -> dict:
+            # s(e_a, e_j)^r, built the first time H reads it
+            if (a, j, r) not in s:
+                s[a, j, r] = ring.dot([*((p, t) for c, p, _ in rows[r] if (t := tau[a][j][c])),
+                                       *((q, t) for b, _, q in cols[j] if (t := tau[a][b][r]))])
+            return s[a, j, r]
+
+        table = {(i, j): [ring.dot([*((p, u) for c, p, _ in rows[r] if (u := s_at(i, j, c))),
+                                    *((q, u) for a, _, q in cols[i] if (u := s_at(a, j, r)))])
+                          for r in rn]
                  for i, j in table}
     values = {}
     for ij, comps in table.items():
@@ -243,7 +258,8 @@ def check_haantjes_algebra(basis: HaantjesBasis, zt: ZeroTester = ZeroTester()) 
     """Generators Haantjes, function-linear module closure, ring closure
     under composition, and (optionally) commutativity.  By H_{fK} = f^4 H_K,
     f*K is decided by K itself and f*A + g*B by h*A + B with one abstract
-    coefficient h (Bogoyavlenskij 2004; Tempesta and Tondo 2022)."""
+    coefficient h; by H_K = 0 => H_{p(K)} = 0, K*K of a Haantjes generator
+    K is decided by K too (Bogoyavlenskij 2004; Tempesta and Tondo 2022)."""
     return _algebra_check("haantjes-algebra", basis.chart, basis.operators, basis.names,
                           basis.abelian_required, zt)
 
@@ -261,20 +277,27 @@ def _algebra_check(name: str, chart: Chart, ops: Sequence[Operator11], names: Se
     def member(label: str, sub: CheckReport):
         rep.merge(replace(sub, name=label))
 
-    for nm, k in zip(names, ops):
-        member(f"generator {nm}", once(is_haantjes, k, zt))
+    gens = [once(is_haantjes, k, zt) for k in ops]
+    for nm, g in zip(names, gens):
+        member(f"generator {nm}", g)
     # H_{fK} = f^4 H_K, so f*K shares the torsion of K; and f A + g B =
     # g (h A + B) with h = f/g, so H_{fA+gB} = g^4 H_{hA+B}
     h = fn_symbol(chart, "_modf").on_chart(ops[0].chart)
     for i, (nm, k) in enumerate(zip(names, ops)):
-        member(f"module f*{nm}", once(is_haantjes, k, zt))
+        member(f"module f*{nm}", gens[i])
         for j in range(i + 1, len(ops)):
             member(f"module f*{nm}+g*{names[j]}", once(is_haantjes, k.scale(h) + ops[j], zt))
+    # H_K = 0 gives H_{p(K)} = 0 for every polynomial p in K with function
+    # coefficients, so K*K shares the verdict of a Haantjes generator K
     ring = {}
     for i, ki in enumerate(ops):
         for j, kj in enumerate(ops):
-            ring[i, j] = op_compose(ki, kj)
-            member(f"ring {names[i]}*{names[j]}", once(is_haantjes, ring[i, j], zt))
+            if i == j and gens[i].passed:
+                sub = gens[i]
+            else:
+                ring[i, j] = op_compose(ki, kj)
+                sub = once(is_haantjes, ring[i, j], zt)
+            member(f"ring {names[i]}*{names[j]}", sub)
     if abelian:
         for i in range(len(ops)):
             for j in range(i + 1, len(ops)):

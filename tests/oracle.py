@@ -21,6 +21,15 @@ Indag. Math. 17, 1955), with K^r_c the r-th component of K e_c:
     H(X, Y) = K^2 tau(X, Y) + tau(KX, KY) - K (tau(X, KY) + tau(KX, Y)),
 
 with tau extended bilinearly.  Equality is exact.
+
+`defined_torsions` is that computation, from an operator's 1-jet at a point
+(`one_jet`, `jet_at`).  `jet_mul` and `jet_add` give the 1-jets of products
+and sums by the product rule, so a test can also check an identity that the
+kernel never builds: if H_K = 0, then H_{p(K)} = 0 for every polynomial
+p(K) = sum_j a_j K^j whose coefficients a_j are functions (O. I.
+Bogoyavlenskij, J. Math. Phys. 45, 2004; P. Tempesta and G. Tondo, Ann.
+Mat. Pura Appl. 201, 2022), the rule by which an algebra check lets the
+ring member K*K read the torsion of a Haantjes generator K.
 """
 
 from fractions import Fraction
@@ -83,34 +92,71 @@ def rational_points(chart, rng, count):
 def torsions_match(k, points):
     """Whether the kernel's Nijenhuis and Haantjes tables of k equal the
     definitions' values at each point."""
-    n = k.chart.dim
     xs = [sympy.Symbol(c) for c in k.chart.coords]
-    cols = [[to_sympy(e) for e in col] for col in zip(*k.matrix)]
-    jet = [cols] + [[[sympy.diff(e, x) for e in col] for col in cols] for x in xs]
+    jet = one_jet([[to_sympy(e) for e in col] for col in zip(*k.matrix)], xs)
     tau_k, h_k = nijenhuis_torsion(k), haantjes_torsion(k)
-    rn = range(n)
     for pt in points:
-        at = {x: sympy.Rational(v.numerator, v.denominator) for x, v in zip(xs, pt)}
-        # kc[c] = K e_c, so K v = _lin(v, kc), and dkc[m][c] = d_m (K e_c)
-        kc, *dkc = [[[Fraction(e.xreplace(at)) for e in col] for col in m] for m in jet]
-        # tau[i][j][r], by the coordinate formula above
-        tau = [[[u - w - z for u, w, z in zip(
-                    _lin(kc[i], [d[j] for d in dkc]), _lin(kc[j], [d[i] for d in dkc]),
-                    _lin([a - b for a, b in zip(dkc[i][j], dkc[j][i])], kc))]
-                for j in rn] for i in rn]
-        for i in rn:
-            for j in range(i + 1, n):
-                # tau(K e_i, K e_j), and tau(e_i, K e_j) + tau(K e_i, e_j)
-                t_kk = _lin(kc[i], [_lin(kc[j], tau[a]) for a in rn])
-                mixed = [u + w for u, w in zip(_lin(kc[j], tau[i]),
-                                               _lin(kc[i], [tau[a][j] for a in rn]))]
-                h = [u + w - z for u, w, z in zip(_lin(_lin(tau[i][j], kc), kc), t_kk,
-                                                  _lin(mixed, kc))]
-                for r in rn:
-                    if (value(tau_k[i, j][r].terms, pt) != tau[i][j][r]
-                            or value(h_k[i, j][r].terms, pt) != h[r]):
-                        return False
+        tau, h = defined_torsions(*jet_at(jet, xs, pt))
+        for (i, j), hv in h.items():
+            for r, v in enumerate(hv):
+                if (value(tau_k[i, j][r].terms, pt) != tau[i][j][r]
+                        or value(h_k[i, j][r].terms, pt) != v):
+                    return False
     return True
+
+
+def one_jet(cols, xs):
+    """[cols, d_x cols for each coordinate x in xs]: an operator's frame
+    columns K e_c, sympy expressions in the Symbols xs, and their partials."""
+    return [cols] + [[[sympy.diff(e, x) for e in col] for col in cols] for x in xs]
+
+
+def jet_at(jet, xs, pt):
+    """The 1-jet (kc, dkc) of `one_jet` at pt, in Fractions: kc[c] = K e_c,
+    so K v = _lin(v, kc), and dkc[m][c] = d_m (K e_c)."""
+    at = {x: sympy.Rational(v.numerator, v.denominator) for x, v in zip(xs, pt)}
+    kc, *dkc = [[[Fraction(e.xreplace(at)) for e in col] for col in m] for m in jet]
+    return kc, dkc
+
+
+def jet_mul(a, b):
+    """The 1-jet of the operator product AB from the 1-jets a of A and b of
+    B at one point (see `jet_at`), by the product rule."""
+    (a0, da), (b0, db) = a, b
+    return ([_lin(bc, a0) for bc in b0],
+            [[[u + w for u, w in zip(_lin(bc, dam), _lin(dbc, a0))] for bc, dbc in zip(b0, dbm)]
+             for dam, dbm in zip(da, db)])
+
+
+def jet_add(a, b):
+    """The 1-jet of A + B from the 1-jets a of A and b of B at one point."""
+    def add(u, v):
+        return [[x + y for x, y in zip(p, q)] for p, q in zip(u, v)]
+
+    (a0, da), (b0, db) = a, b
+    return add(a0, b0), [add(p, q) for p, q in zip(da, db)]
+
+
+def defined_torsions(kc, dkc):
+    """(tau, h) of the operator with 1-jet (kc, dkc) at a point (see
+    `jet_at`), in Fractions, from the definitions above: tau[i][j][r] for
+    every i, j, and h[i, j][r] for i < j."""
+    rn = range(len(kc))
+    # tau[i][j][r], by the coordinate formula above
+    tau = [[[u - w - z for u, w, z in zip(
+                _lin(kc[i], [d[j] for d in dkc]), _lin(kc[j], [d[i] for d in dkc]),
+                _lin([a - b for a, b in zip(dkc[i][j], dkc[j][i])], kc))]
+            for j in rn] for i in rn]
+    h = {}
+    for i in rn:
+        for j in range(i + 1, len(kc)):
+            # tau(K e_i, K e_j), and tau(e_i, K e_j) + tau(K e_i, e_j)
+            t_kk = _lin(kc[i], [_lin(kc[j], tau[a]) for a in rn])
+            mixed = [u + w for u, w in zip(_lin(kc[j], tau[i]),
+                                           _lin(kc[i], [tau[a][j] for a in rn]))]
+            h[i, j] = [u + w - z for u, w, z in zip(_lin(_lin(tau[i][j], kc), kc), t_kk,
+                                                    _lin(mixed, kc))]
+    return tau, h
 
 
 def _lin(weights, vectors):

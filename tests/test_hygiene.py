@@ -5,7 +5,8 @@ documented; the kernel, the tensor module, the check reports and the torsion
 and compatibility builders keep no process-wide tables, the library imports
 no numpy, at module or function level, computes in floats only in the zero
 test's sampling tier, and builds no report from another report's parts; the
-test oracles import nothing from the kernel."""
+test oracles import nothing from the kernel, and no module outside the
+check reports uses a private member of CheckReport."""
 
 import ast
 import importlib
@@ -120,6 +121,28 @@ def test_sub_reports_enter_only_through_merge():
                     and (len(node.args) > 1
                          or {k.arg for k in node.keywords} & {"status", "details", "certainty"})):
                 found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_private_report_members_stay_in_checks():
+    # a report is read and extended through its public methods; a private
+    # method or attribute of CheckReport used elsewhere ties its caller to
+    # the report's internals (the CLI once recomputed certainties this way)
+    cls = next(node for node in ast.parse((SRC / "checks.py").read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ClassDef) and node.name == "CheckReport")
+    private = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    private |= {node.target.id for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+    private |= {node.attr for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "self"}
+    private = {name for name in private if name.startswith("_") and not name.endswith("__")}
+    found = []
+    for path in sorted(SRC.glob("**/*.py")):
+        if path.name != "checks.py":
+            found += [f"{path.name}:{node.lineno} {node.attr}"
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.Attribute) and node.attr in private]
     assert not found, found
 
 

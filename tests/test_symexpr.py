@@ -566,6 +566,52 @@ class TestBudget:
             sx._t_dot(pairs)
 
 
+class TestPackedNodeCount:
+    """Without exp atoms, no two codes of a packed polynomial decode to one
+    monomial, so a packed dot counts the nodes of its canonical form from
+    the codes; the count, and so the budget, must be the decode path's."""
+
+    @staticmethod
+    def _cases(chart):
+        # seeded dots over inverse-power atoms, negative coordinate powers,
+        # an abstract function and a high power
+        q, p, z = chart.coord("q"), chart.coord("p"), chart.coord("z")
+        factors = [p**-2, (p + z + 2) ** -1, (q - z) ** -3, fn_symbol(chart, "f", ["q"]), z**5]
+        rng = random.Random(61)
+        for _ in range(8):
+            ts = [(rand_poly(chart, rng, 2, 3) * factors[rng.randrange(5)] * factors[rng.randrange(5)]).terms
+                  for _ in range(6)]
+            ring = sx._PackedRing(ts, 2)
+            yield ring, [(ring.pack(a), ring.pack(b)) for a, b in zip(ts[::2], ts[1::2])]
+
+    def test_count_equals_the_decoded_count(self, chart):
+        inverse_powers = 0
+        for ring, pairs in self._cases(chart):
+            p = ring.dot(pairs)
+            inverse_powers += any(a[0] == sx._W for a in ring.atoms)
+            assert ring._nodes(p) == sx._node_count(ring.terms(p))
+        assert inverse_powers >= 6
+
+    def test_budget_threshold_equals_the_decode_path(self, chart, monkeypatch):
+        cases = [(ring, pairs, ring.dot(pairs)) for ring, pairs in self._cases(chart)]
+        for ring, pairs, p in cases:
+            nodes = sx._node_count(ring.terms(p))
+            for budget in (nodes - 1, nodes):
+                with monkeypatch.context() as m:
+                    m.setattr(sx, "NODE_BUDGET", budget)
+                    decoded = _raises_budget(ring.terms, p)
+                    m.setattr(sx._PackedRing, "terms", None)  # the dot decodes nothing
+                    assert _raises_budget(ring.dot, pairs) == decoded == (budget < nodes)
+
+
+def _raises_budget(fn, arg) -> bool:
+    try:
+        fn(arg)
+    except sx.BudgetError:
+        return True
+    return False
+
+
 class TestChart:
     def test_duplicate_coords_rejected(self):
         with pytest.raises(ValueError):

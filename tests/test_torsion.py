@@ -4,6 +4,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
+import sympy
 
 import haantjes
 import haantjes.symexpr as sx
@@ -27,6 +28,7 @@ from haantjes.torsion import (
 )
 
 from conftest import commuting_pair, rand_operator, rand_poly, self_only_matrix
+from oracle import defined_torsions, jet_add, jet_at, jet_mul, one_jet, rational_points, to_sympy, torsions_match
 
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
@@ -74,6 +76,11 @@ _SPARSE_CASES += [pytest.param(mask, 3, _atom_entry, id=f"{mask}-3-atoms")
                   for mask in ("upper", "lower", "block", "diagonal+nilpotent")]
 
 
+def _sampling(e):
+    """A zero tester that can only sample."""
+    return sx.PROVEN_ZERO if e.is_zero_expr() else sx.ZeroCertainty("probably_zero", samples=1)
+
+
 def _decode_path_operators():
     """Operators whose torsion tables reach every decode path of the packed
     ring (see `_atom_entry`): on a 2-chart, where H vanishes identically and
@@ -107,14 +114,17 @@ class TestNijenhuis:
         assert (tau[(0, 1)] + tau[(1, 0)]).is_zero_field()
 
     def test_entry_partials_taken_once(self, monkeypatch):
-        # the frame table differentiates each entry of K once per coordinate
+        # the frame table differentiates each nonzero entry of K once per
+        # coordinate, and no zero entry
         chart = sx.Chart("R4", ("x", "y", "z", "w"))
-        k = rand_operator(chart, random.Random(53))
+        rng = random.Random(53)
+        k = Operator11(chart, [[rand_poly(chart, rng) if r <= c else 0 for c in range(4)] for r in range(4)])
+        nonzero = sum(not e.is_zero_expr() for row in k.matrix for e in row)
         calls = []
         diff = sx.Expr.diff
         monkeypatch.setattr(sx.Expr, "diff", lambda e, which: calls.append(which) or diff(e, which))
         assert not nijenhuis_torsion(k).is_zero()
-        assert 0 < len(calls) <= chart.dim ** 3
+        assert len(calls) == nonzero * chart.dim and nonzero == 10
 
     def test_tensoriality(self, C2, zt):
         rng = random.Random(41)
@@ -219,7 +229,6 @@ class TestHaantjes:
 
     def test_numeric_cross_check(self, C2, rng):
         # the tables vs the defining formulas, exactly, at rational points
-        from oracle import rational_points, torsions_match
         for _ in range(4):
             assert torsions_match(rand_operator(C2, rng, deg=2), rational_points(C2, rng, 1))
 
@@ -248,7 +257,8 @@ class TestAlgebra:
     def test_one_torsion_per_distinct_operator(self, zt, monkeypatch):
         # f*K reuses the torsion of K, and K_i K_j = K_j K_i for a commuting
         # pair: 6 torsions, not 7, and the same report as a run that computes
-        # one per label
+        # one per label; both generators fail, so A*A and B*B each get a
+        # torsion of their own
         chart = sx.Chart("R3", ("x", "y", "z"))
         calls = []
         real = torsion.is_haantjes
@@ -288,12 +298,33 @@ class TestAlgebra:
         x, y, z = (chart.coord(i) for i in range(3))
         a = Operator11(chart, [[x * y, z, 0], [0, y, x], [y * z, 0, x + z]])
 
-        def sampling(e):
-            return sx.PROVEN_ZERO if e.is_zero_expr() else sx.ZeroCertainty("probably_zero", samples=1)
-
-        torsion_rep = is_haantjes(a, sampling)
+        torsion_rep = is_haantjes(a, _sampling)
         assert (torsion_rep.status, torsion_rep.certainty.tag) == ("pass", "probably_zero")
-        rep = check_haantjes_algebra(HaantjesBasis([Operator11.identity(chart), a], names=["I", "A"]), sampling)
+        rep = check_haantjes_algebra(HaantjesBasis([Operator11.identity(chart), a], names=["I", "A"]), _sampling)
+        assert (rep.status, rep.certainty.tag) == ("pass", "probably_zero")
+
+    def test_ring_squares_read_their_generators(self, monkeypatch):
+        # H_K = 0 gives H_{K*K} = 0, so the square of a passing generator is
+        # never composed and builds no torsion: its member reads the
+        # generator's status and certainty, probably_zero included
+        chart = sx.Chart("R3", ("x", "y", "z"))
+        x, y, z = (chart.coord(i) for i in range(3))
+        ops = [Operator11.identity(chart), Operator11(chart, [[x * y, z, 0], [0, y, x], [y * z, 0, x + z]])]
+        composed, built = [], []
+        compose, real = torsion.op_compose, torsion.is_haantjes
+        monkeypatch.setattr(torsion, "op_compose", lambda a, b: composed.append((a, b)) or compose(a, b))
+        monkeypatch.setattr(torsion, "is_haantjes", lambda k, zt: built.append(k) or real(k, zt))
+        rep = check_haantjes_algebra(HaantjesBasis(ops, names=["I", "A"]), _sampling)
+        assert composed == [(ops[0], ops[1]), (ops[1], ops[0])]
+        assert len(built) == 3  # I, A and h*I + A; I*A = A*I = A is A's torsion
+
+        def member(label):
+            return [(line.removeprefix(label), c) for line, c in rep.details if line.startswith(label)]
+
+        for nm in ("I", "A"):
+            assert member(f"ring {nm}*{nm}") == member(f"generator {nm}")
+        assert member("ring A*A")[0] == ("", "pass")
+        assert {c.tag for _, c in member("ring A*A")[1:]} == {"probably_zero"}
         assert (rep.status, rep.certainty.tag) == ("pass", "probably_zero")
 
 
@@ -400,6 +431,86 @@ class TestHomogeneity:
         a, b = self._non_haantjes_pair(chart)
         self._assert_scaled(haantjes_torsion(a.scale(f) + b.scale(g)),
                             haantjes_torsion(a.scale(f / g) + b), g**4)
+
+
+class TestRingPolynomials:
+    """If H_K = 0, then H_{p(K)} = 0 for every polynomial p(K) = sum_j a_j
+    K^j whose coefficients a_j are functions (O. I. Bogoyavlenskij, J. Math.
+    Phys. 45, 2004; P. Tempesta and G. Tondo, Ann. Mat. Pura Appl. 201,
+    2022): the rule by which an algebra check lets the ring member K*K read
+    the torsion of a Haantjes generator K.  The oracle checks it exactly on
+    operators built in sympy: H of K, K^2 and f K^2 + g K, from its
+    definition, at rational points."""
+
+    @staticmethod
+    def _coordinate_map(rng, perturb=False):
+        # the map of test_known_answer_from_a_coordinate_map, built in sympy
+        # with seeded polynomial eigenvalues, so that K is rational
+        chart = sx.Chart("R3", ("x0", "x1", "x2"))
+        x0, x1, x2 = xs = sympy.symbols(chart.coords)
+        jac = sympy.Matrix([(x0 + x1**2) * (1 + x2), x1 + x2**2 + x1 * x2, x2 + x2 * x0]).jacobian(xs)
+        if perturb:
+            jac[0, 1] += x0
+        eigen = sympy.diag(*(to_sympy(rand_poly(chart, rng)) for _ in range(3)))
+        yield chart, jac.adjugate() * eigen * jac / jac.det()
+
+    @staticmethod
+    def _jordan(rng):
+        # lambda I + N, N constant and strictly upper triangular: tau_N = 0,
+        # and adding lambda I keeps H zero (the test checks H_K = 0 too)
+        for dim in (3, 4):
+            chart = sx.Chart(f"R{dim}", tuple(f"x{i}" for i in range(dim)))
+            lam = to_sympy(rand_poly(chart, rng))
+            yield chart, sympy.Matrix(dim, dim, lambda r, c: lam if r == c else rng.randint(1, 3) if r < c else 0)
+
+    @staticmethod
+    def _sparse(rng):
+        # the first three seeded sparse 4 x 4 operators with at least four
+        # nonzero entries, tau_K != 0, and H_K structurally zero
+        chart = sx.Chart("R4", ("x", "y", "z", "w"))
+        found = 0
+        for _ in range(200):
+            k = Operator11(chart, [[rand_poly(chart, rng, terms=2) if rng.random() < 0.3 else 0
+                                    for _ in range(4)] for _ in range(4)])
+            if (sum(not e.is_zero_expr() for row in k.matrix for e in row) >= 4
+                    and haantjes_torsion(k).is_zero() and not nijenhuis_torsion(k).is_zero()):
+                found += 1
+                yield chart, sympy.Matrix([[to_sympy(e) for e in row] for row in k.matrix])
+                if found == 3:
+                    return
+        raise AssertionError("fewer than three sparse Haantjes operators")
+
+    @staticmethod
+    def _polynomials_at(chart, m, rng):
+        """For 2 seeded rational points, the 1-jets there of K (the sympy
+        matrix m), K^2 and f K^2 + g K, with seeded polynomials f and g."""
+        n, xs = chart.dim, sympy.symbols(chart.coords)
+        f, g = (to_sympy(rand_poly(chart, rng)) for _ in range(2))
+        jets = [one_jet([list(m.col(c)) for c in range(n)], xs)]
+        jets += [one_jet([[a if r == c else sympy.S.Zero for r in range(n)] for c in range(n)], xs)
+                 for a in (f, g)]
+        for pt in rational_points(chart, rng, 2):
+            kj, fj, gj = (jet_at(jet, xs, pt) for jet in jets)
+            k2 = jet_mul(kj, kj)
+            yield kj, k2, jet_add(jet_mul(fj, k2), jet_mul(gj, kj))
+
+    @staticmethod
+    def _h_is_zero(jet):
+        return all(v == 0 for h in defined_torsions(*jet)[1].values() for v in h)
+
+    @pytest.mark.parametrize("family", ["_coordinate_map", "_jordan", "_sparse"])
+    def test_polynomials_in_a_haantjes_operator_are_haantjes(self, family):
+        rng = random.Random(59)
+        for chart, m in getattr(self, family)(rng):
+            for jets in self._polynomials_at(chart, m, rng):
+                assert [self._h_is_zero(j) for j in jets] == [True] * 3
+
+    def test_the_oracle_sees_a_nonzero_torsion(self):
+        # the perturbed map's K is not Haantjes, and neither are K^2 and f K^2 + g K
+        rng = random.Random(59)
+        for chart, m in self._coordinate_map(rng, perturb=True):
+            for jets in self._polynomials_at(chart, m, rng):
+                assert [self._h_is_zero(j) for j in jets] == [False] * 3
 
 
 class TestChains:
