@@ -15,11 +15,13 @@ H(X, Y) = K s(X, Y) - s(KX, Y), which is (K_out - K_slot1)(K_out - K_slot2)
 tau.  A frame component s(e_a, e_j)^r is built the first time H reads it.
 
 Both tables come from one builder, `_frame_table`, in a packed ring
-(`symexpr._PackedRing`) set up once per torsion.  Only the nonzero entries
-of K are differentiated (through `Expr.diff`), and only their nonzero
-partials are kept.  K's nonzero entries are indexed by row and by column,
-so every tau, s and H component is one dot over the pairs of nonzero
-factors only.  The ring's variables are the top-level atoms of K's entries
+(`symexpr._PackedRing`) set up once per torsion.  Each distinct nonzero
+entry of K, up to sign, is differentiated once per coordinate (through
+`Expr.diff`) and packed once with its nonzero partials; an entry -e takes
+the negated jet of e.  K's nonzero entries are indexed by row and by
+column, so every tau, s and H component is one dot over the pairs of
+nonzero factors only, and a component with no such pair is zero without a
+dot.  The ring's variables are the top-level atoms of K's entries
 and of those partials, in canonical atom order; each owns one signed digit
 of a Python int, a monomial is one int, and a monomial product is one
 integer addition.  Every H term is a product of four factors from K and its
@@ -27,11 +29,12 @@ partials, so a digit is sized for four times the largest |exponent| of
 those inputs and cannot overflow.  Inverse-power and exp atoms are opaque
 variables: their products need no expansion, and exp(u) exp(v) becomes
 exp(u + v) when a component is decoded to canonical terms.  Only the
-nonzero components that leave the builder are decoded.  Every tau, s and H
-component keeps the kernel's budget: it raises BudgetError exactly when its
-canonical form exceeds NODE_BUDGET nodes (a packed component has at least
-as many terms as its canonical form, so the cheap term-count guard comes
-first).
+components that leave the builder are decoded, and of those only the
+nonzero packed ones (a decoded one can still cancel: exp atoms merge).
+Every tau, s and H component keeps the kernel's budget: it raises
+BudgetError exactly when its canonical form exceeds NODE_BUDGET nodes (a
+packed component has at least as many terms as its canonical form, so the
+cheap term-count guard comes first).
 
 H is homogeneous of degree 4 under scaling by a function, H_{fK} = f^4 H_K
 (Bogoyavlenskij, J. Math. Phys. 45, 2004; Tempesta and Tondo, Ann. Mat. Pura
@@ -164,51 +167,112 @@ def haantjes_torsion(k: Operator11) -> VectorValued2Form:
 def _frame_table(k: Operator11, haantjes: bool) -> dict:
     """The nonzero components {(i, j): VectorField}, i < j, of the Nijenhuis
     table of k, or with `haantjes` of its Haantjes table, built in one packed
-    ring over K and its entry partials (see the module docstring)."""
+    ring over K and its entry partials (see the module docstring): one jet
+    per distinct entry up to sign, the partials held as dk[r][c][x] (None
+    when zero), and no dot for a component whose pair list is empty."""
     chart = k.chart
     n = chart.dim
     rn = range(n)
-    nonzero = [(r, c, e) for r, row in enumerate(k.matrix) for c, e in enumerate(row) if not e.is_zero_expr()]
-    # (x, r, c) -> d_x K^r_c: the nonzero partials of the nonzero entries
-    dk = {(x, r, c): d for r, c, e in nonzero for x in rn if (d := e.diff(x).terms)}
+    # One jet per distinct nonzero entry up to sign: entries whose terms
+    # agree up to sign, u being those with a positive leading coefficient,
+    # share the jet of the first of them, and the other sign negates it.
+    jets = {}  # u -> (sign of the entry differentiated, its terms, its partials by coordinate)
+    entries = []  # (r, c, u, sign of K^r_c), a sign being whether the leading coefficient is positive
+    for r, row in enumerate(k.matrix):
+        for c, e in enumerate(row):
+            if t := e.terms:
+                up = t[0][1] > 0
+                u = t if up else (-e).terms
+                if u not in jets:
+                    jets[u] = (up, t, [e.diff(x).terms for x in rn])
+                entries.append((r, c, u, up))
     # every H term is a product of four factors from K and its partials
-    ring = _PackedRing([*(e.terms for _, _, e in nonzero), *dk.values()], 4)
-    dk = {key: ring.pack(t) for key, t in dk.items()}
-    m = {(r, c): ring.pack(e.terms) for r, c, e in nonzero}
-    # the nonzero entries K^r_c by row r, as (c, K^r_c, -K^r_c), and by column c, as (r, ...)
-    rows = [[(c, p, _neg(p)) for c in rn if (p := m.get((r, c)))] for r in rn]
-    cols = [[(r, p, _neg(p)) for r in rn if (p := m.get((r, c)))] for c in rn]
-    get = dk.get
-    zero = [{}] * n
-    tau = [[zero] * n for _ in rn]
+    ring = _PackedRing([f for _, t, ds in jets.values() for f in (t, *ds)], 4)
+    # (u, sign) -> (K^r_c, -K^r_c, [d_x K^r_c, or None when it is zero]), each packed once
+    packed = {}
+    for u, (up, t, ds) in jets.items():
+        p = ring.pack(t)
+        packed[u, up] = (p, _neg(p), [ring.pack(d) if d else None for d in ds])
+    none = [None] * n
+    dk = [[none] * n for _ in rn]  # dk[r][c][x] = d_x K^r_c, or None when it is zero
+    rows = [[] for _ in rn]  # the nonzero entries K^r_c of row r, as (c, K^r_c, -K^r_c)
+    cols = [[] for _ in rn]  # ... of column c, as (r, K^r_c, -K^r_c)
+    for r, c, u, up in entries:
+        if (jet := packed.get((u, up))) is None:
+            p, q, ds = packed[u, not up]
+            jet = packed[u, up] = (q, p, [d and _neg(d) for d in ds])
+        rows[r].append((c, jet[0], jet[1]))
+        cols[c].append((r, jet[0], jet[1]))
+        dk[r][c] = jet[2]
+    dot = ring.dot
+    # tau[i][j] for i < j; tau(e_j, e_i) = -tau(e_i, e_j) is read with the other sign of K
+    tau = [[None] * n for _ in rn]
     for i in rn:
         for j in range(i + 1, n):
-            tau[i][j] = [ring.dot([*((p, d) for c, p, _ in cols[i] if (d := get((c, r, j)))),
-                                   *((q, d) for c, _, q in cols[j] if (d := get((c, r, i)))),
-                                   *((q, d) for c, _, q in rows[r] if (d := get((i, c, j)))),
-                                   *((p, d) for c, p, _ in rows[r] if (d := get((j, c, i))))])
-                         for r in rn]
-            tau[j][i] = [_neg(p) for p in tau[i][j]]
+            comps = tau[i][j] = []
+            for r in rn:
+                dri, drj = dk[r][i], dk[r][j]
+                pairs = []
+                for c, p, _ in cols[i]:
+                    if d := drj[c]:
+                        pairs.append((p, d))
+                for c, _, q in cols[j]:
+                    if d := dri[c]:
+                        pairs.append((q, d))
+                for c, p, q in rows[r]:
+                    dc = dk[c]
+                    if d := dc[j][i]:
+                        pairs.append((q, d))
+                    if d := dc[i][j]:
+                        pairs.append((p, d))
+                comps.append(dot(pairs) if pairs else {})
     table = {(i, j): tau[i][j] for i in rn for j in range(i + 1, n)}
     if haantjes:
-        s = {}
+        s = [[[None] * n for _ in rn] for _ in rn]  # s[a][j][r] = s(e_a, e_j)^r, built the first time H reads it
 
         def s_at(a: int, j: int, r: int) -> dict:
-            # s(e_a, e_j)^r, built the first time H reads it
-            if (a, j, r) not in s:
-                s[a, j, r] = ring.dot([*((p, t) for c, p, _ in rows[r] if (t := tau[a][j][c])),
-                                       *((q, t) for b, _, q in cols[j] if (t := tau[a][b][r]))])
-            return s[a, j, r]
+            if (out := s[a][j][r]) is None:
+                pairs = []
+                if a < j:
+                    t = tau[a][j]
+                    for c, p, _ in rows[r]:
+                        if v := t[c]:
+                            pairs.append((p, v))
+                elif a > j:
+                    t = tau[j][a]
+                    for c, _, q in rows[r]:
+                        if v := t[c]:
+                            pairs.append((q, v))
+                for b, p, q in cols[j]:
+                    if a < b:
+                        if v := tau[a][b][r]:
+                            pairs.append((q, v))
+                    elif a > b:
+                        if v := tau[b][a][r]:
+                            pairs.append((p, v))
+                out = s[a][j][r] = dot(pairs) if pairs else {}
+            return out
 
-        table = {(i, j): [ring.dot([*((p, u) for c, p, _ in rows[r] if (u := s_at(i, j, c))),
-                                    *((q, u) for a, _, q in cols[i] if (u := s_at(a, j, r)))])
-                          for r in rn]
-                 for i, j in table}
+        h = {}
+        for i, j in table:
+            comps = h[i, j] = []
+            for r in rn:
+                pairs = []
+                for c, p, _ in rows[r]:
+                    if v := s_at(i, j, c):
+                        pairs.append((p, v))
+                for a, _, q in cols[i]:
+                    if v := s_at(a, j, r):
+                        pairs.append((q, v))
+                comps.append(dot(pairs) if pairs else {})
+        table = h
     values = {}
     for ij, comps in table.items():
-        v = VectorField(chart, [Expr(chart, ring.terms(p)) for p in comps])
-        if not v.is_zero_field():
-            values[ij] = v
+        if any(comps):
+            # exp atoms can merge, and then cancel, on decode
+            v = VectorField(chart, [Expr(chart, ring.terms(p) if p else ()) for p in comps])
+            if not v.is_zero_field():
+                values[ij] = v
     return values
 
 

@@ -1,6 +1,7 @@
 import inspect
 import pathlib
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -126,6 +127,27 @@ class TestNijenhuis:
         assert not nijenhuis_torsion(k).is_zero()
         assert len(calls) == nonzero * chart.dim and nonzero == 10
 
+    @pytest.mark.parametrize("pattern", ["F2", "F3"])
+    def test_one_jet_per_entry_up_to_sign(self, monkeypatch, pattern):
+        # entries that repeat, or repeat with the other sign, share one jet:
+        # Expr.diff runs once per distinct entry up to sign and coordinate,
+        # on the first of them; in F3 that first entry is -D
+        chart = sx.Chart("R5", ("q1", "q2", "p1", "p2", "z"))
+        rng = random.Random(59)
+        d, b, g, w = (rand_poly(chart, rng, deg=3) for _ in range(4))
+        rows = {"F2": [[d, b, 0, d, 0], [-b, d, -d, 0, 0], [0, 0, -d, b, 0], [0, 0, -b, -d, 0], [0, 0, 0, 0, g]],
+                "F3": [[-d, 0, 0, 0, 0], [0, d, 0, 0, 0], [0, 0, d, 0, 0], [0, 0, 0, -d, 0], [d * g, w, b, 0, d]]}
+        firsts = {"F2": (d, b, g), "F3": (-d, d * g, w, b)}[pattern]
+        k = Operator11(chart, rows[pattern])
+        calls = []
+        diff = sx.Expr.diff
+        monkeypatch.setattr(sx.Expr, "diff", lambda e, which: calls.append((e, which)) or diff(e, which))
+        tau, h = nijenhuis_torsion(k), haantjes_torsion(k)
+        assert Counter(calls) == Counter({(e, x): 2 for e in firsts for x in range(5)})  # one set per table
+        monkeypatch.undo()
+        assert not tau.is_zero()
+        TestHaantjes._assert_tables_match_literal_eval(k)
+
     def test_tensoriality(self, C2, zt):
         rng = random.Random(41)
         f = fn_symbol(C2, "f")
@@ -173,6 +195,13 @@ class TestHaantjes:
                 self._assert_tables_match_literal_eval(rand_operator(chart, rng))
         for k in _decode_path_operators():
             assert not (nijenhuis_torsion(k) if k.chart.dim == 2 else haantjes_torsion(k)).is_zero()
+            self._assert_tables_match_literal_eval(k)
+        # entries that differ in sign share one jet, also through an exp atom
+        # and an inverse-power (_W) atom; the first entry seen is the negative
+        x, y, z = (charts[1].coord(i) for i in range(3))
+        for u in (x * exp(y), x / (y + z)):
+            k = Operator11(charts[1], [[-u, z, u], [u, x * y, -u], [0, -u, y + z]])
+            assert not haantjes_torsion(k).is_zero()
             self._assert_tables_match_literal_eval(k)
 
     @pytest.mark.parametrize("mask,dim,entry", _SPARSE_CASES)
