@@ -1,10 +1,9 @@
 """Nijenhuis and Haantjes torsions, Haantjes algebras and chains.
 
-Torsions are reported on the coordinate frame.  `nijenhuis_eval` /
-`haantjes_eval` expand the defining formulas literally on arbitrary vector
-fields; the frame tables exploit tensoriality (itself a tested property) to
-contract composite arguments through the tables instead of re-deriving
-brackets of composite fields.
+Torsions are reported on the coordinate frame.  The frame tables exploit
+tensoriality (tested against the defining formulas, expanded literally on
+arbitrary vector fields) to contract composite arguments through the tables
+instead of re-deriving brackets of composite fields.
 
 Each Nijenhuis component is one dot over the entry partials of K, each
 taken once per torsion:
@@ -21,8 +20,17 @@ entry of K, up to sign, is differentiated once per coordinate (through
 the negated jet of e.  K's nonzero entries are indexed by row and by
 column, so every tau, s and H component is one dot over the pairs of
 nonzero factors only, and a component with no such pair is zero without a
-dot.  The ring's variables are the top-level atoms of K's entries
-and of those partials, in canonical atom order; each owns one signed digit
+dot.  A dot sums the K side of a shared factor first: in
+H(e_i, e_j)^r = sum_c K^r_c s(e_i, e_j)^c - sum_a K^a_i s(e_a, e_j)^r the
+factor s(e_i, e_j)^r comes with K^r_r - K^i_i, and in
+s(e_a, e_j)^r = sum_c K^r_c tau(e_a, e_j)^c - sum_b K^b_j tau(e_a, e_b)^r
+the factor tau(e_a, e_j)^r with K^r_r - K^j_j, so each is multiplied once,
+and not at all where the difference cancels.  K's entries -e and their
+partials are negated through the ring (`_PackedRing.neg`), and each s
+component is interned up to sign in the ring when it is built
+(`_PackedRing.intern`), so components equal up to sign are one factor to
+the dot.  The ring's variables are the top-level atoms of K's entries and
+of those partials, in canonical atom order; each owns one signed digit
 of a Python int, a monomial is one int, and a monomial product is one
 integer addition.  Every H term is a product of four factors from K and its
 partials, so a digit is sized for four times the largest |exponent| of
@@ -63,7 +71,6 @@ from .geometry import (
     dot,
     exterior_derivative,
     lie_bracket,
-    op_apply,
     op_commutator,
     op_compose,
     op_transpose_apply,
@@ -90,11 +97,9 @@ __all__ = [
     "commute_check",
     "frobenius_codistribution",
     "frobenius_distribution",
-    "haantjes_eval",
     "haantjes_torsion",
     "invariance_check",
     "is_haantjes",
-    "nijenhuis_eval",
     "nijenhuis_torsion",
     "verify_chain",
 ]
@@ -127,30 +132,10 @@ class VectorValued2Form:
                     yield (i, j, k), c
 
 
-def nijenhuis_eval(k: Operator11, x: VectorField, y: VectorField) -> VectorField:
-    """tau_K(X, Y) = K^2[X,Y] + [KX,KY] - K([X,KY] + [KX,Y]), literally."""
-    kx, ky = op_apply(k, x), op_apply(k, y)
-    b = lie_bracket(x, y)
-    out = op_apply(k, op_apply(k, b))
-    out = out + lie_bracket(kx, ky)
-    out = out - op_apply(k, lie_bracket(x, ky) + lie_bracket(kx, y))
-    return out
-
-
 def nijenhuis_torsion(k: Operator11) -> VectorValued2Form:
     """tau_K on the frame, one packed dot per component (see the module
     docstring)."""
     return VectorValued2Form(k.chart, _frame_table(k, haantjes=False))
-
-
-def haantjes_eval(k: Operator11, x: VectorField, y: VectorField) -> VectorField:
-    """H_K(X, Y) from the defining formula, torsion arguments expanded
-    literally (slow route, used as an oracle)."""
-    kx, ky = op_apply(k, x), op_apply(k, y)
-    out = op_apply(k, op_apply(k, nijenhuis_eval(k, x, y)))
-    out = out + nijenhuis_eval(k, kx, ky)
-    out = out - op_apply(k, nijenhuis_eval(k, x, ky) + nijenhuis_eval(k, kx, y))
-    return out
 
 
 def haantjes_torsion(k: Operator11) -> VectorValued2Form:
@@ -169,7 +154,8 @@ def _frame_table(k: Operator11, haantjes: bool) -> dict:
     table of k, or with `haantjes` of its Haantjes table, built in one packed
     ring over K and its entry partials (see the module docstring): one jet
     per distinct entry up to sign, the partials held as dk[r][c][x] (None
-    when zero), and no dot for a component whose pair list is empty."""
+    when zero), no dot for a component whose pair list is empty, and each s
+    component interned up to sign, so that the H dots share its factor."""
     chart = k.chart
     n = chart.dim
     rn = range(n)
@@ -192,7 +178,7 @@ def _frame_table(k: Operator11, haantjes: bool) -> dict:
     packed = {}
     for u, (up, t, ds) in jets.items():
         p = ring.pack(t)
-        packed[u, up] = (p, _neg(p), [ring.pack(d) if d else None for d in ds])
+        packed[u, up] = (p, ring.neg(p), [ring.pack(d) if d else None for d in ds])
     none = [None] * n
     dk = [[none] * n for _ in rn]  # dk[r][c][x] = d_x K^r_c, or None when it is zero
     rows = [[] for _ in rn]  # the nonzero entries K^r_c of row r, as (c, K^r_c, -K^r_c)
@@ -200,7 +186,7 @@ def _frame_table(k: Operator11, haantjes: bool) -> dict:
     for r, c, u, up in entries:
         if (jet := packed.get((u, up))) is None:
             p, q, ds = packed[u, not up]
-            jet = packed[u, up] = (q, p, [d and _neg(d) for d in ds])
+            jet = packed[u, up] = (q, p, [d and ring.neg(d) for d in ds])
         rows[r].append((c, jet[0], jet[1]))
         cols[c].append((r, jet[0], jet[1]))
         dk[r][c] = jet[2]
@@ -250,7 +236,7 @@ def _frame_table(k: Operator11, haantjes: bool) -> dict:
                     elif a > b:
                         if v := tau[b][a][r]:
                             pairs.append((p, v))
-                out = s[a][j][r] = dot(pairs) if pairs else {}
+                out = s[a][j][r] = ring.intern(dot(pairs)) if pairs else {}
             return out
 
         h = {}
@@ -274,10 +260,6 @@ def _frame_table(k: Operator11, haantjes: bool) -> dict:
             if not v.is_zero_field():
                 values[ij] = v
     return values
-
-
-def _neg(p: dict) -> dict:
-    return {m: -c for m, c in p.items()}
 
 
 def is_haantjes(k: Operator11, zt: ZeroTester = ZeroTester()) -> CheckReport:

@@ -610,6 +610,117 @@ def _raises_budget(fn, arg) -> bool:
     return False
 
 
+def _plain_dot(pairs):
+    """The reference for _PackedRing.dot: every x * y multiplied out, term by
+    term, in a plain double loop."""
+    acc = {}
+    for x, y in pairs:
+        for m1, c1 in x.items():
+            for m2, c2 in y.items():
+                acc[m1 + m2] = acc.get(m1 + m2, 0) + c1 * c2
+    return {m: c for m, c in acc.items() if c}
+
+
+class TestGroupedDot:
+    """A packed dot sums the x sides of pairs that share a y, or a y and its
+    negation by `neg`, before it multiplies; it must equal the plain double
+    loop, in rings with an exp (_E) atom and with an inverse-power (_W)
+    atom."""
+
+    def test_shared_factors(self, chart):
+        q, p, z = chart.coord("q"), chart.coord("p"), chart.coord("z")
+        for tag, extra in (("exp", sx.exp(q - p)), ("inverse", (p + 1) ** -1)):
+            x1, x2, y1, y2 = (e.terms for e in (q + 2, p - z, extra * (q - 1) + z, q * extra + p ** 2))
+            ring = sx._PackedRing([x1, x2, y1, y2], 2)
+            assert any(a[0] == {"exp": sx._E, "inverse": sx._W}[tag] for a in ring.atoms)
+            a, b, u, v = (ring.pack(t) for t in (x1, x2, y1, y2))
+            nu = ring.neg(u)
+            assert ring.neg(nu) is u and ring.neg(u) is nu
+            minus_a = {m: -c for m, c in a.items()}  # not registered: an x is summed by content
+            cases = [
+                [],  # the empty dot
+                [(a, u), (b, u), (a, v)],  # a repeated y
+                [(a, u), (b, nu), (b, v)],  # a y and its negation
+                [(a, u), (a, nu)],  # x sum cancels: no product, the zero polynomial
+                [(a, u), (minus_a, u), (b, v)],  # ... beside a pair that stays
+                [(a, nu), (b, u), (a, u), (b, nu), (b, v)],  # cancels through both signs
+            ]
+            for pairs in cases:
+                before = [(dict(x), dict(y)) for x, y in pairs]
+                assert ring.dot(pairs) == _plain_dot(pairs), (tag, pairs)
+                assert [(dict(x), dict(y)) for x, y in pairs] == before  # inputs untouched
+            assert ring.dot([]) == {} and ring.dot([(a, u), (a, nu)]) == {}
+
+    def test_intern_up_to_sign(self, chart):
+        q, p = chart.coord("q"), chart.coord("p")
+        t = (q * p - 3 * p + 1).terms
+        ring = sx._PackedRing([t], 2)
+        u = ring.pack(t)
+        assert ring.intern(u) is u and ring.intern(dict(u)) is u
+        nu = ring.intern({m: -c for m, c in u.items()})
+        assert nu == {m: -c for m, c in u.items()} and ring.neg(u) is nu and ring.intern(nu) is nu
+        # the same term count, lowest code and |coefficient| there: one key, two contents
+        other = ring.pack((q * p - 2 * p + 1).terms)
+        assert ring.intern(other) is other and ring.intern(dict(other)) is other
+        assert ring.intern({m: -c for m, c in other.items()}) is ring.neg(other)
+        assert ring.intern(u) is u and ring.intern({}) == {}
+
+    def test_property_equals_plain_loop(self, chart):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        q, p, z = chart.coord("q"), chart.coord("p"), chart.coord("z")
+        atoms = {"exp": [q, p, z, sx.exp(q - p), sx.exp(p / 2)],
+                 "inverse": [q, p, z, (p + 1) ** -1, (q - z) ** -2]}
+        seen = {"repeat": 0, "negation": 0, "cancel": 0, "empty": 0, "exp": 0, "inverse": 0}
+
+        @st.composite
+        def terms(draw, pool):
+            e = chart.zero()
+            for _ in range(draw(st.integers(1, 3))):
+                t = chart.const(Fraction(draw(st.integers(-4, 4)) or 1, draw(st.integers(1, 3))))
+                for a in draw(st.lists(st.sampled_from(pool), max_size=3)):
+                    t = t * a
+                e = e + t
+            return e.terms
+
+        @st.composite
+        def case(draw):
+            tag = draw(st.sampled_from(sorted(atoms)))
+            ts = draw(st.lists(terms(atoms[tag]), min_size=2, max_size=5))
+            # (x index, y index, how y is given): the object, its negation by
+            # `neg`, or the object beside a pair whose x cancels it
+            spec = draw(st.lists(st.tuples(st.integers(0, len(ts) - 1), st.integers(0, len(ts) - 1),
+                                           st.sampled_from(("same", "neg", "cancel"))), max_size=6))
+            return tag, ts, spec
+
+        @hyp.settings(derandomize=True, database=None, max_examples=80, deadline=None)
+        @hyp.given(case())
+        def prop(c):
+            tag, ts, spec = c
+            ring = sx._PackedRing(ts, 2)
+            packed = [ring.pack(t) for t in ts]
+            pairs = []
+            for i, j, how in spec:
+                x, y = packed[i], packed[j]
+                if how == "neg":
+                    y = ring.neg(y)
+                pairs.append((x, y))
+                if how == "cancel":
+                    pairs.append(({m: -c for m, c in x.items()}, y))
+            assert ring.dot(pairs) == _plain_dot(pairs)
+            ids = [id(y) for _, y in pairs]
+            # one key per y up to sign
+            keys = {i if (e := ring._negs.get(i)) is None else min(i, id(e[1])) for i in ids}
+            seen[tag] += 1
+            seen["repeat"] += len(set(ids)) < len(ids)
+            seen["negation"] += len(keys) < len(set(ids))
+            seen["cancel"] += len(ring._shared(pairs)) < len(keys)
+            seen["empty"] += not pairs
+
+        prop()
+        assert all(seen.values()), seen
+
+
 class TestChart:
     def test_duplicate_coords_rejected(self):
         with pytest.raises(ValueError):

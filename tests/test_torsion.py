@@ -11,7 +11,8 @@ import haantjes
 import haantjes.symexpr as sx
 import haantjes.torsion as torsion
 from haantjes.cli import parse_model
-from haantjes.geometry import KForm, Operator11, VectorField, d_scalar, invert_matrix, op_apply, op_compose
+from haantjes.geometry import (KForm, Operator11, VectorField, d_scalar, invert_matrix, lie_bracket, op_apply,
+                               op_compose)
 from haantjes.symexpr import ZeroTester, exp, fn_symbol, is_zero
 from haantjes.torsion import (
     HaantjesBasis,
@@ -19,11 +20,9 @@ from haantjes.torsion import (
     commute_check,
     frobenius_codistribution,
     frobenius_distribution,
-    haantjes_eval,
     haantjes_torsion,
     invariance_check,
     is_haantjes,
-    nijenhuis_eval,
     nijenhuis_torsion,
     verify_chain,
 )
@@ -33,6 +32,24 @@ from oracle import defined_torsions, jet_add, jet_at, jet_mul, one_jet, rational
 
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
+
+
+def nijenhuis_eval(k, x, y):
+    """tau_K(X, Y) = K^2[X,Y] + [KX,KY] - K([X,KY] + [KX,Y]), literally."""
+    kx, ky = op_apply(k, x), op_apply(k, y)
+    out = op_apply(k, op_apply(k, lie_bracket(x, y)))
+    out = out + lie_bracket(kx, ky)
+    return out - op_apply(k, lie_bracket(x, ky) + lie_bracket(kx, y))
+
+
+def haantjes_eval(k, x, y):
+    """H_K(X, Y) = K^2 tau(X, Y) + tau(KX, KY) - K(tau(X, KY) + tau(KX, Y)),
+    the torsion arguments expanded literally: the slow route that checks the
+    frame tables."""
+    kx, ky = op_apply(k, x), op_apply(k, y)
+    out = op_apply(k, op_apply(k, nijenhuis_eval(k, x, y)))
+    out = out + nijenhuis_eval(k, kx, ky)
+    return out - op_apply(k, nijenhuis_eval(k, x, ky) + nijenhuis_eval(k, kx, y))
 
 
 @pytest.fixture
@@ -237,6 +254,52 @@ class TestHaantjes:
                 haantjes_torsion(k)
         monkeypatch.setattr(sx, "NODE_BUDGET", s_nodes)
         assert haantjes_torsion(k).is_zero()
+
+    def test_grouped_dots_on_a_nonzero_table(self, monkeypatch):
+        # the appendix module member h*F2A + F2B has H = 0, so a dot that
+        # dropped a term of a shared factor could pass there unseen; with z
+        # added to one zero off-diagonal entry, H is nonzero, the dots group
+        # shared factors (some of whose K sides cancel), and both tables
+        # still equal the literal formulas
+        model = parse_model((MODELS / "appendix_families.hj").read_text())
+        a, b = (model.declaration(name).payload["value"] for name in ("F2A", "F2B"))
+        chart = a.chart
+        rows = [list(row) for row in (a.scale(fn_symbol(chart, "_modf")) + b).matrix]
+        rows[0][2] = rows[0][2] + chart.coord("z")
+        k = Operator11(chart, rows)
+        calls = []  # (pairs, ys up to sign, pairs left after grouping) per grouping dot
+        shared = sx._PackedRing._shared
+
+        def spy(ring, pairs):
+            out = shared(ring, pairs)
+            ids = [id(y) for _, y in pairs]
+            calls.append((len(pairs), len({i if (e := ring._negs.get(i)) is None else min(i, id(e[1]))
+                                           for i in ids}), len(out)))
+            return out
+
+        monkeypatch.setattr(sx._PackedRing, "_shared", spy)
+        self._assert_tables_match_literal_eval(k)
+        monkeypatch.undo()
+        tau, h = nijenhuis_torsion(k), haantjes_torsion(k)
+        assert len(h.values) == 7
+        assert sum(n for n, _, _ in calls) > sum(g for _, g, _ in calls)  # factors shared
+        assert any(left < g for _, g, left in calls)  # ... and some K side cancelled
+        # the budget holds per component: BudgetError at one node below the
+        # largest tau or H component, none at the largest tau, s or H one
+        s = [op_apply(k, tau[(i, j)]) - sum((tau[(i, c)].scale(k.matrix[c][j]) for c in range(5)),
+                                            VectorField.zero(chart))
+             for i in range(5) for j in range(5) if i != j]
+
+        def nodes(fields):
+            return max(sx._node_count(c.terms) for v in fields for c in v.components)
+
+        tau_nodes, h_nodes = nodes(tau.values.values()), nodes(h.values.values())
+        for budget in (tau_nodes - 1, h_nodes - 1):
+            monkeypatch.setattr(sx, "NODE_BUDGET", budget)
+            with pytest.raises(sx.BudgetError):
+                haantjes_torsion(k)
+        monkeypatch.setattr(sx, "NODE_BUDGET", max(tau_nodes, h_nodes, nodes(s)))
+        assert haantjes_torsion(k).values.keys() == h.values.keys()
 
     @pytest.mark.parametrize("perturb,verdict", [(False, ("pass", "proven_zero")),
                                                  (True, ("fail", "proven_nonzero"))],
