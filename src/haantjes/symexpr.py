@@ -401,7 +401,7 @@ class _PackedRing:
     for one computation; it is set up from every input it will multiply.
     """
 
-    __slots__ = ("atoms", "shift", "width", "mask", "half", "_negs", "_interned")
+    __slots__ = ("atoms", "shift", "width", "mask", "half", "_interned")
 
     def __init__(self, ts: Iterable[tuple], factors: int):
         atoms: set = set()
@@ -416,10 +416,7 @@ class _PackedRing:
         self.shift = {a: i * w for i, a in enumerate(self.atoms)}
         self.mask = (1 << w) - 1
         self.half = 1 << (w - 1)
-        # id(p) -> (p, -p) and id(-p) -> (-p, p), for each p negated by `neg`;
-        # an entry holds its object, so its id is not reused while the ring lives
-        self._negs: dict = {}
-        # (term count, lowest code, its |coefficient|) -> the polynomials interned under it
+        # (term count, lowest code, its coefficient) -> the polynomials interned under it
         self._interned: dict = {}
 
     def pack(self, t) -> dict:
@@ -427,28 +424,18 @@ class _PackedRing:
         return {sum(e << shift[a] for a, e in m): c for m, c in t}
 
     def neg(self, p: dict) -> dict:
-        """-p, registered with the ring so that `dot` reads the two as one
-        factor up to sign; negating either of them gives the other."""
-        if (e := self._negs.get(id(p))) is not None:
-            return e[1]
-        q = {m: -c for m, c in p.items()}
-        self._negs[id(p)] = (p, q)
-        self._negs[id(q)] = (q, p)
-        return q
+        return {m: -c for m, c in p.items()}
 
     def intern(self, p: dict) -> dict:
         """The ring's one polynomial with p's content: p itself the first
-        time, else the object interned before, or its negation by `neg` when
-        that one holds -p.  Candidates are found by the term count and the
-        lowest code with its |coefficient|, and compared as dicts."""
+        time, else the object interned before.  Candidates are found by the
+        term count and the lowest code with its coefficient, and compared as
+        dicts."""
         if not p:
             return p
         m = min(p)
-        c = p[m]
-        seen = self._interned.setdefault((len(p), m, abs(c)), [])
+        seen = self._interned.setdefault((len(p), m, p[m]), [])
         for q in seen:
-            if q[m] != c:
-                q = self.neg(q)
             if q == p:
                 return q
         seen.append(p)
@@ -458,18 +445,11 @@ class _PackedRing:
         """sum of x * y over the (x, y) pairs, as `_t_dot`; BudgetError when
         its canonical form would exceed NODE_BUDGET, with `_budget_check`'s
         term-count guard first (a decoded form has no more terms than the
-        packed one).  Pairs whose y is one object, or two objects negated by
-        `neg`, share a factor: their x sides are summed first (`_shared`),
-        so each shared y is multiplied once, and not at all when its x sum
-        cancels.  A dot whose ys are distinct up to sign goes to the
-        products directly, after one set of the ys' ids."""
+        packed one).  Pairs whose y is one object share a factor: their x
+        sides are summed first (`_shared`), so each shared y is multiplied
+        once, and not at all when its x sum cancels."""
         if len(pairs) > 1:
-            negs = self._negs
-            ys = {id(y) for _, y in pairs}
-            # a y repeats, or a y and its negation are both present
-            if (len(ys) < len(pairs) or not negs.keys().isdisjoint(ys)
-                    and not ys.isdisjoint([id(negs[i][1]) for i in negs.keys() & ys])):
-                pairs = self._shared(pairs)
+            pairs = self._shared(pairs)
         acc: dict = {}
         get = acc.get
         for x, y in pairs:
@@ -487,19 +467,15 @@ class _PackedRing:
         return acc
 
     def _shared(self, pairs: list) -> list:
-        """The pairs with one pair per y up to sign: sum_k x_k * (±y) =
-        (sum_k ±x_k) * y, by distributivity, exact; a y whose x sum cancels
-        leaves no pair.  The first object seen of a y and its negation is
-        the y of its pair."""
-        negs = self._negs
-        groups: dict = {}  # id(y) -> [y, x, x2, y2, x3, y3, ...], each yk being y or -y
+        """The pairs with one pair per y object: sum_k x_k * y =
+        (sum_k x_k) * y, by distributivity, exact; a y whose x sum cancels
+        leaves no pair."""
+        groups: dict = {}  # id(y) -> [y, x, x2, ...]; pairs holds each y while this runs
         for x, y in pairs:
             if (g := groups.get(id(y))) is None:
-                e = negs.get(id(y))
-                if e is None or (g := groups.get(id(e[1]))) is None:
-                    groups[id(y)] = [y, x]
-                    continue
-            g += (x, y)
+                groups[id(y)] = [y, x]
+            else:
+                g.append(x)
         out = []
         for g in groups.values():
             y = g[0]
@@ -508,13 +484,9 @@ class _PackedRing:
                 continue
             xs = g[1].copy()
             get = xs.get
-            for i in range(2, len(g), 2):
-                if g[i + 1] is y:
-                    for m, c in g[i].items():
-                        xs[m] = get(m, 0) + c
-                else:
-                    for m, c in g[i].items():
-                        xs[m] = get(m, 0) - c
+            for i in range(2, len(g)):
+                for m, c in g[i].items():
+                    xs[m] = get(m, 0) + c
             if x := {m: c for m, c in xs.items() if c}:
                 out.append((x, y))
         return out

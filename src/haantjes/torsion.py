@@ -27,12 +27,12 @@ s(e_a, e_j)^r = sum_c K^r_c tau(e_a, e_j)^c - sum_b K^b_j tau(e_a, e_b)^r
 the factor tau(e_a, e_j)^r with K^r_r - K^j_j, so each is multiplied once,
 and not at all where the difference cancels.  K's entries -e and their
 partials are negated through the ring (`_PackedRing.neg`), and each s
-component is interned up to sign in the ring when it is built
-(`_PackedRing.intern`), so components equal up to sign are one factor to
-the dot.  The ring's variables are the top-level atoms of K's entries and
-of those partials, in canonical atom order; each owns one signed digit
-of a Python int, a monomial is one int, and a monomial product is one
-integer addition.  Every H term is a product of four factors from K and its
+component is interned by content in the ring when it is built
+(`_PackedRing.intern`), so equal components are one factor to the dot.
+The ring's variables are the top-level atoms of K's entries and of those
+partials, in canonical atom order; each owns one signed digit of a Python
+int, a monomial is one int, and a monomial product is one integer
+addition.  Every H term is a product of four factors from K and its
 partials, so a digit is sized for four times the largest |exponent| of
 those inputs and cannot overflow.  Inverse-power and exp atoms are opaque
 variables: their products need no expansion, and exp(u) exp(v) becomes
@@ -155,7 +155,7 @@ def _frame_table(k: Operator11, haantjes: bool) -> dict:
     ring over K and its entry partials (see the module docstring): one jet
     per distinct entry up to sign, the partials held as dk[r][c][x] (None
     when zero), no dot for a component whose pair list is empty, and each s
-    component interned up to sign, so that the H dots share its factor."""
+    component interned by content, so that the H dots share its factor."""
     chart = k.chart
     n = chart.dim
     rn = range(n)

@@ -622,10 +622,9 @@ def _plain_dot(pairs):
 
 
 class TestGroupedDot:
-    """A packed dot sums the x sides of pairs that share a y, or a y and its
-    negation by `neg`, before it multiplies; it must equal the plain double
-    loop, in rings with an exp (_E) atom and with an inverse-power (_W)
-    atom."""
+    """A packed dot sums the x sides of pairs that share a y object before
+    it multiplies; it must equal the plain double loop, in rings with an exp
+    (_E) atom and with an inverse-power (_W) atom."""
 
     def test_shared_factors(self, chart):
         q, p, z = chart.coord("q"), chart.coord("p"), chart.coord("z")
@@ -635,34 +634,34 @@ class TestGroupedDot:
             assert any(a[0] == {"exp": sx._E, "inverse": sx._W}[tag] for a in ring.atoms)
             a, b, u, v = (ring.pack(t) for t in (x1, x2, y1, y2))
             nu = ring.neg(u)
-            assert ring.neg(nu) is u and ring.neg(u) is nu
-            minus_a = {m: -c for m, c in a.items()}  # not registered: an x is summed by content
+            assert nu == {m: -c for m, c in u.items()} and ring.neg(nu) == u
+            minus_a = ring.neg(a)
             cases = [
                 [],  # the empty dot
                 [(a, u), (b, u), (a, v)],  # a repeated y
-                [(a, u), (b, nu), (b, v)],  # a y and its negation
-                [(a, u), (a, nu)],  # x sum cancels: no product, the zero polynomial
+                [(a, u), (b, nu), (b, v)],  # a y and its negation: two factors
+                [(a, u), (minus_a, u)],  # x sum cancels: no product, the zero polynomial
                 [(a, u), (minus_a, u), (b, v)],  # ... beside a pair that stays
-                [(a, nu), (b, u), (a, u), (b, nu), (b, v)],  # cancels through both signs
+                [(a, nu), (b, u), (a, u), (b, nu), (b, v)],  # cancels across the two factors
             ]
             for pairs in cases:
                 before = [(dict(x), dict(y)) for x, y in pairs]
                 assert ring.dot(pairs) == _plain_dot(pairs), (tag, pairs)
                 assert [(dict(x), dict(y)) for x, y in pairs] == before  # inputs untouched
-            assert ring.dot([]) == {} and ring.dot([(a, u), (a, nu)]) == {}
+            assert ring._shared([(a, u), (minus_a, u)]) == []
+            assert ring.dot([]) == {} and ring.dot([(a, u), (minus_a, u)]) == {}
 
-    def test_intern_up_to_sign(self, chart):
+    def test_intern_by_content(self, chart):
         q, p = chart.coord("q"), chart.coord("p")
         t = (q * p - 3 * p + 1).terms
         ring = sx._PackedRing([t], 2)
         u = ring.pack(t)
         assert ring.intern(u) is u and ring.intern(dict(u)) is u
-        nu = ring.intern({m: -c for m, c in u.items()})
-        assert nu == {m: -c for m, c in u.items()} and ring.neg(u) is nu and ring.intern(nu) is nu
-        # the same term count, lowest code and |coefficient| there: one key, two contents
+        nu = ring.neg(u)  # the other sign is other content
+        assert ring.intern(nu) is nu and ring.intern(ring.neg(u)) is nu
+        # the same term count, lowest code and coefficient there: one key, two contents
         other = ring.pack((q * p - 2 * p + 1).terms)
         assert ring.intern(other) is other and ring.intern(dict(other)) is other
-        assert ring.intern({m: -c for m, c in other.items()}) is ring.neg(other)
         assert ring.intern(u) is u and ring.intern({}) == {}
 
     def test_property_equals_plain_loop(self, chart):
@@ -687,8 +686,9 @@ class TestGroupedDot:
         def case(draw):
             tag = draw(st.sampled_from(sorted(atoms)))
             ts = draw(st.lists(terms(atoms[tag]), min_size=2, max_size=5))
-            # (x index, y index, how y is given): the object, its negation by
-            # `neg`, or the object beside a pair whose x cancels it
+            # (x index, y index, how y is given): the object, the object of
+            # its negation by `neg`, or the object beside a pair whose x
+            # cancels it
             spec = draw(st.lists(st.tuples(st.integers(0, len(ts) - 1), st.integers(0, len(ts) - 1),
                                            st.sampled_from(("same", "neg", "cancel"))), max_size=6))
             return tag, ts, spec
@@ -699,22 +699,19 @@ class TestGroupedDot:
             tag, ts, spec = c
             ring = sx._PackedRing(ts, 2)
             packed = [ring.pack(t) for t in ts]
+            negated = [ring.neg(y) for y in packed]
             pairs = []
             for i, j, how in spec:
-                x, y = packed[i], packed[j]
-                if how == "neg":
-                    y = ring.neg(y)
+                x, y = packed[i], (negated if how == "neg" else packed)[j]
                 pairs.append((x, y))
                 if how == "cancel":
-                    pairs.append(({m: -c for m, c in x.items()}, y))
+                    pairs.append((ring.neg(x), y))
             assert ring.dot(pairs) == _plain_dot(pairs)
-            ids = [id(y) for _, y in pairs]
-            # one key per y up to sign
-            keys = {i if (e := ring._negs.get(i)) is None else min(i, id(e[1])) for i in ids}
+            ids = {id(y) for _, y in pairs}
             seen[tag] += 1
-            seen["repeat"] += len(set(ids)) < len(ids)
-            seen["negation"] += len(keys) < len(set(ids))
-            seen["cancel"] += len(ring._shared(pairs)) < len(keys)
+            seen["repeat"] += len(ids) < len(pairs)
+            seen["negation"] += any(id(packed[j]) in ids and id(negated[j]) in ids for j in range(len(ts)))
+            seen["cancel"] += len(ring._shared(pairs)) < len(ids)
             seen["empty"] += not pairs
 
         prop()

@@ -267,14 +267,12 @@ class TestHaantjes:
         rows = [list(row) for row in (a.scale(fn_symbol(chart, "_modf")) + b).matrix]
         rows[0][2] = rows[0][2] + chart.coord("z")
         k = Operator11(chart, rows)
-        calls = []  # (pairs, ys up to sign, pairs left after grouping) per grouping dot
+        calls = []  # (pairs, distinct ys, pairs left after grouping) per grouping dot
         shared = sx._PackedRing._shared
 
         def spy(ring, pairs):
             out = shared(ring, pairs)
-            ids = [id(y) for _, y in pairs]
-            calls.append((len(pairs), len({i if (e := ring._negs.get(i)) is None else min(i, id(e[1]))
-                                           for i in ids}), len(out)))
+            calls.append((len(pairs), len({id(y) for _, y in pairs}), len(out)))
             return out
 
         monkeypatch.setattr(sx._PackedRing, "_shared", spy)
