@@ -31,7 +31,6 @@ from .geometry import (
     exterior_derivative,
     interior_product,
     lie_bracket,
-    lie_derivative,
     op_apply,
     op_compose,
     op_transpose_apply,
@@ -43,10 +42,7 @@ from .checks import CheckReport
 from .torsion import (
     HaantjesBasis,
     check_haantjes_algebra,
-    frobenius_codistribution,
-    frobenius_distribution,
     haantjes_torsion,
-    invariance_check,
     is_haantjes,
     nijenhuis_torsion,
     verify_chain,
@@ -75,7 +71,6 @@ from .extended import (
 from .contact import (
     ContactStructure,
     appendix_family,
-    appendix_general_form,
     check_contact_haantjes,
     classify_special_kind,
     induced_jacobi_from_contact,

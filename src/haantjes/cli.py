@@ -801,8 +801,12 @@ def main(argv: Optional[list] = None) -> int:
     report.meta["model"] = args.model
     print(report.table())
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(report.full_json())
+        try:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                fh.write(report.full_json())
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return report.exit_code
 
 

@@ -46,7 +46,6 @@ from .torsion import HaantjesBasis, verify_chain
 __all__ = [
     "ContactStructure",
     "appendix_family",
-    "appendix_general_form",
     "check_contact_haantjes",
     "classify_special_kind",
     "induced_jacobi_from_contact",
@@ -58,7 +57,6 @@ __all__ = [
     "techain_check",
     "theorem6_check",
     "theta_Kf_condition",
-    "theta_condition_hamiltonian",
     "validate_contact",
 ]
 
@@ -174,23 +172,6 @@ def check_contact_haantjes(k: Operator11, c: ContactStructure, zt: ZeroTester = 
     ktheta = op_transpose_apply(k, c.theta)
     for idx, e in wedge(ktheta, c.theta).items():
         rep.require_zero(f"K^T theta ^ theta [{idx}]", zt(e))
-    return rep
-
-
-def theta_condition_hamiltonian(k: Operator11, c: ContactStructure, zt: ZeroTester = ZeroTester()) -> CheckReport:
-    """The theta-condition restricted to Hamiltonian fields, with abstract
-    generators: theta(K X_f) theta(X_g) = theta(X_f) theta(K X_g)."""
-    chart = c.chart
-    rep = CheckReport("theta-condition-hamiltonian")
-    if _unvalidated(rep, "contact", c):
-        return rep
-    f = fn_symbol(chart, "_thf")
-    g = fn_symbol(chart, "_thg")
-    xf = hamiltonian_vf(f, c.jacobi)
-    xg = hamiltonian_vf(g, c.jacobi)
-    th = lambda x: interior_product(x, c.theta)[()]
-    resid = th(op_apply(k, xf)) * th(xg) - th(xf) * th(op_apply(k, xg))
-    rep.require_zero("theta(KX_f)theta(X_g) - theta(X_f)theta(KX_g)", zt(resid))
     return rep
 
 
@@ -447,24 +428,6 @@ def techain_check(
 def _require_dim5_contact(chart: Chart):
     if chart.kind != ("darboux-contact", 2):
         raise ValueError("appendix families live on the Darboux contact chart of dimension 5")
-
-
-def appendix_general_form(chart: Chart, p: dict) -> Operator11:
-    """The general quasi-compatible (1,1)-tensor on the 5-chart.
-
-    ``p`` supplies A, B, C, D, E, F and the z-row entries qK1z, qK2z, pK1z,
-    pK2z, Kzz (missing entries default to zero)."""
-    _require_dim5_contact(chart)
-    z = chart.zero()
-    g = lambda key: p.get(key, z)
-    A, B, C, D, E, F = (g(k) for k in "ABCDEF")
-    return Operator11(chart, [
-        [A,         B,         z,         E,         z],
-        [C,         D,         -E,        z,         z],
-        [z,         F,         -A,        -C,        z],
-        [-F,        z,         -B,        -D,        z],
-        [g("qK1z"), g("qK2z"), g("pK1z"), g("pK2z"), g("Kzz")],
-    ])
 
 
 def appendix_family(chart: Chart, which: str, funcs: dict) -> Operator11:

@@ -4,8 +4,8 @@ Vector fields, antisymmetric k-forms and k-vectors (sorted-tuple component
 storage, so antisymmetry is structural), (1,1)-operator fields with the
 (output, input) matrix convention, and the operations everything downstream
 consumes: Lie bracket, exterior derivative, interior product, wedge products,
-Schouten-Nijenhuis bracket, Lie derivative, operator algebra, determinants
-and exact inverses.
+Schouten-Nijenhuis bracket, operator algebra, determinants and exact
+inverses.
 
 Operator compatibility with a structure has one form everywhere: K is
 symmetric for the structure's bilinear data.  `compat_residuals` yields the
@@ -36,7 +36,6 @@ __all__ = [
     "exterior_derivative",
     "interior_product",
     "lie_bracket",
-    "lie_derivative",
     "op_apply",
     "op_compose",
     "op_transpose_apply",
@@ -447,24 +446,6 @@ def schouten_bracket(a: KVector, b: KVector) -> KVector:
         _wedge_terms(_xi_derivative(a, i), _x_derivative(b, i), acc)
         _wedge_terms(_x_derivative(a, i), _xi_derivative(b, i), acc, sign)
     return KVector(chart, deg, _summed(chart, acc))
-
-
-def lie_derivative(x: VectorField, target):
-    """Lie derivative along x of a scalar, form, or multivector."""
-    if isinstance(target, Expr):
-        return x.apply_to(target)
-    if isinstance(target, KForm):
-        if target.degree == 0:
-            return KForm.from_scalar(x.apply_to(target[()]))
-        dw = exterior_derivative(target)
-        part1 = interior_product(x, dw)
-        part2 = exterior_derivative(interior_product(x, target))
-        return part1 + part2
-    if isinstance(target, KVector):
-        return schouten_bracket(KVector.from_vector(x), target)
-    if isinstance(target, VectorField):
-        return lie_bracket(x, target)
-    raise TypeError(f"cannot take Lie derivative of {type(target).__name__}")
 
 
 # ---------------------------------------------------------------------------

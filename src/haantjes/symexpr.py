@@ -885,12 +885,16 @@ def fn_symbol(
     """Abstract function symbol evaluated at the chart point.
 
     ``deps`` restricts the coordinates the symbol may depend on (defaults to
-    all of them); partial derivatives in other directions vanish.
+    all of them); partial derivatives in other directions vanish.  Argument
+    order is immaterial, so f(p, q) is f(q, p); a coordinate named twice is
+    refused, since f(q, q) would be a second symbol beside f(q).
     """
     if deps is None:
         dep_idx = tuple(range(chart.dim))
     else:
         dep_idx = tuple(sorted(d if isinstance(d, int) else chart.index(d) for d in deps))
+        if len(set(dep_idx)) < len(dep_idx):
+            raise ValueError(f"abstract function {name} names a coordinate twice")
     for p in parts:
         if p not in dep_idx:
             raise ValueError(f"partial in non-dependency direction {p}")
@@ -1428,10 +1432,9 @@ class _Parser:
                     break
             lx.expect(")")
             try:
-                deps = [chart.index(a) for a in args]
-            except KeyError as exc:
+                return fn_symbol(chart, name, [chart.index(a) for a in args])
+            except (KeyError, ValueError) as exc:
                 raise ParseError(str(exc), tok[2], tok[3]) from None
-            return fn_symbol(chart, name, deps)
         if kind == "eof":
             raise ParseError("unexpected end of input", tok[2], tok[3])
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2], tok[3])

@@ -64,18 +64,15 @@ from typing import Optional, Sequence
 from .checks import CheckReport, memo_scope, once
 from .geometry import (
     KForm,
-    KVector,
     Operator11,
     VectorField,
     d_scalar,
     dot,
     exterior_derivative,
-    lie_bracket,
     op_commutator,
     op_compose,
     op_transpose_apply,
     wedge,
-    wedge_v,
 )
 from .symexpr import (
     Chart,
@@ -95,10 +92,7 @@ __all__ = [
     "VectorValued2Form",
     "check_haantjes_algebra",
     "commute_check",
-    "frobenius_codistribution",
-    "frobenius_distribution",
     "haantjes_torsion",
-    "invariance_check",
     "is_haantjes",
     "nijenhuis_torsion",
     "verify_chain",
@@ -443,64 +437,10 @@ def verify_chain(h: Expr, basis: HaantjesBasis, zt: ZeroTester = ZeroTester()) -
         if rep.status == "pass":
             rep.status = "fail"
     if rep.passed:
-        rep.merge(_frobenius(forms, rank, big, zt))
-    return rep
-
-
-def frobenius_codistribution(forms: Sequence[KForm], zt: ZeroTester = ZeroTester()) -> CheckReport:
-    """d alpha_i ^ alpha_1 ^ ... ^ alpha_m = 0 for each i."""
-    rank, _, big = generic_rank(forms, zt)
-    return _frobenius(forms, rank, big, zt)
-
-
-def _frobenius(forms: Sequence[KForm], rank: int, big: Optional[KForm], zt: ZeroTester) -> CheckReport:
-    """`frobenius_codistribution` given the rank and the full wedge `big`."""
-    rep = CheckReport("frobenius-codistribution")
-    if rank < len(forms):
-        rep.notes.append(f"rank-deficient codistribution (rank {rank})")
-    for i, a in enumerate(forms):
-        w = wedge(exterior_derivative(a), big)
-        for idx, e in w.items():
-            rep.require_zero(f"d a{i+1} ^ a1..am [{idx}]", zt(e))
-    return rep
-
-
-def frobenius_distribution(fields: Sequence[VectorField], zt: ZeroTester = ZeroTester()) -> CheckReport:
-    """Closure of pairwise Lie brackets modulo the span of the fields."""
-    rep = CheckReport("frobenius-distribution")
-    if not fields:
-        return rep
-    big = KVector.from_vector(fields[0])
-    for f in fields[1:]:
-        big = wedge_v(big, KVector.from_vector(f))
-    cert = None
-    for _, e in big.items():
-        c = zt(e)
-        if c.tag == "proven_nonzero":
-            cert = c
-            break
-    if cert is None:
-        rep.notes.append("rank-deficient distribution; span test unreliable")
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            br = lie_bracket(fields[i], fields[j])
-            w = wedge_v(big, KVector.from_vector(br))
-            for idx, e in w.items():
-                rep.require_zero(f"[X{i+1},X{j+1}] in span [{idx}]", zt(e))
-    return rep
-
-
-def invariance_check(k: Operator11, forms: Sequence[KForm], zt: ZeroTester = ZeroTester()) -> CheckReport:
-    """K^T alpha_i must stay in span{alpha_1..alpha_m}."""
-    rep = CheckReport("invariance")
-    if not forms:
-        return rep
-    rank, _, big = generic_rank(forms, zt)
-    if rank < len(forms):
-        rep.notes.append(f"input forms dependent (rank {rank}); membership test unreliable")
-        rep.status = "unknown"
-    for i, a in enumerate(forms):
-        w = wedge(big, op_transpose_apply(k, a))
-        for idx, e in w.items():
-            rep.require_zero(f"K^T a{i+1} in span [{idx}]", zt(e))
+        # Frobenius: d alpha_i ^ alpha_1 ^ ... ^ alpha_m = 0 for each i
+        frob = CheckReport("frobenius-codistribution")
+        for i, a in enumerate(forms):
+            for idx, e in wedge(exterior_derivative(a), big).items():
+                frob.require_zero(f"d a{i+1} ^ a1..am [{idx}]", zt(e))
+        rep.merge(frob)
     return rep

@@ -45,8 +45,6 @@ from haantjes.lcs import eta_KE_check, standard_lcs_pair, theorem9_check, valida
 from haantjes.symexpr import ZeroTester, fn_symbol, is_zero
 from haantjes.torsion import (
     HaantjesBasis,
-    frobenius_codistribution,
-    frobenius_distribution,
     haantjes_torsion,
     verify_chain,
 )
@@ -274,12 +272,12 @@ def test_criterion_08_frobenius_link():
     chains.append((c5.coord("q1") + c5.coord("q2"), HaantjesBasis([kb])))
     for h, basis in chains:
         rep = verify_chain(h, basis, ZT)
-        ok = ok and rep.passed
-        ok = ok and frobenius_codistribution(rep.data["forms"], ZT).passed
-    # and the contact kernel distribution genuinely fails integrability
-    p = con.coord("p")
-    ker = [VectorField.basis(con, 1), VectorField(con, [con.one(), con.zero(), p])]
-    ok = ok and not frobenius_distribution(ker, ZT).passed
+        ok = ok and rep.passed and ("frobenius-codistribution", "pass") in rep.details
+    # and the contact kernel genuinely fails integrability: by Frobenius,
+    # ker theta is integrable iff theta ^ dtheta = 0, which validation
+    # proves false on the 3-dim chart
+    validity = validate_contact(standard_contact_form(con), ZT).validity
+    ok = ok and dict(validity.details)["theta^(dtheta)^n != 0"].tag == "proven_nonzero"
     _line(8, "chain => Frobenius codistribution; contact kernel fails", ok)
 
 

@@ -442,6 +442,8 @@ class TestEntryPoint:
             ("chart C (x, y) generic\nscalar a = 1/0\n", 2),
             (MINI + "check reeb CS equals (0, 1)\n", 7),
             (MINI + "check hamiltonian H on CS equals (1, p)\n", 7),
+            # an abstract function that names a coordinate twice
+            (MINI + "check hamiltonian f(q,q) - f(q) on CS equals (0, 0, 0)\n", 7),
             # structures whose validators would raise at run time
             ("chart C (q, p) generic\nform t = d(q)\ncontact CS = t\n", 3),
             ("chart C (q, p, z) generic\nform o = d(q) /\\ d(p)\nform e = d(z)\n"
@@ -541,6 +543,12 @@ class TestEntryPoint:
 
     def test_missing_file_exit_2(self):
         assert main(["check", "/nonexistent/model.hj"]) == 2
+
+    def test_unwritable_json_path_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "m.hj"
+        path.write_text(MINI)
+        assert main(["check", str(path), "--json", str(tmp_path / "missing" / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_fmt_command(self, tmp_path, capsys):
         path = tmp_path / "m.hj"

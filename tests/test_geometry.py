@@ -18,7 +18,6 @@ from haantjes.geometry import (
     interior_product,
     invert_matrix,
     lie_bracket,
-    lie_derivative,
     op_apply,
     op_compose,
     op_transpose_apply,
@@ -158,31 +157,14 @@ class TestSchouten:
 
 
 class TestLieDerivative:
-    def test_z_independent_form(self, C):
-        theta = KForm(C, 1, {(0,): -C.coord("p"), (2,): C.one()})
-        assert lie_derivative(VectorField.basis(C, 2), theta).is_zero()
-
-    def test_scalar_is_directional(self, C, rng):
-        x = rand_vector(C, rng)
-        f = rand_poly(C, rng)
-        assert (lie_derivative(x, f) - x.apply_to(f)).is_zero_expr()
-
-    def test_commutes_with_d(self, C, rng):
-        for _ in range(4):
-            x = rand_vector(C, rng, deg=1)
-            w = rand_kform(C, rng, 1)
-            lhs = lie_derivative(x, exterior_derivative(w))
-            rhs = exterior_derivative(lie_derivative(x, w))
-            assert (lhs - rhs).is_zero()
-
     def test_hamiltonian_scaling_law(self, C, zt):
-        # L_{X_f} Lam = +(Ef) Lam for the contact pair; the sign is pinned
-        # here because it is easy to get wrong.
+        # L_{X_f} Lam = [X_f, Lam] = +(Ef) Lam for the contact pair; the sign
+        # is pinned here because it is easy to get wrong.
         from haantjes.jacobi import hamiltonian_vf, validate_jacobi
         lam, e = contact_pair(C)
         j = validate_jacobi(lam, e, zt)
         f = C.coord("z") * C.coord("q")
-        lx = lie_derivative(hamiltonian_vf(f, j), lam)
+        lx = schouten_bracket(KVector.from_vector(hamiltonian_vf(f, j)), lam)
         resid = lx - lam.scale(e.apply_to(f))
         assert all(v.is_zero_expr() for _, v in resid.items())
 

@@ -1,7 +1,8 @@
 """Source hygiene: library modules compile without a warning, import nothing
 they do not use, assign no local they never read, define no function, method,
-class or module-level name that nothing names, and every check directive is
-documented; the kernel, the tensor module, the check reports and the torsion
+class or module-level name that nothing names, and no top-level definition
+that only the tests reach, and every check directive is documented; the
+kernel, the tensor module, the check reports and the torsion
 and compatibility builders keep no process-wide tables, the library imports
 no numpy, at module or function level, computes in floats only in the zero
 test's sampling tier, and builds no report from another report's parts; the
@@ -194,6 +195,30 @@ def _assigned_names(target):
             yield from _assigned_names(elt)
 
 
+def _module_level_names(tree):
+    """(name, node) for each name a module-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((name, node) for t in targets for name in _assigned_names(t))
+
+
+def _names_read(tree, strings=False):
+    """The names read under tree, as bare names or attributes, and with
+    strings=True also its string constants (a name looked up by string)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def test_every_definition_is_named_somewhere():
     # a function, method, class or module-level name of the library that no
     # source, test, demo or benchmark names (as a bare name read, or an
@@ -201,20 +226,52 @@ def test_every_definition_is_named_somewhere():
     named = set()
     for top in ("src", "tests", "demos", "bench"):
         for path in (ROOT / top).glob("**/*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                    named.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    named.add(node.attr)
+            named.update(_names_read(ast.parse(path.read_text(encoding="utf-8"))))
     unnamed = []
     for path in sorted(SRC.glob("**/*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined = [(node.lineno, node.name) for node in ast.walk(tree)
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
-        for node in tree.body:
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined += [(node.lineno, name) for t in targets for name in _assigned_names(t)]
+        defined += [(node.lineno, name) for name, node in _module_level_names(tree)]
         unnamed += [f"{path.name}:{line} {name}" for line, name in defined
-                    if not (name.startswith("__") and name.endswith("__")) and name not in named]
+                    if not _is_dunder(name) and name not in named]
     assert not unnamed, unnamed
+
+
+def test_every_definition_is_reached_outside_the_tests():
+    # a top-level library definition that neither the command line (its
+    # module-level tables and main) nor a demo or benchmark file reaches,
+    # through the definitions each one names, is kept alive by the tests
+    # alone; the few listed here stay on purpose
+    allowed = {
+        "check_contact_haantjes": "a paper statement that waits for a directive (ROADMAP item 8)",
+        "theorem6_check": "a paper statement that waits for a directive (ROADMAP item 8)",
+        "proposition_involutivity_check": "a paper statement that waits for a directive (ROADMAP item 8)",
+        "particular_integral_check": "a paper statement that waits for a directive (ROADMAP item 8)",
+        "ParticularIntegralWitness": "the witness of particular_integral_check (ROADMAP item 8)",
+        "lie_bracket": "the reference bracket that the literal torsion route and the pair- and "
+                       "Hamiltonian-bracket laws check the frame tables and brackets against",
+    }
+    defs = {}
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+        for name, node in _module_level_names(tree):
+            defs.setdefault(name, []).append(node)
+    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    todo = ["main"] + [name for node in cli.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                       for name in _names_read(node)]
+    for top in ("demos", "bench"):
+        for path in (ROOT / top).glob("**/*.py"):
+            todo += _names_read(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n for node in defs.get(name, ()) for n in _names_read(node)]
+    unreached = {name for name in defs if name not in reached and not _is_dunder(name)}
+    assert unreached == set(allowed), {"unreached": sorted(unreached - set(allowed)),
+                                       "listed, but reached or gone": sorted(set(allowed) - unreached)}

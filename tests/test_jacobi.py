@@ -13,7 +13,7 @@ from haantjes.geometry import (
     compat_residuals,
     d_scalar,
     lie_bracket,
-    lie_derivative,
+    schouten_bracket,
 )
 from haantjes.extended import ExtendedOperator, check_ejh
 from haantjes.jacobi import (
@@ -131,14 +131,15 @@ class TestHamiltonianField:
             assert (lhs + rhs).is_zero_field()
 
     def test_lambda_scaling_law(self, contact_jacobi, rng):
-        # L_{X_f} Lam = +(Ef) Lam on the contact pair.  The opposite sign
-        # also circulates in the literature, but the defining relation for
-        # X_f above forces this one; the test pins what actually holds.
+        # L_{X_f} Lam = [X_f, Lam] = +(Ef) Lam on the contact pair.  The
+        # opposite sign also circulates in the literature, but the defining
+        # relation for X_f above forces this one; the test pins what
+        # actually holds.
         j = contact_jacobi
         chart = j.chart
         for _ in range(4):
             f = rand_poly(chart, rng)
-            lx = lie_derivative(hamiltonian_vf(f, j), j.lam)
+            lx = schouten_bracket(KVector.from_vector(hamiltonian_vf(f, j)), j.lam)
             resid = lx - j.lam.scale(j.e_field.apply_to(f))
             assert all(e.is_zero_expr() for _, e in resid.items())
 

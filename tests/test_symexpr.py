@@ -240,6 +240,15 @@ class TestParser:
         e = parse_scalar("f(q,p)", chart)
         assert e == fn_symbol(chart, "f", ["q", "p"])
 
+    def test_repeated_argument_rejected(self, chart):
+        # argument order is immaterial, so f(q, q) could only be a second
+        # symbol beside f(q), and f(q,q) - f(q) would read proven_nonzero
+        with pytest.raises(ValueError):
+            fn_symbol(chart, "g", deps=["q", "q"])
+        with pytest.raises(ParseError) as err:
+            parse_scalar("1 + f(q,q)", chart)
+        assert "1:5" in str(err.value) and "twice" in str(err.value)
+
     def test_unknown_ident_is_param(self, chart):
         assert parse_scalar("a", chart) == param(chart, "a")
 

@@ -11,17 +11,13 @@ import haantjes
 import haantjes.symexpr as sx
 import haantjes.torsion as torsion
 from haantjes.cli import parse_model
-from haantjes.geometry import (KForm, Operator11, VectorField, d_scalar, invert_matrix, lie_bracket, op_apply,
-                               op_compose)
+from haantjes.geometry import Operator11, VectorField, invert_matrix, lie_bracket, op_apply, op_compose
 from haantjes.symexpr import ZeroTester, exp, fn_symbol, is_zero
 from haantjes.torsion import (
     HaantjesBasis,
     check_haantjes_algebra,
     commute_check,
-    frobenius_codistribution,
-    frobenius_distribution,
     haantjes_torsion,
-    invariance_check,
     is_haantjes,
     nijenhuis_torsion,
     verify_chain,
@@ -438,10 +434,6 @@ class TestStructuralCertainty:
         "is_haantjes": lambda s: haantjes.is_haantjes(s.I, s.zt),
         "check_haantjes_algebra": lambda s: haantjes.check_haantjes_algebra(s.basis, s.zt),
         "verify_chain": lambda s: haantjes.verify_chain(s.h, s.basis, s.zt),
-        "invariance_check": lambda s: haantjes.invariance_check(s.I, [d_scalar(s.h)], s.zt),
-        "frobenius_codistribution": lambda s: haantjes.frobenius_codistribution([d_scalar(s.h)], s.zt),
-        "frobenius_distribution": lambda s: haantjes.frobenius_distribution(
-            [VectorField.basis(s.C, 0)], s.zt),
         "check_jh_compatibility": lambda s: haantjes.check_jh_compatibility(s.I, s.j, s.zt),
         "particular_integral_check": lambda s: haantjes.particular_integral_check(
             [s.h], s.h, s.j, haantjes.ParticularIntegralWitness([[s.C.zero()]]), s.zt),
@@ -646,52 +638,4 @@ class TestChains:
         k = Operator11.diagonal(chart, [q1, q2, q1, q2])
         rep = verify_chain(q1 + q2, HaantjesBasis([Operator11.identity(chart), k]), zt)
         assert rep.passed
-        assert frobenius_codistribution(rep.data["forms"], zt).passed
-
-    def test_chain_implies_invariance(self, zt):
-        # a generator's codistribution is preserved by the whole basis
-        chart = sx.darboux_symplectic(2)
-        q1, q2 = chart.coord(0), chart.coord(1)
-        basis = HaantjesBasis([Operator11.identity(chart),
-                               Operator11.diagonal(chart, [q1, q2, q1, q2])])
-        chain = verify_chain(q1 + q2, basis, zt)
-        assert chain.passed
-        for k in basis.operators:
-            assert invariance_check(k, chain.data["forms"], zt).passed
-
-
-class TestFrobenius:
-    def test_single_closed_form(self, zt):
-        chart = sx.darboux_contact(1)
-        h = chart.coord("p") * chart.coord("q")
-        assert frobenius_codistribution([d_scalar(h)], zt).passed
-
-    def test_coordinate_plane(self, zt):
-        chart = sx.Chart("R3", ("x", "y", "z"))
-        rep = frobenius_distribution([VectorField.basis(chart, 0), VectorField.basis(chart, 1)], zt)
-        assert rep.passed
-
-    def test_contact_kernel_not_integrable(self, zt):
-        chart = sx.darboux_contact(1)
-        p = chart.coord("p")
-        f1 = VectorField.basis(chart, 1)
-        f2 = VectorField(chart, [chart.one(), chart.zero(), p])
-        rep = frobenius_distribution([f1, f2], zt)
-        assert not rep.passed
-
-
-class TestInvariance:
-    def test_identity_always_passes(self, C2, zt, rng):
-        forms = [KForm.d_coord(C2, 0)]
-        assert invariance_check(Operator11.identity(C2), forms, zt).passed
-
-    def test_diagonal_eigencoform(self, C2, zt):
-        k = Operator11.diagonal(C2, [fn_symbol(C2, "l1"), fn_symbol(C2, "l2")])
-        assert invariance_check(k, [KForm.d_coord(C2, 0)], zt).passed
-
-    def test_nilpotent_off_span(self, C2, zt):
-        k = Operator11(C2, [[C2.zero(), C2.one()], [C2.zero(), C2.zero()]])
-        # K^T dx2 = 0 stays in any span; K^T dx1 = dx2 escapes span{dx1}
-        assert invariance_check(k, [KForm.d_coord(C2, 1)], zt).passed
-        assert not invariance_check(k, [KForm.d_coord(C2, 0)], zt).passed
-
+        assert ("frobenius-codistribution", "pass") in rep.details
