@@ -199,7 +199,8 @@ def lcs_local(n: int, name: str = "M") -> Chart:
 #        | (_E, key, terms) | (_W, key, terms)
 #        The first entry is the atom's rank; key = _terms_key(terms) is
 #        computed once, when the atom is built.  So atoms compare natively in
-#        canonical order: by rank, then index, name or key.
+#        canonical order: by rank, then index, name or key.  (_V, i) is a
+#        free variable of a `_PatternRing`; no Expr holds one.
 # mono:  tuple of (atom, exp), sorted; exps nonzero; at most one _E atom and
 #        its exp is 1; _W exps are negative.  _E and _W rank last, so only
 #        the last atom of a mono can be one.
@@ -207,7 +208,7 @@ def lcs_local(n: int, name: str = "M") -> Chart:
 #        integral and a Fraction otherwise.  Every coefficient division and
 #        negative power goes through _div (``int / int`` is a float).
 
-_C, _P, _F, _E, _W = range(5)
+_V, _C, _P, _F, _E, _W = range(-1, 5)
 
 _T_ONE = (((), 1),)
 
@@ -541,6 +542,44 @@ class _PackedRing:
         # exp(u)^k as k factors exp(u), merged by the kernel's product
         rest = tuple(f for f in out if f[0][0] != _E)
         return _mono_mul_general(rest, tuple((a, 1) for a, e in out if a[0] == _E for _ in range(e)))[0]
+
+
+class _PatternRing(_PackedRing):
+    """The `_PackedRing` of some canonical terms in which each input of more
+    than one term is one free variable (_V, i), shared by inputs equal up to
+    sign, and a monomial input stays the monomial it is.  The symbol table
+    lives as long as the ring.
+
+    Sending each variable back to the polynomial it stands for is a ring
+    homomorphism psi onto the `_PackedRing` of the same inputs, and it
+    commutes with `pack`.  So a computation that applies only ring
+    operations (pack, neg, intern, dot) to packed inputs gives here a
+    polynomial that psi maps to the one it gives there: when it is zero
+    here, it is zero there.  Its products cost one monomial product per
+    pair of input terms, and a multi-term input is one term here.  Only
+    relations between the inputs are lost, such as d(x y) = y dx + x dy;
+    monomial inputs keep theirs exactly.
+    """
+
+    __slots__ = ("_vars",)
+
+    def __init__(self, ts: Iterable[tuple], factors: int):
+        self._vars: dict = {}  # terms with a positive leading coefficient -> their variable
+        super().__init__([self._sub(t) for t in ts], factors)
+
+    def _sub(self, t) -> tuple:
+        """t itself when it has at most one term, else plus or minus the
+        variable of t up to sign."""
+        if len(t) < 2:
+            return t
+        up = t[0][1] > 0
+        u = t if up else _t_neg(t)
+        if (v := self._vars.get(u)) is None:
+            v = self._vars[u] = (_V, len(self._vars))
+        return ((((v, 1),), 1 if up else -1),)
+
+    def pack(self, t) -> dict:
+        return super().pack(self._sub(t))
 
 
 def _mono_pow(m, c, k: int):
@@ -1285,6 +1324,16 @@ def _scalar(value, line: int, col: int) -> Expr:
     return value
 
 
+def _own_name(name: str, tok):
+    """Refuse a parameter or abstract-function name that begins with '_':
+    the verifier names its own symbols so (the module coefficient of an
+    algebra check, the path parameter of a potential), and a model that
+    wrote one would share it."""
+    if name.startswith("_"):
+        raise ParseError(f"name {name!r} begins with '_', which is kept for the verifier's own symbols",
+                         tok[2], tok[3])
+
+
 class _Parser:
     """Recursive descent:
 
@@ -1411,13 +1460,16 @@ class _Parser:
             if lx.peek()[0] != "(":
                 if name in chart.coords:
                     return chart.coord(name)
-                value = self.lookup(name)
-                return param(chart, name) if value is None else value
+                if (value := self.lookup(name)) is not None:
+                    return value
+                _own_name(name, tok)
+                return param(chart, name)
             if name == "exp" or (name == "d" and self.hook is not None):
                 lx.next()
                 arg = _scalar(self._sum(), tok[2], tok[3])
                 lx.expect(")")
                 return exp(arg) if name == "exp" else self.hook.d(arg)
+            _own_name(name, tok)
             lx.next()
             args = []
             if lx.peek()[0] != ")":

@@ -13,14 +13,13 @@ The Haantjes table is factored: with s(X, Y) = K tau(X, Y) - tau(X, KY),
 H(X, Y) = K s(X, Y) - s(KX, Y), which is (K_out - K_slot1)(K_out - K_slot2)
 tau.  A frame component s(e_a, e_j)^r is built the first time H reads it.
 
-Both tables come from one builder, `_frame_table`, in a packed ring
-(`symexpr._PackedRing`) set up once per torsion.  Each distinct nonzero
-entry of K, up to sign, is differentiated once per coordinate (through
-`Expr.diff`) and packed once with its nonzero partials; an entry -e takes
-the negated jet of e.  K's nonzero entries are indexed by row and by
-column, so every tau, s and H component is one dot over the pairs of
-nonzero factors only, and a component with no such pair is zero without a
-dot.  A dot sums the K side of a shared factor first: in
+Both tables come from one builder in a packed ring (`symexpr._PackedRing`)
+set up once per torsion.  Each distinct nonzero entry of K, up to sign, is
+differentiated once per coordinate (through `Expr.diff`) and packed once
+with its nonzero partials; an entry -e takes the negated jet of e.  K's
+nonzero entries are indexed by row and by column, so every tau, s and H
+component is one dot over the pairs of nonzero factors only, and a
+component with no such pair is zero without a dot.  A dot sums the K side of a shared factor first: in
 H(e_i, e_j)^r = sum_c K^r_c s(e_i, e_j)^c - sum_a K^a_i s(e_a, e_j)^r the
 factor s(e_i, e_j)^r comes with K^r_r - K^i_i, and in
 s(e_a, e_j)^r = sum_c K^r_c tau(e_a, e_j)^c - sum_b K^b_j tau(e_a, e_b)^r
@@ -39,10 +38,36 @@ variables: their products need no expansion, and exp(u) exp(v) becomes
 exp(u + v) when a component is decoded to canonical terms.  Only the
 components that leave the builder are decoded, and of those only the
 nonzero packed ones (a decoded one can still cancel: exp atoms merge).
-Every tau, s and H component keeps the kernel's budget: it raises
-BudgetError exactly when its canonical form exceeds NODE_BUDGET nodes (a
-packed component has at least as many terms as its canonical form, so the
-cheap term-count guard comes first).
+Every tau, s and H component of the expanded build keeps the kernel's
+budget: it raises BudgetError exactly when its canonical form exceeds
+NODE_BUDGET nodes (a packed component has at least as many terms as its
+canonical form, so the cheap term-count guard comes first).
+
+The builder, `_components`, runs over a ring it is given, and when some
+entry of K or some partial (a jet component) has more than one term, it
+runs twice over the same jets.  First over a pattern ring
+(`symexpr._PatternRing`): each multi-term jet component is one free
+variable there, components equal up to sign share one, and a monomial
+component stays the monomial it is.  Sending each variable back to the
+polynomial it stands for is a ring homomorphism psi onto the expanded ring
+of the same jets, and the builder applies only ring operations to the jets
+(pack, neg, intern, dot; a zero test only skips a zero factor, which adds
+nothing), so psi maps each pattern component to the packed component the
+expanded build makes.  When every pattern component is zero, the table is
+zero, and the expanded build is skipped.  Otherwise the expanded build
+decides, as it would alone; the pattern pass stops at its first nonzero
+component (an H component, or a tau one for the Nijenhuis table), and a
+BudgetError in it leaves the decision to the expanded build too.  A table
+that the pattern pass proves zero is never expanded, so it raises no
+BudgetError that its expanded build would have raised.  The pattern ring
+loses only relations between multi-term jet components, such as those that
+tie the partials of an entry D*g to D and g.  A monomial component keeps
+its relations exactly, and costs one product in either ring, so it stays
+as it is: an operator whose jet components are all monomials, such as each
+generator of the appendix families, is built in one pass, as before; their
+module and ring members, whose entries are sums such as h*D + DD, are
+decided by the pattern pass alone.  The pattern variables are atoms of a
+rank that no expression holds, so no model can name one.
 
 H is homogeneous of degree 4 under scaling by a function, H_{fK} = f^4 H_K
 (Bogoyavlenskij, J. Math. Phys. 45, 2004; Tempesta and Tondo, Ann. Mat. Pura
@@ -75,12 +100,14 @@ from .geometry import (
     wedge,
 )
 from .symexpr import (
+    BudgetError,
     Chart,
     Expr,
     SubstitutionError,
     ZeroCertainty,
     ZeroTester,
     _PackedRing,
+    _PatternRing,
     fn_symbol,
     integrate_unit_param,
     param,
@@ -145,14 +172,13 @@ def haantjes_torsion(k: Operator11) -> VectorValued2Form:
 
 def _frame_table(k: Operator11, haantjes: bool) -> dict:
     """The nonzero components {(i, j): VectorField}, i < j, of the Nijenhuis
-    table of k, or with `haantjes` of its Haantjes table, built in one packed
-    ring over K and its entry partials (see the module docstring): one jet
-    per distinct entry up to sign, the partials held as dk[r][c][x] (None
-    when zero), no dot for a component whose pair list is empty, and each s
-    component interned by content, so that the H dots share its factor."""
+    table of k, or with `haantjes` of its Haantjes table (see the module
+    docstring): one jet per distinct entry up to sign, taken here once and
+    read by `_components` over a pattern ring first, when some jet component
+    has more than one term, and over the expanded ring unless that pass
+    proved the table zero."""
     chart = k.chart
-    n = chart.dim
-    rn = range(n)
+    rn = range(chart.dim)
     # One jet per distinct nonzero entry up to sign: entries whose terms
     # agree up to sign, u being those with a positive leading coefficient,
     # share the jet of the first of them, and the other sign negates it.
@@ -166,8 +192,36 @@ def _frame_table(k: Operator11, haantjes: bool) -> dict:
                 if u not in jets:
                     jets[u] = (up, t, [e.diff(x).terms for x in rn])
                 entries.append((r, c, u, up))
+    inputs = [f for _, t, ds in jets.values() for f in (t, *ds)]
     # every H term is a product of four factors from K and its partials
-    ring = _PackedRing([f for _, t, ds in jets.values() for f in (t, *ds)], 4)
+    if any(len(f) > 1 for f in inputs):
+        try:
+            if not any(p for _, p in _components(_PatternRing(inputs, 4), jets, entries, chart.dim, haantjes)):
+                return {}
+        except BudgetError:
+            pass  # the expanded build decides alone
+    ring = _PackedRing(inputs, 4)
+    table = {}
+    for ij, p in _components(ring, jets, entries, chart.dim, haantjes):
+        table.setdefault(ij, []).append(p)
+    values = {}
+    for ij, comps in table.items():
+        if any(comps):
+            # exp atoms can merge, and then cancel, on decode
+            v = VectorField(chart, [Expr(chart, ring.terms(p) if p else ()) for p in comps])
+            if not v.is_zero_field():
+                values[ij] = v
+    return values
+
+
+def _components(ring: _PackedRing, jets: dict, entries: list, n: int, haantjes: bool):
+    """Yield ((i, j), component r) for i < j and then r, in that order, of the
+    Nijenhuis table, or with `haantjes` of the Haantjes table, packed in ring:
+    the jets packed once, the partials held as dk[r][c][x] (None when zero),
+    no dot for a component whose pair list is empty, and each s component
+    interned by content, so that the H dots share its factor.  A caller that
+    stops early builds no later component."""
+    rn = range(n)
     # (u, sign) -> (K^r_c, -K^r_c, [d_x K^r_c, or None when it is zero]), each packed once
     packed = {}
     for u, (up, t, ds) in jets.items():
@@ -205,37 +259,39 @@ def _frame_table(k: Operator11, haantjes: bool) -> dict:
                         pairs.append((q, d))
                     if d := dc[i][j]:
                         pairs.append((p, d))
-                comps.append(dot(pairs) if pairs else {})
-    table = {(i, j): tau[i][j] for i in rn for j in range(i + 1, n)}
-    if haantjes:
-        s = [[[None] * n for _ in rn] for _ in rn]  # s[a][j][r] = s(e_a, e_j)^r, built the first time H reads it
+                v = dot(pairs) if pairs else {}
+                comps.append(v)
+                if not haantjes:
+                    yield (i, j), v
+    if not haantjes:
+        return
+    s = [[[None] * n for _ in rn] for _ in rn]  # s[a][j][r] = s(e_a, e_j)^r, built the first time H reads it
 
-        def s_at(a: int, j: int, r: int) -> dict:
-            if (out := s[a][j][r]) is None:
-                pairs = []
-                if a < j:
-                    t = tau[a][j]
-                    for c, p, _ in rows[r]:
-                        if v := t[c]:
-                            pairs.append((p, v))
-                elif a > j:
-                    t = tau[j][a]
-                    for c, _, q in rows[r]:
-                        if v := t[c]:
-                            pairs.append((q, v))
-                for b, p, q in cols[j]:
-                    if a < b:
-                        if v := tau[a][b][r]:
-                            pairs.append((q, v))
-                    elif a > b:
-                        if v := tau[b][a][r]:
-                            pairs.append((p, v))
-                out = s[a][j][r] = ring.intern(dot(pairs)) if pairs else {}
-            return out
+    def s_at(a: int, j: int, r: int) -> dict:
+        if (out := s[a][j][r]) is None:
+            pairs = []
+            if a < j:
+                t = tau[a][j]
+                for c, p, _ in rows[r]:
+                    if v := t[c]:
+                        pairs.append((p, v))
+            elif a > j:
+                t = tau[j][a]
+                for c, _, q in rows[r]:
+                    if v := t[c]:
+                        pairs.append((q, v))
+            for b, p, q in cols[j]:
+                if a < b:
+                    if v := tau[a][b][r]:
+                        pairs.append((q, v))
+                elif a > b:
+                    if v := tau[b][a][r]:
+                        pairs.append((p, v))
+            out = s[a][j][r] = ring.intern(dot(pairs)) if pairs else {}
+        return out
 
-        h = {}
-        for i, j in table:
-            comps = h[i, j] = []
+    for i in rn:
+        for j in range(i + 1, n):
             for r in rn:
                 pairs = []
                 for c, p, _ in rows[r]:
@@ -244,16 +300,7 @@ def _frame_table(k: Operator11, haantjes: bool) -> dict:
                 for a, _, q in cols[i]:
                     if v := s_at(a, j, r):
                         pairs.append((q, v))
-                comps.append(dot(pairs) if pairs else {})
-        table = h
-    values = {}
-    for ij, comps in table.items():
-        if any(comps):
-            # exp atoms can merge, and then cancel, on decode
-            v = VectorField(chart, [Expr(chart, ring.terms(p) if p else ()) for p in comps])
-            if not v.is_zero_field():
-                values[ij] = v
-    return values
+                yield (i, j), dot(pairs) if pairs else {}
 
 
 def is_haantjes(k: Operator11, zt: ZeroTester = ZeroTester()) -> CheckReport:

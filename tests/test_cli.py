@@ -475,6 +475,25 @@ class TestEntryPoint:
             assert main(["check", str(path)]) == 2, text
             assert capsys.readouterr().err.startswith(f"{path}:{line}:1: "), text
 
+    @pytest.mark.parametrize("text,line", [
+        # _t is the path parameter of a recovered potential: with it, the
+        # potential P read "potential 1 unavailable", fail (exit 1)
+        ("chart C (q, p)\nscalar H = _t * q * p\nscalar P = _t * q * p\n"
+         "operator I2 = [[1, 0], [0, 1]]\ncheck chain H with I2 potentials (P)\n", 2),
+        # _modf is the algebra check's arbitrary module coefficient h
+        ("chart C (q, p)\nscalar h = _modf(q, p)\noperator A = [[h, 0], [0, 1]]\n"
+         "check algebra A\n", 2),
+        ("chart C (q, p)\noperator A = [[q, 0], [0, p]]\ncheck algebra A\n"
+         "check chain _clsf(q) with A\n", 4),
+    ], ids=["_t", "_modf", "_clsf"])
+    def test_verifier_symbol_names_exit_2(self, tmp_path, capsys, text, line):
+        path = tmp_path / "bad.hj"
+        path.write_text(text)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"{path}:{line}:1: "), text
+        path.write_text(text.replace("_t", "s").replace("_modf", "g").replace("_clsf", "g"))
+        assert main(["check", str(path)]) == 0  # the same model under a name of its own
+
     @pytest.mark.parametrize("directive", [
         "dissipated p wrt H",                      # no 'on' clause
         "haantjes",                                # no argument

@@ -252,6 +252,18 @@ class TestParser:
     def test_unknown_ident_is_param(self, chart):
         assert parse_scalar("a", chart) == param(chart, "a")
 
+    @pytest.mark.parametrize("text,col", [("_t * q", 1), ("q + _modf(q, p)", 5)])
+    def test_verifier_names_refused(self, chart, text, col):
+        # the verifier's own symbols begin with '_' (the path parameter _t
+        # of a potential, the module coefficient _modf of an algebra check),
+        # so a model may not name a parameter or a function so
+        with pytest.raises(ParseError) as err:
+            parse_scalar(text, chart)
+        assert str(err.value).startswith(f"1:{col}: ") and "'_'" in str(err.value)
+        assert parse_scalar("t_ * q", chart) == param(chart, "t_") * chart.coord("q")
+        # library code keeps building them
+        assert fn_symbol(chart, "_modf").diff("q") == fn_symbol(chart, "_modf", parts=[0])
+
     def test_error_position(self, chart):
         with pytest.raises(ParseError) as err:
             parse_scalar("q + )", chart)
@@ -725,6 +737,49 @@ class TestGroupedDot:
 
         prop()
         assert all(seen.values()), seen
+
+
+class TestPatternRing:
+    """Each input of more than one term is one free variable of the pattern
+    ring, shared up to sign; a monomial input stays the monomial it is."""
+
+    def test_variables(self, chart):
+        q, p, z = chart.coord("q"), chart.coord("p"), chart.coord("z")
+        u, m = q * p + z, 3 * q**2 * fn_symbol(chart, "f")
+        ring = sx._PatternRing([t.terms for t in (u, -u, 2 * u, m, chart.zero())], 4)
+        pu, p2u = ring.pack(u.terms), ring.pack((2 * u).terms)
+        assert len(pu) == len(p2u) == 1 and pu != p2u and pu != ring.neg(p2u)
+        assert ring.pack((-u).terms) == ring.neg(pu)
+        assert ring.terms(ring.pack(m.terms)) == m.terms and ring.pack(()) == {}
+        # two variables, of a rank below every atom an expression holds
+        assert [a for a in ring.atoms if a[0] == sx._V] == [(sx._V, 0), (sx._V, 1)] == ring.atoms[:2]
+        assert sx._V < min(sx._C, sx._P, sx._F, sx._E, sx._W)
+
+    def test_psi_maps_pattern_dots_to_expanded_dots(self, chart):
+        # sending each variable back to its polynomial maps a dot of the
+        # pattern ring to the dot of the same inputs in the expanded ring
+        q, p, z = chart.coord("q"), chart.coord("p"), chart.coord("z")
+        rng = random.Random(73)
+        ts = [rand_poly(chart, rng, 2, 3).terms for _ in range(4)] + [(q * p).terms, (-z).terms]
+        ts[1] = sx._t_neg(ts[0])
+        pattern, expanded = sx._PatternRing(ts, 2), sx._PackedRing(ts, 2)
+        stands = {v: u for u, v in pattern._vars.items()}
+
+        def psi(t):
+            out = ()
+            for mono, c in t:
+                piece = sx._t_const(c)
+                for a, e in mono:
+                    piece = sx._t_mul(piece, sx._t_pow(stands[a], e) if a[0] == sx._V else sx._t_atom(a, e))
+                out = sx._t_add(out, piece)
+            return out
+
+        for _ in range(6):
+            pairs = [(rng.randrange(6), rng.randrange(6)) for _ in range(rng.randint(1, 4))]
+            got = pattern.dot([(pattern.pack(ts[i]), pattern.pack(ts[j])) for i, j in pairs])
+            want = expanded.dot([(expanded.pack(ts[i]), expanded.pack(ts[j])) for i, j in pairs])
+            assert psi(pattern.terms(got)) == expanded.terms(want)
+        assert len(pattern._vars) >= 3
 
 
 class TestChart:

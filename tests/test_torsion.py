@@ -319,6 +319,196 @@ class TestHaantjes:
             assert torsions_match(rand_operator(C2, rng, deg=2), rational_points(C2, rng, 1))
 
 
+def _spy_dots(monkeypatch) -> list:
+    """Record (whether the ring is a pattern ring, the result) per packed dot."""
+    calls = []
+    dot = sx._PackedRing.dot
+
+    def spy(ring, pairs):
+        out = dot(ring, pairs)
+        calls.append((isinstance(ring, sx._PatternRing), out))
+        return out
+
+    monkeypatch.setattr(sx._PackedRing, "dot", spy)
+    return calls
+
+
+def _multi_term(chart, rng, skip=()):
+    """A random polynomial of at least two terms in the coordinates not in skip."""
+    while True:
+        e = rand_poly(chart, rng, deg=3).subst({i: 1 for i in skip})
+        if len(e.terms) > 1:
+            return e
+
+
+_R5 = sx.Chart("R5", ("q1", "q2", "p1", "p2", "z"))
+
+
+def _f_pattern(name, rng):
+    """The appendix family `name` (F2 or F3) with random multi-term
+    polynomial entries; in F3, the function in D*g does not depend on p2."""
+    if name == "F2":
+        d, b, g = (_multi_term(_R5, rng) for _ in range(3))
+        rows = [[d, b, 0, d, 0], [-b, d, -d, 0, 0], [0, 0, -d, b, 0], [0, 0, -b, -d, 0], [0, 0, 0, 0, g]]
+    else:
+        d, w, v = (_multi_term(_R5, rng) for _ in range(3))
+        g = _multi_term(_R5, rng, skip=(3,))
+        rows = [[-d, 0, 0, 0, 0], [0, d, 0, 0, 0], [0, 0, d, 0, 0], [0, 0, 0, -d, 0], [d * g, w, v, 0, d]]
+    return Operator11(_R5, rows)
+
+
+class TestPatternPass:
+    """The tables run first over a pattern ring, where each multi-term jet
+    component is one free variable, and over the expanded ring only when
+    the pattern table is nonzero (see the torsion module docstring)."""
+
+    def test_f2_is_decided_by_the_pattern_ring(self, monkeypatch):
+        # every H term of F2 cancels whatever its entries' jets are, so the
+        # pattern ring proves H = 0 and no expanded ring is built
+        k = _f_pattern("F2", random.Random(61))
+        calls = _spy_dots(monkeypatch)
+        assert haantjes_torsion(k).is_zero()
+        assert calls and all(pattern for pattern, _ in calls)
+        monkeypatch.undo()
+        TestHaantjes._assert_tables_match_literal_eval(k)
+
+    def test_f3_needs_the_expanded_build(self, monkeypatch):
+        # the entry D*g is a variable of its own, unrelated to D's, so the
+        # pattern table is nonzero; the expanded build then cancels it
+        k = _f_pattern("F3", random.Random(67))
+        calls = _spy_dots(monkeypatch)
+        assert haantjes_torsion(k).is_zero()
+        assert any(out for pattern, out in calls if pattern)
+        assert any(not pattern for pattern, _ in calls)
+        monkeypatch.undo()
+        TestHaantjes._assert_tables_match_literal_eval(k)
+
+    def test_dense_operator_matches_the_oracle(self):
+        chart = sx.Chart("R3", ("x", "y", "z"))
+        rng = random.Random(71)
+        k = rand_operator(chart, rng, deg=2)
+        assert not haantjes_torsion(k).is_zero()
+        assert torsions_match(k, rational_points(chart, rng, 2))
+
+    def test_property_shared_entries_match_the_oracle(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        seen = {"pattern zero": 0, "expanded": 0}
+
+        @st.composite
+        def operator(draw):
+            dim = draw(st.sampled_from((3, 4)))
+            chart = sx.Chart(f"R{dim}", tuple(f"x{i}" for i in range(dim)))
+            rng = random.Random(draw(st.integers(0, 2**16)))
+            pool = [_multi_term(chart, rng)]
+            for _ in range(draw(st.integers(1, 3))):
+                # a fresh entry, or 1 minus one before it: then their
+                # partials are equal up to sign, and share a pattern variable
+                e = pool[draw(st.integers(0, len(pool) - 1))]
+                pool.append(1 - e if draw(st.booleans()) else _multi_term(chart, rng))
+            # a cell: zero, or a shared entry with a sign; diagonal cells only
+            # in some operators, so that H vanishes there for any jet
+            diagonal = draw(st.booleans())
+            cell = st.tuples(st.integers(-1, len(pool) - 1), st.sampled_from((1, -1)))
+            rows = []
+            for r in range(dim):
+                row = []
+                for c in range(dim):
+                    which, sign = draw(cell)
+                    row.append(0 if which < 0 or (diagonal and r != c) else sign * pool[which])
+                rows.append(row)
+            return Operator11(chart, rows), rational_points(chart, rng, 1)
+
+        @hyp.settings(derandomize=True, database=None, max_examples=15, deadline=None)
+        @hyp.given(operator())
+        def prop(case):
+            k, points = case
+            rings = []  # whether each dot ran over a pattern ring
+            dot = sx._PackedRing.dot
+
+            def spy(ring, pairs):
+                rings.append(isinstance(ring, sx._PatternRing))
+                return dot(ring, pairs)
+
+            sx._PackedRing.dot = spy
+            try:
+                h = haantjes_torsion(k)
+            finally:
+                sx._PackedRing.dot = dot
+            decided = rings and all(rings)  # the pattern ring proved H = 0
+            seen["pattern zero" if decided else "expanded"] += 1
+            assert torsions_match(k, points)
+            if decided:
+                assert h.is_zero()
+
+        prop()
+        assert all(seen.values()), seen
+
+    def test_appendix_products(self, monkeypatch):
+        # one run of the appendix model: the packed monomial products of
+        # every dot, after shared factors are grouped, as the dot multiplies
+        products = []
+        dot = sx._PackedRing.dot
+
+        def spy(ring, pairs):
+            grouped = ring._shared(pairs) if len(pairs) > 1 else pairs
+            products.append(sum(len(x) * len(y) for x, y in grouped))
+            return dot(ring, pairs)
+
+        monkeypatch.setattr(sx._PackedRing, "dot", spy)
+        rep = haantjes.run_checks(parse_model((MODELS / "appendix_families.hj").read_text()))
+        assert rep.exit_code == 0
+        assert 0 < sum(products) <= 4000
+
+    @pytest.mark.parametrize("pattern", ["F2", "dense"])
+    def test_budget_in_the_pattern_pass_falls_back(self, monkeypatch, pattern):
+        # a BudgetError in the pattern pass leaves the decision to the
+        # expanded build, which gives what it gives alone
+        chart = sx.Chart("R3", ("x", "y", "z"))
+        k = _f_pattern("F2", random.Random(61)) if pattern == "F2" else rand_operator(chart, random.Random(71), 2)
+        want = [f(k).values for f in (nijenhuis_torsion, haantjes_torsion)]
+        raised = []
+
+        def over_budget(ring, pairs):
+            raised.append(pairs)
+            raise sx.BudgetError("pattern pass")
+
+        monkeypatch.setattr(sx._PatternRing, "dot", over_budget)
+        calls = _spy_dots(monkeypatch)
+        assert [f(k).values for f in (nijenhuis_torsion, haantjes_torsion)] == want
+        assert len(raised) == 2 and calls and not any(pattern for pattern, _ in calls)
+
+    def test_pattern_zero_skips_the_expanded_budget(self, monkeypatch):
+        # at a budget that the expanded build of F2 exceeds, the pattern
+        # ring still proves H = 0, so the torsion passes where the expanded
+        # build alone would end in BudgetError
+        k = _f_pattern("F2", random.Random(61))
+        tau = nijenhuis_torsion(k)
+        biggest = max(sx._node_count(c.terms) for v in tau.values.values() for c in v.components)
+        monkeypatch.setattr(sx, "NODE_BUDGET", biggest - 1)
+        with pytest.raises(sx.BudgetError):
+            nijenhuis_torsion(k)
+        assert haantjes_torsion(k).is_zero()
+        monkeypatch.setattr(sx, "_PatternRing", sx._PackedRing)
+        monkeypatch.setattr(torsion, "_PatternRing", sx._PackedRing)
+        with pytest.raises(sx.BudgetError):
+            haantjes_torsion(k)
+
+    @pytest.mark.parametrize("table", [nijenhuis_torsion, haantjes_torsion], ids=["tau", "H"])
+    def test_pattern_pass_stops_at_its_first_nonzero_component(self, monkeypatch, table):
+        # the Nijenhuis pass stops at its first nonzero tau component, the
+        # Haantjes pass at its first nonzero H component: its last dot
+        chart = sx.Chart("R3", ("x", "y", "z"))
+        k = rand_operator(chart, random.Random(71), deg=2)
+        calls = _spy_dots(monkeypatch)
+        assert not table(k).is_zero()
+        pattern = [out for p, out in calls if p]
+        expanded = [out for p, out in calls if not p]
+        assert pattern[-1] and len(pattern) < len(expanded)
+        if table is nijenhuis_torsion:
+            assert not any(pattern[:-1])
+
+
 class TestAlgebra:
     def test_identity_and_block_diagonal(self, zt):
         chart = sx.Chart("R4", ("x1", "x2", "x3", "x4"))
