@@ -489,7 +489,8 @@ class TestPatternPass:
         with pytest.raises(sx.BudgetError):
             nijenhuis_torsion(k)
         assert haantjes_torsion(k).is_zero()
-        monkeypatch.setattr(sx, "_PatternRing", sx._PackedRing)
+        # with the expanded ring in the pattern ring's place, as before the
+        # pattern pass, the same torsion ends in BudgetError
         monkeypatch.setattr(torsion, "_PatternRing", sx._PackedRing)
         with pytest.raises(sx.BudgetError):
             haantjes_torsion(k)
