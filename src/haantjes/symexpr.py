@@ -400,9 +400,10 @@ class _PackedRing:
     so under products, so no expansion is ever pending, and exp(u) exp(v) is
     merged into exp(u + v) only when a monomial is decoded.  The ring lives
     for one computation; it is set up from every input it will multiply.
+    Its operations are `pack`, `neg` and `dot`, and `terms` decodes.
     """
 
-    __slots__ = ("atoms", "shift", "width", "mask", "half", "_interned")
+    __slots__ = ("atoms", "shift", "width", "mask", "half")
 
     def __init__(self, ts: Iterable[tuple], factors: int):
         atoms: set = set()
@@ -417,8 +418,6 @@ class _PackedRing:
         self.shift = {a: i * w for i, a in enumerate(self.atoms)}
         self.mask = (1 << w) - 1
         self.half = 1 << (w - 1)
-        # (term count, lowest code, its coefficient) -> the polynomials interned under it
-        self._interned: dict = {}
 
     def pack(self, t) -> dict:
         shift = self.shift
@@ -427,30 +426,11 @@ class _PackedRing:
     def neg(self, p: dict) -> dict:
         return {m: -c for m, c in p.items()}
 
-    def intern(self, p: dict) -> dict:
-        """The ring's one polynomial with p's content: p itself the first
-        time, else the object interned before.  Candidates are found by the
-        term count and the lowest code with its coefficient, and compared as
-        dicts."""
-        if not p:
-            return p
-        m = min(p)
-        seen = self._interned.setdefault((len(p), m, p[m]), [])
-        for q in seen:
-            if q == p:
-                return q
-        seen.append(p)
-        return p
-
     def dot(self, pairs: list) -> dict:
-        """sum of x * y over the (x, y) pairs, as `_t_dot`; BudgetError when
-        its canonical form would exceed NODE_BUDGET, with `_budget_check`'s
-        term-count guard first (a decoded form has no more terms than the
-        packed one).  Pairs whose y is one object share a factor: their x
-        sides are summed first (`_shared`), so each shared y is multiplied
-        once, and not at all when its x sum cancels."""
-        if len(pairs) > 1:
-            pairs = self._shared(pairs)
+        """sum of x * y over the (x, y) pairs, as `_t_dot`: one monomial
+        product per term of x and term of y.  BudgetError when its canonical
+        form would exceed NODE_BUDGET, with `_budget_check`'s term-count
+        guard first (a decoded form has no more terms than the packed one)."""
         acc: dict = {}
         get = acc.get
         for x, y in pairs:
@@ -466,31 +446,6 @@ class _PackedRing:
             else:
                 _budget_check(acc, self._nodes)
         return acc
-
-    def _shared(self, pairs: list) -> list:
-        """The pairs with one pair per y object: sum_k x_k * y =
-        (sum_k x_k) * y, by distributivity, exact; a y whose x sum cancels
-        leaves no pair."""
-        groups: dict = {}  # id(y) -> [y, x, x2, ...]; pairs holds each y while this runs
-        for x, y in pairs:
-            if (g := groups.get(id(y))) is None:
-                groups[id(y)] = [y, x]
-            else:
-                g.append(x)
-        out = []
-        for g in groups.values():
-            y = g[0]
-            if len(g) == 2:
-                out.append((g[1], y))
-                continue
-            xs = g[1].copy()
-            get = xs.get
-            for i in range(2, len(g)):
-                for m, c in g[i].items():
-                    xs[m] = get(m, 0) + c
-            if x := {m: c for m, c in xs.items() if c}:
-                out.append((x, y))
-        return out
 
     def terms(self, p: dict) -> tuple:
         """p as canonical terms, budget-checked."""
@@ -553,7 +508,7 @@ class _PatternRing(_PackedRing):
     Sending each variable back to the polynomial it stands for is a ring
     homomorphism psi onto the `_PackedRing` of the same inputs, and it
     commutes with `pack`.  So a computation that applies only ring
-    operations (pack, neg, intern, dot) to packed inputs gives here a
+    operations (pack, neg, dot) to packed inputs gives here a
     polynomial that psi maps to the one it gives there: when it is zero
     here, it is zero there.  Its products cost one monomial product per
     pair of input terms, and a multi-term input is one term here.  Only

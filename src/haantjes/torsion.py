@@ -18,25 +18,18 @@ set up once per torsion.  Each distinct nonzero entry of K, up to sign, is
 differentiated once per coordinate (through `Expr.diff`) and packed once
 with its nonzero partials; an entry -e takes the negated jet of e.  K's
 nonzero entries are indexed by row and by column, so every tau, s and H
-component is one dot over the pairs of nonzero factors only, and a
-component with no such pair is zero without a dot.  A dot sums the K side of a shared factor first: in
-H(e_i, e_j)^r = sum_c K^r_c s(e_i, e_j)^c - sum_a K^a_i s(e_a, e_j)^r the
-factor s(e_i, e_j)^r comes with K^r_r - K^i_i, and in
-s(e_a, e_j)^r = sum_c K^r_c tau(e_a, e_j)^c - sum_b K^b_j tau(e_a, e_b)^r
-the factor tau(e_a, e_j)^r with K^r_r - K^j_j, so each is multiplied once,
-and not at all where the difference cancels.  K's entries -e and their
-partials are negated through the ring (`_PackedRing.neg`), and each s
-component is interned by content in the ring when it is built
-(`_PackedRing.intern`), so equal components are one factor to the dot.
-The ring's variables are the top-level atoms of K's entries and of those
-partials, in canonical atom order; each owns one signed digit of a Python
-int, a monomial is one int, and a monomial product is one integer
-addition.  Every H term is a product of four factors from K and its
-partials, so a digit is sized for four times the largest |exponent| of
-those inputs and cannot overflow.  Inverse-power and exp atoms are opaque
-variables: their products need no expansion, and exp(u) exp(v) becomes
-exp(u + v) when a component is decoded to canonical terms.  Only the
-components that leave the builder are decoded, and of those only the
+component is one dot over the pairs of nonzero factors only, each pair
+multiplied term by term, and a component with no such pair is zero without
+a dot.  K's entries -e and their partials are negated through the ring
+(`_PackedRing.neg`).  The ring's variables are the top-level atoms of K's
+entries and of those partials, in canonical atom order; each owns one
+signed digit of a Python int, a monomial is one int, and a monomial product
+is one integer addition.  Every H term is a product of four factors from K
+and its partials, so a digit is sized for four times the largest |exponent|
+of those inputs and cannot overflow.  Inverse-power and exp atoms are
+opaque variables: their products need no expansion, and exp(u) exp(v)
+becomes exp(u + v) when a component is decoded to canonical terms.  Only
+the components that leave the builder are decoded, and of those only the
 nonzero packed ones (a decoded one can still cancel: exp atoms merge).
 Every tau, s and H component of the expanded build keeps the kernel's
 budget: it raises BudgetError exactly when its canonical form exceeds
@@ -51,7 +44,7 @@ variable there, components equal up to sign share one, and a monomial
 component stays the monomial it is.  Sending each variable back to the
 polynomial it stands for is a ring homomorphism psi onto the expanded ring
 of the same jets, and the builder applies only ring operations to the jets
-(pack, neg, intern, dot; a zero test only skips a zero factor, which adds
+(pack, neg, dot; a zero test only skips a zero factor, which adds
 nothing), so psi maps each pattern component to the packed component the
 expanded build makes.  When every pattern component is zero, the table is
 zero, and the expanded build is skipped.  Otherwise the expanded build
@@ -176,7 +169,7 @@ def _frame_table(k: Operator11, haantjes: bool) -> dict:
     docstring): one jet per distinct entry up to sign, taken here once and
     read by `_components` over a pattern ring first, when some jet component
     has more than one term, and over the expanded ring unless that pass
-    proved the table zero."""
+    proved the table zero; each component is one plain packed dot."""
     chart = k.chart
     rn = range(chart.dim)
     # One jet per distinct nonzero entry up to sign: entries whose terms
@@ -219,8 +212,9 @@ def _components(ring: _PackedRing, jets: dict, entries: list, n: int, haantjes: 
     Nijenhuis table, or with `haantjes` of the Haantjes table, packed in ring:
     the jets packed once, the partials held as dk[r][c][x] (None when zero),
     no dot for a component whose pair list is empty, and each s component
-    interned by content, so that the H dots share its factor.  A caller that
-    stops early builds no later component."""
+    built the first time an H dot reads it.  Only `pack`, `neg` and `dot` of
+    the ring are called, which is what lets a pattern ring stand in for the
+    expanded one.  A caller that stops early builds no later component."""
     rn = range(n)
     # (u, sign) -> (K^r_c, -K^r_c, [d_x K^r_c, or None when it is zero]), each packed once
     packed = {}
@@ -287,7 +281,7 @@ def _components(ring: _PackedRing, jets: dict, entries: list, n: int, haantjes: 
                 elif a > b:
                     if v := tau[b][a][r]:
                         pairs.append((p, v))
-            out = s[a][j][r] = ring.intern(dot(pairs)) if pairs else {}
+            out = s[a][j][r] = dot(pairs) if pairs else {}
         return out
 
     for i in rn:

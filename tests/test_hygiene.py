@@ -6,6 +6,7 @@ kernel, the tensor module, the check reports and the torsion
 and compatibility builders keep no process-wide tables, the library imports
 no numpy, at module or function level, computes in floats only in the zero
 test's sampling tier, and builds no report from another report's parts; the
+torsion builder applies only the ring operations pack, neg and dot; the
 test oracles import nothing from the kernel, and no module outside the
 check reports uses a private member of CheckReport."""
 
@@ -145,6 +146,22 @@ def test_private_report_members_stay_in_checks():
                       for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                       if isinstance(node, ast.Attribute) and node.attr in private]
     assert not found, found
+
+
+def test_torsion_builder_uses_only_ring_operations():
+    # the pattern pass decides a table through a ring homomorphism, which
+    # holds only while `_components` applies ring operations to its inputs:
+    # it may read pack, neg and dot of its ring and hand the ring nowhere
+    # else, so a new ring method there is a decision, seen here
+    fn = next(node for node in ast.parse((SRC / "torsion.py").read_text(encoding="utf-8")).body
+              if isinstance(node, ast.FunctionDef) and node.name == "_components")
+    assert fn.args.args[0].arg == "ring"
+    attrs = {id(node.value): node.attr for node in ast.walk(fn)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "ring"}
+    uses = [node for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == "ring"]
+    assert uses and all(id(node) in attrs for node in uses), "ring used other than by attribute"
+    assert set(attrs.values()) == {"pack", "neg", "dot"}, sorted(set(attrs.values()))
 
 
 def _float_uses(tree):

@@ -643,9 +643,9 @@ def _plain_dot(pairs):
 
 
 class TestGroupedDot:
-    """A packed dot sums the x sides of pairs that share a y object before
-    it multiplies; it must equal the plain double loop, in rings with an exp
-    (_E) atom and with an inverse-power (_W) atom."""
+    """A packed dot equals the plain double loop, also where pairs share a y
+    object, pair a y with its negation or have x sides that cancel, in rings
+    with an exp (_E) atom and with an inverse-power (_W) atom."""
 
     def test_shared_factors(self, chart):
         q, p, z = chart.coord("q"), chart.coord("p"), chart.coord("z")
@@ -660,8 +660,8 @@ class TestGroupedDot:
             cases = [
                 [],  # the empty dot
                 [(a, u), (b, u), (a, v)],  # a repeated y
-                [(a, u), (b, nu), (b, v)],  # a y and its negation: two factors
-                [(a, u), (minus_a, u)],  # x sum cancels: no product, the zero polynomial
+                [(a, u), (b, nu), (b, v)],  # a y and its negation
+                [(a, u), (minus_a, u)],  # x sides cancel: the zero polynomial
                 [(a, u), (minus_a, u), (b, v)],  # ... beside a pair that stays
                 [(a, nu), (b, u), (a, u), (b, nu), (b, v)],  # cancels across the two factors
             ]
@@ -669,21 +669,7 @@ class TestGroupedDot:
                 before = [(dict(x), dict(y)) for x, y in pairs]
                 assert ring.dot(pairs) == _plain_dot(pairs), (tag, pairs)
                 assert [(dict(x), dict(y)) for x, y in pairs] == before  # inputs untouched
-            assert ring._shared([(a, u), (minus_a, u)]) == []
             assert ring.dot([]) == {} and ring.dot([(a, u), (minus_a, u)]) == {}
-
-    def test_intern_by_content(self, chart):
-        q, p = chart.coord("q"), chart.coord("p")
-        t = (q * p - 3 * p + 1).terms
-        ring = sx._PackedRing([t], 2)
-        u = ring.pack(t)
-        assert ring.intern(u) is u and ring.intern(dict(u)) is u
-        nu = ring.neg(u)  # the other sign is other content
-        assert ring.intern(nu) is nu and ring.intern(ring.neg(u)) is nu
-        # the same term count, lowest code and coefficient there: one key, two contents
-        other = ring.pack((q * p - 2 * p + 1).terms)
-        assert ring.intern(other) is other and ring.intern(dict(other)) is other
-        assert ring.intern(u) is u and ring.intern({}) == {}
 
     def test_property_equals_plain_loop(self, chart):
         hyp = pytest.importorskip("hypothesis")
@@ -732,7 +718,7 @@ class TestGroupedDot:
             seen[tag] += 1
             seen["repeat"] += len(ids) < len(pairs)
             seen["negation"] += any(id(packed[j]) in ids and id(negated[j]) in ids for j in range(len(ts)))
-            seen["cancel"] += len(ring._shared(pairs)) < len(ids)
+            seen["cancel"] += any(how == "cancel" for _, _, how in spec)
             seen["empty"] += not pairs
 
         prop()
