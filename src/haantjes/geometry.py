@@ -48,7 +48,7 @@ __all__ = [
 
 def _as_expr(chart: Chart, v) -> Expr:
     if isinstance(v, Expr):
-        if v.chart != chart:
+        if v.chart is not chart and v.chart != chart:
             raise ChartMismatch(f"{v.chart.name} vs {chart.name}")
         return v
     return rational(chart, v)
@@ -93,6 +93,9 @@ def _merge_sorted(tup: tuple, i: int):
 
 def _sort_signed(idx: Sequence[int]):
     """Sort an index tuple, counting transpositions; None if repeated."""
+    if len(idx) == 2:
+        a, b = idx
+        return (1, (a, b)) if a < b else (-1, (b, a)) if a > b else (0, None)
     idx = list(idx)
     sign = 1
     for i in range(1, len(idx)):
@@ -184,9 +187,9 @@ class _Graded:
         comp = {}
         for idx, val in components.items():
             idx = tuple(idx)
-            if len(idx) != degree or list(idx) != sorted(idx) or len(set(idx)) != degree:
+            if len(idx) != degree or any(a >= b for a, b in zip(idx, idx[1:])):
                 raise ValueError(f"index tuple {idx} not strictly increasing of length {degree}")
-            if any(not 0 <= i < chart.dim for i in idx):
+            if idx and (idx[0] < 0 or idx[-1] >= chart.dim):
                 raise ValueError(f"index out of range in {idx}")
             val = _as_expr(chart, val)
             if not val.is_zero_expr():
@@ -194,10 +197,11 @@ class _Graded:
         self.components = comp
 
     def __getitem__(self, idx) -> Expr:
-        sign, key = _sort_signed(tuple(idx))
-        if key is None or key not in self.components:
+        if type(idx) is tuple and (v := self.components.get(idx)) is not None:
+            return v
+        sign, key = _sort_signed(idx)
+        if (v := self.components.get(key)) is None:
             return self.chart.zero()
-        v = self.components[key]
         return v if sign == 1 else -v
 
     def items(self):
@@ -580,44 +584,42 @@ def raised(b: KForm, sharp: Sequence[Sequence[Expr]]) -> KVector:
 # Exact linear algebra (small dimensions)
 
 
-def det(matrix: Sequence[Sequence[Expr]]) -> Expr:
-    n = len(matrix)
+def _minors(matrix: Sequence[Sequence[Expr]]) -> Callable[[tuple, tuple], Expr]:
+    """minor(rows, cols): the determinant of matrix on those rows and
+    columns (increasing tuples of equal length), expanded along its first
+    column.  Each (rows, cols) is computed once, so a determinant and the
+    n^2 cofactors of an inverse share their sub-minors."""
     chart = matrix[0][0].chart
     cache: dict = {}
 
-    def minor(rows: tuple, col0: int) -> Expr:
-        # determinant of the submatrix with given rows, columns col0..n-1
-        if len(rows) == 1:
-            return matrix[rows[0]][col0]
-        key = rows
-        if key in cache:
-            return cache[key]
-        out = dot(
-            chart,
-            [matrix[r][col0] if pos % 2 == 0 else -matrix[r][col0] for pos, r in enumerate(rows)],
-            [minor(rows[:pos] + rows[pos + 1 :], col0 + 1) for pos in range(len(rows))],
-        )
-        cache[key] = out
+    def minor(rows: tuple, cols: tuple) -> Expr:
+        if len(rows) < 2:
+            return matrix[rows[0]][cols[0]] if rows else chart.one()
+        key = (rows, cols)
+        if (out := cache.get(key)) is None:
+            c, rest = cols[0], cols[1:]
+            out = cache[key] = dot(
+                chart,
+                [matrix[r][c] if pos % 2 == 0 else -matrix[r][c] for pos, r in enumerate(rows)],
+                [minor(rows[:pos] + rows[pos + 1 :], rest) for pos in range(len(rows))],
+            )
         return out
 
-    return minor(tuple(range(n)), 0)
+    return minor
+
+
+def det(matrix: Sequence[Sequence[Expr]]) -> Expr:
+    full = tuple(range(len(matrix)))
+    return _minors(matrix)(full, full)
 
 
 def invert_matrix(matrix: Sequence[Sequence[Expr]]) -> list:
     n = len(matrix)
-    chart = matrix[0][0].chart
-    d = det(matrix)
+    minor = _minors(matrix)
+    full = tuple(range(n))
+    d = minor(full, full)
     if d.is_zero_expr():
         raise ValueError("singular matrix")
-    inv_d = d**-1
-    out = [[chart.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor_rows = [r for r in range(n) if r != j]
-            minor_cols = [c for c in range(n) if c != i]
-            sub = [[matrix[r][c] for c in minor_cols] for r in minor_rows]
-            cof = det(sub) if sub else chart.one()
-            if (i + j) % 2 == 1:
-                cof = -cof
-            out[i][j] = cof * inv_d
-    return out
+    inv_d = (d**-1, -(d**-1))  # by the cofactor's sign
+    return [[minor(full[:j] + full[j + 1 :], full[:i] + full[i + 1 :]) * inv_d[(i + j) % 2]
+             for j in range(n)] for i in range(n)]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -726,9 +727,11 @@ class Expr:
 
     __slots__ = ("chart", "terms")
 
-    def __init__(self, chart: Chart, terms: tuple):
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "terms", terms)
+    def __init__(self, chart: Chart, terms: tuple, _set_chart=None, _set_terms=None):
+        # the slots' own descriptors, bound once below the class: an
+        # assignment would meet __setattr__
+        _set_chart(self, chart)
+        _set_terms(self, terms)
 
     def __setattr__(self, *_):
         raise AttributeError("Expr is immutable")
@@ -737,7 +740,7 @@ class Expr:
 
     def _coerce(self, other) -> "Expr":
         if isinstance(other, Expr):
-            if other.chart != self.chart:
+            if other.chart is not self.chart and other.chart != self.chart:
                 raise ChartMismatch(f"{self.chart.name} vs {other.chart.name}")
             return other
         if isinstance(other, (int, Fraction)):
@@ -860,6 +863,9 @@ class Expr:
 
     def __str__(self):
         return format_expr(self)
+
+
+Expr.__init__.__defaults__ = (Expr.chart.__set__, Expr.terms.__set__)
 
 
 def rational(chart: Chart, value: RatLike) -> Expr:
@@ -1177,57 +1183,40 @@ def integrate_unit_param(e: Expr, name: str) -> Expr:
 # tuples and lists)
 
 
+# One token per match: whitespace, an int (decimal digits), an identifier,
+# or an operator.  An identifier's first character must be a letter or '_',
+# which [^\W\d] alone would not ensure (it also takes '²' or '½'); _lex
+# checks it.
+_TOKEN = re.compile(r"([ \t\r\n]+)|(\d+)|([^\W\d]\w*)|(/\\|[-+*/^(),\[\]])")
+
+
 class _Lexer:
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
         self.tokens: list[tuple] = []
-        self._lex()
+        self._lex(text)
         self.i = 0
 
-    def _advance(self, n: int):
-        for ch in self.text[self.pos : self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-
-    def _lex(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
+    def _lex(self, text: str):
+        tokens, match = self.tokens, _TOKEN.match
+        pos, line, start = 0, 1, 0  # start: offset of the current line's start
+        while pos < len(text):
+            m = match(text, pos)
+            kind = m.lastindex if m else 0
+            if kind == 1:
+                end = m.end()
+                if (lines := text.count("\n", pos, end)):
+                    line += lines
+                    start = text.rfind("\n", pos, end) + 1
+                pos = end
                 continue
-            line, col = self.line, self.col
-            if ch.isdigit():
-                j = self.pos
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("int", int(text[self.pos : j]), line, col))
-                self._advance(j - self.pos)
-                continue
-            if ch.isalpha() or ch == "_":
-                j = self.pos
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[self.pos : j], line, col))
-                self._advance(j - self.pos)
-                continue
-            if text.startswith("/\\", self.pos):
-                self.tokens.append(("/\\", "/\\", line, col))
-                self._advance(2)
-                continue
-            if ch in "+-*/^(),[]":
-                self.tokens.append((ch, ch, line, col))
-                self._advance(1)
-                continue
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-        self.tokens.append(("eof", None, self.line, self.col))
+            ch, col = text[pos], pos - start + 1
+            if not kind or (kind == 3 and not (ch.isalpha() or ch == "_")):
+                raise ParseError(f"unexpected character {ch!r}", line, col)
+            s = m.group()
+            tokens.append(("int", int(s), line, col) if kind == 2 else
+                          ("ident" if kind == 3 else s, s, line, col))
+            pos = m.end()
+        tokens.append(("eof", None, line, pos - start + 1))
 
     def peek(self):
         return self.tokens[self.i]

@@ -34,6 +34,17 @@ def rand_poly(chart, rng, deg=2, terms=3):
     return e
 
 
+def rand_rational_matrix(chart, rng, n):
+    """n x n matrix of small random polynomials, about a quarter of them
+    divided by a coordinate plus a positive integer."""
+    def entry():
+        e = rand_poly(chart, rng, 1, 1)
+        if rng.random() < 0.25:
+            e = e / (chart.coord(rng.randrange(chart.dim)) + rng.randint(1, 3))
+        return e
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
 def rand_vector(chart, rng, deg=2):
     return VectorField(chart, [rand_poly(chart, rng, deg) for _ in range(chart.dim)])
 

@@ -66,16 +66,19 @@ def _sympy_atom(a, xs):
     return _sympy_terms(a[2], xs)
 
 
-def value(t, pt):
+def value(t, pt, memo=None):
     """The exact value of the terms t of a rational expression at pt, a
-    Fraction per coordinate; ZeroDivisionError at a pole."""
+    Fraction per coordinate; ZeroDivisionError at a pole.  memo, a dict
+    kept across calls at the same pt, values each inverse-power base once."""
+    memo = {} if memo is None else memo
     total = Fraction(0)
     for m, v in t:
         for a, k in m:
             if a[0] == COORD:
                 x = pt[a[1]]
             elif a[0] == INV:
-                x = value(a[2], pt)
+                if (x := memo.get(a)) is None:
+                    x = memo[a] = value(a[2], pt, memo)
             else:
                 raise ValueError(f"not a rational expression: atom {a[:2]}")
             v *= x if k == 1 else x**k

@@ -3,6 +3,9 @@ from itertools import product
 
 import pytest
 
+import sympy
+
+import haantjes.geometry as geometry
 import haantjes.symexpr as sx
 from haantjes.contact import standard_contact_form, validate_contact
 from haantjes.geometry import (
@@ -27,9 +30,11 @@ from haantjes.geometry import (
     wedge_v,
 )
 from haantjes.lcs import standard_lcs_pair, validate_lcs
-from haantjes.symexpr import is_zero
+from haantjes.symexpr import is_zero, param
 
-from conftest import rand_kform, rand_kvector, rand_operator, rand_poly, rand_vector
+from conftest import (rand_kform, rand_kvector, rand_operator, rand_poly, rand_rational_matrix,
+                      rand_vector)
+from oracle import rational_points, to_sympy, value
 
 
 @pytest.fixture
@@ -132,6 +137,32 @@ class TestWedge:
         assert w == KVector(big, 2, {(2, 3): -big.one()})
 
 
+class TestGradedIndices:
+    @pytest.mark.parametrize("cls", [KForm, KVector])
+    @pytest.mark.parametrize("idx,message", [
+        ((1, 0), "index tuple (1, 0) not strictly increasing of length 2"),
+        ((1, 1), "index tuple (1, 1) not strictly increasing of length 2"),
+        ((1,), "index tuple (1,) not strictly increasing of length 2"),
+        ((0, 1, 2), "index tuple (0, 1, 2) not strictly increasing of length 2"),
+        ((0, 3), "index out of range in (0, 3)"),
+        ((-1, 2), "index out of range in (-1, 2)"),
+    ])
+    def test_bad_index_rejected(self, C, cls, idx, message):
+        with pytest.raises(ValueError) as err:
+            cls(C, 2, {(0, 1): C.one(), idx: C.one()})
+        assert str(err.value) == message
+
+    def test_lookup_in_any_order(self, C):
+        q, p = C.coord("q"), C.coord("p")
+        omega = KForm(C, 2, {(0, 1): q, (1, 2): p})
+        assert omega[(1, 0)] == -omega[(0, 1)] == -q
+        assert omega[[0, 1]] == omega[(0, 1)] and omega[[2, 1]] == -p
+        assert omega[(0, 0)].is_zero_expr() and omega[[1, 1]].is_zero_expr()
+        assert omega[(0, 2)].is_zero_expr() and omega[(2, 0)].is_zero_expr()
+        vol = KVector(C, 3, {(0, 1, 2): q})
+        assert vol[(1, 2, 0)] == q and vol[[1, 0, 2]] == -q and vol[(0, 2, 2)].is_zero_expr()
+
+
 class TestSchouten:
     def test_constant_poisson(self):
         C2 = sx.darboux_symplectic(1)
@@ -202,6 +233,13 @@ class TestDot:
         for xs, ys in (([other.one()], [C.one()]), ([C.one()], [other.one()])):
             with pytest.raises(sx.ChartMismatch):
                 dot(C, xs, ys)
+            with pytest.raises(sx.ChartMismatch):
+                VectorField(C, xs + ys + [C.one()])
+        # an equal chart object is the same chart: identity is only the fast path
+        twin = sx.darboux_contact(1)
+        assert twin is not C
+        assert dot(C, [twin.coord("p")], [C.coord("q")]) == C.coord("q") * C.coord("p")
+        assert VectorField(C, [twin.one(), 0, 0]) == VectorField.basis(C, 0)
 
 
 def _literal_residuals(chart, a, m):
@@ -281,3 +319,47 @@ class TestLinearAlgebra:
         zero = C.zero()
         with pytest.raises(ValueError):
             invert_matrix([[zero, zero, zero]] * 3)
+
+    @pytest.mark.parametrize("n,seed", [(4, 1), (5, 2)])
+    def test_rational_matrices_against_the_oracle(self, C, n, seed):
+        # exact at seeded rational points: inv(M) M = I, and det(M) is
+        # sympy's determinant of the same entries
+        rng = random.Random(seed)
+        m = rand_rational_matrix(C, rng, n)
+        d, inv = det(m), invert_matrix(m)
+        xs = [sympy.Symbol(c) for c in C.coords]
+        want = sympy.Matrix([[to_sympy(e) for e in row] for row in m]).det(method="berkowitz")
+        checked = 0
+        for pt in rational_points(C, rng, 4):
+            memo = {}
+            try:
+                mv = [[value(e.terms, pt, memo) for e in row] for row in m]
+                iv = [[value(e.terms, pt, memo) for e in row] for row in inv]
+            except ZeroDivisionError:
+                continue
+            assert all(sum(iv[i][k] * mv[k][j] for k in range(n)) == (i == j)
+                       for i in range(n) for j in range(n))
+            assert value(d.terms, pt, memo) == want.subs(dict(zip(xs, pt)))
+            checked += 1
+        assert checked >= 2
+
+    def test_inverse_builds_each_minor_once(self, C, monkeypatch):
+        # the minor on (rows, cols) of a matrix of distinct parameters names
+        # exactly the parameters a<r><c> of those rows and columns
+        n = 4
+        m = [[param(C, f"a{r}{c}") for c in range(n)] for r in range(n)]
+        built, real = [], geometry.dot
+        monkeypatch.setattr(geometry, "dot", lambda *a: built.append(real(*a)) or built[-1])
+        invert_matrix(m)
+        keys = []
+        for e in built:
+            names = {a[1] for mono, _ in e.terms for a, _ in mono}
+            keys.append((tuple(sorted({int(s[1]) for s in names})),
+                         tuple(sorted({int(s[2]) for s in names}))))
+        assert len(set(keys)) == len(keys)
+        full = tuple(range(n))
+        assert {(full[:j] + full[j + 1:], full[:i] + full[i + 1:])
+                for i in range(n) for j in range(n)} | {(full, full)} <= set(keys)
+        # the full determinant, the 16 cofactors and 18 shared 2 x 2 minors;
+        # each cofactor from scratch would take 4 dots of its own
+        assert len(keys) == 35

@@ -87,6 +87,17 @@ class TestCanonicalisation:
         other = sx.darboux_contact(1, "N")
         with pytest.raises(ChartMismatch):
             chart.coord("q") + other.coord("q")
+        # an equal chart object is the same chart: identity is only the fast path
+        twin = sx.darboux_contact(1)
+        assert twin is not chart
+        assert (chart.coord("q") + twin.coord("p")).terms == (twin.coord("q") + twin.coord("p")).terms
+
+    def test_immutable(self, chart):
+        q = chart.coord("q")
+        for name, value in (("terms", ()), ("chart", sx.darboux_contact(1, "N"))):
+            with pytest.raises(AttributeError):
+                setattr(q, name, value)
+        assert q.chart is chart and q == chart.coord("q") and not q.is_zero_expr()
 
     def test_zero_inverse_raises(self, chart):
         with pytest.raises(ZeroDivisionError):
@@ -269,11 +280,96 @@ class TestParser:
             parse_scalar("q + )", chart)
         assert "1:5" in str(err.value)
 
+    @pytest.mark.parametrize("text,ch,pos", [("q + ²", "²", "1:5"), ("2²*q", "²", "1:2"),
+                                             ("q\n\t+ ½", "½", "2:4")])
+    def test_digit_that_is_no_integer(self, chart, text, ch, pos):
+        # '²'.isdigit() is true, but int() cannot read it: it is an
+        # unexpected character where it stands, as '½' is
+        with pytest.raises(ParseError) as err:
+            parse_scalar(text, chart)
+        assert str(err.value) == f"{pos}: unexpected character {ch!r}"
+
+    def test_unicode_letters_and_digits(self, chart):
+        # identifiers are a letter or '_' and then letters, digits or '_'
+        # (str.isalpha, str.isalnum); integers are decimal digits of any script
+        q = chart.coord("q")
+        assert parse_scalar("q²", chart) == param(chart, "q²")
+        assert parse_scalar("é*q", chart) == q * param(chart, "é")
+        assert str(parse_scalar("é*q", chart)) == "q*é"
+        assert parse_scalar("٣*q", chart) == 3 * q
+
     @pytest.mark.parametrize("text", ["(q, p)", "[q]", "d(q) /\\ d(p)", "(q, p) + 1"])
     def test_non_scalar_syntax_rejected(self, chart, text):
         # tuples, lists and wedges belong to the model language, not to scalars
         with pytest.raises(ParseError):
             parse_scalar(text, chart)
+
+
+class TestLexer:
+    """Token positions, against the offsets at which a generated text put
+    each token.  A (line, col) is read back through the text's lines, not
+    the way the lexer counts them."""
+
+    WORDS = {"q": "q", "p1": "p1", "é": "é", "ζeta_2": "ζeta_2", "q²": "q²", "_x": "_x",
+             "exp": "exp", "12": 12, "٣": 3, "0": 0}
+    OPS = ["+", "-", "*", "/", "/\\", "^", "(", ")", ",", "[", "]"]
+    GAPS = ["", " ", "\t", "\n", "  \n\t", "\r\n", "\n\n "]
+
+    @staticmethod
+    def _offset(text, line, col):
+        return sum(len(s) + 1 for s in text.split("\n")[: line - 1]) + col - 1
+
+    def _build(self, items):
+        """(text, [(offset, piece)]) with each piece after its gap; words
+        that would run together get a space."""
+        text, placed, prev = "", [], None
+        for gap, piece in items:
+            if not gap and prev in self.WORDS and piece in self.WORDS:
+                gap = " "
+            text += gap
+            placed.append((len(text), piece))
+            text += piece
+            prev = piece
+        return text, placed
+
+    def _given(self, prop, *extra):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        item = st.tuples(st.sampled_from(self.GAPS), st.sampled_from([*self.WORDS, *self.OPS]))
+        return hyp.settings(derandomize=True, database=None, max_examples=150, deadline=None)(
+            hyp.given(st.lists(item, max_size=14), *extra)(prop))
+
+    def test_token_positions(self):
+        def prop(items):
+            text, placed = self._build(items)
+            tokens = sx._Lexer(text).tokens
+            assert len(tokens) == len(placed) + 1 and tokens[-1][:2] == ("eof", None)
+            for (kind, value, line, col), (off, piece) in zip(tokens, placed):
+                assert self._offset(text, line, col) == off and text.startswith(piece, off)
+                if piece in self.WORDS:
+                    want = self.WORDS[piece]
+                    assert (kind, value) == ("int" if isinstance(want, int) else "ident", want)
+                else:
+                    assert kind == value == piece
+            line, col = tokens[-1][2:]
+            assert self._offset(text, line, col) == len(text)
+
+        self._given(prop)()
+
+    def test_unexpected_character_on_a_later_line(self):
+        st = pytest.importorskip("hypothesis").strategies
+
+        def prop(items, bad):
+            head, _ = self._build(items)
+            # a space keeps '²' or '½' from continuing an identifier
+            text = head + "\n" + " " + bad + " q"
+            with pytest.raises(ParseError) as err:
+                sx._Lexer(text)
+            e = err.value
+            assert e.message == f"unexpected character {bad!r}" and e.line >= 2
+            assert self._offset(text, e.line, e.col) == len(head) + 2
+
+        self._given(prop, st.sampled_from(["$", "²", "½", ".", "@", "Ⅻ", "{", ";"]))()
 
 
 class TestFuzzSemantics:
