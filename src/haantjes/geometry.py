@@ -620,6 +620,7 @@ def invert_matrix(matrix: Sequence[Sequence[Expr]]) -> list:
     d = minor(full, full)
     if d.is_zero_expr():
         raise ValueError("singular matrix")
-    inv_d = (d**-1, -(d**-1))  # by the cofactor's sign
+    inv_d = d**-1
+    inv_d = (inv_d, -inv_d)  # by the cofactor's sign
     return [[minor(full[:j] + full[j + 1 :], full[:i] + full[i + 1 :]) * inv_d[(i + j) % 2]
              for j in range(n)] for i in range(n)]

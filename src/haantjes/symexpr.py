@@ -736,6 +736,8 @@ class Expr:
     def __setattr__(self, *_):
         raise AttributeError("Expr is immutable")
 
+    __delattr__ = __setattr__
+
     # -- housekeeping
 
     def _coerce(self, other) -> "Expr":

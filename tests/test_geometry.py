@@ -328,9 +328,9 @@ class TestLinearAlgebra:
         m = rand_rational_matrix(C, rng, n)
         d, inv = det(m), invert_matrix(m)
         xs = [sympy.Symbol(c) for c in C.coords]
-        want = sympy.Matrix([[to_sympy(e) for e in row] for row in m]).det(method="berkowitz")
+        sym = sympy.Matrix([[to_sympy(e) for e in row] for row in m])
         checked = 0
-        for pt in rational_points(C, rng, 4):
+        for pt in rational_points(C, rng, 6):
             memo = {}
             try:
                 mv = [[value(e.terms, pt, memo) for e in row] for row in m]
@@ -339,9 +339,11 @@ class TestLinearAlgebra:
                 continue
             assert all(sum(iv[i][k] * mv[k][j] for k in range(n)) == (i == j)
                        for i in range(n) for j in range(n))
-            assert value(d.terms, pt, memo) == want.subs(dict(zip(xs, pt)))
+            assert value(d.terms, pt, memo) == sym.subs(dict(zip(xs, pt))).det()
             checked += 1
-        assert checked >= 2
+            if checked == 2:
+                break
+        assert checked == 2
 
     def test_inverse_builds_each_minor_once(self, C, monkeypatch):
         # the minor on (rows, cols) of a matrix of distinct parameters names

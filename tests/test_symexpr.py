@@ -97,6 +97,8 @@ class TestCanonicalisation:
         for name, value in (("terms", ()), ("chart", sx.darboux_contact(1, "N"))):
             with pytest.raises(AttributeError):
                 setattr(q, name, value)
+            with pytest.raises(AttributeError):
+                delattr(q, name)
         assert q.chart is chart and q == chart.coord("q") and not q.is_zero_expr()
 
     def test_zero_inverse_raises(self, chart):
@@ -336,7 +338,7 @@ class TestLexer:
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
         item = st.tuples(st.sampled_from(self.GAPS), st.sampled_from([*self.WORDS, *self.OPS]))
-        return hyp.settings(derandomize=True, database=None, max_examples=150, deadline=None)(
+        return hyp.settings(derandomize=True, database=None, max_examples=80, deadline=None)(
             hyp.given(st.lists(item, max_size=14), *extra)(prop))
 
     def test_token_positions(self):
