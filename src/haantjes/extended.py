@@ -36,7 +36,7 @@ from .geometry import (
     det,
     dot,
     op_apply,
-    op_compose,
+    op_commutator,
     op_transpose_apply,
 )
 from .jacobi import JacobiStructure, jacobi_bracket, lambda_hat
@@ -258,7 +258,7 @@ def thm_main_check(
     for i in range(len(ops)):
         for jj in range(i + 1, len(ops)):
             ki, kj = ops[i].k_op, ops[jj].k_op
-            v = op_apply(op_compose(ki, kj) - op_compose(kj, ki), e_field)
+            v = op_apply(once(op_commutator, ki, kj), e_field)
             for a, e in enumerate(v.components):
                 if not e.is_zero_expr():
                     conc.require_zero(f"K{i+1}K{jj+1}E = K{jj+1}K{i+1}E [{a}]", zt(e))

@@ -57,7 +57,7 @@ def _as_expr(chart: Chart, v) -> Expr:
 def _same_chart(*objs):
     chart = objs[0].chart
     for o in objs[1:]:
-        if o.chart != chart:
+        if o.chart is not chart and o.chart != chart:
             raise ChartMismatch(f"{chart.name} vs {o.chart.name}")
     return chart
 
@@ -214,8 +214,11 @@ class _Graded:
         """Full antisymmetric component matrix of a 2-form or bivector."""
         if self.degree != 2:
             raise ValueError("full_matrix() needs degree 2")
-        n = self.chart.dim
-        return [[self[(i, j)] for j in range(n)] for i in range(n)]
+        n, zero = self.chart.dim, self.chart.zero()
+        m = [[zero] * n for _ in range(n)]
+        for (i, j), v in self.components.items():
+            m[i][j], m[j][i] = v, -v
+        return m
 
     def _binop(self, other, op):
         _same_chart(self, other)
@@ -289,7 +292,8 @@ class KForm(_Graded):
     def covector(self) -> tuple:
         if self.degree != 1:
             raise ValueError("covector() needs a 1-form")
-        return tuple(self[(i,)] for i in range(self.chart.dim))
+        get, zero = self.components.get, self.chart.zero()
+        return tuple(get((i,), zero) for i in range(self.chart.dim))
 
     def apply(self, *fields: VectorField) -> Expr:
         if len(fields) != self.degree:
@@ -320,10 +324,9 @@ class KVector(_Graded):
         if self.degree != 2 or alpha.degree != 1 or beta.degree != 1:
             raise ValueError("pair() needs a bivector and two 1-forms")
         _same_chart(self, alpha, beta)
+        a, b = alpha.covector(), beta.covector()
         items = self.components.items()
-        return dot(self.chart, [v for _, v in items], [
-            alpha[(i,)] * beta[(j,)] - alpha[(j,)] * beta[(i,)] for (i, j), _ in items
-        ])
+        return dot(self.chart, [v for _, v in items], [a[i] * b[j] - a[j] * b[i] for (i, j), _ in items])
 
 
 # ---------------------------------------------------------------------------
@@ -525,26 +528,70 @@ class Operator11:
         return f"Op[{rows}]"
 
 
+# Operator products contract only the pairs whose two factors are both
+# nonzero: K's nonzero entries are indexed by row (F. G. Gustavson, ACM TOMS
+# 4(3), 1978), each output entry is one _t_dot over its pairs, and an entry
+# with no pair is zero without a dot.
+
+
+def _rows(k: Operator11) -> list:
+    """rows[r] = [(c, terms of K^r_c)] over the nonzero entries of row r."""
+    return [[(c, e.terms) for c, e in enumerate(row) if e.terms] for row in k.matrix]
+
+
+def _dotted(chart: Chart, acc: Sequence[list]) -> list:
+    """One Expr per list of (t1, t2) pairs: one _t_dot each, or zero."""
+    zero = chart.zero()
+    return [Expr(chart, _t_dot(pairs)) if pairs else zero for pairs in acc]
+
+
 def op_apply(k: Operator11, x: VectorField) -> VectorField:
     chart = _same_chart(k, x)
-    return VectorField(chart, [dot(chart, row, x.components) for row in k.matrix])
+    xs = [v.terms for v in x.components]
+    return VectorField(chart, _dotted(chart, [[(e.terms, t) for e, t in zip(row, xs) if e.terms and t]
+                                              for row in k.matrix]))
 
 
 def op_transpose_apply(k: Operator11, alpha: KForm) -> KForm:
-    """K^T on a 1-form: (K^T a)_j = a(K d_j)."""
+    """K^T on a 1-form: (K^T a)_j = a(K d_j) = sum_r a_r K^r_j."""
     chart = _same_chart(k, alpha)
-    co = alpha.covector()
-    return KForm.one_form(chart, [dot(chart, co, col) for col in zip(*k.matrix)])
+    acc = [[] for _ in range(chart.dim)]
+    for co, row in zip(alpha.covector(), _rows(k)):
+        if a := co.terms:
+            for j, t in row:
+                acc[j].append((a, t))
+    return KForm.one_form(chart, _dotted(chart, acc))
+
+
+def _products(chart: Chart, *halves: tuple) -> Operator11:
+    """sum of L R over the (rows of L, rows of R) halves, one accumulation
+    per entry: (L R)^i_j takes L^i_c R^c_j for each nonzero L^i_c and each
+    nonzero R^c_j."""
+    n = chart.dim
+    out = []
+    for i in range(n):
+        acc = [[] for _ in range(n)]
+        for left, right in halves:
+            for c, t in left[i]:
+                for j, u in right[c]:
+                    acc[j].append((t, u))
+        out.append(_dotted(chart, acc))
+    return Operator11(chart, out)
 
 
 def op_compose(k1: Operator11, k2: Operator11) -> Operator11:
     chart = _same_chart(k1, k2)
-    cols = list(zip(*k2.matrix))
-    return Operator11(chart, [[dot(chart, row, col) for col in cols] for row in k1.matrix])
+    return _products(chart, (_rows(k1), _rows(k2)))
 
 
 def op_commutator(k1: Operator11, k2: Operator11) -> Operator11:
-    return op_compose(k1, k2) - op_compose(k2, k1)
+    """[K1, K2] = K1 K2 - K2 K1: each entry is one dot over the pairs of
+    K1 K2 and the pairs of K2 K1 with the left factor negated, so the budget
+    is checked on the commutator, not on either product."""
+    chart = _same_chart(k1, k2)
+    r1, r2 = _rows(k1), _rows(k2)
+    neg2 = [[(c, _t_neg(t)) for c, t in row] for row in r2]
+    return _products(chart, (r1, r2), (neg2, r1))
 
 
 # ---------------------------------------------------------------------------

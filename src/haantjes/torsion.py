@@ -6,7 +6,7 @@ arbitrary vector fields) to contract composite arguments through the tables
 instead of re-deriving brackets of composite fields.
 
 Each Nijenhuis component is one dot over the entry partials of K, each
-taken once per torsion:
+taken once per torsion, and once per run under the run memo:
 tau(e_i, e_j)^r = sum_c K^c_i d_c K^r_j - K^c_j d_c K^r_i
                         - K^r_c (d_i K^c_j - d_j K^c_i).
 The Haantjes table is factored: with s(X, Y) = K tau(X, Y) - tau(X, KY),
@@ -14,9 +14,14 @@ H(X, Y) = K s(X, Y) - s(KX, Y), which is (K_out - K_slot1)(K_out - K_slot2)
 tau.  A frame component s(e_a, e_j)^r is built the first time H reads it.
 
 Both tables come from one builder in a packed ring (`symexpr._PackedRing`)
-set up once per torsion.  Each distinct nonzero entry of K, up to sign, is
-differentiated once per coordinate (through `Expr.diff`) and packed once
-with its nonzero partials; an entry -e takes the negated jet of e.  K's
+set up once per torsion.  Each distinct nonzero entry of K up to sign, taken
+with a positive leading coefficient, is differentiated once per coordinate
+(`_jet`, the one place where an entry is differentiated) and packed once
+with its nonzero partials; an entry -e takes the negated jet of e.  The jet
+goes through the run memo (`checks.once`, keyed by the chart and the entry's
+terms), so within a run each distinct entry is differentiated once, however
+many torsions hold it: the generators of an algebra, their module members
+and their ring products share entries.  K's
 nonzero entries are indexed by row and by column, so every tau, s and H
 component is one dot over the pairs of nonzero factors only, each pair
 multiplied term by term, and a component with no such pair is zero without
@@ -72,6 +77,10 @@ so the ring member K*K of a Haantjes generator K reports the torsion of K,
 as surely as K's own report (a probably_zero premise gives a probably_zero
 conclusion).  A generator that fails says nothing about its square, which
 gets a torsion of its own.
+
+A commutator [A, B] comes from `geometry.op_commutator` through the run
+memo, so the `commute` directive, the abelian test of an algebra check and
+the preconditions of `thm_main` share one per pair in a run.
 """
 
 from __future__ import annotations
@@ -163,19 +172,28 @@ def haantjes_torsion(k: Operator11) -> VectorValued2Form:
     return VectorValued2Form(k.chart, _frame_table(k, haantjes=True))
 
 
+def _jet(chart: Chart, u: tuple) -> tuple:
+    """The partials, by coordinate, of the entry with terms u on chart: the
+    one place where an entry of K is differentiated.  `_frame_table` takes
+    each jet through the run memo, so a run differentiates each distinct
+    entry up to sign once, however many torsions hold it."""
+    e = Expr(chart, u)
+    return tuple(e.diff(x).terms for x in range(chart.dim))
+
+
 def _frame_table(k: Operator11, haantjes: bool) -> dict:
     """The nonzero components {(i, j): VectorField}, i < j, of the Nijenhuis
     table of k, or with `haantjes` of its Haantjes table (see the module
-    docstring): one jet per distinct entry up to sign, taken here once and
-    read by `_components` over a pattern ring first, when some jet component
-    has more than one term, and over the expanded ring unless that pass
-    proved the table zero; each component is one plain packed dot."""
+    docstring): one jet per distinct entry up to sign, taken through the
+    run memo (`_jet`) and read by `_components` over a pattern ring first,
+    when some jet component has more than one term, and over the expanded
+    ring unless that pass proved the table zero; each component is one
+    plain packed dot."""
     chart = k.chart
-    rn = range(chart.dim)
     # One jet per distinct nonzero entry up to sign: entries whose terms
-    # agree up to sign, u being those with a positive leading coefficient,
-    # share the jet of the first of them, and the other sign negates it.
-    jets = {}  # u -> (sign of the entry differentiated, its terms, its partials by coordinate)
+    # agree up to sign share the jet of u, their terms with a positive
+    # leading coefficient, and the other sign negates it.
+    jets = {}  # u -> its partials by coordinate
     entries = []  # (r, c, u, sign of K^r_c), a sign being whether the leading coefficient is positive
     for r, row in enumerate(k.matrix):
         for c, e in enumerate(row):
@@ -183,9 +201,9 @@ def _frame_table(k: Operator11, haantjes: bool) -> dict:
                 up = t[0][1] > 0
                 u = t if up else (-e).terms
                 if u not in jets:
-                    jets[u] = (up, t, [e.diff(x).terms for x in rn])
+                    jets[u] = once(_jet, chart, u)
                 entries.append((r, c, u, up))
-    inputs = [f for _, t, ds in jets.values() for f in (t, *ds)]
+    inputs = [f for u, ds in jets.items() for f in (u, *ds)]
     # every H term is a product of four factors from K and its partials
     if any(len(f) > 1 for f in inputs):
         try:
@@ -218,9 +236,9 @@ def _components(ring: _PackedRing, jets: dict, entries: list, n: int, haantjes: 
     rn = range(n)
     # (u, sign) -> (K^r_c, -K^r_c, [d_x K^r_c, or None when it is zero]), each packed once
     packed = {}
-    for u, (up, t, ds) in jets.items():
-        p = ring.pack(t)
-        packed[u, up] = (p, ring.neg(p), [ring.pack(d) if d else None for d in ds])
+    for u, ds in jets.items():
+        p = ring.pack(u)
+        packed[u, True] = (p, ring.neg(p), [ring.pack(d) if d else None for d in ds])
     none = [None] * n
     dk = [[none] * n for _ in rn]  # dk[r][c][x] = d_x K^r_c, or None when it is zero
     rows = [[] for _ in rn]  # the nonzero entries K^r_c of row r, as (c, K^r_c, -K^r_c)
@@ -352,7 +370,8 @@ def _algebra_check(name: str, chart: Chart, ops: Sequence[Operator11], names: Se
     chart or on an extension of it; the module coefficients are functions on
     chart, lifted to the operators' chart.  One torsion per distinct
     operator, through the memo: K_i K_j and K_j K_i coincide for a commuting
-    pair, and a generator may repeat or be checked by a directive of its own."""
+    pair, and a generator may repeat or be checked by a directive of its own.
+    Likewise one commutator per pair, shared with `commute_check`."""
     rep = CheckReport(name)
 
     def member(label: str, sub: CheckReport):
@@ -370,25 +389,22 @@ def _algebra_check(name: str, chart: Chart, ops: Sequence[Operator11], names: Se
             member(f"module f*{nm}+g*{names[j]}", once(is_haantjes, k.scale(h) + ops[j], zt))
     # H_K = 0 gives H_{p(K)} = 0 for every polynomial p in K with function
     # coefficients, so K*K shares the verdict of a Haantjes generator K
-    ring = {}
     for i, ki in enumerate(ops):
         for j, kj in enumerate(ops):
-            if i == j and gens[i].passed:
-                sub = gens[i]
-            else:
-                ring[i, j] = op_compose(ki, kj)
-                sub = once(is_haantjes, ring[i, j], zt)
+            sub = gens[i] if i == j and gens[i].passed else once(is_haantjes, op_compose(ki, kj), zt)
             member(f"ring {names[i]}*{names[j]}", sub)
     if abelian:
         for i in range(len(ops)):
             for j in range(i + 1, len(ops)):
-                _require_zero_entries(rep, f"[{names[i]},{names[j]}]", ring[i, j] - ring[j, i], zt)
+                _require_zero_entries(rep, f"[{names[i]},{names[j]}]", once(op_commutator, ops[i], ops[j]), zt)
     return rep
 
 
 def commute_check(a: Operator11, b: Operator11, zt: ZeroTester = ZeroTester()) -> CheckReport:
-    """[A, B] = AB - BA vanishes entry by entry."""
-    return _require_zero_entries(CheckReport("commute"), "", op_commutator(a, b), zt)
+    """[A, B] = AB - BA vanishes entry by entry.  The commutator comes
+    through the run memo, so a `commute` directive, the abelian test of an
+    algebra and `thm_main` share one per pair."""
+    return _require_zero_entries(CheckReport("commute"), "", once(op_commutator, a, b), zt)
 
 
 def _require_zero_entries(rep: CheckReport, prefix: str, m: Operator11, zt: ZeroTester) -> CheckReport:

@@ -329,16 +329,24 @@ class TestRunMemo:
 
     @pytest.mark.parametrize("stem, counts", [
         # 10, not 14: each ring square K*K of a Haantjes generator K reads
-        # the generator's torsion, since H_K = 0 gives H_{p(K)} = 0
-        ("appendix_families", {"haantjes_torsion": 10}),
-        ("example_p_minus_z", {"check_ejh": 2, "verify_ext_chain": 1, "generic_rank": 2}),
+        # the generator's torsion, since H_K = 0 gives H_{p(K)} = 0; 4
+        # commutators for 6 uses, since `commute F1A F1B` and `algebra F1A
+        # F1B abelian` share one, as do the F2 pair; 17 entry jets, one per
+        # distinct entry up to sign of the 10 torsions' 32
+        ("appendix_families", {"haantjes_torsion": 10, "op_commutator": 4, "_jet": 17}),
+        # 2 commutators: thm_main's [EK1, EK2] of the lifts and [K1, K2]
+        ("example_p_minus_z", {"check_ejh": 2, "verify_ext_chain": 1, "generic_rank": 2,
+                               "op_commutator": 2}),
         ("lcs_example", {"check_lcsh": 4, "eta_KE_check": 3, "validate_jacobi": 0,
                          "generic_rank": 3}),
     ])
     def test_each_sub_check_runs_once(self, monkeypatch, stem, counts):
         # at the parent of the memo: 18 torsions; 4 check_ejh, 2
         # verify_ext_chain and 4 generic_rank; 6 check_lcsh, 5 eta_KE_check,
-        # 3 validate_jacobi and 6 generic_rank
+        # 3 validate_jacobi and 6 generic_rank.  Before commutators and jets
+        # went through the memo: 4 op_commutator calls, and the two abelian
+        # tests each subtracted two ring products; 32 entry jets (160
+        # Expr.diff calls); thm_main took 1 op_commutator call and 2 op_compose
         calls = {name: _count_calls(monkeypatch, name) for name in counts}
         run_checks(parse_model((MODELS / f"{stem}.hj").read_text()), seed=42)
         assert {name: len(c) for name, c in calls.items()} == counts

@@ -22,6 +22,7 @@ from haantjes.geometry import (
     invert_matrix,
     lie_bracket,
     op_apply,
+    op_commutator,
     op_compose,
     op_transpose_apply,
     raised,
@@ -163,6 +164,34 @@ class TestGradedIndices:
         assert vol[(1, 2, 0)] == q and vol[[1, 0, 2]] == -q and vol[(0, 2, 2)].is_zero_expr()
 
 
+    def test_direct_reads_equal_lookups(self, rng):
+        # covector, full_matrix and pair read the stored components; every
+        # entry equals its lookup, zero components and the lower triangle
+        # included
+        chart = sx.darboux_contact(2)
+        n = chart.dim
+
+        def sparse(cls, degree):
+            return cls(chart, degree, {idx: rand_poly(chart, rng) for idx in _increasing(n, degree)
+                                       if rng.random() < 0.5})
+
+        for _ in range(4):
+            alpha, beta = sparse(KForm, 1), sparse(KForm, 1)
+            assert alpha.covector() == tuple(alpha[(i,)] for i in range(n))
+            for two in (sparse(KForm, 2), sparse(KVector, 2)):
+                assert two.full_matrix() == [[two[(i, j)] for j in range(n)] for i in range(n)]
+            lam = sparse(KVector, 2)
+            want = sum((v * (alpha[(i,)] * beta[(j,)] - alpha[(j,)] * beta[(i,)])
+                        for (i, j), v in lam.components.items()), chart.zero())
+            assert lam.pair(alpha, beta) == want
+            assert any(alpha[(i,)].is_zero_expr() for i in range(n))
+
+
+def _increasing(n, degree):
+    """The strictly increasing index tuples of one degree."""
+    return [idx for idx in product(range(n), repeat=degree) if list(idx) == sorted(set(idx))]
+
+
 class TestSchouten:
     def test_constant_poisson(self):
         C2 = sx.darboux_symplectic(1)
@@ -212,6 +241,102 @@ class TestOperators:
         lhs = sum((op_transpose_apply(k, a).covector()[i] * x[i] for i in range(3)), C.zero())
         rhs = sum((a.covector()[i] * op_apply(k, x)[i] for i in range(3)), C.zero())
         assert (lhs - rhs).is_zero_expr()
+
+
+    # seeded sparse operators on the contact 5-chart, against literal entry
+    # sums in Expr arithmetic
+
+    @pytest.fixture
+    def sparse(self):
+        chart = sx.darboux_contact(2)
+        rng = random.Random(26)
+        return chart, _sparse_operator(chart, rng, 1, 3), _sparse_operator(chart, rng, 3, 0), rng
+
+    def test_products_equal_literal_entry_sums(self, sparse):
+        chart, a, b, _ = sparse
+        n = chart.dim
+
+        def literal(x, y, i, j):
+            return sum((x.matrix[i][c] * y.matrix[c][j] for c in range(n)), chart.zero())
+
+        ab = op_compose(a, b)
+        comm = op_commutator(a, b)
+        for i, j in product(range(n), repeat=2):
+            assert ab.matrix[i][j] == literal(a, b, i, j)
+            assert comm.matrix[i][j] == literal(a, b, i, j) - literal(b, a, i, j)
+        assert op_compose(b, a) == Operator11(chart, [[literal(b, a, i, j) for j in range(n)] for i in range(n)])
+        # the cases occur: an empty row or column of a product, an entry
+        # with one pair, and commutator entries with and without terms
+        assert ab.matrix[1] == (chart.zero(),) * n and all(r[0].is_zero_expr() for r in ab.matrix)
+        assert any(sum(not a.matrix[i][c].is_zero_expr() and not b.matrix[c][j].is_zero_expr()
+                       for c in range(n)) == 1 for i, j in product(range(n), repeat=2))
+        entries = [e for row in comm.matrix for e in row]
+        assert any(e.is_zero_expr() for e in entries) and not comm.is_zero_op()
+
+    def test_apply_equals_literal_entry_sums(self, sparse):
+        chart, a, _, rng = sparse
+        n = chart.dim
+        comps = [rand_poly(chart, rng) if i % 2 else 0 for i in range(n)]
+        comps[1] = sx.exp(chart.coord("z")) / (chart.coord("q1") + 2)
+        x = VectorField(chart, comps)
+        alpha = KForm.one_form(chart, comps)
+        got = op_apply(a, x)
+        assert got.components == tuple(sum((a.matrix[r][c] * x[c] for c in range(n)), chart.zero())
+                                       for r in range(n))
+        co = alpha.covector()
+        got_t = op_transpose_apply(a, alpha)
+        assert got_t == KForm.one_form(chart, [sum((co[r] * a.matrix[r][j] for r in range(n)), chart.zero())
+                                               for j in range(n)])
+        assert got[1].is_zero_expr() and not got.is_zero_field()
+        assert got_t[(3,)].is_zero_expr() and not got_t.is_zero()
+
+    def test_commutator_of_an_operator_with_itself(self, sparse):
+        _, a, b, _ = sparse
+        for k in (a, b, op_compose(a, b)):
+            assert all(not e.terms for row in op_commutator(k, k).matrix for e in row)
+
+    def test_chart_mismatch(self, sparse):
+        chart, a, b, _ = sparse
+        other = sx.darboux_contact(2, name="N")
+        foreign = Operator11.identity(other)
+        for fn, args in ((op_compose, (a, foreign)), (op_compose, (foreign, a)),
+                         (op_commutator, (a, foreign)), (op_commutator, (foreign, b)),
+                         (op_apply, (a, VectorField.basis(other, 0))),
+                         (op_transpose_apply, (a, KForm.d_coord(other, 0)))):
+            with pytest.raises(sx.ChartMismatch):
+                fn(*args)
+        # an equal chart object is the same chart
+        twin = Operator11.identity(sx.darboux_contact(2))
+        assert op_compose(a, twin) == a and op_commutator(twin, b).is_zero_op()
+
+    def test_commutator_budget_is_on_the_difference(self, C, monkeypatch):
+        # AB - BA is one dot, so a commutator whose products exceed the
+        # budget is still decided when the difference does not
+        f = (C.coord("q") + C.coord("p") + C.coord("z") + 1) ** 4
+        g = (C.coord("q") - C.coord("p") + 2 * C.coord("z") + 3) ** 4
+        a, b = Operator11.diagonal(C, [f, g, f]), Operator11.diagonal(C, [g, f, g])
+        product_nodes = sx._node_count((f * g).terms)
+        monkeypatch.setattr(sx, "NODE_BUDGET", product_nodes - 1)
+        with pytest.raises(sx.BudgetError):
+            op_compose(a, b)
+        assert op_commutator(a, b).is_zero_op()
+
+
+def _sparse_operator(chart, rng, empty_row, empty_col):
+    """About half the entries nonzero, none in row empty_row or column
+    empty_col; a nonzero entry is a polynomial, a quotient or an exp
+    multiple."""
+    n = chart.dim
+
+    def entry():
+        e = rand_poly(chart, rng, 2, 2)
+        kind = rng.randrange(3)
+        if kind == 1:
+            return e / (chart.coord(rng.randrange(n)) + rng.randint(1, 3))
+        return e * sx.exp(chart.coord(rng.randrange(n))) if kind == 2 else e
+
+    return Operator11(chart, [[entry() if r != empty_row and c != empty_col and rng.random() < 0.5 else 0
+                               for c in range(n)] for r in range(n)])
 
 
 class TestDot:

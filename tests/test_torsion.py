@@ -144,13 +144,14 @@ class TestNijenhuis:
     def test_one_jet_per_entry_up_to_sign(self, monkeypatch, pattern):
         # entries that repeat, or repeat with the other sign, share one jet:
         # Expr.diff runs once per distinct entry up to sign and coordinate,
-        # on the first of them; in F3 that first entry is -D
+        # on its sign with a positive leading coefficient (F3's first entry
+        # is -D, and the jet is still taken of D or -D by that sign)
         chart = sx.Chart("R5", ("q1", "q2", "p1", "p2", "z"))
         rng = random.Random(59)
         d, b, g, w = (rand_poly(chart, rng, deg=3) for _ in range(4))
         rows = {"F2": [[d, b, 0, d, 0], [-b, d, -d, 0, 0], [0, 0, -d, b, 0], [0, 0, -b, -d, 0], [0, 0, 0, 0, g]],
                 "F3": [[-d, 0, 0, 0, 0], [0, d, 0, 0, 0], [0, 0, d, 0, 0], [0, 0, 0, -d, 0], [d * g, w, b, 0, d]]}
-        firsts = {"F2": (d, b, g), "F3": (-d, d * g, w, b)}[pattern]
+        firsts = [e if e.terms[0][1] > 0 else -e for e in {"F2": (d, b, g), "F3": (-d, d * g, w, b)}[pattern]]
         k = Operator11(chart, rows[pattern])
         calls = []
         diff = sx.Expr.diff
