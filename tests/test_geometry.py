@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -172,7 +172,7 @@ class TestGradedIndices:
         n = chart.dim
 
         def sparse(cls, degree):
-            return cls(chart, degree, {idx: rand_poly(chart, rng) for idx in _increasing(n, degree)
+            return cls(chart, degree, {idx: rand_poly(chart, rng) for idx in combinations(range(n), degree)
                                        if rng.random() < 0.5})
 
         for _ in range(4):
@@ -185,11 +185,6 @@ class TestGradedIndices:
                         for (i, j), v in lam.components.items()), chart.zero())
             assert lam.pair(alpha, beta) == want
             assert any(alpha[(i,)].is_zero_expr() for i in range(n))
-
-
-def _increasing(n, degree):
-    """The strictly increasing index tuples of one degree."""
-    return [idx for idx in product(range(n), repeat=degree) if list(idx) == sorted(set(idx))]
 
 
 class TestSchouten:
