@@ -164,9 +164,9 @@ def parse_model(text: str) -> Model:
             raise ParseError("missing right-hand side", lineno, 1)
         decl = Declaration(head, name, current.name, {"rhs": rhs}, lineno)
         try:
-            _build_declaration(decl, current, names, lineno)
+            _build_declaration(decl, current, names, lineno, raw.index(rhs, raw.index("=")))
         except _MODEL_ERRORS as exc:
-            raise _at_line(exc, lineno) from None
+            raise _at_line(exc, lineno, getattr(exc, "col", 1)) from None
         names[name] = (head, decl)
         model.declarations.append(decl)
         model.order.append(("decl", name))
@@ -178,10 +178,9 @@ def parse_model(text: str) -> Model:
 _MODEL_ERRORS = (ValueError, DomainError)
 
 
-def _at_line(exc: Exception, line: int) -> ParseError:
-    """exc as a parse error of model line `line`; the positions parse_expr
-    reports are relative to the expression, not to the model."""
-    return ParseError(getattr(exc, "message", str(exc)), line, 1)
+def _at_line(exc: Exception, line: int, col: int = 1) -> ParseError:
+    """exc as a parse error at column `col` of model line `line`."""
+    return ParseError(getattr(exc, "message", str(exc)), line, col)
 
 
 def _parse_chart_stmt(rest: str, line: int):
@@ -218,13 +217,15 @@ _PARTS = {
 }
 
 
-def _build_declaration(decl: Declaration, chart: Chart, names: dict, line: int):
+def _build_declaration(decl: Declaration, chart: Chart, names: dict, line: int, at: int):
     if decl.kind == "contact" and chart.dim % 2 == 0:
         raise ParseError(f"contact structure on even-dimensional chart {chart.name}", line, 1)
     if decl.kind == "lcs" and chart.dim % 2 == 1:
         raise ParseError(f"lcs structure on odd-dimensional chart {chart.name}", line, 1)
     scope = _Scope(chart, names, line, free=True)
-    value = parse_expr(decl.payload["rhs"], chart, scope)
+    # the right-hand side, at offset `at` of the model line, is parsed there
+    # (blanks before it), so a position parse_expr reports is a line column
+    value = parse_expr(" " * at + decl.payload["rhs"], chart, scope)
     kinds = _PARTS.get(decl.kind)
     if kinds is None:
         decl.payload["value"] = scope.value(value, decl.kind)

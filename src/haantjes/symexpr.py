@@ -201,7 +201,7 @@ def lcs_local(n: int, name: str = "M") -> Chart:
 #        The first entry is the atom's rank; key = _terms_key(terms) is
 #        computed once, when the atom is built.  So atoms compare natively in
 #        canonical order: by rank, then index, name or key.  (_V, i) is a
-#        free variable of a `_PatternRing`; no Expr holds one.
+#        label of a torsion table's shape (`_relabel`); no Expr holds one.
 # mono:  tuple of (atom, exp), sorted; exps nonzero; at most one _E atom and
 #        its exp is 1; _W exps are negative.  _E and _W rank last, so only
 #        the last atom of a mono can be one.
@@ -500,42 +500,25 @@ class _PackedRing:
         return _mono_mul_general(rest, tuple((a, 1) for a, e in out if a[0] == _E for _ in range(e)))[0]
 
 
-class _PatternRing(_PackedRing):
-    """The `_PackedRing` of some canonical terms in which each input of more
-    than one term is one free variable (_V, i), shared by inputs equal up to
-    sign, and a monomial input stays the monomial it is.  The symbol table
-    lives as long as the ring.
-
-    Sending each variable back to the polynomial it stands for is a ring
-    homomorphism psi onto the `_PackedRing` of the same inputs, and it
-    commutes with `pack`.  So a computation that applies only ring
-    operations (pack, neg, dot) to packed inputs gives here a
-    polynomial that psi maps to the one it gives there: when it is zero
-    here, it is zero there.  Its products cost one monomial product per
-    pair of input terms, and a multi-term input is one term here.  Only
-    relations between the inputs are lost, such as d(x y) = y dx + x dy;
-    monomial inputs keep theirs exactly.
-    """
-
-    __slots__ = ("_vars",)
-
-    def __init__(self, ts: Iterable[tuple], factors: int):
-        self._vars: dict = {}  # terms with a positive leading coefficient -> their variable
-        super().__init__([self._sub(t) for t in ts], factors)
-
-    def _sub(self, t) -> tuple:
-        """t itself when it has at most one term, else plus or minus the
-        variable of t up to sign."""
-        if len(t) < 2:
-            return t
-        up = t[0][1] > 0
-        u = t if up else _t_neg(t)
-        if (v := self._vars.get(u)) is None:
-            v = self._vars[u] = (_V, len(self._vars))
-        return ((((v, 1),), 1 if up else -1),)
-
-    def pack(self, t) -> dict:
-        return super().pack(self._sub(t))
+def _relabel(ts) -> tuple:
+    """The pattern of the canonical terms ts, and its label table: each
+    input of more than one term is one free variable, shared by inputs equal
+    up to sign; every variable and every atom of a monomial input is then
+    relabelled (_V, i) by first occurrence in ts, each relabelled monomial
+    re-sorted.  The table maps each atom, and each multi-term input with a
+    positive leading coefficient, to its label; sending each label back is a
+    ring homomorphism that commutes with `pack` (torsion module docstring)."""
+    labels: dict = {}
+    out = []
+    for t in ts:
+        if len(t) > 1:
+            up = t[0][1] > 0
+            v = labels.setdefault(t if up else _t_neg(t), (_V, len(labels)))
+            out.append(((((v, 1),), 1 if up else -1),))
+        else:
+            out.append(tuple((tuple(sorted((labels.setdefault(a, (_V, len(labels))), e) for a, e in m)), c)
+                             for m, c in t))
+    return tuple(out), labels
 
 
 def _mono_pow(m, c, k: int):

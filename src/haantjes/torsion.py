@@ -41,31 +41,31 @@ budget: it raises BudgetError exactly when its canonical form exceeds
 NODE_BUDGET nodes (a packed component has at least as many terms as its
 canonical form, so the cheap term-count guard comes first).
 
-The builder, `_components`, runs over a ring it is given, and when some
-entry of K or some partial (a jet component) has more than one term, it
-runs twice over the same jets.  First over a pattern ring
-(`symexpr._PatternRing`): each multi-term jet component is one free
-variable there, components equal up to sign share one, and a monomial
-component stays the monomial it is.  Sending each variable back to the
-polynomial it stands for is a ring homomorphism psi onto the expanded ring
-of the same jets, and the builder applies only ring operations to the jets
-(pack, neg, dot; a zero test only skips a zero factor, which adds
-nothing), so psi maps each pattern component to the packed component the
-expanded build makes.  When every pattern component is zero, the table is
-zero, and the expanded build is skipped.  Otherwise the expanded build
-decides, as it would alone; the pattern pass stops at its first nonzero
-component (an H component, or a tau one for the Nijenhuis table), and a
-BudgetError in it leaves the decision to the expanded build too.  A table
-that the pattern pass proves zero is never expanded, so it raises no
-BudgetError that its expanded build would have raised.  The pattern ring
-loses only relations between multi-term jet components, such as those that
-tie the partials of an entry D*g to D and g.  A monomial component keeps
-its relations exactly, and costs one product in either ring, so it stays
-as it is: an operator whose jet components are all monomials, such as each
-generator of the appendix families, is built in one pass, as before; their
-module and ring members, whose entries are sums such as h*D + DD, are
-decided by the pattern pass alone.  The pattern variables are atoms of a
-rank that no expression holds, so no model can name one.
+The builder, `_components`, runs over a ring it is given, and each table is
+first decided by its shape, once per run (`_shape_is_zero`, through the run
+memo).  The shape is (n, haantjes, the entries as (r, c, jet, sign), the
+jets relabelled by `symexpr._relabel`): each multi-term jet component (an
+entry of K or a partial) is one free variable, shared by components equal
+up to sign, and every variable and every atom of a monomial component is a
+label (_V, i), numbered by first occurrence, each entry read before its
+partials.  Sending each label back to what it stands for is a ring
+homomorphism psi onto the expanded ring of the same jets, and the builder
+applies only ring operations to the jets (pack, neg, dot; a zero test only
+skips a zero factor, which adds nothing), so psi maps each shape component
+to the packed component the expanded build makes.  A table whose shape's
+components are all zero is zero and is never expanded, so it raises no
+BudgetError that its expanded build would have raised.  Two tables of one
+shape differ by a bijection of free variables, so they are zero together:
+the generators of an appendix family, and their module member h*A + B,
+take one shape pass per run.  Otherwise the expanded build decides, as it
+would alone; the shape pass stops at its first nonzero component (an H
+component, or a tau one for the Nijenhuis table), and a BudgetError in it
+(a label weighs one node, no more than what it stands for) leaves the
+decision to the expanded build too.  The shape loses only relations between
+multi-term jet components, such as those that tie the partials of an entry
+D*g to D and g; for an operator whose jet components are all monomials,
+such as each appendix generator, the shape pass is the expanded build up to
+labels.  No expression holds a label, so no model can name one.
 
 H is homogeneous of degree 4 under scaling by a function, H_{fK} = f^4 H_K
 (Bogoyavlenskij, J. Math. Phys. 45, 2004; Tempesta and Tondo, Ann. Mat. Pura
@@ -109,7 +109,7 @@ from .symexpr import (
     ZeroCertainty,
     ZeroTester,
     _PackedRing,
-    _PatternRing,
+    _relabel,
     fn_symbol,
     integrate_unit_param,
     param,
@@ -185,35 +185,32 @@ def _frame_table(k: Operator11, haantjes: bool) -> dict:
     """The nonzero components {(i, j): VectorField}, i < j, of the Nijenhuis
     table of k, or with `haantjes` of its Haantjes table (see the module
     docstring): one jet per distinct entry up to sign, taken through the
-    run memo (`_jet`) and read by `_components` over a pattern ring first,
-    when some jet component has more than one term, and over the expanded
-    ring unless that pass proved the table zero; each component is one
+    run memo (`_jet`), and the table's shape decided once per run; unless
+    that is zero, `_components` over the expanded ring, each component one
     plain packed dot."""
-    chart = k.chart
+    chart, n = k.chart, k.chart.dim
     # One jet per distinct nonzero entry up to sign: entries whose terms
     # agree up to sign share the jet of u, their terms with a positive
     # leading coefficient, and the other sign negates it.
-    jets = {}  # u -> its partials by coordinate
-    entries = []  # (r, c, u, sign of K^r_c), a sign being whether the leading coefficient is positive
+    index = {}  # u -> the position of its jet
+    jets = []  # (u, its partials by coordinate)
+    entries = []  # (r, c, the position of the jet of K^r_c, whether its leading coefficient is positive)
     for r, row in enumerate(k.matrix):
         for c, e in enumerate(row):
             if t := e.terms:
                 up = t[0][1] > 0
                 u = t if up else (-e).terms
-                if u not in jets:
-                    jets[u] = once(_jet, chart, u)
-                entries.append((r, c, u, up))
-    inputs = [f for u, ds in jets.items() for f in (u, *ds)]
+                if (at := index.get(u)) is None:
+                    at = index[u] = len(jets)
+                    jets.append((u, *once(_jet, chart, u)))
+                entries.append((r, c, at, up))
+    inputs = [f for jet in jets for f in jet]
+    if once(_shape_is_zero, (n, haantjes, tuple(entries), _relabel(inputs)[0])):
+        return {}
     # every H term is a product of four factors from K and its partials
-    if any(len(f) > 1 for f in inputs):
-        try:
-            if not any(p for _, p in _components(_PatternRing(inputs, 4), jets, entries, chart.dim, haantjes)):
-                return {}
-        except BudgetError:
-            pass  # the expanded build decides alone
     ring = _PackedRing(inputs, 4)
     table = {}
-    for ij, p in _components(ring, jets, entries, chart.dim, haantjes):
+    for ij, p in _components(ring, jets, entries, n, haantjes):
         table.setdefault(ij, []).append(p)
     values = {}
     for ij, comps in table.items():
@@ -225,28 +222,41 @@ def _frame_table(k: Operator11, haantjes: bool) -> dict:
     return values
 
 
-def _components(ring: _PackedRing, jets: dict, entries: list, n: int, haantjes: bool):
+def _shape_is_zero(shape: tuple) -> bool:
+    """Whether the table of a shape (n, haantjes, entries, the relabelled
+    jets one after another) is zero, by `_components` up to its first
+    nonzero component; a BudgetError leaves it undecided, which reads False."""
+    n, haantjes, entries, pattern = shape
+    jets = [pattern[i:i + n + 1] for i in range(0, len(pattern), n + 1)]
+    try:
+        return not any(p for _, p in _components(_PackedRing(pattern, 4), jets, entries, n, haantjes))
+    except BudgetError:
+        return False
+
+
+def _components(ring: _PackedRing, jets: Sequence[tuple], entries: list, n: int, haantjes: bool):
     """Yield ((i, j), component r) for i < j and then r, in that order, of the
     Nijenhuis table, or with `haantjes` of the Haantjes table, packed in ring:
-    the jets packed once, the partials held as dk[r][c][x] (None when zero),
-    no dot for a component whose pair list is empty, and each s component
-    built the first time an H dot reads it.  Only `pack`, `neg` and `dot` of
-    the ring are called, which is what lets a pattern ring stand in for the
-    expanded one.  A caller that stops early builds no later component."""
+    the jets (u, d_0 u, ..., d_{n-1} u) packed once, the partials held as
+    dk[r][c][x] (None when zero), no dot for a component whose pair list is
+    empty, and each s component built the first time an H dot reads it.
+    Only `pack`, `neg` and `dot` of the ring are called, which is what lets
+    a shape's ring stand in for the expanded one.  A caller that stops early
+    builds no later component."""
     rn = range(n)
-    # (u, sign) -> (K^r_c, -K^r_c, [d_x K^r_c, or None when it is zero]), each packed once
+    # (jet, sign) -> (K^r_c, -K^r_c, [d_x K^r_c, or None when it is zero]), each packed once
     packed = {}
-    for u, ds in jets.items():
+    for at, (u, *ds) in enumerate(jets):
         p = ring.pack(u)
-        packed[u, True] = (p, ring.neg(p), [ring.pack(d) if d else None for d in ds])
+        packed[at, True] = (p, ring.neg(p), [ring.pack(d) if d else None for d in ds])
     none = [None] * n
     dk = [[none] * n for _ in rn]  # dk[r][c][x] = d_x K^r_c, or None when it is zero
     rows = [[] for _ in rn]  # the nonzero entries K^r_c of row r, as (c, K^r_c, -K^r_c)
     cols = [[] for _ in rn]  # ... of column c, as (r, K^r_c, -K^r_c)
-    for r, c, u, up in entries:
-        if (jet := packed.get((u, up))) is None:
-            p, q, ds = packed[u, not up]
-            jet = packed[u, up] = (q, p, [d and ring.neg(d) for d in ds])
+    for r, c, at, up in entries:
+        if (jet := packed.get((at, up))) is None:
+            p, q, ds = packed[at, not up]
+            jet = packed[at, up] = (q, p, [d and ring.neg(d) for d in ds])
         rows[r].append((c, jet[0], jet[1]))
         cols[c].append((r, jet[0], jet[1]))
         dk[r][c] = jet[2]

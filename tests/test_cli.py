@@ -332,13 +332,15 @@ class TestRunMemo:
         # the generator's torsion, since H_K = 0 gives H_{p(K)} = 0; 4
         # commutators for 6 uses, since `commute F1A F1B` and `algebra F1A
         # F1B abelian` share one, as do the F2 pair; 17 entry jets, one per
-        # distinct entry up to sign of the 10 torsions' 32
-        ("appendix_families", {"haantjes_torsion": 10, "op_commutator": 4, "_jet": 17}),
+        # distinct entry up to sign of the 10 torsions' 32; 5 shape passes,
+        # since the generators of a family have one shape, and so does h*A + B
+        ("appendix_families", {"haantjes_torsion": 10, "op_commutator": 4, "_jet": 17,
+                               "_shape_is_zero": 5}),
         # 2 commutators: thm_main's [EK1, EK2] of the lifts and [K1, K2]
         ("example_p_minus_z", {"check_ejh": 2, "verify_ext_chain": 1, "generic_rank": 2,
-                               "op_commutator": 2}),
+                               "op_commutator": 2, "_shape_is_zero": 0}),
         ("lcs_example", {"check_lcsh": 4, "eta_KE_check": 3, "validate_jacobi": 0,
-                         "generic_rank": 3}),
+                         "generic_rank": 3, "_shape_is_zero": 0}),
     ])
     def test_each_sub_check_runs_once(self, monkeypatch, stem, counts):
         # at the parent of the memo: 18 torsions; 4 check_ejh, 2
@@ -346,7 +348,9 @@ class TestRunMemo:
         # 3 validate_jacobi and 6 generic_rank.  Before commutators and jets
         # went through the memo: 4 op_commutator calls, and the two abelian
         # tests each subtracted two ring products; 32 entry jets (160
-        # Expr.diff calls); thm_main took 1 op_commutator call and 2 op_compose
+        # Expr.diff calls); thm_main took 1 op_commutator call and 2
+        # op_compose.  Before shapes were decided once per run, each of the
+        # 10 torsions made a pattern pass or an expanded build of its own
         calls = {name: _count_calls(monkeypatch, name) for name in counts}
         run_checks(parse_model((MODELS / f"{stem}.hj").read_text()), seed=42)
         assert {name: len(c) for name, c in calls.items()} == counts
@@ -440,12 +444,12 @@ class TestEntryPoint:
         assert data["summary"]["exit_code"] == 0
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
-        # (model, line the error must name); positions inside an expression
-        # are reported at the model line
+        # (model, line the error must name[, its column when not 1]); a
+        # position inside a declared expression is a column of its model line
         cases = [
             ("chart C (q,p) generic\noperator K = [[1,2],[3]]\n", 2),
-            ("chart C (q, p) generic\nscalar b = q\nscalar c = p\nscalar a = q + * p\n", 4),
-            ("chart C (q, p) generic\n\n# entry\noperator K = [[1, q +], [0, 1]]\n", 4),
+            ("chart C (q, p) generic\nscalar b = q\nscalar c = p\nscalar a = q + * p\n", 4, 16),
+            ("chart C (q, p) generic\n\n# entry\noperator K = [[1, q +], [0, 1]]\n", 4, 22),
             ("chart C (x, y) generic\nform c = d(x) /\\ d(y) + d(x)\n", 2),
             ("chart C (x, y) generic\nscalar a = 1/0\n", 2),
             (MINI + "check reeb CS equals (0, 1)\n", 7),
@@ -468,37 +472,38 @@ class TestEntryPoint:
              "check techain b with K on CS kind first\n", 5),
             # a declared non-scalar name where a scalar belongs
             ("chart C (q, p) generic\nvector V = (1, 0)\nscalar s = V + q\n", 3),
-            ("chart C (q, p) generic\nvector V = (1, 0)\nform t = V * d(q)\n", 3),
+            ("chart C (q, p) generic\nvector V = (1, 0)\nform t = V * d(q)\n", 3, 12),
             ("chart C (q, p) generic\nform t = d(q)\noperator K = [[t, 0], [0, 1]]\n", 3),
             # * between two graded operands; /\ is the wedge
             ("chart C (q, p) generic\nvector V = (1, 0)\nvector W = (0, 1)\n"
-             "bivector L = V * W\n", 4),
+             "bivector L = V * W\n", 4, 16),
             # a wedge past the chart dimension
             ("chart C (q, p) generic\nform o = d(q) /\\ d(p) /\\ d(q)\nform e = d(q)\n"
              "lcs L = (o, e)\ncheck lcs L\n", 2),
         ]
         path = tmp_path / "bad.hj"
-        for text, line in cases:
+        for text, line, *col in cases:
             path.write_text(text)
             assert main(["check", str(path)]) == 2, text
-            assert capsys.readouterr().err.startswith(f"{path}:{line}:1: "), text
+            assert capsys.readouterr().err.startswith(f"{path}:{line}:{col[0] if col else 1}: "), text
 
-    @pytest.mark.parametrize("text,line", [
+    @pytest.mark.parametrize("text,line,col", [
         # _t is the path parameter of a recovered potential: with it, the
         # potential P read "potential 1 unavailable", fail (exit 1)
         ("chart C (q, p)\nscalar H = _t * q * p\nscalar P = _t * q * p\n"
-         "operator I2 = [[1, 0], [0, 1]]\ncheck chain H with I2 potentials (P)\n", 2),
+         "operator I2 = [[1, 0], [0, 1]]\ncheck chain H with I2 potentials (P)\n", 2, 12),
         # _modf is the algebra check's arbitrary module coefficient h
         ("chart C (q, p)\nscalar h = _modf(q, p)\noperator A = [[h, 0], [0, 1]]\n"
-         "check algebra A\n", 2),
+         "check algebra A\n", 2, 12),
+        # a directive's expression is reported at column 1
         ("chart C (q, p)\noperator A = [[q, 0], [0, p]]\ncheck algebra A\n"
-         "check chain _clsf(q) with A\n", 4),
+         "check chain _clsf(q) with A\n", 4, 1),
     ], ids=["_t", "_modf", "_clsf"])
-    def test_verifier_symbol_names_exit_2(self, tmp_path, capsys, text, line):
+    def test_verifier_symbol_names_exit_2(self, tmp_path, capsys, text, line, col):
         path = tmp_path / "bad.hj"
         path.write_text(text)
         assert main(["check", str(path)]) == 2
-        assert capsys.readouterr().err.startswith(f"{path}:{line}:1: "), text
+        assert capsys.readouterr().err.startswith(f"{path}:{line}:{col}: "), text
         path.write_text(text.replace("_t", "s").replace("_modf", "g").replace("_clsf", "g"))
         assert main(["check", str(path)]) == 0  # the same model under a name of its own
 

@@ -149,7 +149,7 @@ def test_private_report_members_stay_in_checks():
 
 
 def test_torsion_builder_uses_only_ring_operations():
-    # the pattern pass decides a table through a ring homomorphism, which
+    # the shape pass decides a table through a ring homomorphism, which
     # holds only while `_components` applies ring operations to its inputs:
     # it may read pack, neg and dot of its ring and hand the ring nowhere
     # else, so a new ring method there is a decision, seen here

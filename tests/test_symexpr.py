@@ -824,46 +824,65 @@ class TestGroupedDot:
 
 
 class TestPatternRing:
-    """Each input of more than one term is one free variable of the pattern
-    ring, shared up to sign; a monomial input stays the monomial it is."""
+    """A torsion table's shape relabels its inputs (`_relabel`): each input
+    of more than one term is one free variable, shared up to sign, a
+    monomial input keeps its atoms, and every variable and atom becomes a
+    label (_V, i), numbered by first occurrence."""
 
     def test_variables(self, chart):
         q, p, z = chart.coord("q"), chart.coord("p"), chart.coord("z")
-        u, m = q * p + z, 3 * q**2 * fn_symbol(chart, "f")
-        ring = sx._PatternRing([t.terms for t in (u, -u, 2 * u, m, chart.zero())], 4)
-        pu, p2u = ring.pack(u.terms), ring.pack((2 * u).terms)
-        assert len(pu) == len(p2u) == 1 and pu != p2u and pu != ring.neg(p2u)
-        assert ring.pack((-u).terms) == ring.neg(pu)
-        assert ring.terms(ring.pack(m.terms)) == m.terms and ring.pack(()) == {}
-        # two variables, of a rank below every atom an expression holds
-        assert [a for a in ring.atoms if a[0] == sx._V] == [(sx._V, 0), (sx._V, 1)] == ring.atoms[:2]
+        f = fn_symbol(chart, "f")
+        u, m = q * p + z, 3 * q**2 * f
+        ts = [t.terms for t in (u, -u, 2 * u, m, chart.zero(), -z * f)]
+        shape, labels = sx._relabel(ts)
+        v = [(((sx._V, i), 1),) for i in range(5)]
+        # u and -u share a variable, 2 u has its own; then q, f and z in
+        # their order of first occurrence, each monomial re-sorted by label
+        assert shape == (((v[0], 1),), ((v[0], -1),), ((v[1], 1),),
+                         (((((sx._V, 2), 2), ((sx._V, 3), 1)), 3),), (),
+                         (((((sx._V, 3), 1), ((sx._V, 4), 1)), -1),))
+        def atom(e):
+            return e.terms[0][0][0][0]
+
+        assert labels == {u.terms: (sx._V, 0), (2 * u).terms: (sx._V, 1), atom(q): (sx._V, 2),
+                          atom(f): (sx._V, 3), atom(z): (sx._V, 4)}
+        # labels rank below every atom an expression holds
         assert sx._V < min(sx._C, sx._P, sx._F, sx._E, sx._W)
+        # other names, in the same places, give the same shape
+        g, w = fn_symbol(chart, "g"), q * sx.param(chart, "a") + z
+        renamed = [t.terms for t in (w, -w, 2 * w, 3 * q**2 * g, chart.zero(), -z * g)]
+        assert sx._relabel(renamed)[0] == shape
 
     def test_psi_maps_pattern_dots_to_expanded_dots(self, chart):
-        # sending each variable back to its polynomial maps a dot of the
-        # pattern ring to the dot of the same inputs in the expanded ring
+        # sending each label back to what it stands for (the label table,
+        # inverted) maps a dot of the shape's ring to the dot of the same
+        # inputs in the expanded ring
         q, p, z = chart.coord("q"), chart.coord("p"), chart.coord("z")
         rng = random.Random(73)
-        ts = [rand_poly(chart, rng, 2, 3).terms for _ in range(4)] + [(q * p).terms, (-z).terms]
+        f = fn_symbol(chart, "f")
+        ts = [rand_poly(chart, rng, 2, 3).terms for _ in range(4)] + [(q * p).terms, (-z * f**2).terms]
         ts[1] = sx._t_neg(ts[0])
-        pattern, expanded = sx._PatternRing(ts, 2), sx._PackedRing(ts, 2)
-        stands = {v: u for u, v in pattern._vars.items()}
+        shape, labels = sx._relabel(ts)
+        pattern, expanded = sx._PackedRing(shape, 2), sx._PackedRing(ts, 2)
+        assert all(a[0] == sx._V for a in pattern.atoms)
+        # an atom's first entry is its rank, a terms tuple's a (mono, coeff) pair
+        stands = {v: sx._t_atom(k) if type(k[0]) is int else k for k, v in labels.items()}
 
         def psi(t):
             out = ()
             for mono, c in t:
                 piece = sx._t_const(c)
                 for a, e in mono:
-                    piece = sx._t_mul(piece, sx._t_pow(stands[a], e) if a[0] == sx._V else sx._t_atom(a, e))
+                    piece = sx._t_mul(piece, sx._t_pow(stands[a], e))
                 out = sx._t_add(out, piece)
             return out
 
         for _ in range(6):
             pairs = [(rng.randrange(6), rng.randrange(6)) for _ in range(rng.randint(1, 4))]
-            got = pattern.dot([(pattern.pack(ts[i]), pattern.pack(ts[j])) for i, j in pairs])
+            got = pattern.dot([(pattern.pack(shape[i]), pattern.pack(shape[j])) for i, j in pairs])
             want = expanded.dot([(expanded.pack(ts[i]), expanded.pack(ts[j])) for i, j in pairs])
             assert psi(pattern.terms(got)) == expanded.terms(want)
-        assert len(pattern._vars) >= 3
+        assert sum(type(k[0]) is not int for k in labels) >= 3
 
 
 class TestChart:

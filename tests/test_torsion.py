@@ -10,6 +10,7 @@ import sympy
 import haantjes
 import haantjes.symexpr as sx
 import haantjes.torsion as torsion
+from haantjes.checks import memo_scope
 from haantjes.cli import parse_model
 from haantjes.geometry import Operator11, VectorField, invert_matrix, lie_bracket, op_apply, op_compose
 from haantjes.symexpr import ZeroTester, exp, fn_symbol, is_zero
@@ -307,14 +308,19 @@ class TestHaantjes:
             assert torsions_match(rand_operator(C2, rng, deg=2), rational_points(C2, rng, 1))
 
 
+def _is_shape(ring) -> bool:
+    """Whether ring is the ring of a table's shape: its atoms are labels."""
+    return any(a[0] == sx._V for a in ring.atoms)
+
+
 def _spy_dots(monkeypatch) -> list:
-    """Record (whether the ring is a pattern ring, the result) per packed dot."""
+    """Record (whether the ring is a shape's ring, the result) per packed dot."""
     calls = []
     dot = sx._PackedRing.dot
 
     def spy(ring, pairs):
         out = dot(ring, pairs)
-        calls.append((isinstance(ring, sx._PatternRing), out))
+        calls.append((_is_shape(ring), out))
         return out
 
     monkeypatch.setattr(sx._PackedRing, "dot", spy)
@@ -346,28 +352,29 @@ def _f_pattern(name, rng):
 
 
 class TestPatternPass:
-    """The tables run first over a pattern ring, where each multi-term jet
-    component is one free variable, and over the expanded ring only when
-    the pattern table is nonzero (see the torsion module docstring)."""
+    """Each table is decided first in the ring of its shape, where each
+    multi-term jet component is one free variable and every variable and
+    atom a label, and is built over the expanded ring only when the shape's
+    table is not zero (see the torsion module docstring)."""
 
     def test_f2_is_decided_by_the_pattern_ring(self, monkeypatch):
         # every H term of F2 cancels whatever its entries' jets are, so the
-        # pattern ring proves H = 0 and no expanded ring is built
+        # shape pass proves H = 0 and no expanded ring is built
         k = _f_pattern("F2", random.Random(61))
         calls = _spy_dots(monkeypatch)
         assert haantjes_torsion(k).is_zero()
-        assert calls and all(pattern for pattern, _ in calls)
+        assert calls and all(shape for shape, _ in calls)
         monkeypatch.undo()
         TestHaantjes._assert_tables_match_literal_eval(k)
 
     def test_f3_needs_the_expanded_build(self, monkeypatch):
         # the entry D*g is a variable of its own, unrelated to D's, so the
-        # pattern table is nonzero; the expanded build then cancels it
+        # shape's table is nonzero; the expanded build then cancels it
         k = _f_pattern("F3", random.Random(67))
         calls = _spy_dots(monkeypatch)
         assert haantjes_torsion(k).is_zero()
-        assert any(out for pattern, out in calls if pattern)
-        assert any(not pattern for pattern, _ in calls)
+        assert any(out for shape, out in calls if shape)
+        assert any(not shape for shape, _ in calls)
         monkeypatch.undo()
         TestHaantjes._assert_tables_match_literal_eval(k)
 
@@ -381,7 +388,7 @@ class TestPatternPass:
     def test_property_shared_entries_match_the_oracle(self):
         hyp = pytest.importorskip("hypothesis")
         st = hyp.strategies
-        seen = {"pattern zero": 0, "expanded": 0}
+        seen = {"shape zero": 0, "expanded": 0}
 
         @st.composite
         def operator(draw):
@@ -391,7 +398,7 @@ class TestPatternPass:
             pool = [_multi_term(chart, rng)]
             for _ in range(draw(st.integers(1, 3))):
                 # a fresh entry, or 1 minus one before it: then their
-                # partials are equal up to sign, and share a pattern variable
+                # partials are equal up to sign, and share a shape variable
                 e = pool[draw(st.integers(0, len(pool) - 1))]
                 pool.append(1 - e if draw(st.booleans()) else _multi_term(chart, rng))
             # a cell: zero, or a shared entry with a sign; diagonal cells only
@@ -411,11 +418,11 @@ class TestPatternPass:
         @hyp.given(operator())
         def prop(case):
             k, points = case
-            rings = []  # whether each dot ran over a pattern ring
+            rings = []  # whether each dot ran over a shape's ring
             dot = sx._PackedRing.dot
 
             def spy(ring, pairs):
-                rings.append(isinstance(ring, sx._PatternRing))
+                rings.append(_is_shape(ring))
                 return dot(ring, pairs)
 
             sx._PackedRing.dot = spy
@@ -423,8 +430,8 @@ class TestPatternPass:
                 h = haantjes_torsion(k)
             finally:
                 sx._PackedRing.dot = dot
-            decided = rings and all(rings)  # the pattern ring proved H = 0
-            seen["pattern zero" if decided else "expanded"] += 1
+            decided = rings and all(rings)  # the shape pass proved H = 0
+            seen["shape zero" if decided else "expanded"] += 1
             assert torsions_match(k, points)
             if decided:
                 assert h.is_zero()
@@ -434,8 +441,9 @@ class TestPatternPass:
 
     def test_appendix_products(self, monkeypatch):
         # one run of the appendix model: the packed monomial products of
-        # every dot, one per term of x and term of y of each pair (6,833;
-        # 43,758 with the pattern pass switched off)
+        # every dot, one per term of x and term of y of each pair (3,213, all
+        # in 5 shape passes; 6,833 before shapes were decided once per run,
+        # 43,758 with no pattern pass at all)
         products = []
         dot = sx._PackedRing.dot
 
@@ -450,26 +458,29 @@ class TestPatternPass:
 
     @pytest.mark.parametrize("pattern", ["F2", "dense"])
     def test_budget_in_the_pattern_pass_falls_back(self, monkeypatch, pattern):
-        # a BudgetError in the pattern pass leaves the decision to the
+        # a BudgetError in the shape pass leaves the decision to the
         # expanded build, which gives what it gives alone
         chart = sx.Chart("R3", ("x", "y", "z"))
         k = _f_pattern("F2", random.Random(61)) if pattern == "F2" else rand_operator(chart, random.Random(71), 2)
         want = [f(k).values for f in (nijenhuis_torsion, haantjes_torsion)]
         raised = []
+        calls = _spy_dots(monkeypatch)
+        spy = sx._PackedRing.dot
 
         def over_budget(ring, pairs):
-            raised.append(pairs)
-            raise sx.BudgetError("pattern pass")
+            if _is_shape(ring):
+                raised.append(pairs)
+                raise sx.BudgetError("shape pass")
+            return spy(ring, pairs)
 
-        monkeypatch.setattr(sx._PatternRing, "dot", over_budget)
-        calls = _spy_dots(monkeypatch)
+        monkeypatch.setattr(sx._PackedRing, "dot", over_budget)
         assert [f(k).values for f in (nijenhuis_torsion, haantjes_torsion)] == want
-        assert len(raised) == 2 and calls and not any(pattern for pattern, _ in calls)
+        assert len(raised) == 2 and calls and not any(shape for shape, _ in calls)
 
     def test_pattern_zero_skips_the_expanded_budget(self, monkeypatch):
-        # at a budget that the expanded build of F2 exceeds, the pattern
-        # ring still proves H = 0, so the torsion passes where the expanded
-        # build alone would end in BudgetError
+        # at a budget that the expanded build of F2 exceeds, the shape pass
+        # still proves H = 0, so the torsion passes where the expanded build
+        # alone would end in BudgetError
         k = _f_pattern("F2", random.Random(61))
         tau = nijenhuis_torsion(k)
         biggest = max(sx._node_count(c.terms) for v in tau.values.values() for c in v.components)
@@ -477,25 +488,113 @@ class TestPatternPass:
         with pytest.raises(sx.BudgetError):
             nijenhuis_torsion(k)
         assert haantjes_torsion(k).is_zero()
-        # with the expanded ring in the pattern ring's place, as before the
-        # pattern pass, the same torsion ends in BudgetError
-        monkeypatch.setattr(torsion, "_PatternRing", sx._PackedRing)
+        # with a shape pass that never decides, as before the pattern pass,
+        # the same torsion ends in BudgetError
+        monkeypatch.setattr(torsion, "_shape_is_zero", lambda shape: False)
         with pytest.raises(sx.BudgetError):
             haantjes_torsion(k)
 
     @pytest.mark.parametrize("table", [nijenhuis_torsion, haantjes_torsion], ids=["tau", "H"])
     def test_pattern_pass_stops_at_its_first_nonzero_component(self, monkeypatch, table):
-        # the Nijenhuis pass stops at its first nonzero tau component, the
-        # Haantjes pass at its first nonzero H component: its last dot
+        # the Nijenhuis shape pass stops at its first nonzero tau component,
+        # the Haantjes shape pass at its first nonzero H component: its last dot
         chart = sx.Chart("R3", ("x", "y", "z"))
         k = rand_operator(chart, random.Random(71), deg=2)
         calls = _spy_dots(monkeypatch)
         assert not table(k).is_zero()
-        pattern = [out for p, out in calls if p]
+        shape = [out for p, out in calls if p]
         expanded = [out for p, out in calls if not p]
-        assert pattern[-1] and len(pattern) < len(expanded)
+        assert shape[-1] and len(shape) < len(expanded)
         if table is nijenhuis_torsion:
-            assert not any(pattern[:-1])
+            assert not any(shape[:-1])
+
+
+    def test_partials_equal_up_to_sign_keep_their_signs(self):
+        # the partials of the entries 1 - e and e, e = z + z^2, are equal up
+        # to sign and share one shape variable, with opposite signs; H is
+        # not zero, and its shape's table would be if it dropped those signs
+        chart = sx.Chart("R3", ("x", "y", "z"))
+        e = chart.coord("z") + chart.coord("z") ** 2
+        k = Operator11(chart, [[1 - e, 0, 0], [-1, e, 0], [0, 0, 0]])
+        assert not haantjes_torsion(k).is_zero()
+        TestHaantjes._assert_tables_match_literal_eval(k)
+
+    def test_renamed_functions_share_the_shape(self, monkeypatch, zt):
+        # seeded sparse operators whose entries are c x^a f(x, y, z), some
+        # shared with a sign, and each one again with its functions renamed
+        # by a seeded bijection: the same verdict, H renamed, and in one
+        # memo scope no shape pass of the renamed operator's own
+        chart = sx.Chart("R3", ("x", "y", "z"))
+        names = "abcde"
+        passes = []
+        real = torsion._shape_is_zero
+
+        def counted(shape):
+            passes.append(shape)
+            return real(shape)
+
+        monkeypatch.setattr(torsion, "_shape_is_zero", counted)
+        seen = Counter()
+        for seed in range(12):
+            rng = random.Random(seed)
+            to = dict(zip(names, rng.sample(names, len(names))))
+            pool = [(rng.choice((1, -1, 2)), rng.randrange(3), rng.randrange(3), rng.choice(names))
+                    for _ in range(4)]
+            cells = [[(rng.choice(pool), rng.choice((1, -1))) if rng.random() < 0.45 else None
+                      for _ in range(3)] for _ in range(3)]
+
+            def build(name):
+                return Operator11(chart, [[0 if cell is None else cell[1] * cell[0][0]
+                                           * chart.coord(cell[0][1]) ** cell[0][2] * fn_symbol(chart, name(cell[0][3]))
+                                           for cell in row] for row in cells])
+
+            k, renamed = build(lambda f: f), build(to.get)
+            del passes[:]
+            with memo_scope():
+                reps = [is_haantjes(op, zt) for op in (k, renamed)]
+                assert len(passes) == 1
+            assert (reps[0].status, reps[0].certainty.tag) == (reps[1].status, reps[1].certainty.tag)
+            h, hr = haantjes_torsion(k).values, haantjes_torsion(renamed).values
+            assert hr.keys() == h.keys()
+            assert all([_renamed(c, to) for c in h[ij].components] == list(hr[ij].components) for ij in h)
+            seen[reps[0].status] += 1
+        assert seen["pass"] and seen["fail"], seen
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["zero first", "nonzero first"])
+    def test_sign_pair_in_one_scope(self, zt, order):
+        # the two operators differ only in the sign of one entry, which
+        # shares its jet with another: one is Haantjes and the other is not,
+        # so neither may reuse the other's shape pass
+        chart = sx.Chart("R3", ("x", "y", "z"))
+        f, g, h = (fn_symbol(chart, n) for n in "fgh")
+        ops = [Operator11(chart, [[f, g, 0], [0, sign * f, 0], [0, 0, h]]) for sign in (1, -1)]
+        with memo_scope():
+            reps = {i: is_haantjes(ops[i], zt) for i in order}
+        assert [(reps[i].status, reps[i].certainty.tag) for i in range(2)] == [
+            ("pass", "proven_zero"), ("fail", "proven_nonzero")]
+
+    @pytest.mark.parametrize("first", [nijenhuis_torsion, haantjes_torsion], ids=["tau first", "H first"])
+    def test_both_tables_of_one_operator_in_one_scope(self, first):
+        # tau of F1A is not zero and its H is, so the two tables of one
+        # operator must not share a shape pass
+        k = parse_model((MODELS / "appendix_families.hj").read_text()).declaration("F1A").payload["value"]
+        tau = nijenhuis_torsion(k).values
+        assert tau
+        with memo_scope():
+            got = {f: f(k).values for f in (first, nijenhuis_torsion, haantjes_torsion)}
+        assert got[nijenhuis_torsion] == tau and got[haantjes_torsion] == {}
+
+
+def _renamed(e, to):
+    """e with each abstract function f renamed to[f], its terms rebuilt from
+    the renamed atoms so that they come out in canonical order."""
+    pieces = []
+    for mono, c in e.terms:
+        piece = sx._t_const(c)
+        for a, k in mono:
+            piece = sx._t_mul(piece, sx._t_atom((sx._F, to[a[1]], *a[2:]) if a[0] == sx._F else a, k))
+        pieces.append(piece)
+    return sx.Expr(e.chart, sx._t_add(*pieces))
 
 
 class TestAlgebra:
