@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -146,7 +147,7 @@ def parse_model(text: str) -> Model:
             current = chart
             continue
         if head == "check":
-            model.directives.append(_parse_directive(rest, current, lineno))
+            model.directives.append(_parse_directive(raw.partition("#")[0], current, lineno))
             model.order.append(("check", len(model.directives) - 1))
             continue
         if head not in ("scalar", "form", "vector", "bivector", "operator", *_PARTS):
@@ -347,14 +348,26 @@ class _Scope:
 # `check VERB ARGS [CLAUSE TOKENS ...] [expect fail]`.  A verb's row in
 # _VERBS gives the kind of its arguments, the kind of each clause it takes
 # and its handler; _resolve_directives binds every field through its kind
-# at parse time.  A kind is called as kind(tokens, chart, names, line).
+# at parse time.  A kind is called as kind(tokens, chart, names, line); each
+# token is a `_Token`, which keeps its offset in the model line.
 
 # Clause keywords, in the order fmt writes them.
 _CLAUSES = ("wrt", "with", "on", "kind", "equals", "potentials", "pairs", "abelian")
 
 
-def _parse_directive(rest: str, chart: Optional[Chart], line: int) -> Directive:
-    tokens = rest.split()
+class _Token(str):
+    """A directive token that keeps its offset in the model line."""
+
+    def __new__(cls, text: str, at: int):
+        tok = super().__new__(cls, text)
+        tok.at = at
+        return tok
+
+
+def _parse_directive(text: str, chart: Optional[Chart], line: int) -> Directive:
+    """The directive on model line `text` (its comment cut off), whose first
+    token is ``check``."""
+    tokens = [_Token(m.group(), m.start()) for m in re.finditer(r"\S+", text)][1:]
     if not tokens:
         raise ParseError("empty check directive", line, 1)
     fields: dict = {}
@@ -382,7 +395,7 @@ def _resolve_directives(model: Model, names: dict):
         try:
             _bind(d, model.charts[d.chart_name], names)
         except _MODEL_ERRORS as exc:
-            raise _at_line(exc, d.line) from None
+            raise _at_line(exc, d.line, getattr(exc, "col", 1)) from None
 
 
 def _bind(d: Directive, chart: Chart, names: dict):
@@ -427,8 +440,17 @@ def _basis(cls, kind: str):
     return bind
 
 
+def _in_line(toks) -> str:
+    """The tokens at their offsets in the model line (blanks before them),
+    so a position parse_expr reports is a line column."""
+    text = ""
+    for tok in toks:
+        text += " " * (tok.at - len(text)) + tok
+    return text
+
+
 def _scalar(toks, chart, names, line) -> Expr:
-    return _Scope(chart, names, line).parse(" ".join(toks), "scalar")
+    return _Scope(chart, names, line).parse(_in_line(toks), "scalar")
 
 
 def _two_scalars(toks, chart, names, line) -> list:
@@ -438,16 +460,16 @@ def _two_scalars(toks, chart, names, line) -> list:
 
 
 def _tuple(toks, chart, names, line) -> list:
-    return _Scope(chart, names, line).parse(" ".join(toks), "tuple")
+    return _Scope(chart, names, line).parse(_in_line(toks), "tuple")
 
 
 def _vector(toks, chart, names, line) -> VectorField:
-    return _Scope(chart, names, line).parse(" ".join(toks), "vector")
+    return _Scope(chart, names, line).parse(_in_line(toks), "vector")
 
 
 def _pairs(toks, chart, names, line) -> list:
     """(f,g) pairs, one token each."""
-    pairs = [_Scope(chart, names, line).parse(t, "tuple") for t in toks]
+    pairs = [_Scope(chart, names, line).parse(_in_line([t]), "tuple") for t in toks]
     if not pairs or any(len(p) != 2 for p in pairs):
         raise ParseError("pairs needs (f,g) pairs", line, 1)
     return [tuple(p) for p in pairs]

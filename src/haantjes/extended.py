@@ -149,23 +149,24 @@ def check_ejh(ek: ExtendedOperator, j: JacobiStructure, zt: ZeroTester = ZeroTes
         op_rep.require_zero(f"(EK L - L EK^T)[{a}][{b}]", zt(resid))
     sys_rep = CheckReport("ejh-system-route")
     lam = j.lam
-    e_field = j.e_field
-    coforms = [KForm.d_coord(chart, i) for i in range(chart.dim)]
-    kt = [op_transpose_apply(ek.k_op, a) for a in coforms]
-    alpha_y = [dot(chart, a.covector(), ek.y_field.components) for a in coforms]
-    alpha_e = [dot(chart, a.covector(), e_field.components) for a in coforms]
-    kt_e = [dot(chart, kta.covector(), e_field.components) for kta in kt]
+    y, e = ek.y_field.components, j.e_field.components
+    gamma = ek.gamma.covector()
+    kt = ek.k_op.matrix  # K^T dx_a = K^a_j dx^j, row a of K
+    # sharp(dx_b), so that L(a, dx_b) = a(sharp dx_b): column b of L
+    col = [lam.sharp(KForm.d_coord(chart, b)).components for b in range(chart.dim)]
+    # eq1[a][b] = L(K^T dx_a, dx_b) + Y_a E_b - L(dx_a, K^T dx_b) + Y_b E_a is
+    # symmetric in (a, b), since L is antisymmetric, so only a <= b is built
+    for a, b in combinations_with_replacement(range(chart.dim), 2):
+        resid = dot(chart, kt[a] + kt[b] + (y[a], y[b]), col[b] + col[a] + (e[b], e[a]))
+        if not resid.is_zero_expr():
+            sys_rep.require_zero(f"eq1[{a},{b}]", zt(resid))
+    minus_e = tuple(-v for v in e)
     for a in range(chart.dim):
-        for b in range(chart.dim):
-            resid = (lam.pair(kt[a], coforms[b]) + alpha_y[a] * alpha_e[b]
-                     - lam.pair(coforms[a], kt[b]) + alpha_y[b] * alpha_e[a])
-            if not resid.is_zero_expr():
-                sys_rep.require_zero(f"eq1[{a},{b}]", zt(resid))
-    for a in range(chart.dim):
-        resid = lam.pair(ek.gamma, coforms[a]) - kt_e[a] + ek.k_scalar * alpha_e[a]
+        # L(gamma, dx_a) - (K^T dx_a)(E) + k E_a
+        resid = dot(chart, gamma + kt[a] + (ek.k_scalar,), col[a] + minus_e + (e[a],))
         if not resid.is_zero_expr():
             sys_rep.require_zero(f"eq2[{a}]", zt(resid))
-    gamma_e = dot(chart, ek.gamma.covector(), e_field.components)
+    gamma_e = dot(chart, gamma, e)
     sys_rep.require_zero("eq3 gamma(E)", zt(gamma_e))
     rep = CheckReport(f"ejh {ek.name}")
     rep.merge(op_rep)

@@ -5,7 +5,8 @@ storage, so antisymmetry is structural), (1,1)-operator fields with the
 (output, input) matrix convention, and the operations everything downstream
 consumes: Lie bracket, exterior derivative, interior product, wedge products,
 Schouten-Nijenhuis bracket, operator algebra, determinants and exact
-inverses.
+inverses.  A bivector meets a 1-form in one place, its sharp map
+`KVector.sharp`, through which its evaluation `pair` goes.
 
 Operator compatibility with a structure has one form everywhere: K is
 symmetric for the structure's bilinear data.  `compat_residuals` yields the
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .checks import once
 from .symexpr import Chart, ChartMismatch, Expr, _diff_pairs, _t_dot, _t_neg, rational
 
 __all__ = [
@@ -66,15 +68,17 @@ def dot(chart: Chart, xs: Iterable[Expr], ys: Iterable[Expr]) -> Expr:
     """sum_i xs[i] * ys[i] on chart, canonicalised once.
 
     Every monomial product goes into one accumulator, so neither a product
-    nor a long sum is re-sorted on its own; the empty sum is chart.zero().
-    Every operand must live on chart.
+    nor a long sum is re-sorted on its own; a pair with a zero operand is
+    dropped, and the empty sum is chart.zero().  Every operand must live on
+    chart.
     """
     pairs = []
     for x, y in zip(xs, ys, strict=True):
         for v in (x, y):
             if v.chart is not chart and v.chart != chart:
                 raise ChartMismatch(f"{v.chart.name} vs {chart.name}")
-        pairs.append((x.terms, y.terms))
+        if x.terms and y.terms:
+            pairs.append((x.terms, y.terms))
     return Expr(chart, _t_dot(pairs))
 
 
@@ -108,6 +112,14 @@ def _sort_signed(idx: Sequence[int]):
         if a == b:
             return 0, None
     return sign, tuple(idx)
+
+
+def _index_error(idx: tuple, degree: int) -> ValueError:
+    """The error for a component index that is not strictly increasing of
+    length degree, or that leaves the chart."""
+    if len(idx) != degree or any(a >= b for a, b in zip(idx, idx[1:])):
+        return ValueError(f"index tuple {idx} not strictly increasing of length {degree}")
+    return ValueError(f"index out of range in {idx}")
 
 
 class VectorField:
@@ -184,15 +196,21 @@ class _Graded:
             raise ValueError(f"degree {degree} out of range on {chart.name}")
         self.chart = chart
         self.degree = degree
+        n = chart.dim
         comp = {}
         for idx, val in components.items():
-            idx = tuple(idx)
-            if len(idx) != degree or any(a >= b for a, b in zip(idx, idx[1:])):
-                raise ValueError(f"index tuple {idx} not strictly increasing of length {degree}")
-            if idx and (idx[0] < 0 or idx[-1] >= chart.dim):
-                raise ValueError(f"index out of range in {idx}")
-            val = _as_expr(chart, val)
-            if not val.is_zero_expr():
+            if type(idx) is not tuple:
+                idx = tuple(idx)
+            last = -1  # one pass: strictly increasing, from 0 and below n
+            for a in idx:
+                if a <= last:
+                    raise _index_error(idx, degree)
+                last = a
+            if last >= n or len(idx) != degree:
+                raise _index_error(idx, degree)
+            if type(val) is not Expr or val.chart is not chart:
+                val = _as_expr(chart, val)
+            if val.terms:
                 comp[idx] = val
         self.components = comp
 
@@ -319,14 +337,31 @@ class KVector(_Graded):
     def from_vector(cls, x: VectorField) -> "KVector":
         return cls(x.chart, 1, {(i,): c for i, c in enumerate(x.components)})
 
+    def sharp(self, beta: KForm) -> VectorField:
+        """The contraction of a bivector with a 1-form in its second slot,
+        (sharp b)^i = sum_j L^ij b_j, so that a(sharp b) = L(a, b).  It runs
+        over the stored components: L^ij b_j goes to output i and
+        -L^ij b_i to output j, one dot per output index."""
+        if self.degree != 2 or beta.degree != 1:
+            raise ValueError("sharp() needs a bivector and a 1-form")
+        chart = _same_chart(self, beta)
+        b = beta.components
+        acc = [[] for _ in range(chart.dim)]
+        for (i, j), v in self.components.items():
+            if (bj := b.get((j,))) is not None:
+                acc[i].append((v.terms, bj.terms))
+            if (bi := b.get((i,))) is not None:
+                acc[j].append((_t_neg(v.terms), bi.terms))
+        return VectorField(chart, _dotted(chart, acc))
+
     def pair(self, alpha: KForm, beta: KForm) -> Expr:
-        """Evaluate a bivector on two 1-forms."""
+        """Evaluate a bivector on two 1-forms: L(a, b) = a(sharp b)."""
         if self.degree != 2 or alpha.degree != 1 or beta.degree != 1:
             raise ValueError("pair() needs a bivector and two 1-forms")
-        _same_chart(self, alpha, beta)
-        a, b = alpha.covector(), beta.covector()
-        items = self.components.items()
-        return dot(self.chart, [v for _, v in items], [a[i] * b[j] - a[j] * b[i] for (i, j), _ in items])
+        _same_chart(self, alpha)
+        x = self.sharp(beta)
+        items = alpha.components.items()
+        return dot(self.chart, [v for _, v in items], [x[i] for (i,), _ in items])
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +448,12 @@ def wedge_v(a: KVector, b: KVector) -> KVector:
 
 
 def d_scalar(f: Expr) -> KForm:
+    """df, taken once per run for equal f (`checks.once`); no caller changes
+    the form it gets."""
+    return once(_d_scalar, f)
+
+
+def _d_scalar(f: Expr) -> KForm:
     chart = f.chart
     return KForm(chart, 1, {(i,): f.diff(i) for i in range(chart.dim)})
 
@@ -462,13 +503,14 @@ def schouten_bracket(a: KVector, b: KVector) -> KVector:
 class Operator11:
     """A (1,1)-tensor as a dim x dim Expr matrix, rows = output component."""
 
-    __slots__ = ("chart", "matrix")
+    __slots__ = ("chart", "matrix", "_hash")
 
     def __init__(self, chart: Chart, matrix: Sequence[Sequence]):
         if len(matrix) != chart.dim or any(len(r) != chart.dim for r in matrix):
             raise ValueError("operator matrix must be dim x dim")
         self.chart = chart
         self.matrix = tuple(tuple(_as_expr(chart, v) for v in row) for row in matrix)
+        self._hash = None  # filled by the first __hash__: a memo key hashes it often
 
     @classmethod
     def identity(cls, chart: Chart) -> "Operator11":
@@ -514,14 +556,16 @@ class Operator11:
         return all(v.is_zero_expr() for row in self.matrix for v in row)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Operator11)
             and self.chart == other.chart
             and self.matrix == other.matrix
         )
 
     def __hash__(self):
-        return hash((self.chart, self.matrix))
+        if self._hash is None:
+            self._hash = hash((self.chart, self.matrix))
+        return self._hash
 
     def __repr__(self):
         rows = "; ".join("[" + ", ".join(str(v) for v in row) + "]" for row in self.matrix)

@@ -35,7 +35,6 @@ from .geometry import (
     VectorField,
     compat_residuals,
     d_scalar,
-    dot,
     schouten_bracket,
     wedge_v,
 )
@@ -99,9 +98,7 @@ def jacobi_bracket(f: Expr, g: Expr, j: JacobiStructure) -> Expr:
 
 def lambda_sharp(j: JacobiStructure, alpha: KForm) -> VectorField:
     """(sharp a)^i = sum_j L^ij a_j, so that b(sharp a) = L(b, a)."""
-    chart = j.chart
-    co = alpha.covector()
-    return VectorField(chart, [dot(chart, row, co) for row in j.full_matrix()])
+    return j.lam.sharp(alpha)
 
 
 def hamiltonian_vf(f: Expr, j: JacobiStructure) -> VectorField:

@@ -360,12 +360,15 @@ def _t_dot(pairs) -> tuple:
 
     Every monomial product goes into one dict, which is frozen and
     budget-checked once; products whose _W exponents turn nonnegative are
-    expanded after the loop.
+    expanded after the loop.  A pair with an empty factor adds nothing, and
+    with no product at all the sum is () unfrozen.
     """
     acc: dict = {}
     get = acc.get
     pending = []
     for t1, t2 in pairs:
+        if not t2:
+            continue
         for m1, c1 in t1:
             for m2, c2 in t2:
                 m, expand = _mono_mul(m1, m2)
@@ -379,7 +382,7 @@ def _t_dot(pairs) -> tuple:
             piece = _t_mul(piece, _t_pow(base, e))
         for pm, pc in piece:
             acc[pm] = get(pm, 0) + pc
-    return _budget_check(_freeze(acc))
+    return _budget_check(_freeze(acc)) if acc else ()
 
 
 def _t_mul(t1, t2) -> tuple:

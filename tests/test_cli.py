@@ -11,7 +11,8 @@ import pytest
 from haantjes import cli, contact, extended, jacobi, lcs, torsion
 from haantjes.checks import memo_scope, once
 from haantjes.cli import Model, format_model, main, parse_model, run_checks
-from haantjes.symexpr import BudgetError, ChartMismatch, ParseError
+from haantjes.geometry import Operator11
+from haantjes.symexpr import BudgetError, ChartMismatch, Expr, ParseError, ZeroTester
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 
@@ -388,6 +389,31 @@ class TestRunMemo:
             assert once(f, p + 2, a) == 3
         assert once(f, p + 1, a) == 4                              # no scope: a plain call
 
+    def test_operator_key_hashes_its_entries_once(self, monkeypatch):
+        # an Operator11 memo key fills its hash slot on the first __hash__,
+        # so N lookups of one 5x5 operator hash its 25 entries once, not N
+        # times; an equal copy of a stored key is compared, not re-hashed
+        model = parse_model((MODELS / "appendix_families.hj").read_text())
+        k = next(d.payload["value"] for d in model.declarations if d.kind == "operator")
+        assert k.chart.dim == 5
+        zt = ZeroTester(seed=42)
+        hashed = []
+        real = Expr.__hash__
+
+        def counted(e):
+            hashed.append(e)
+            return real(e)
+
+        with memo_scope():
+            first = once(torsion.is_haantjes, k, zt)
+            copy = Operator11(k.chart, k.matrix)
+            monkeypatch.setattr(Expr, "__hash__", counted)
+            for _ in range(10):
+                assert once(torsion.is_haantjes, copy, zt) is first
+            monkeypatch.undo()
+        assert len(hashed) == 25
+        assert copy == k and copy == copy and hash(copy) == hash(k)
+
     def test_ext_chain_potentials_do_not_reach_thm_main(self):
         # ext_chain adds its potentials to a copy of the chain report that
         # thm_main reads as a precondition
@@ -445,7 +471,8 @@ class TestEntryPoint:
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         # (model, line the error must name[, its column when not 1]); a
-        # position inside a declared expression is a column of its model line
+        # position inside a declared expression or a directive's expression
+        # is a column of its model line
         cases = [
             ("chart C (q,p) generic\noperator K = [[1,2],[3]]\n", 2),
             ("chart C (q, p) generic\nscalar b = q\nscalar c = p\nscalar a = q + * p\n", 4, 16),
@@ -455,7 +482,10 @@ class TestEntryPoint:
             (MINI + "check reeb CS equals (0, 1)\n", 7),
             (MINI + "check hamiltonian H on CS equals (1, p)\n", 7),
             # an abstract function that names a coordinate twice
-            (MINI + "check hamiltonian f(q,q) - f(q) on CS equals (0, 0, 0)\n", 7),
+            (MINI + "check hamiltonian f(q,q) - f(q) on CS equals (0, 0, 0)\n", 7, 19),
+            # inside an equals tuple, whose tokens are apart by blanks and a tab
+            (MINI + "check reeb CS equals (0,   q ^ x, 1)\n", 7, 32),
+            (MINI + "check reeb CS  equals\t(0, 1, 1 +)\n", 7, 33),
             # structures whose validators would raise at run time
             ("chart C (q, p) generic\nform t = d(q)\ncontact CS = t\n", 3),
             ("chart C (q, p, z) generic\nform o = d(q) /\\ d(p)\nform e = d(z)\n"
@@ -495,9 +525,9 @@ class TestEntryPoint:
         # _modf is the algebra check's arbitrary module coefficient h
         ("chart C (q, p)\nscalar h = _modf(q, p)\noperator A = [[h, 0], [0, 1]]\n"
          "check algebra A\n", 2, 12),
-        # a directive's expression is reported at column 1
+        # a directive's expression is reported at its column in the line
         ("chart C (q, p)\noperator A = [[q, 0], [0, p]]\ncheck algebra A\n"
-         "check chain _clsf(q) with A\n", 4, 1),
+         "check chain _clsf(q) with A\n", 4, 13),
     ], ids=["_t", "_modf", "_clsf"])
     def test_verifier_symbol_names_exit_2(self, tmp_path, capsys, text, line, col):
         path = tmp_path / "bad.hj"

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import haantjes.symexpr as sx
+from haantjes.checks import CheckReport
 from haantjes.extended import (
     ExtendedBasis,
     ExtendedOperator,
@@ -301,6 +302,15 @@ class TestEJH:
         rep = check_ejh(bad, jacobi_c, zt)
         assert not rep.passed and rep.data["routes_agree"]
 
+    def test_y_along_e_fails_on_the_diagonal_only(self, C, jacobi_c, zt):
+        # Y = E, with K, gamma and k zero: eq1[a][b] = Y_a E_b + Y_b E_a is
+        # nonzero only at a = b = z, so a route without the diagonal passes
+        bad = ExtendedOperator(Operator11.zero(C), jacobi_c.e_field, KForm.zero(C, 1), C.zero())
+        rep = check_ejh(bad, jacobi_c, zt)
+        assert rep.data["system_route"] == rep.data["operator_route"] == "fail"
+        failed = [l for l, c in rep.details if l.startswith("ejh-system-route: ") and c.rejects_zero]
+        assert failed == ["ejh-system-route: eq1[2,2]"]
+
     def test_dual_route_agreement_50_random(self, C, jacobi_c, rng):
         # operator-identity route and three-equation route must agree on
         # passing AND failing inputs; zero disagreements tolerated
@@ -312,6 +322,46 @@ class TestEJH:
             assert rep.data["routes_agree"], rep.data
             outcomes["pass" if rep.passed else "fail"] += 1
         assert outcomes["fail"] > 0  # the corpus genuinely exercises failures
+
+
+    def test_system_route_is_symmetric_and_decides_like_the_full_loop(self, C, jacobi_c):
+        # eq1[a][b] = L(K^T dx_a, dx_b) + Y_a E_b - L(dx_a, K^T dx_b) + Y_b E_a
+        # in literal matrix sums is symmetric, so the route builds a <= b
+        # only; its status must be that of the full (a, b) loop
+        zt = ZeroTester(seed=777)
+        rng = random.Random(28)
+        c5 = sx.darboux_contact(2)
+        j5 = induced_jacobi_from_contact(validate_contact(standard_contact_form(c5), zt), zt)
+        statuses, built = set(), 0
+        for chart, j in ((C, jacobi_c), (c5, j5)):
+            n, zero = chart.dim, chart.zero()
+            ops = [ext_identity(chart)] + [rand_extop(chart, rng, sparse=sparse) for sparse in (True, False) * 3]
+            if chart is C:
+                ops.append(worked_example_ops(C)[1])
+            for ek in ops:
+                lam, k, y, e = j.full_matrix(), ek.k_op.matrix, ek.y_field, j.e_field
+                g = ek.gamma.covector()
+
+                def eq1(a, b):
+                    return (sum((k[a][i] * lam[i][b] for i in range(n)), zero) + y[a] * e[b]
+                            - sum((lam[a][i] * k[b][i] for i in range(n)), zero) + y[b] * e[a])
+
+                full = CheckReport("full loop")
+                for a in range(n):
+                    for b in range(n):
+                        assert eq1(a, b) == eq1(b, a)
+                        full.require_zero("eq1", zt(eq1(a, b)))
+                for a in range(n):
+                    full.require_zero("eq2", zt(sum((g[i] * lam[i][a] - k[a][i] * e[i] for i in range(n)), zero)
+                                                + ek.k_scalar * e[a]))
+                full.require_zero("eq3", zt(sum((g[i] * e[i] for i in range(n)), zero)))
+                rep = check_ejh(ek, j, zt)
+                assert rep.data["system_route"] == full.status and rep.data["routes_agree"]
+                labels = [l for l, _ in rep.details if l.startswith("ejh-system-route: eq1")]
+                assert all(int(l[-4]) <= int(l[-2]) for l in labels)
+                statuses.add(full.status)
+                built += len(labels)
+        assert statuses == {"pass", "fail"} and built
 
 
 class TestChains:

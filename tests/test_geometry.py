@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
@@ -7,6 +8,7 @@ import sympy
 
 import haantjes.geometry as geometry
 import haantjes.symexpr as sx
+from haantjes.checks import memo_scope
 from haantjes.contact import standard_contact_form, validate_contact
 from haantjes.geometry import (
     KForm,
@@ -185,6 +187,163 @@ class TestGradedIndices:
                         for (i, j), v in lam.components.items()), chart.zero())
             assert lam.pair(alpha, beta) == want
             assert any(alpha[(i,)].is_zero_expr() for i in range(n))
+
+
+class TestSharp:
+    """sharp(b)^i = sum_j L^ij b_j over the stored components, against
+    literal entry sums in Expr arithmetic that do not use sharp."""
+
+    CHARTS = [sx.darboux_contact(1), sx.darboux_symplectic(2), sx.darboux_contact(2)]
+
+    @staticmethod
+    def _entry(chart, rng):
+        """A polynomial, a quotient or an exp multiple, or zero."""
+        kind = rng.randrange(4)
+        e = rand_poly(chart, rng, 2, 2)
+        if kind == 1:
+            return e / (chart.coord(rng.randrange(chart.dim)) + rng.randint(1, 3))
+        if kind == 2:
+            return e * sx.exp(chart.coord(rng.randrange(chart.dim)))
+        return e if kind == 3 else chart.zero()
+
+    def _cases(self, seed):
+        rng = random.Random(seed)
+        for chart in self.CHARTS:
+            n = chart.dim
+            for _ in range(3):
+                lam = KVector(chart, 2, {ij: self._entry(chart, rng) for ij in combinations(range(n), 2)})
+                alpha = KForm.one_form(chart, [self._entry(chart, rng) for _ in range(n)])
+                beta = KForm.one_form(chart, [self._entry(chart, rng) for _ in range(n)])
+                yield chart, lam, alpha, beta
+
+    def test_equals_literal_entry_sums(self):
+        seen_zero = set()
+        for chart, lam, alpha, beta in self._cases(28):
+            n, zero = chart.dim, chart.zero()
+            m = lam.full_matrix()
+            a, b = alpha.covector(), beta.covector()
+            assert lam.sharp(beta) == VectorField(chart, [sum((m[i][j] * b[j] for j in range(n)), zero)
+                                                          for i in range(n)])
+            literal = sum((a[i] * m[i][j] * b[j] for i in range(n) for j in range(n)), zero)
+            got = lam.sharp(beta)
+            assert sum((a[i] * got[i] for i in range(n)), zero) == literal
+            assert lam.pair(alpha, beta) == literal == -lam.pair(beta, alpha)
+            # the cases occur: a zero component and a zero entry
+            seen_zero.add((len(lam.components) < n * (n - 1) // 2, any(not e.terms for e in b)))
+        assert (True, True) in seen_zero
+
+    def test_zero_operands(self):
+        for chart, lam, alpha, _ in self._cases(29):
+            assert lam.sharp(KForm.zero(chart, 1)).is_zero_field()
+            assert KVector.zero(chart, 2).sharp(alpha).is_zero_field()
+            assert lam.pair(KForm.zero(chart, 1), alpha).is_zero_expr()
+
+    def test_coordinate_coforms_give_the_columns(self):
+        for chart, lam, _, _ in self._cases(30):
+            m = lam.full_matrix()
+            for b in range(chart.dim):
+                assert lam.sharp(KForm.d_coord(chart, b)).components == tuple(row[b] for row in m)
+
+    def test_degree_and_chart_checked(self, C):
+        lam, _ = contact_pair(C)
+        with pytest.raises(ValueError, match="sharp"):
+            lam.sharp(KForm.zero(C, 2))
+        with pytest.raises(ValueError, match="sharp"):
+            KVector.zero(C, 1).sharp(KForm.d_coord(C, 0))
+        with pytest.raises(sx.ChartMismatch):
+            lam.sharp(KForm.d_coord(sx.darboux_contact(1, name="N"), 0))
+        twin = sx.darboux_contact(1)
+        assert lam.sharp(KForm.d_coord(twin, 0)) == VectorField(C, [0, -1, 0])
+
+
+class TestDScalarMemo:
+    def test_one_form_per_run_for_equal_scalars(self, C):
+        q, p = C.coord("q"), C.coord("p")
+        assert d_scalar(q * p) is not d_scalar(q * p)   # no scope: a plain call
+        with memo_scope():
+            df = d_scalar(q * p)
+            assert d_scalar(p * q) is df and df == KForm.one_form(C, [p, q, 0])
+            assert d_scalar(q + p) is not df
+
+    def test_key_holds_the_chart(self):
+        # x on two charts has one canonical term tuple, and two differentials
+        a, b = sx.Chart("A", ("x", "y")), sx.Chart("B", ("x", "y", "w"))
+        with memo_scope():
+            da, db = d_scalar(a.coord("x")), d_scalar(b.coord("x"))
+            assert da.chart is a and db.chart is b
+            assert da == KForm.d_coord(a, 0) and db == KForm.d_coord(b, 0)
+
+
+def _index_message(idx, degree, dim):
+    """The error text for a component index, by the rule as stated: not
+    strictly increasing of length degree, else out of range, else None."""
+    if len(idx) != degree or any(a >= b for a, b in zip(idx, idx[1:])):
+        return f"index tuple {idx} not strictly increasing of length {degree}"
+    if idx and (idx[0] < 0 or idx[-1] >= dim):
+        return f"index out of range in {idx}"
+    return None
+
+
+class TestGradedConstruction:
+    """The constructor's one-pass index check and its fast path for an Expr
+    already on the chart, against the rules as stated."""
+
+    def _given(self, prop, *strategies):
+        hyp = pytest.importorskip("hypothesis")
+        return hyp.settings(derandomize=True, database=None, max_examples=150, deadline=None)(
+            hyp.given(*strategies)(prop))
+
+    def test_indices_values_and_errors(self, C):
+        st = pytest.importorskip("hypothesis").strategies
+        twin = sx.darboux_contact(1)
+        q = C.coord("q")
+        values = st.sampled_from([0, 3, -2, Fraction(1, 2), Fraction(4, 2), C.zero(), q, q - q,
+                                  twin.coord("p"), twin.zero(), twin.const(Fraction(-1, 3)),
+                                  sx.exp(q) / (q + 1)])
+
+        def items(degree):
+            # mostly of the right length, so that valid dicts occur
+            index = st.one_of(st.lists(st.integers(-1, 3), min_size=degree, max_size=degree),
+                              st.lists(st.integers(-1, 3), max_size=4)).map(tuple)
+            return st.tuples(st.just(degree), st.lists(st.tuples(index, values), max_size=4))
+
+        seen = set()
+
+        def prop(cls, case):
+            degree, comps = case[0], dict(case[1])
+            bad = [m for idx in comps if (m := _index_message(idx, degree, C.dim))]
+            if bad:
+                with pytest.raises(ValueError) as err:
+                    cls(C, degree, comps)
+                assert str(err.value) == bad[0]
+                seen.add(bad[0].split()[1])
+                return
+            seen.add(len(comps) > 1)
+            got = cls(C, degree, comps)
+            want = {idx: v if isinstance(v, sx.Expr) else C.const(v) for idx, v in comps.items()}
+            assert got.components == {idx: v for idx, v in want.items() if v.terms}
+            for v in got.components.values():
+                assert type(v) is sx.Expr and v.terms and v.chart == C
+                assert all(type(c) is int or c.denominator != 1 for _, c in v.terms)
+
+        self._given(prop, st.sampled_from([KForm, KVector]), st.integers(0, 3).flatmap(items))()
+        # both errors, and valid dicts of one and of several components
+        assert seen == {"tuple", "out", False, True}, seen
+
+    def test_foreign_chart_raises(self, C):
+        st = pytest.importorskip("hypothesis").strategies
+        foreign = sx.darboux_contact(1, name="N")
+        valid = st.sampled_from([(0, 1), (0, 2), (1, 2)])
+        mine = st.sampled_from([1, C.coord("q"), C.zero()])
+
+        def prop(cls, items, at, value):
+            comps = dict(items)
+            comps[at] = value
+            with pytest.raises(sx.ChartMismatch):
+                cls(C, 2, comps)
+
+        self._given(prop, st.sampled_from([KForm, KVector]), st.lists(st.tuples(valid, mine), max_size=2),
+                    valid, st.sampled_from([foreign.zero(), foreign.one(), foreign.coord("z")]))()
 
 
 class TestSchouten:

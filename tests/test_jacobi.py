@@ -22,6 +22,7 @@ from haantjes.jacobi import (
     check_jh_compatibility,
     hamiltonian_vf,
     jacobi_bracket,
+    lambda_sharp,
     particular_integral_check,
     poissonize,
     proposition_involutivity_check,
@@ -110,6 +111,33 @@ class TestHamiltonianField:
         chart = contact_jacobi.chart
         xq = hamiltonian_vf(chart.coord("q"), contact_jacobi)
         assert xq == VectorField(chart, [chart.zero(), -chart.one(), -chart.coord("q")])
+
+    def test_sharp_is_the_matrix_rows_dotted_with_df(self):
+        # lambda_sharp against the rows of j.full_matrix() dotted with df,
+        # literal Expr sums, on seeded pairs with zero components and
+        # polynomial, quotient and exp entries (validity is not needed)
+        rng = random.Random(28)
+        for chart in (sx.darboux_contact(1), sx.darboux_symplectic(2), sx.darboux_contact(2)):
+            n, zero = chart.dim, chart.zero()
+
+            def entry():
+                e = rand_poly(chart, rng, 2, 2)
+                kind = rng.randrange(4)
+                if kind == 1:
+                    return e / (chart.coord(rng.randrange(n)) + 2)
+                if kind == 2:
+                    return e * sx.exp(chart.coord(rng.randrange(n)))
+                return e if kind == 3 else zero
+
+            for _ in range(3):
+                lam = KVector(chart, 2, {(i, k): entry() for i in range(n) for k in range(i + 1, n)})
+                j = JacobiStructure(chart, lam, VectorField(chart, [entry() for _ in range(n)]))
+                f = entry() + chart.coord(0) * entry()
+                df = [f.diff(k) for k in range(n)]
+                rows = [sum((row[k] * df[k] for k in range(n)), zero) for row in j.full_matrix()]
+                assert lambda_sharp(j, d_scalar(f)) == VectorField(chart, rows)
+                assert hamiltonian_vf(f, j) == VectorField(chart, [r - f * e for r, e in
+                                                                   zip(rows, j.e_field.components)])
 
     def test_defining_relation(self, contact_jacobi, rng):
         # {g,f} = X_f g + g Ef pins the sharp convention

@@ -606,6 +606,47 @@ class TestFusedDot:
 
         prop()
 
+    def test_empty_factors_add_nothing(self, chart):
+        # a pair with an empty factor is skipped, and a dot with no product
+        # is (); the sum is still that of the plain loop
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        q, p = chart.coord("q"), chart.coord("p")
+        pool = [(), (), (q * p).terms, (q - 1).terms, (sx.exp(p) / (q + 2)).terms, _inverted(q * p / (p + 2))]
+        factor = st.sampled_from(pool)
+
+        @hyp.settings(derandomize=True, database=None, max_examples=80, deadline=None)
+        @hyp.given(st.lists(st.tuples(factor, factor), max_size=5))
+        def prop(pairs):
+            got = sx._t_dot(pairs)
+            assert got == _left_fold(pairs) and type(got) is tuple
+            if all(not a or not b for a, b in pairs):
+                assert got == ()
+
+        prop()
+
+    def test_budget_threshold_with_empty_factors(self, chart, monkeypatch):
+        # empty pairs anywhere in the list leave the threshold where it is:
+        # the product's own node count passes, one node less raises
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        q, p, z = chart.coord("q"), chart.coord("p"), chart.coord("z")
+        f, g = ((q + p + z + 1) ** 3).terms, ((q - p + 2 * z + 3) ** 3).terms
+        nodes = sx._node_count(_left_fold([(f, g)]))
+        empties = st.sampled_from([((), ()), ((), g), (f, ())])
+
+        @hyp.settings(derandomize=True, database=None, max_examples=30, deadline=None)
+        @hyp.given(st.lists(empties, max_size=3), st.lists(empties, max_size=3))
+        def prop(before, after):
+            pairs = before + [(f, g)] + after
+            monkeypatch.setattr(sx, "NODE_BUDGET", nodes)
+            assert sx._t_dot(pairs) == _left_fold([(f, g)])
+            monkeypatch.setattr(sx, "NODE_BUDGET", nodes - 1)
+            with pytest.raises(sx.BudgetError):
+                sx._t_dot(pairs)
+
+        prop()
+
 
 class TestSympyOracle:
     """Differential oracle that shares no code with the kernel: every result
