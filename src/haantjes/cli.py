@@ -269,17 +269,18 @@ class _Scope:
     def parse(self, text: str, kind: str):
         return self.value(parse_expr(text, self.chart, self), kind)
 
-    def name(self, name: str, kind: Optional[str] = None):
+    def name(self, name: str, col: int, kind: Optional[str] = None):
+        """The value of the bare name at column `col` of the model line."""
         if name not in self.names:
             if self.free:
                 return None
-            raise ParseError(f"unknown identifier {name!r}", self.line, 1)
+            raise ParseError(f"unknown identifier {name!r}", self.line, col)
         got, decl = self.names[name]
         if decl.chart_name != self.chart.name:
             raise ParseError(f"{got} {name!r} is not declared on chart {self.chart.name}",
-                             self.line, 1)
+                             self.line, col)
         if kind is not None and got != kind:
-            raise ParseError(f"{name!r} is a {got}, expected {kind}", self.line, 1)
+            raise ParseError(f"{name!r} is a {got}, expected {kind}", self.line, col)
         return decl.payload.get("value", decl)
 
     def d(self, f: Expr) -> KForm:
@@ -427,7 +428,7 @@ def _named(kind: str, count: int = 1):
         if len(toks) != count:
             raise ParseError(f"expected {count} {kind} name(s), got {len(toks)}", line, 1)
         scope = _Scope(chart, names, line)
-        vals = [scope.name(t, kind) for t in toks]
+        vals = [scope.name(t, t.at + 1, kind) for t in toks]
         return vals[0] if count == 1 else vals
     return bind
 
@@ -436,7 +437,7 @@ def _basis(cls, kind: str):
     """One or more names of `kind`, bound as a `cls` basis labelled by them."""
     def bind(toks, chart, names, line):
         scope = _Scope(chart, names, line)
-        return cls([scope.name(t, kind) for t in toks], names=list(toks))
+        return cls([scope.name(t, t.at + 1, kind) for t in toks], names=list(toks))
     return bind
 
 

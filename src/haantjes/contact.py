@@ -35,7 +35,6 @@ from .geometry import (
     op_apply,
     op_compose,
     op_transpose_apply,
-    raised,
     wedge,
     wedge_v,
 )
@@ -112,7 +111,12 @@ def validate_contact(theta: KForm, zt: ZeroTester = ZeroTester()) -> ContactStru
     rep.require_zero("i_R theta - 1", zt(interior_product(reeb, theta)[()] - chart.one()))
     for idx, e in interior_product(reeb, dtheta).items():
         rep.require_zero(f"i_R dtheta [{idx}]", zt(e))
-    jacobi = JacobiStructure(chart, raised(dtheta, sharp), reeb)
+    # flat S = I and R = S theta = S^T theta give S + S^T = 2 R R^T, so
+    # Lambda = S^T dtheta S = S - R R^T
+    r = reeb.components
+    lam = KVector(chart, 2, {(i, j): sharp[i][j] - r[i] * r[j]
+                             for i in range(chart.dim) for j in range(i + 1, chart.dim)})
+    jacobi = JacobiStructure(chart, lam, reeb)
     return ContactStructure(chart, theta, dtheta, flat, sharp, reeb, jacobi, rep)
 
 

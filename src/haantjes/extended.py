@@ -78,16 +78,21 @@ class ExtendedOperator:
     @property
     def lifted(self) -> Operator11:
         """[[K, Y], [gamma, k]] on chart.extended(): this operator on the
-        t-independent fields X + f d_t, every entry independent of t."""
-        big = self.chart.extended()
-        rows = [row + (y,) for row, y in zip(self.k_op.matrix, self.y_field.components)]
-        rows.append(self.gamma.covector() + (self.k_scalar,))
-        return Operator11(big, [[e.on_chart(big) for e in row] for row in rows])
+        t-independent fields X + f d_t, every entry independent of t.  Built
+        once per run for equal parts; no caller changes it."""
+        return once(_lift, self.k_op, self.y_field, self.gamma, self.k_scalar)
 
     def scale(self, f: Expr) -> "ExtendedOperator":
         return ExtendedOperator(
             self.k_op.scale(f), self.y_field.scale(f), self.gamma.scale(f),
             f * self.k_scalar, name=f"f*{self.name}")
+
+
+def _lift(k: Operator11, y: VectorField, gamma: KForm, k_scalar: Expr) -> Operator11:
+    big = k.chart.extended()
+    rows = [row + (yi,) for row, yi in zip(k.matrix, y.components)]
+    rows.append(gamma.covector() + (k_scalar,))
+    return Operator11(big, [[e.on_chart(big) for e in row] for row in rows])
 
 
 def ext_identity(chart: Chart) -> ExtendedOperator:
@@ -142,7 +147,7 @@ def check_ejh(ek: ExtendedOperator, j: JacobiStructure, zt: ZeroTester = ZeroTes
     """
     chart = ek.chart
     op_rep = CheckReport("ejh-operator-route")
-    lam_hat = lambda_hat(j)
+    lam_hat = once(lambda_hat, j)
     big = lam_hat.chart
     upper = combinations_with_replacement(range(big.dim), 2)
     for (a, b), resid in compat_residuals(big, list(zip(*ek.lifted.matrix)), lam_hat.full_matrix(), upper):

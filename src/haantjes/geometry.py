@@ -11,9 +11,7 @@ inverses.  A bivector meets a 1-form in one place, its sharp map
 Operator compatibility with a structure has one form everywhere: K is
 symmetric for the structure's bilinear data.  `compat_residuals` yields the
 entries of A^T M - M A, with A = K for a 2-form matrix and A = K^T for a
-bivector matrix; `raised` turns a 2-form and a sharp map into the bivector
-Lambda(a, b) = B(sharp a, sharp b).  The Jacobi, contact and LCS layers use
-both.
+bivector matrix; the Jacobi, contact and LCS layers use it.
 
 The Schouten-Nijenhuis convention is the one under which the Darboux contact
 pair satisfies [L, L] = 2 E ^ L exactly; the calibration test lives in the
@@ -41,7 +39,6 @@ __all__ = [
     "op_apply",
     "op_compose",
     "op_transpose_apply",
-    "raised",
     "schouten_bracket",
     "wedge",
     "wedge_v",
@@ -312,18 +309,6 @@ class KForm(_Graded):
             raise ValueError("covector() needs a 1-form")
         get, zero = self.components.get, self.chart.zero()
         return tuple(get((i,), zero) for i in range(self.chart.dim))
-
-    def apply(self, *fields: VectorField) -> Expr:
-        if len(fields) != self.degree:
-            raise ValueError("arity mismatch")
-        for x in fields:
-            _same_chart(self, x)
-        if self.degree == 0:
-            return self.components.get((), self.chart.zero())
-        items = self.components.items()
-        return dot(self.chart, [val for _, val in items], [
-            det([[fields[r][i] for i in idx] for r in range(self.degree)]) for idx, _ in items
-        ])
 
 
 class KVector(_Graded):
@@ -662,24 +647,16 @@ def compat_residuals(chart: Chart, a: Sequence[Sequence[Expr]], m: Sequence[Sequ
             yield (i, j), resid
 
 
-def raised(b: KForm, sharp: Sequence[Sequence[Expr]]) -> KVector:
-    """The bivector Lambda(alpha, beta) = B(sharp alpha, sharp beta) of a
-    2-form B, where column i of the sharp matrix is sharp(dx^i)."""
-    chart = b.chart
-    cols = [VectorField(chart, col) for col in zip(*sharp)]
-    return KVector(chart, 2, {(i, j): b.apply(cols[i], cols[j])
-                              for i in range(chart.dim) for j in range(i + 1, chart.dim)})
-
-
 # ---------------------------------------------------------------------------
 # Exact linear algebra (small dimensions)
 
 
 def _minors(matrix: Sequence[Sequence[Expr]]) -> Callable[[tuple, tuple], Expr]:
     """minor(rows, cols): the determinant of matrix on those rows and
-    columns (increasing tuples of equal length), expanded along its first
-    column.  Each (rows, cols) is computed once, so a determinant and the
-    n^2 cofactors of an inverse share their sub-minors."""
+    columns (increasing tuples of equal length), expanded along the nonzero
+    entries of its first column, so a zero entry builds no sub-minor.  Each
+    (rows, cols) is computed once, so a determinant and the n^2 cofactors
+    of an inverse share their sub-minors."""
     chart = matrix[0][0].chart
     cache: dict = {}
 
@@ -689,10 +666,11 @@ def _minors(matrix: Sequence[Sequence[Expr]]) -> Callable[[tuple, tuple], Expr]:
         key = (rows, cols)
         if (out := cache.get(key)) is None:
             c, rest = cols[0], cols[1:]
+            live = [(pos, e) for pos, r in enumerate(rows) if (e := matrix[r][c]).terms]
             out = cache[key] = dot(
                 chart,
-                [matrix[r][c] if pos % 2 == 0 else -matrix[r][c] for pos, r in enumerate(rows)],
-                [minor(rows[:pos] + rows[pos + 1 :], rest) for pos in range(len(rows))],
+                [e if pos % 2 == 0 else -e for pos, e in live],
+                [minor(rows[:pos] + rows[pos + 1 :], rest) for pos, _ in live],
             )
         return out
 

@@ -3,10 +3,10 @@ particular integrals, Poissonization.
 
 Compatibility K L = L K^T goes through `geometry.compat_residuals` with
 A = K^T.  `lambda_hat` builds the bivector Lambda^ = Lambda + d_t ^ E on
-M x R once: Poissonization scales it by e^{-t}, and the EJH operator route of
-`extended` tests lifted extended operators against it.  The chain-bracket
-identity {H_a,H_b} = H_a E H_b - H_b E H_a is stated once here and shared
-with the contact and LCS theorems.
+M x R once per run: Poissonization scales it by e^{-t}, and the EJH operator
+route of `extended` tests lifted extended operators against it.  The
+chain-bracket identity {H_a,H_b} = H_a E H_b - H_b E H_a is stated once here
+and shared with the contact and LCS theorems.
 
 Sign conventions, fixed once and calibrated by the test suite:
 
@@ -214,7 +214,8 @@ def lambda_hat(j: JacobiStructure) -> KVector:
     """The bivector Lambda^ = Lambda + d_t ^ E on j.chart.extended(), so
     Lambda^(a, t) = -E^a.  It is independent of t, it is e^t times the
     Poissonized P~, and its first-slot sharp is the (Lambda, E)-sharp map of
-    the extended theory."""
+    the extended theory.  Its callers take it through the run memo, once
+    per run for each pair, and do not change it."""
     big = j.chart.extended()
     it = big.dim - 1
     comps = {ab: v.on_chart(big) for ab, v in j.lam.components.items()}
@@ -230,7 +231,7 @@ def poissonize(j: JacobiStructure, zt: ZeroTester = ZeroTester(), test_pairs: Se
     each supplied (f, g) pair, the bracket restriction identity with the
     liftings f~ = e^t f.
     """
-    lam_hat = lambda_hat(j)
+    lam_hat = once(lambda_hat, j)
     big = lam_hat.chart
     it = big.dim - 1
     t = big.coord(it)

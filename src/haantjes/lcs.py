@@ -22,6 +22,7 @@ from typing import Optional
 from .checks import CheckReport, _unvalidated, once
 from .geometry import (
     KForm,
+    KVector,
     Operator11,
     VectorField,
     compat_residuals,
@@ -31,7 +32,6 @@ from .geometry import (
     interior_product,
     invert_matrix,
     op_apply,
-    raised,
     wedge,
 )
 from .jacobi import JacobiStructure, _require_chain_brackets, hamiltonian_vf, jacobi_bracket, validate_jacobi
@@ -103,7 +103,10 @@ def validate_lcs(omega: KForm, eta: KForm, zt: ZeroTester = ZeroTester()) -> LCS
         e = dot(chart, row, e_field.components) - eta_co[i]
         if not e.is_zero_expr():
             rep.require_zero(f"flat(E) - eta [{i}]", zt(e))
-    jacobi = JacobiStructure(chart, raised(omega, sharp), e_field)
+    # S inverts flat = -Omega, so Lambda = S^T Omega S = -S^T = S
+    lam = KVector(chart, 2, {(i, j): sharp[i][j]
+                             for i in range(chart.dim) for j in range(i + 1, chart.dim)})
+    jacobi = JacobiStructure(chart, lam, e_field)
     return LCSStructure(chart, omega, eta, flat, sharp, e_field, jacobi, rep)
 
 

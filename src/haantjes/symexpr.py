@@ -1232,7 +1232,7 @@ def parse_scalar(
     then to parameters; ``f(x1,...,xn)`` builds an abstract function symbol
     depending on the listed coordinates.
     """
-    return _scalar(_Parser(text, chart, (names or {}).get, None).parse(), 1, 1)
+    return _scalar(_Parser(text, chart, lambda name, col: (names or {}).get(name), None).parse(), 1, 1)
 
 
 def parse_expr(text: str, chart: Chart, hook):
@@ -1241,11 +1241,11 @@ def parse_expr(text: str, chart: Chart, hook):
     lists); the value of a tuple is a Python tuple and of a list a list.
 
     ``hook`` gives meaning to everything that is not a scalar:
-    ``hook.name(name)`` resolves a bare identifier that is not a coordinate
-    (``None`` makes it a parameter), ``hook.d(f)`` is ``d(<scalar>)``, and
-    ``hook.scale(v, f)``, ``hook.add(a, b)`` and ``hook.wedge(a, b)`` are
-    ``v * f``, ``a + b`` and ``a /\\ b`` when an operand is not a scalar.
-    ``*`` between two such operands is a ParseError.
+    ``hook.name(name, col)`` resolves a bare identifier at column ``col``
+    that is not a coordinate (``None`` makes it a parameter), ``hook.d(f)``
+    is ``d(<scalar>)``, and ``hook.scale(v, f)``, ``hook.add(a, b)`` and
+    ``hook.wedge(a, b)`` are ``v * f``, ``a + b`` and ``a /\\ b`` when an
+    operand is not a scalar.  ``*`` between two such operands is a ParseError.
     """
     return _Parser(text, chart, hook.name, hook).parse()
 
@@ -1392,7 +1392,7 @@ class _Parser:
             if lx.peek()[0] != "(":
                 if name in chart.coords:
                     return chart.coord(name)
-                if (value := self.lookup(name)) is not None:
+                if (value := self.lookup(name, tok[3])) is not None:
                     return value
                 _own_name(name, tok)
                 return param(chart, name)

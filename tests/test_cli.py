@@ -337,9 +337,12 @@ class TestRunMemo:
         # since the generators of a family have one shape, and so does h*A + B
         ("appendix_families", {"haantjes_torsion": 10, "op_commutator": 4, "_jet": 17,
                                "_shape_is_zero": 5}),
-        # 2 commutators: thm_main's [EK1, EK2] of the lifts and [K1, K2]
+        # 2 commutators: thm_main's [EK1, EK2] of the lifts and [K1, K2];
+        # one lift per extended operator and one Lambda^ for the Jacobi pair
+        # (4 lifts and 3 Lambda^ before both went through the memo)
         ("example_p_minus_z", {"check_ejh": 2, "verify_ext_chain": 1, "generic_rank": 2,
-                               "op_commutator": 2, "_shape_is_zero": 0}),
+                               "op_commutator": 2, "_shape_is_zero": 0, "_lift": 2,
+                               "lambda_hat": 1}),
         ("lcs_example", {"check_lcsh": 4, "eta_KE_check": 3, "validate_jacobi": 0,
                          "generic_rank": 3, "_shape_is_zero": 0}),
     ])
@@ -486,6 +489,10 @@ class TestEntryPoint:
             # inside an equals tuple, whose tokens are apart by blanks and a tab
             (MINI + "check reeb CS equals (0,   q ^ x, 1)\n", 7, 32),
             (MINI + "check reeb CS  equals\t(0, 1, 1 +)\n", 7, 33),
+            # a bare name that does not resolve, inside an expression or as
+            # a directive's argument, is reported at its own column
+            (MINI + "check reeb CS equals (0, nosuch, 1)\n", 7, 26),
+            (MINI + "check reeb NOSUCH\n", 7, 12),
             # structures whose validators would raise at run time
             ("chart C (q, p) generic\nform t = d(q)\ncontact CS = t\n", 3),
             ("chart C (q, p, z) generic\nform o = d(q) /\\ d(p)\nform e = d(z)\n"
@@ -496,7 +503,7 @@ class TestEntryPoint:
              "check reeb CS\n", 3),
             ("chart A (x, y) generic\nvector E = (0, 1)\nchart C (q, p, z) generic\n"
              "vector V = (1, 0, 0)\nvector W = (0, 1, 0)\nbivector B = V /\\ W\n"
-             "jacobi J = (B, E)\n", 7),
+             "jacobi J = (B, E)\n", 7, 16),
             ("chart C (a, b, c) generic\nform t = d(c) - b * d(a)\ncontact CS = t\n"
              "operator K = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]\n"
              "check techain b with K on CS kind first\n", 5),
@@ -537,24 +544,24 @@ class TestEntryPoint:
         path.write_text(text.replace("_t", "s").replace("_modf", "g").replace("_clsf", "g"))
         assert main(["check", str(path)]) == 0  # the same model under a name of its own
 
-    @pytest.mark.parametrize("directive", [
-        "dissipated p wrt H",                      # no 'on' clause
-        "haantjes",                                # no argument
-        "commute K1",                              # one operator
-        "haantjes H",                              # a scalar, not an operator
-        "hamiltonian H on JJ",                     # a jacobi, not a contact structure
-        "haantjes K1 on CS",                       # a clause haantjes does not take
-        "techain H with K1 on CS kind frist expect fail",
-        "chain H with K1 potentials (p - z, p)",   # more potentials than operators
-        "ext_chain H with EK1 EK1 potentials (p - z)",  # fewer
-        "dissipated S wrt H on CS",                # S is declared on chart D
+    @pytest.mark.parametrize("directive,name", [pytest.param(d, n, id=d) for d, n in [
+        ("dissipated p wrt H", None),                      # no 'on' clause
+        ("haantjes", None),                                # no argument
+        ("commute K1", None),                              # one operator
+        ("haantjes H", "H"),                               # a scalar, not an operator
+        ("hamiltonian H on JJ", "JJ"),                     # a jacobi, not a contact structure
+        ("haantjes K1 on CS", None),                       # a clause haantjes does not take
+        ("techain H with K1 on CS kind frist expect fail", None),
+        ("chain H with K1 potentials (p - z, p)", None),   # more potentials than operators
+        ("ext_chain H with EK1 EK1 potentials (p - z)", None),  # fewer
+        ("dissipated S wrt H on CS", "S"),                 # S is declared on chart D
         # a bare name inside a tuple: undeclared, or a scalar of chart D
-        "chain H with K1 potentials (nosuch)",
-        "chain H with K1 potentials (S)",
-        "poissonize JJ pairs (q,nosuch)",
-        "reeb CS equals (nosuch, 0, 1)",
-    ])
-    def test_malformed_directive_exit_2(self, tmp_path, capsys, directive):
+        ("chain H with K1 potentials (nosuch)", "nosuch"),
+        ("chain H with K1 potentials (S)", "S"),
+        ("poissonize JJ pairs (q,nosuch)", "nosuch"),
+        ("reeb CS equals (nosuch, 0, 1)", "nosuch"),
+    ]])
+    def test_malformed_directive_exit_2(self, tmp_path, capsys, directive, name):
         text = ("chart D (x, y) generic\nscalar S = x\n"
                 + MINI
                 + "operator K1 = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]\n"
@@ -565,7 +572,9 @@ class TestEntryPoint:
         path.write_text(text + f"check {directive}\n")
         assert main(["check", str(path)]) == 2
         line = text.count("\n") + 1
-        assert capsys.readouterr().err.startswith(f"{path}:{line}:1: ")
+        # a name that does not resolve is reported at its own column
+        col = 1 if name is None else len("check ") + directive.index(name) + 1
+        assert capsys.readouterr().err.startswith(f"{path}:{line}:{col}: ")
 
     def test_directive_name_from_another_chart_exit_2(self, tmp_path, capsys):
         # a structure or operator declared on chart A cannot be read by a
@@ -574,13 +583,13 @@ class TestEntryPoint:
                 "contact CS = theta\noperator K = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]\n"
                 "chart B (x, y, w) darboux-contact 1\nscalar H = x\n")
         path = tmp_path / "m.hj"
-        for directive, line, err in [
-            ("check hamiltonian H on CS\ncheck haantjes K\n", 7, "contact 'CS' is not declared on chart B"),
-            ("check haantjes K\n", 7, "operator 'K' is not declared on chart B"),
+        for directive, line, col, err in [
+            ("check hamiltonian H on CS\ncheck haantjes K\n", 7, 24, "contact 'CS' is not declared on chart B"),
+            ("check haantjes K\n", 7, 16, "operator 'K' is not declared on chart B"),
         ]:
             path.write_text(text + directive)
             assert main(["check", str(path)]) == 2
-            assert capsys.readouterr().err.startswith(f"{path}:{line}:1: {err}")
+            assert capsys.readouterr().err.startswith(f"{path}:{line}:{col}: {err}")
 
     def test_chart_with_a_coordinate_named_t(self, tmp_path):
         # the extra coordinate of Poissonization and of the extended lift

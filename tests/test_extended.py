@@ -20,6 +20,7 @@ from haantjes.geometry import (
     Operator11,
     VectorField,
     d_scalar,
+    interior_product,
     lie_bracket,
     op_apply,
     op_commutator,
@@ -78,7 +79,7 @@ def pair_sub(a, b):
 def pair_apply(ek, p):
     """EK (X, f) = (K X + f Y, gamma(X) + k f)."""
     x, f = p
-    return op_apply(ek.k_op, x) + ek.y_field.scale(f), ek.gamma.apply(x) + ek.k_scalar * f
+    return op_apply(ek.k_op, x) + ek.y_field.scale(f), interior_product(x, ek.gamma)[()] + ek.k_scalar * f
 
 
 def pair_bracket(a, b):
@@ -196,10 +197,12 @@ class TestTranspose:
             alpha, f = rand_kform(C, rng, 1), rand_poly(C, rng)
             got = op_transpose_apply(ek.lifted, lift_form(alpha, f))
             want = lift_form(op_transpose_apply(ek.k_op, alpha) + ek.gamma.scale(f),
-                             alpha.apply(ek.y_field) + ek.k_scalar * f)
+                             interior_product(ek.y_field, alpha)[()] + ek.k_scalar * f)
             assert got == want
             x = lift((rand_vector(C, rng), rand_poly(C, rng)))
-            assert (got.apply(x) - lift_form(alpha, f).apply(op_apply(ek.lifted, x))).is_zero_expr()
+            kx = op_apply(ek.lifted, x)
+            assert (interior_product(x, got)[()]
+                    - interior_product(kx, lift_form(alpha, f))[()]).is_zero_expr()
 
 
 class TestCompose:

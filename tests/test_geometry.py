@@ -9,7 +9,7 @@ import sympy
 import haantjes.geometry as geometry
 import haantjes.symexpr as sx
 from haantjes.checks import memo_scope
-from haantjes.contact import standard_contact_form, validate_contact
+from haantjes.contact import ContactStructure, standard_contact_form, validate_contact
 from haantjes.geometry import (
     KForm,
     KVector,
@@ -27,7 +27,6 @@ from haantjes.geometry import (
     op_commutator,
     op_compose,
     op_transpose_apply,
-    raised,
     schouten_bracket,
     wedge,
     wedge_v,
@@ -568,18 +567,65 @@ class TestCompatResiduals:
         picked = list(compat_residuals(chart, k, m, [(0, 2), (0, 0), (1, 2)]))
         assert picked == [(ij, full[ij]) for ij in [(0, 2), (0, 0), (1, 2)] if ij in full]
 
-    def test_raised_matches_pairing_of_sharps(self, rng):
-        for chart, struct in _charts_with_structures():
-            b = rand_kform(chart, rng, 2)
-            # sharp(dx^i) as the row-wise product of the sharp matrix with dx^i
-            sharps = [VectorField(chart, [sum((a * c for a, c in zip(row, KForm.d_coord(chart, i).covector())),
-                                              chart.zero()) for row in struct.sharp])
-                      for i in range(chart.dim)]
-            lam = raised(b, struct.sharp)
-            assert lam.degree == 2
+
+class TestInducedBivector:
+    """validate_contact and validate_lcs read Lambda off the sharp matrix S
+    (S - R R^T and S); it must be Lambda(a, b) = B(sharp a, sharp b), with B
+    = dtheta or Omega and sharp(dx^i) column i of S."""
+
+    def _structures(self, rng):
+        out = [(s, s.d_theta if isinstance(s, ContactStructure) else s.omega)
+               for _, s in _charts_with_structures()]
+        # conformal contact forms, whose Reeb fields have several components
+        for c in (sx.darboux_contact(1), sx.darboux_contact(2)):
+            f = sx.exp(c.coord(0)) * (c.coord(c.n_pairs) + rng.randint(1, 3))
+            s = validate_contact(standard_contact_form(c).scale(f))
+            out.append((s, s.d_theta))
+        # an LCS pair with a rational Lee potential
+        c4 = sx.lcs_local(2)
+        x = [c4.coord(i) for i in range(c4.dim)]
+        lee = (rng.randint(1, 3) * x[0] - x[1]) / (x[3] + rng.randint(1, 3))
+        s = validate_lcs(*standard_lcs_pair(c4, lee))
+        out.append((s, s.omega))
+        return out
+
+    def test_lambda_is_the_form_on_sharps(self, rng):
+        structures = self._structures(rng)
+        assert sum(any(not e.is_zero_expr() for e in s.reeb.components[:-1])
+                   for s, _ in structures if isinstance(s, ContactStructure)) == 2
+        for s, b in structures:
+            assert s.validated
+            chart = s.chart
+            cols = [VectorField(chart, col) for col in zip(*s.sharp)]
             for i in range(chart.dim):
-                for j in range(i + 1, chart.dim):
-                    assert lam[(i, j)] == b.apply(sharps[i], sharps[j])
+                for j in range(chart.dim):
+                    lam = s.jacobi.lam.pair(KForm.d_coord(chart, i), KForm.d_coord(chart, j))
+                    form = interior_product(cols[j], interior_product(cols[i], b))[()]
+                    assert is_zero(lam - form).tag == "proven_zero"
+
+
+def _against_the_oracle(C, m, rng):
+    """Exact at seeded rational points: inv(M) M = I, and det(M) is sympy's
+    determinant of the same entries."""
+    n = len(m)
+    d, inv = det(m), invert_matrix(m)
+    xs = [sympy.Symbol(c) for c in C.coords]
+    sym = sympy.Matrix([[to_sympy(e) for e in row] for row in m])
+    checked = 0
+    for pt in rational_points(C, rng, 6):
+        memo = {}
+        try:
+            mv = [[value(e.terms, pt, memo) for e in row] for row in m]
+            iv = [[value(e.terms, pt, memo) for e in row] for row in inv]
+        except ZeroDivisionError:
+            continue
+        assert all(sum(iv[i][k] * mv[k][j] for k in range(n)) == (i == j)
+                   for i in range(n) for j in range(n))
+        assert value(d.terms, pt, memo) == sym.subs(dict(zip(xs, pt))).det()
+        checked += 1
+        if checked == 2:
+            break
+    assert checked == 2
 
 
 class TestLinearAlgebra:
@@ -601,28 +647,41 @@ class TestLinearAlgebra:
 
     @pytest.mark.parametrize("n,seed", [(4, 1), (5, 2)])
     def test_rational_matrices_against_the_oracle(self, C, n, seed):
-        # exact at seeded rational points: inv(M) M = I, and det(M) is
-        # sympy's determinant of the same entries
         rng = random.Random(seed)
-        m = rand_rational_matrix(C, rng, n)
-        d, inv = det(m), invert_matrix(m)
-        xs = [sympy.Symbol(c) for c in C.coords]
-        sym = sympy.Matrix([[to_sympy(e) for e in row] for row in m])
-        checked = 0
-        for pt in rational_points(C, rng, 6):
-            memo = {}
-            try:
-                mv = [[value(e.terms, pt, memo) for e in row] for row in m]
-                iv = [[value(e.terms, pt, memo) for e in row] for row in inv]
-            except ZeroDivisionError:
-                continue
-            assert all(sum(iv[i][k] * mv[k][j] for k in range(n)) == (i == j)
-                       for i in range(n) for j in range(n))
-            assert value(d.terms, pt, memo) == sym.subs(dict(zip(xs, pt))).det()
-            checked += 1
-            if checked == 2:
-                break
-        assert checked == 2
+        _against_the_oracle(C, rand_rational_matrix(C, rng, n), rng)
+
+    @pytest.mark.parametrize("case", ["permutation", "sparse-4", "sparse-5"])
+    def test_sparse_matrices_against_the_oracle(self, C, case):
+        # the minor expansion skips the zero entries of a first column
+        rng = random.Random(case)
+        n = 5 if case == "sparse-5" else 4
+        perm = list(range(n))
+        while perm[0] == 0:
+            rng.shuffle(perm)
+        if case == "permutation":
+            m = [[C.zero()] * n for _ in range(n)]
+        else:
+            m = rand_rational_matrix(C, rng, n)
+            for r in range(n):
+                for c in range(n):
+                    if c != perm[r] and rng.random() < 0.5:
+                        m[r][c] = C.zero()
+            m[0][0] = C.zero()
+        for r in range(n):
+            m[r][perm[r]] = C.coord(rng.randrange(C.dim)) + rng.randint(1, 3)
+        assert m[0][0].is_zero_expr() and any(not m[r][0].is_zero_expr() for r in range(n))
+        _against_the_oracle(C, m, rng)
+
+    def test_sparse_flat_skips_sub_minors(self, monkeypatch):
+        # validating LS4 of models/lcs_example.hj made 53 geometry dots with
+        # the dense expansion and Lambda contracted through Omega
+        c4 = sx.lcs_local(2)
+        factor = sx.exp(c4.coord("q1"))
+        omega = KForm(c4, 2, {(0, 2): factor, (1, 3): factor})
+        built, real = [], geometry.dot
+        monkeypatch.setattr(geometry, "dot", lambda *a: built.append(real(*a)) or built[-1])
+        assert validate_lcs(omega, KForm.d_coord(c4, 0)).validated
+        assert len(built) == 28
 
     def test_inverse_builds_each_minor_once(self, C, monkeypatch):
         # the minor on (rows, cols) of a matrix of distinct parameters names
