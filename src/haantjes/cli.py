@@ -118,12 +118,6 @@ class Model:
     directives: list = field(default_factory=list)
     order: list = field(default_factory=list)   # statement order for fmt
 
-    def declaration(self, name: str) -> Declaration:
-        for d in self.declarations:
-            if d.name == name:
-                return d
-        raise KeyError(name)
-
 
 # -- parsing
 
@@ -231,10 +225,10 @@ def _build_declaration(decl: Declaration, chart: Chart, names: dict, line: int, 
     if kinds is None:
         decl.payload["value"] = scope.value(value, decl.kind)
         return
-    parts = value if isinstance(value, tuple) and len(kinds) > 1 else (value,)
+    parts, cols = (value, value.cols) if isinstance(value, tuple) and len(kinds) > 1 else ((value,), (1,))
     if len(parts) != len(kinds):
         raise ParseError(f"{decl.kind} needs ({', '.join(kinds)})", line, 1)
-    parts = [scope.value(v, k) for v, k in zip(parts, kinds)]
+    parts = [scope.value(v, k, col) for v, k, col in zip(parts, kinds, cols)]
     if decl.kind == "extop":
         decl.payload["value"] = ExtendedOperator(*parts, name=decl.name)
     else:
@@ -248,8 +242,8 @@ def _describe(v) -> str:
         return "bivector" if v.degree == 2 else f"{v.degree}-vector"
     if isinstance(v, Declaration):
         return v.kind
-    return {Expr: "scalar", VectorField: "vector", Operator11: "operator",
-            ExtendedOperator: "extop", tuple: "tuple", list: "list"}[type(v)]
+    return next(name for cls, name in {Expr: "scalar", VectorField: "vector", Operator11: "operator",
+                ExtendedOperator: "extop", tuple: "tuple", list: "list"}.items() if isinstance(v, cls))
 
 
 class _Scope:
@@ -286,54 +280,56 @@ class _Scope:
     def d(self, f: Expr) -> KForm:
         return d_scalar(f)
 
-    def scale(self, v, f: Expr):
-        return self._graded(v).scale(f)
+    def scale(self, v, f: Expr, col: int):
+        return self._graded(v, col).scale(f)
 
-    def add(self, a, b):
-        a, b = self._pair(a, b)
+    def add(self, a, b, col: int):
+        a, b = self._pair(a, b, col)
         return a + b
 
-    def wedge(self, a, b):
-        a, b = self._pair(a, b)
+    def wedge(self, a, b, col: int):
+        a, b = self._pair(a, b, col)
         if a.degree + b.degree > self.chart.dim:
             raise ParseError(f"wedge of degree {a.degree + b.degree} on the {self.chart.dim}-chart "
-                             f"{self.chart.name}", self.line, 1)
+                             f"{self.chart.name}", self.line, col)
         return wedge(a, b) if isinstance(a, KForm) else wedge_v(a, b)
 
-    def _pair(self, a, b):
-        a, b = self._graded(a), self._graded(b)
+    def _pair(self, a, b, col: int):
+        a, b = self._graded(a, col), self._graded(b, col)
         if type(a) is not type(b):
-            raise ParseError(f"a {_describe(a)} and a {_describe(b)} do not combine", self.line, 1)
+            raise ParseError(f"a {_describe(a)} and a {_describe(b)} do not combine", self.line, col)
         return a, b
 
-    def _graded(self, v):
+    def _graded(self, v, col: int):
         if isinstance(v, (tuple, VectorField)):
-            return KVector.from_vector(self.value(v, "vector"))
+            return KVector.from_vector(self.value(v, "vector", col))
         if isinstance(v, (KForm, KVector)):
             return v
-        raise ParseError(f"{_describe(v)} where a form or a multivector was expected", self.line, 1)
+        raise ParseError(f"{_describe(v)} where a form or a multivector was expected", self.line, col)
 
-    def value(self, v, kind: str):
+    def value(self, v, kind: str, col: int = 1):
         """v as a `kind`: scalar, tuple (of scalars; a scalar is a one-tuple),
-        vector, operator, form, k-form or bivector."""
+        vector, operator, form, k-form or bivector; an error is reported at
+        column `col`, and one in a parsed item at the item's own column."""
         chart = self.chart
         if kind == "scalar" and isinstance(v, Expr):
             return v
         if kind == "tuple":
-            return [self.value(c, "scalar") for c in (v if isinstance(v, tuple) else (v,))]
+            items, cols = (v, v.cols) if isinstance(v, tuple) else ((v,), (col,))
+            return [self.value(c, "scalar", at) for c, at in zip(items, cols)]
         if kind == "vector":
             if isinstance(v, VectorField):
                 return v
-            comps = self.value(v, "tuple")
+            comps = self.value(v, "tuple", col)
             if len(comps) != chart.dim:
-                raise ParseError(f"vector needs {chart.dim} components, got {len(comps)}", self.line, 1)
+                raise ParseError(f"vector needs {chart.dim} components, got {len(comps)}", self.line, col)
             return VectorField(chart, comps)
         if kind == "operator" and isinstance(v, list) and all(isinstance(r, list) for r in v):
-            rows = [[self.value(e, "scalar") for e in r] for r in v]
+            rows = [[self.value(e, "scalar", at) for e, at in zip(r, r.cols)] for r in v]
             if any(len(r) != len(rows[0]) for r in rows):
-                raise ParseError(f"row length mismatch at line {self.line}", self.line, 1)
+                raise ParseError(f"row length mismatch at line {self.line}", self.line, col)
             if len(rows) != chart.dim or len(rows[0]) != chart.dim:
-                raise ParseError(f"operator must be {chart.dim}x{chart.dim}", self.line, 1)
+                raise ParseError(f"operator must be {chart.dim}x{chart.dim}", self.line, col)
             return Operator11(chart, rows)
         if isinstance(v, KForm) and kind in ("form", f"{v.degree}-form"):
             return v
@@ -341,7 +337,7 @@ class _Scope:
             return v
         if isinstance(v, Operator11) and kind == "operator":
             return v
-        raise ParseError(f"{_describe(v)} where a {kind} was expected", self.line, 1)
+        raise ParseError(f"{_describe(v)} where a {kind} was expected", self.line, col)
 
 
 # -- directives

@@ -76,7 +76,8 @@ def dot(chart: Chart, xs: Iterable[Expr], ys: Iterable[Expr]) -> Expr:
                 raise ChartMismatch(f"{v.chart.name} vs {chart.name}")
         if x.terms and y.terms:
             pairs.append((x.terms, y.terms))
-    return Expr(chart, _t_dot(pairs))
+    t = _t_dot(pairs)
+    return Expr(chart, t) if t else chart.zero()
 
 
 def _merge_sorted(tup: tuple, i: int):
@@ -272,9 +273,6 @@ class _Graded:
     def __hash__(self):
         return hash((type(self), self.chart, self.degree, frozenset(self.components.items())))
 
-    def map(self, fn: Callable[[Expr], Expr]):
-        return type(self)(self.chart, self.degree, {k: fn(v) for k, v in self.components.items()})
-
     def __repr__(self):
         names = self.chart.coords
         mark = "d" if isinstance(self, KForm) else "@"
@@ -291,10 +289,6 @@ class KForm(_Graded):
     @classmethod
     def zero(cls, chart: Chart, degree: int) -> "KForm":
         return cls(chart, degree, {})
-
-    @classmethod
-    def from_scalar(cls, f: Expr) -> "KForm":
-        return cls(f.chart, 0, {(): f})
 
     @classmethod
     def d_coord(cls, chart: Chart, i: int) -> "KForm":
@@ -401,7 +395,7 @@ def interior_product(x: VectorField, omega: KForm) -> KForm:
 def _summed(chart: Chart, acc: Mapping) -> dict:
     """index -> list of (t1, t2) term-tuple pairs, summed to index -> Expr
     with one _t_dot each."""
-    return {idx: Expr(chart, _t_dot(pairs)) for idx, pairs in acc.items()}
+    return dict(zip(acc, _dotted(chart, acc.values())))
 
 
 def _wedge_terms(a, b, acc: dict, sign: int = 1) -> dict:
@@ -515,9 +509,6 @@ class Operator11:
             for i in range(chart.dim)
         ])
 
-    def column(self, j: int) -> VectorField:
-        return VectorField(self.chart, [self.matrix[i][j] for i in range(self.chart.dim)])
-
     def __add__(self, other: "Operator11") -> "Operator11":
         _same_chart(self, other)
         return Operator11(self.chart, [
@@ -568,10 +559,11 @@ def _rows(k: Operator11) -> list:
     return [[(c, e.terms) for c, e in enumerate(row) if e.terms] for row in k.matrix]
 
 
-def _dotted(chart: Chart, acc: Sequence[list]) -> list:
-    """One Expr per list of (t1, t2) pairs: one _t_dot each, or zero."""
+def _dotted(chart: Chart, acc: Iterable[list]) -> list:
+    """One Expr per list of (t1, t2) pairs: one _t_dot each, or the chart's
+    zero when the list or its sum is empty."""
     zero = chart.zero()
-    return [Expr(chart, _t_dot(pairs)) if pairs else zero for pairs in acc]
+    return [Expr(chart, t) if pairs and (t := _t_dot(pairs)) else zero for pairs in acc]
 
 
 def op_apply(k: Operator11, x: VectorField) -> VectorField:

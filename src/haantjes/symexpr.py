@@ -39,7 +39,6 @@ __all__ = [
     "exp",
     "fn_symbol",
     "format_expr",
-    "integrate_unit_param",
     "is_zero",
     "lcs_local",
     "param",
@@ -93,6 +92,9 @@ class Chart:
     ``kind`` is ``("generic",)`` or ``(tag, n)`` with tag one of
     ``darboux-contact`` (dim 2n+1, coords ordered q..., p..., z),
     ``darboux-symplectic`` / ``lcs-local`` (dim 2n, coords q..., p...).
+    ``dim`` and the zero Expr are set once per chart, outside the fields, so
+    equal charts stay equal; an empty result of Expr arithmetic, ``diff``,
+    ``subst``, ``on_chart``, ``rational`` or ``geometry.dot`` is that zero.
     """
 
     name: str
@@ -105,6 +107,8 @@ class Chart:
         reserved = {"exp", "d"} & set(self.coords)
         if reserved:
             raise ValueError(f"chart {self.name}: reserved coordinate names {sorted(reserved)}")
+        object.__setattr__(self, "dim", len(self.coords))
+        object.__setattr__(self, "_zero", Expr(self, ()))
         tag = self.kind[0]
         if tag == "generic":
             return
@@ -116,10 +120,6 @@ class Chart:
             raise ValueError(
                 f"chart {self.name}: kind {tag}({n}) needs dim {want}, got {len(self.coords)}"
             )
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
 
     @property
     def n_pairs(self) -> int:
@@ -155,7 +155,7 @@ class Chart:
         return Expr(self, _t_atom((_C, i)))
 
     def zero(self) -> "Expr":
-        return Expr(self, ())
+        return self._zero
 
     def one(self) -> "Expr":
         return Expr(self, _T_ONE)
@@ -759,18 +759,21 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Expr(self.chart, _t_add(self.terms, o.terms))
+        t = _t_add(self.terms, o.terms)
+        return Expr(self.chart, t) if t else self.chart._zero
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr(self.chart, _t_neg(self.terms))
+        t = self.terms
+        return Expr(self.chart, _t_neg(t)) if t else self.chart._zero
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Expr(self.chart, _t_add(self.terms, _t_neg(o.terms)))
+        t = _t_add(self.terms, _t_neg(o.terms))
+        return Expr(self.chart, t) if t else self.chart._zero
 
     def __rsub__(self, other):
         return (-self) + other
@@ -779,7 +782,8 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Expr(self.chart, _t_mul(self.terms, o.terms))
+        t = _t_mul(self.terms, o.terms)
+        return Expr(self.chart, t) if t else self.chart._zero
 
     __rmul__ = __mul__
 
@@ -801,9 +805,6 @@ class Expr:
 
     def is_zero_expr(self) -> bool:
         return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == _T_ONE
 
     def as_rational(self) -> Optional[Fraction]:
         if not self.terms:
@@ -831,20 +832,22 @@ class Expr:
         i = which if isinstance(which, int) else self.chart.index(which)
         if not 0 <= i < self.chart.dim:
             raise IndexError(f"coordinate index {i} out of range")
-        return Expr(self.chart, _t_diff(self.terms, i))
+        t = _t_diff(self.terms, i)
+        return Expr(self.chart, t) if t else self.chart._zero
 
     def subst(self, mapping: Mapping[Union[int, str], "Expr"]) -> "Expr":
         m = {}
         for k, v in mapping.items():
             i = k if isinstance(k, int) else self.chart.index(k)
             m[i] = v.terms if isinstance(v, Expr) else _t_const(v)
-        return Expr(self.chart, _t_subst(self.terms, m))
+        t = _t_subst(self.terms, m)
+        return Expr(self.chart, t) if t else self.chart._zero
 
     def on_chart(self, chart: Chart) -> "Expr":
         """Reinterpret on a chart whose coordinates extend this one's."""
         if chart.coords[: self.chart.dim] != self.chart.coords:
             raise ChartMismatch("target chart does not extend source chart")
-        return Expr(chart, self.terms)
+        return Expr(chart, self.terms) if self.terms else chart._zero
 
     def __repr__(self):
         return f"<{format_expr(self)}>"
@@ -857,7 +860,8 @@ Expr.__init__.__defaults__ = (Expr.chart.__set__, Expr.terms.__set__)
 
 
 def rational(chart: Chart, value: RatLike) -> Expr:
-    return Expr(chart, _t_const(value))
+    t = _t_const(value)
+    return Expr(chart, t) if t else chart._zero
 
 
 def param(chart: Chart, name: str) -> Expr:
@@ -1017,11 +1021,14 @@ def weakest(certs: Iterable[ZeroCertainty]) -> ZeroCertainty:
     return min(certs, key=lambda c: _CERTAINTY_ORDER[c.tag])
 
 
-def _sample_fractions(rng: random.Random, atoms, k: int):
-    """Yield up to k assignments atom -> Fraction, the origin first."""
+def _sample_fractions(seed: int, atoms, k: int):
+    """Yield up to k assignments atom -> Fraction, the origin first; the
+    random.Random(seed) of the others is made only when they are asked for."""
+    if k < 1:
+        return
     atoms = sorted(atoms)
-    if k > 0:
-        yield {a: Fraction(0) for a in atoms}
+    yield {a: Fraction(0) for a in atoms}
+    rng = random.Random(seed)
     for _ in range(k - 1):
         yield {a: Fraction(rng.randint(-20, 20), 7) for a in atoms}
 
@@ -1076,9 +1083,8 @@ def is_zero(e: Expr, seed: int = 0, samples: int = 16, tol: float = 1e-9) -> Zer
     if not t:
         return PROVEN_ZERO
     chart = e.chart
-    rng = random.Random(seed)
     if not _has_exp(t):
-        for assign in _sample_fractions(rng, _iter_atoms(t), samples):
+        for assign in _sample_fractions(seed, _iter_atoms(t), samples):
             try:
                 val = _eval(t, assign)
             except ZeroDivisionError:  # a pole of an inverse power
@@ -1104,7 +1110,7 @@ def is_zero(e: Expr, seed: int = 0, samples: int = 16, tol: float = 1e-9) -> Zer
     defined = 0
     worst = 0.0
     worst_assign = None
-    for assign in _sample_fractions(rng, atoms, samples):
+    for assign in _sample_fractions(seed, atoms, samples):
         fassign = {a: float(v) for a, v in assign.items()}
         try:
             val = _eval(t, fassign)
@@ -1141,29 +1147,6 @@ class ZeroTester:
 
     def __call__(self, e: Expr) -> ZeroCertainty:
         return is_zero(e, seed=self.seed, samples=self.samples, tol=self.tol)
-
-
-def integrate_unit_param(e: Expr, name: str) -> Expr:
-    """Exact integral over [0, 1] of e in the parameter ``name``.
-
-    e must be polynomial in the parameter (the radial-integration use case).
-    """
-    key = (_P, name)
-    pieces = []
-    for m, c in e.terms:
-        k = 0
-        rest = []
-        for a, ex in m:
-            if a == key:
-                if ex < 0:
-                    raise DomainError(f"negative power of parameter {name!r}")
-                k = ex
-            else:
-                if a[0] >= _E and key in _iter_atoms(_t_atom(a)):
-                    raise DomainError(f"parameter {name!r} inside nonpolynomial atom")
-                rest.append((a, ex))
-        pieces.append(((tuple(rest), _div(c, k + 1)),))
-    return Expr(e.chart, _t_add(*pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -1243,11 +1226,21 @@ def parse_expr(text: str, chart: Chart, hook):
     ``hook`` gives meaning to everything that is not a scalar:
     ``hook.name(name, col)`` resolves a bare identifier at column ``col``
     that is not a coordinate (``None`` makes it a parameter), ``hook.d(f)``
-    is ``d(<scalar>)``, and ``hook.scale(v, f)``, ``hook.add(a, b)`` and
-    ``hook.wedge(a, b)`` are ``v * f``, ``a + b`` and ``a /\\ b`` when an
-    operand is not a scalar.  ``*`` between two such operands is a ParseError.
+    is ``d(<scalar>)``, and ``hook.scale(v, f, col)``, ``hook.add(a, b, col)``
+    and ``hook.wedge(a, b, col)`` are ``v * f``, ``a + b`` and ``a /\\ b``
+    when an operand is not a scalar, with ``col`` the column of the operator
+    token.  ``*`` between two such operands is a ParseError.  A tuple or list
+    keeps the column of each item's first token in ``cols``.
     """
     return _Parser(text, chart, hook.name, hook).parse()
+
+
+class _Tuple(tuple):
+    """A parsed tuple; ``cols`` holds the column of each item."""
+
+
+class _List(list):
+    """A parsed list; ``cols`` holds the column of each item."""
 
 
 def _scalar(value, line: int, col: int) -> Expr:
@@ -1258,9 +1251,9 @@ def _scalar(value, line: int, col: int) -> Expr:
 
 def _own_name(name: str, tok):
     """Refuse a parameter or abstract-function name that begins with '_':
-    the verifier names its own symbols so (the module coefficient of an
-    algebra check, the path parameter of a potential), and a model that
-    wrote one would share it."""
+    such names stay reserved for the verifier's own symbols (the module
+    coefficient of an algebra check is one), and a model that wrote one
+    would share it."""
     if name.startswith("_"):
         raise ParseError(f"name {name!r} begins with '_', which is kept for the verifier's own symbols",
                          tok[2], tok[3])
@@ -1301,7 +1294,7 @@ class _Parser:
     def _neg(self, value, tok):
         if isinstance(value, Expr):
             return -value
-        return self._hook(tok).scale(value, rational(self.chart, -1))
+        return self._hook(tok).scale(value, rational(self.chart, -1), tok[3])
 
     def _sum(self):
         value = self._product()
@@ -1313,27 +1306,27 @@ class _Parser:
             if isinstance(value, Expr) and isinstance(rhs, Expr):
                 value = value + rhs
             else:
-                value = self._hook(tok).add(value, rhs)
+                value = self._hook(tok).add(value, rhs, tok[3])
         return value
 
     def _product(self):
         value = self._unary()
         while self.lx.peek()[0] in ("*", "/", "/\\"):
             tok = self.lx.next()
-            op = tok[0]
+            op, col = tok[0], tok[3]
             rhs = self._unary()
             if op == "/\\":
-                value = self._hook(tok).wedge(value, rhs)
+                value = self._hook(tok).wedge(value, rhs, col)
             elif op == "/":
-                rhs = _scalar(rhs, tok[2], tok[3])
-                value = value / rhs if isinstance(value, Expr) else self._hook(tok).scale(value, rhs**-1)
+                rhs = _scalar(rhs, tok[2], col)
+                value = value / rhs if isinstance(value, Expr) else self._hook(tok).scale(value, rhs**-1, col)
             elif isinstance(rhs, Expr):
-                value = value * rhs if isinstance(value, Expr) else self._hook(tok).scale(value, rhs)
+                value = value * rhs if isinstance(value, Expr) else self._hook(tok).scale(value, rhs, col)
             elif isinstance(value, Expr):
-                value = self._hook(tok).scale(rhs, value)
+                value = self._hook(tok).scale(rhs, value, col)
             else:
                 raise ParseError("'*' needs a scalar operand; use /\\ between graded ones",
-                                 tok[2], tok[3])
+                                 tok[2], col)
         return value
 
     def _unary(self):
@@ -1368,12 +1361,18 @@ class _Parser:
             self.lx.expect(")")
         return base ** (-tok[1] if neg else tok[1])
 
-    def _items(self, close: str) -> list:
+    def _items(self, close: str, seq: type):
+        """The items up to `close` as a `seq`, whose ``cols`` holds the
+        column of each item's first token."""
+        cols = [self.lx.peek()[3]]
         items = [self._sum()]
         while self.lx.peek()[0] == ",":
             self.lx.next()
+            cols.append(self.lx.peek()[3])
             items.append(self._sum())
         self.lx.expect(close)
+        items = seq(items)
+        items.cols = cols
         return items
 
     def _primary(self):
@@ -1383,10 +1382,10 @@ class _Parser:
         if kind == "int":
             return rational(chart, tok[1])
         if kind == "(":
-            items = self._items(")")
-            return items[0] if len(items) == 1 else tuple(items)
+            items = self._items(")", _Tuple)
+            return items[0] if len(items) == 1 else items
         if kind == "[":
-            return self._items("]")
+            return self._items("]", _List)
         if kind == "ident":
             name = tok[1]
             if lx.peek()[0] != "(":

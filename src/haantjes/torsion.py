@@ -105,14 +105,16 @@ from .symexpr import (
     BudgetError,
     Chart,
     Expr,
-    SubstitutionError,
     ZeroCertainty,
     ZeroTester,
+    _C,
+    _F,
     _PackedRing,
+    _div,
     _relabel,
+    _t_atom,
+    _t_dot,
     fn_symbol,
-    integrate_unit_param,
-    param,
     weakest,
 )
 
@@ -431,19 +433,18 @@ def _require_zero_entries(rep: CheckReport, prefix: str, m: Operator11, zt: Zero
 
 
 def _radial_potential(omega: KForm) -> Optional[Expr]:
-    """H(x) = int_0^1 sum_j omega_j(t x) x^j dt, exact for polynomial forms."""
-    chart = omega.chart
-    t = param(chart, "_t")
-    mapping = {i: t * chart.coord(i) for i in range(chart.dim)}
-    live = [j for j in range(chart.dim) if not omega[(j,)].is_zero_expr()]
-    if not all(omega[(j,)].is_polynomial() for j in live):
-        return None
-    try:
-        pulled = [omega[(j,)].subst(mapping) for j in live]
-    except SubstitutionError:
-        return None
-    integrand = dot(chart, pulled, [chart.coord(j) for j in live])
-    return integrate_unit_param(integrand, "_t")
+    """H(x) = int_0^1 sum_j omega_j(t x) x^j dt, exact for polynomial forms:
+    a term of omega_j of degree d in the coordinates scales as t^d, so it
+    adds itself times x^j / (d + 1).  None when a term is not polynomial or
+    holds an abstract function of the coordinates."""
+    chart, pairs = omega.chart, []
+    for (j,), e in omega.components.items():
+        if not e.is_polynomial() or any(a[0] == _F and a[2] for m, _ in e.terms for a, _ in m):
+            return None
+        scaled = tuple((m, _div(c, 1 + sum(k for a, k in m if a[0] == _C))) for m, c in e.terms)
+        pairs.append((scaled, _t_atom((_C, j))))
+    t = _t_dot(pairs)
+    return Expr(chart, t) if t else chart.zero()
 
 
 def generic_rank(forms: Sequence[KForm], zt: ZeroTester) -> tuple:

@@ -22,6 +22,11 @@ def contact2():
     return sx.darboux_contact(2)
 
 
+def declared(model, name):
+    """The value of the declaration `name` of a parsed model."""
+    return next(d for d in model.declarations if d.name == name).payload["value"]
+
+
 def rand_poly(chart, rng, deg=2, terms=3):
     """Small random polynomial in the chart coordinates."""
     coords = [chart.coord(i) for i in range(chart.dim)]

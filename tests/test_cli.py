@@ -14,6 +14,8 @@ from haantjes.cli import Model, format_model, main, parse_model, run_checks
 from haantjes.geometry import Operator11
 from haantjes.symexpr import BudgetError, ChartMismatch, Expr, ParseError, ZeroTester
 
+from conftest import declared
+
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 
 
@@ -72,19 +74,19 @@ class TestParsing:
                 "form om = exp(q) * d(q) /\\ d(p)\n"
                 "form tot = om + 2 * d(q) /\\ d(p)")
         m = parse_model(text)
-        om = m.declaration("tot").payload["value"]
+        om = declared(m, "tot")
         assert om.degree == 2
         # a unary minus on a factor inside a product
         m = parse_model("chart C (x,y) generic\n"
                         "form a = 2 * -x * d(y)\n"
                         "form b = -2 * x * d(y)")
-        assert m.declaration("a").payload["value"] == m.declaration("b").payload["value"]
+        assert declared(m, "a") == declared(m, "b")
 
     def test_bivector_tuples(self):
         text = ("chart C (q,p,z) darboux-contact 1\n"
                 "bivector L = (1, 0, p) /\\ (0, 1, 0)")
         m = parse_model(text)
-        lam = m.declaration("L").payload["value"]
+        lam = declared(m, "L")
         assert lam.degree == 2
         assert lam[(0, 1)] == m.charts["C"].one()
 
@@ -93,11 +95,11 @@ class TestParsing:
         # scalar factor a graded operand
         m = parse_model("chart C (q, p) generic\nform e = d(q)\n"
                         "form t = (exp(q) + 1) * d(p)")
-        assert repr(m.declaration("t").payload["value"]) == "(1 + exp(q)) d[p]"
+        assert repr(declared(m, "t")) == "(1 + exp(q)) d[p]"
 
     def test_form_divided_by_scalar(self):
         m = parse_model("chart C (q, p) generic\nform t = d(q) / 2")
-        assert repr(m.declaration("t").payload["value"]) == "(1/2) d[q]"
+        assert repr(declared(m, "t")) == "(1/2) d[q]"
 
     def test_one_element_potentials_tuple(self):
         text = MINI + "operator K = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]\n"
@@ -260,12 +262,12 @@ class TestReportType:
         assert rep.exit_code == 1
 
     def test_budget_error_in_potential_recovery_is_unknown(self, monkeypatch):
-        # a blow-up while integrating a potential leaves the chain undecided;
-        # it must not read as "potential unavailable", which fails the check
-        def over_budget(e, name):
+        # a blow-up while summing a potential leaves the chain undecided; it
+        # must not read as "potential unavailable", which fails the check
+        def over_budget(pairs):
             raise BudgetError("node budget exceeded")
 
-        monkeypatch.setattr(torsion, "integrate_unit_param", over_budget)
+        monkeypatch.setattr(torsion, "_t_dot", over_budget)
         rep = run_checks(parse_model((MODELS / "example_p_minus_z.hj").read_text()), seed=1)
         chain = next(e for e in rep.entries if e["name"].startswith("15 chain "))
         assert chain["status"] == "unknown"
@@ -442,11 +444,11 @@ class TestFormatter:
     def test_round_trip_structural_equality(self):
         m1 = parse_model(MINI)
         m2 = parse_model(format_model(m1))
-        a = m1.declaration("H").payload["value"]
-        b = m2.declaration("H").payload["value"]
+        a = declared(m1, "H")
+        b = declared(m2, "H")
         assert a == b
-        th1 = m1.declaration("theta").payload["value"]
-        th2 = m2.declaration("theta").payload["value"]
+        th1 = declared(m1, "theta")
+        th2 = declared(m2, "theta")
         assert (th1 - th2).is_zero()
 
 
@@ -456,8 +458,8 @@ class TestFormatter:
         m1 = parse_model(text)
         m2 = parse_model(format_model(m1))
         for name in ("t", "L"):
-            a = m1.declaration(name).payload["value"]
-            b = m2.declaration(name).payload["value"]
+            a = declared(m1, name)
+            b = declared(m2, name)
             assert a.is_zero() and a.degree == 2
             assert b == a
 
@@ -497,7 +499,7 @@ class TestEntryPoint:
             ("chart C (q, p) generic\nform t = d(q)\ncontact CS = t\n", 3),
             ("chart C (q, p, z) generic\nform o = d(q) /\\ d(p)\nform e = d(z)\n"
              "lcs L = (o, e)\n", 4),
-            ("chart C (q, p) lcs-local 1\nform o = d(q)\nform e = d(q)\nlcs L = (o, e)\n", 4),
+            ("chart C (q, p) lcs-local 1\nform o = d(q)\nform e = d(q)\nlcs L = (o, e)\n", 4, 10),
             # a 2-form contact "structure", whose reeb check used to pass
             ("chart C (q, p, z) darboux-contact 1\nform t = d(q) /\\ d(p)\ncontact CS = t\n"
              "check reeb CS\n", 3),
@@ -507,16 +509,17 @@ class TestEntryPoint:
             ("chart C (a, b, c) generic\nform t = d(c) - b * d(a)\ncontact CS = t\n"
              "operator K = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]\n"
              "check techain b with K on CS kind first\n", 5),
-            # a declared non-scalar name where a scalar belongs
-            ("chart C (q, p) generic\nvector V = (1, 0)\nscalar s = V + q\n", 3),
+            # a declared non-scalar name where a scalar belongs, reported at
+            # its operator or at its tuple or list item
+            ("chart C (q, p) generic\nvector V = (1, 0)\nscalar s = V + q\n", 3, 14),
             ("chart C (q, p) generic\nvector V = (1, 0)\nform t = V * d(q)\n", 3, 12),
-            ("chart C (q, p) generic\nform t = d(q)\noperator K = [[t, 0], [0, 1]]\n", 3),
+            ("chart C (q, p) generic\nform t = d(q)\noperator K = [[t, 0], [0, 1]]\n", 3, 16),
             # * between two graded operands; /\ is the wedge
             ("chart C (q, p) generic\nvector V = (1, 0)\nvector W = (0, 1)\n"
              "bivector L = V * W\n", 4, 16),
             # a wedge past the chart dimension
             ("chart C (q, p) generic\nform o = d(q) /\\ d(p) /\\ d(q)\nform e = d(q)\n"
-             "lcs L = (o, e)\ncheck lcs L\n", 2),
+             "lcs L = (o, e)\ncheck lcs L\n", 2, 23),
         ]
         path = tmp_path / "bad.hj"
         for text, line, *col in cases:
@@ -525,8 +528,8 @@ class TestEntryPoint:
             assert capsys.readouterr().err.startswith(f"{path}:{line}:{col[0] if col else 1}: "), text
 
     @pytest.mark.parametrize("text,line,col", [
-        # _t is the path parameter of a recovered potential: with it, the
-        # potential P read "potential 1 unavailable", fail (exit 1)
+        # names that begin with '_' stay reserved for the verifier's own
+        # symbols, _t as much as a name the verifier uses today
         ("chart C (q, p)\nscalar H = _t * q * p\nscalar P = _t * q * p\n"
          "operator I2 = [[1, 0], [0, 1]]\ncheck chain H with I2 potentials (P)\n", 2, 12),
         # _modf is the algebra check's arbitrary module coefficient h

@@ -122,6 +122,11 @@ def lift_form(alpha, f):
     return KForm.one_form(big, [c.on_chart(big) for c in alpha.covector() + (f,)])
 
 
+def column(k, j):
+    """Column j of the matrix of k, the field K d_j."""
+    return VectorField(k.chart, [row[j] for row in k.matrix])
+
+
 def is_zero_pair(p):
     return p[0].is_zero_field() and p[1].is_zero_expr()
 
@@ -129,7 +134,7 @@ def is_zero_pair(p):
 class TestBasicOps:
     def test_apply_reads_off_pair(self, C, rng):
         ek = rand_extop(C, rng, sparse=False)
-        assert ek.lifted.column(C.dim) == lift((ek.y_field, ek.k_scalar))
+        assert column(ek.lifted, C.dim) == lift((ek.y_field, ek.k_scalar))
         x, f = rand_vector(C, rng), rand_poly(C, rng)
         assert op_apply(ek.lifted, lift((x, f))) == lift(pair_apply(ek, (x, f)))
 
@@ -157,7 +162,7 @@ class TestBasicOps:
         chart = sx.Chart("T", ("q", "p", "t"))
         ek = rand_extop(chart, rng, sparse=False)
         assert ek.lifted.chart.coords == ("q", "p", "t", "t1")
-        assert ek.lifted.column(3) == lift((ek.y_field, ek.k_scalar))
+        assert column(ek.lifted, 3) == lift((ek.y_field, ek.k_scalar))
 
     def test_bracket_antisymmetry(self, C, rng):
         # the pair bracket is the Lie bracket of the lifts
@@ -222,7 +227,7 @@ class TestCompose:
             a, b = rand_extop(C, rng), rand_extop(C, rng)
             ab = op_compose(a.lifted, b.lifted)
             for u, g in enumerate(gens):
-                assert ab.column(u) == lift(pair_apply(a, pair_apply(b, g))), u
+                assert column(ab, u) == lift(pair_apply(a, pair_apply(b, g))), u
 
 
 class TestTorsions:
@@ -267,7 +272,7 @@ class TestTorsions:
             for a, b in ((ek, other), (other, ek)):
                 ab = op_compose(a.lifted, b.lifted)
                 for u, g in enumerate(gens):
-                    assert ab.column(u) == lift(pair_apply(a, pair_apply(b, g))), u
+                    assert column(ab, u) == lift(pair_apply(a, pair_apply(b, g))), u
 
     def test_scaling_law_on_the_lift(self, C):
         # H_{fK} = f^4 H_K on the lift, which lets the extended algebra check

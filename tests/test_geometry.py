@@ -94,7 +94,7 @@ class TestExteriorDerivative:
 
     def test_d_squared_all_degrees(self, C, rng):
         for k in (0, 1, 2):
-            w = rand_kform(C, rng, k) if k else KForm.from_scalar(rand_poly(C, rng))
+            w = rand_kform(C, rng, k) if k else KForm(C, 0, {(): rand_poly(C, rng)})
             assert exterior_derivative(exterior_derivative(w)).is_zero()
 
 

@@ -255,6 +255,42 @@ def test_every_definition_is_named_somewhere():
     assert not unnamed, unnamed
 
 
+def _attributes_read(tree):
+    """The attribute names read under tree."""
+    return (node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
+def _reached_outside_the_tests():
+    """(defs, reached, attributes): the top-level library definitions by
+    name; the names that the command line (its module-level tables and main)
+    or a demo or benchmark file reaches, through the definitions each one
+    names; and the attribute names that those files and the reached
+    definitions read."""
+    defs = {}
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+        for name, node in _module_level_names(tree):
+            defs.setdefault(name, []).append(node)
+    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    roots = [node for node in cli.body if isinstance(node, (ast.Assign, ast.AnnAssign))]
+    for top in ("demos", "bench"):
+        roots += [ast.parse(path.read_text(encoding="utf-8")) for path in (ROOT / top).glob("**/*.py")]
+    todo = ["main"] + [name for root in roots for name in _names_read(root, strings=True)]
+    attributes = {name for root in roots for name in _attributes_read(root)}
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for node in defs.get(name, ()):
+                todo += _names_read(node)
+                attributes.update(_attributes_read(node))
+    return defs, reached, attributes
+
+
 def test_every_definition_is_reached_outside_the_tests():
     # a top-level library definition that neither the command line (its
     # module-level tables and main) nor a demo or benchmark file reaches,
@@ -269,26 +305,22 @@ def test_every_definition_is_reached_outside_the_tests():
         "lie_bracket": "the reference bracket that the literal torsion route and the pair- and "
                        "Hamiltonian-bracket laws check the frame tables and brackets against",
     }
-    defs = {}
-    for path in SRC.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.setdefault(node.name, []).append(node)
-        for name, node in _module_level_names(tree):
-            defs.setdefault(name, []).append(node)
-    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
-    todo = ["main"] + [name for node in cli.body if isinstance(node, (ast.Assign, ast.AnnAssign))
-                       for name in _names_read(node)]
-    for top in ("demos", "bench"):
-        for path in (ROOT / top).glob("**/*.py"):
-            todo += _names_read(ast.parse(path.read_text(encoding="utf-8")), strings=True)
-    reached = set()
-    while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            todo += [n for node in defs.get(name, ()) for n in _names_read(node)]
+    defs, reached, _ = _reached_outside_the_tests()
     unreached = {name for name in defs if name not in reached and not _is_dunder(name)}
     assert unreached == set(allowed), {"unreached": sorted(unreached - set(allowed)),
                                        "listed, but reached or gone": sorted(set(allowed) - unreached)}
+
+
+def test_every_method_is_reached_outside_the_tests():
+    # a method whose name neither a demo or benchmark file nor a reached
+    # library definition reads as an attribute is called by the tests
+    # alone; dunder methods are called by the language
+    _, _, attributes = _reached_outside_the_tests()
+    unreached = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(cls, ast.ClassDef):
+                unreached += [f"{path.name}:{fn.lineno} {cls.name}.{fn.name}" for fn in cls.body
+                              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                              and not _is_dunder(fn.name) and fn.name not in attributes]
+    assert not unreached, unreached

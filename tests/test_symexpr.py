@@ -7,7 +7,7 @@ import sympy
 
 import haantjes.symexpr as sx
 from haantjes.checks import memo_scope, once
-from haantjes.geometry import Operator11, VectorField
+from haantjes.geometry import KForm, Operator11, VectorField, dot
 from haantjes.symexpr import (
     Chart,
     ChartMismatch,
@@ -19,6 +19,7 @@ from haantjes.symexpr import (
     parse_scalar,
     simplify,
 )
+from haantjes.torsion import _radial_potential
 
 from conftest import rand_poly
 from oracle import to_sympy
@@ -36,7 +37,7 @@ class TestCanonicalisation:
 
     def test_exp_merge(self, chart):
         u = chart.coord("q") * chart.coord("p")
-        assert (sx.exp(u) * sx.exp(-u)).is_one()
+        assert (sx.exp(u) * sx.exp(-u)) == 1
 
     def test_commutative_folding(self, chart):
         q, p = chart.coord("q"), chart.coord("p")
@@ -198,6 +199,33 @@ class TestIsZero:
         c2 = is_zero(q * p - 1, seed=77)
         assert c1 == c2
 
+    def test_sampler_seeded_on_demand(self, chart, monkeypatch):
+        # the origin, the first sample point, needs no random numbers: a
+        # residual it decides makes no random.Random, and one that needs
+        # later points draws them from one Random(seed), as before
+        made = []
+
+        class Counted(random.Random):
+            def __init__(self, seed):
+                made.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(sx.random, "Random", Counted)
+        q, p, z = (chart.coord(i) for i in range(3))
+        for e in (q + 1, q * p - 1, sx.exp(q) * (p + 2), (q + 1) ** -1 + p):
+            assert is_zero(e, seed=5).tag == "proven_nonzero", e
+        assert made == []
+        for e, witness in [
+            (q * p, {"q": Fraction(19, 7), "p": Fraction(-4, 7)}),
+            (q * p - q * z**2, {"q": Fraction(19, 7), "p": Fraction(-4, 7), "z": Fraction(2, 7)}),
+            ((q + 1) ** -1 - 1 + q * p, {"q": Fraction(19, 7), "p": Fraction(-4, 7)}),
+            (sx.exp(q) * q * p, {"q": Fraction(19, 7), "p": Fraction(-4, 7)}),
+        ]:
+            made.clear()
+            cert = is_zero(e, seed=5)
+            assert (cert.tag, cert.witness) == ("proven_nonzero", witness), e
+            assert made == [5], e
+
 
 class TestDiffAgainstSympy:
     """Expr.diff equals sympy's derivative of the same expression, read into
@@ -267,8 +295,8 @@ class TestParser:
 
     @pytest.mark.parametrize("text,col", [("_t * q", 1), ("q + _modf(q, p)", 5)])
     def test_verifier_names_refused(self, chart, text, col):
-        # the verifier's own symbols begin with '_' (the path parameter _t
-        # of a potential, the module coefficient _modf of an algebra check),
+        # names that begin with '_' stay reserved for the verifier's own
+        # symbols (the module coefficient _modf of an algebra check is one),
         # so a model may not name a parameter or a function so
         with pytest.raises(ParseError) as err:
             parse_scalar(text, chart)
@@ -516,12 +544,12 @@ class TestKernelInvariants:
     def test_coefficients_exact(self, chart):
         rng = random.Random(37)
         q, p = chart.coord("q"), chart.coord("p")
-        t_ = param(chart, "t")
+        # a recovered potential divides each term by its degree plus one
         results = [sx.rational(chart, Fraction(6, 3)), (q + p) / 3, 6 / (2 * q + 4 * p),
-                   sx.integrate_unit_param(t_**2 * q + 3 * t_ * p + 1, "t")]
+                   _radial_potential(KForm.one_form(chart, [q**2 + 3 * p, 1, q]))]
         for e in self._corpus(chart, rng):
-            results += [e / 7, e ** -1, (Fraction(2, 3) * e + q) ** -2,
-                        sx.integrate_unit_param(t_**3 * e + t_ * q, "t")]
+            form = KForm.one_form(chart, [Fraction(rng.randint(1, 6), 2) * rand_poly(chart, rng, 3), q, p])
+            results += [e / 7, e ** -1, (Fraction(2, 3) * e + q) ** -2, _radial_potential(form)]
         for e in results:
             for c in _coefficients(e.terms):
                 # an int when integral, a Fraction otherwise; never a float
@@ -943,6 +971,27 @@ class TestChart:
         ok = sx.darboux_contact(2)
         assert ok.dim == 5 and ok.z_index == 4
         assert ok.q_indices == (0, 1) and ok.p_indices == (2, 3)
+
+    def test_one_zero_per_chart(self, chart):
+        q, p = chart.coord("q"), chart.coord("p")
+        zero = chart.zero()
+        assert zero.terms == () and zero.chart is chart
+        # every empty result on the chart is its one zero
+        for e in (q - q, q + -q, -zero, q * 0, 0 * q, zero * p, p.diff("q"), sx.rational(chart, 0),
+                  dot(chart, [q, zero], [zero, p]), dot(chart, [q], [p - p])):
+            assert e is zero, e
+        with pytest.raises(AttributeError):
+            zero.terms = (((), 1),)
+        with pytest.raises(AttributeError):
+            del zero.terms
+        assert zero.terms == () and zero == 0
+
+    def test_equal_charts_stay_equal(self):
+        a, b = sx.darboux_contact(1), sx.darboux_contact(1)
+        assert a is not b and a.zero() is not b.zero()
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == "Chart(M, q,p,z)"
+        assert a != Chart("M", ("q", "p", "z")) and a.dim == b.dim == 3
+        assert a.coord("q") - b.coord("q") is a.zero()
 
     def test_extended(self):
         c = sx.darboux_contact(1)

@@ -2,6 +2,7 @@ import inspect
 import pathlib
 import random
 from collections import Counter
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -12,7 +13,7 @@ import haantjes.symexpr as sx
 import haantjes.torsion as torsion
 from haantjes.checks import memo_scope
 from haantjes.cli import parse_model
-from haantjes.geometry import Operator11, VectorField, invert_matrix, lie_bracket, op_apply, op_compose
+from haantjes.geometry import KForm, Operator11, VectorField, invert_matrix, lie_bracket, op_apply, op_compose
 from haantjes.symexpr import ZeroTester, exp, fn_symbol, is_zero
 from haantjes.torsion import (
     HaantjesBasis,
@@ -24,7 +25,7 @@ from haantjes.torsion import (
     verify_chain,
 )
 
-from conftest import commuting_pair, rand_operator, rand_poly, self_only_matrix
+from conftest import commuting_pair, declared, rand_operator, rand_poly, self_only_matrix
 from oracle import defined_torsions, jet_add, jet_at, jet_mul, one_jet, rational_points, to_sympy, torsions_match
 
 
@@ -56,7 +57,7 @@ def C2():
 
 def _appendix_pattern(name):
     """The nonzero entries of operator `name` in models/appendix_families.hj."""
-    k = parse_model((MODELS / "appendix_families.hj").read_text()).declaration(name).payload["value"]
+    k = declared(parse_model((MODELS / "appendix_families.hj").read_text()), name)
     return lambda n, r, c: not k.matrix[r][c].is_zero_expr()
 
 
@@ -259,7 +260,7 @@ class TestHaantjes:
         # off-diagonal entry, H is nonzero, and both tables still equal the
         # literal formulas
         model = parse_model((MODELS / "appendix_families.hj").read_text())
-        a, b = (model.declaration(name).payload["value"] for name in ("F2A", "F2B"))
+        a, b = (declared(model, name) for name in ("F2A", "F2B"))
         chart = a.chart
         rows = [list(row) for row in (a.scale(fn_symbol(chart, "_modf")) + b).matrix]
         rows[0][2] = rows[0][2] + chart.coord("z")
@@ -577,7 +578,7 @@ class TestPatternPass:
     def test_both_tables_of_one_operator_in_one_scope(self, first):
         # tau of F1A is not zero and its H is, so the two tables of one
         # operator must not share a shape pass
-        k = parse_model((MODELS / "appendix_families.hj").read_text()).declaration("F1A").payload["value"]
+        k = declared(parse_model((MODELS / "appendix_families.hj").read_text()), "F1A")
         tau = nijenhuis_torsion(k).values
         assert tau
         with memo_scope():
@@ -871,6 +872,38 @@ class TestRingPolynomials:
         for chart, m in self._coordinate_map(rng, perturb=True):
             for jets in self._polynomials_at(chart, m, rng):
                 assert [self._h_is_zero(j) for j in jets] == [False] * 3
+
+
+class TestRadialPotential:
+    """The potential of a polynomial 1-form, H(x) = int_0^1 sum_j
+    omega_j(t x) x^j dt, read off the degrees of its terms."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_against_sympy(self, dim):
+        # seeded forms, closed or not, with Fraction coefficients, a
+        # parameter and an abstract function of no coordinate, against
+        # sympy's integral of the same formula
+        rng = random.Random(300 + dim)
+        chart = sx.Chart(f"R{dim}", tuple(f"x{i}" for i in range(dim)))
+        extra = [0, sx.param(chart, "a"), fn_symbol(chart, "g", [])]
+        xs = [sympy.Symbol(c) for c in chart.coords]
+        t = sympy.Symbol("t")
+        for _ in range(4):
+            comps = [0 if rng.random() < 0.2 else
+                     Fraction(rng.randint(-9, 9), rng.randint(1, 6)) * rand_poly(chart, rng, 3)
+                     + rng.choice(extra) * rand_poly(chart, rng, 2, 1) for _ in range(dim)]
+            pulled = sum(to_sympy(w).xreplace({x: t * x for x in xs}) * x
+                         for w, x in zip(KForm.one_form(chart, comps).covector(), xs))
+            got = torsion._radial_potential(KForm.one_form(chart, comps))
+            assert sympy.expand(to_sympy(got) - sympy.integrate(pulled, (t, 0, 1))) == 0, comps
+
+    def test_none_outside_polynomials(self):
+        chart = sx.darboux_contact(1)
+        q, p, z = (chart.coord(i) for i in range(3))
+        assert torsion._radial_potential(KForm.zero(chart, 1)) is chart.zero()
+        for bad in (exp(q) + p, (q + p + 1) ** -1, q**-1 * p, fn_symbol(chart, "f", ["q"]),
+                    p * fn_symbol(chart, "f", ["p", "z"]).diff("z")):
+            assert torsion._radial_potential(KForm.one_form(chart, [p, bad, z])) is None, bad
 
 
 class TestChains:
