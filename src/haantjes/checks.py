@@ -45,6 +45,7 @@ class CheckReport:
     witness: Optional[dict] = None
     notes: list = field(default_factory=list)
     data: dict = field(default_factory=dict)
+    rejected: bool = False  # failed by reject(), not by a residual
 
     @property
     def passed(self) -> bool:
@@ -55,6 +56,8 @@ class CheckReport:
         """The weakest zero-certainty among the recorded residuals; a pass
         with none recorded cancelled structurally, so it is proven_zero."""
         certs = [c for _, c in self.details if isinstance(c, ZeroCertainty)]
+        if self.rejected and not any(c.rejects_zero for c in certs):
+            return None  # a rejection that no residual certifies
         if certs:
             return weakest(certs)
         return PROVEN_ZERO if self.status == "pass" else None
@@ -82,7 +85,7 @@ class CheckReport:
         return self
 
     def reject(self, reason: str) -> "CheckReport":
-        self.status = "fail"
+        self.status, self.rejected = "fail", True
         self.notes.append(reason)
         return self
 
@@ -93,6 +96,7 @@ class CheckReport:
         self.details.append((sub.name, sub.status))
         if sub.status == "fail":
             self.status = "fail"
+            self.rejected = self.rejected or sub.rejected
             # failed sub-checks surface their own evidence
             self.details.extend((f"{sub.name}: {l}", c) for l, c in sub.details)
             self.notes.extend(f"{sub.name}: {n}" for n in sub.notes)

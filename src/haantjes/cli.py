@@ -3,7 +3,7 @@ r"""Model language, check runner, and report emission.
 A model is a line-oriented text file:
 
     # comments run to end of line
-    chart NAME (id, id, ...) [generic | darboux-contact N | darboux-symplectic N | lcs-local N]
+    chart NAME (COORD, ...) [generic | darboux-contact N | darboux-symplectic N | lcs-local N]
     scalar NAME = <scalar>
     form NAME = <form>                 # d(<scalar>), /\ wedge, scalar * form
     vector NAME = (e1, ..., en)
@@ -13,28 +13,33 @@ A model is a line-oriented text file:
     contact NAME = 1-FORM
     lcs NAME = (2-FORM, 1-FORM)
     jacobi NAME = (BIVECTOR, VECTOR)
-    check <directive ...> [expect fail]
+    check VERB ARGUMENTS [CLAUSE ITEMS ...] [expect fail|pass]
 
-Every right-hand side, and every scalar, tuple and vector of a directive, is
-one expression of symexpr.parse_expr: scalar arithmetic, d(<scalar>), the
-wedge /\, tuples (a, b, ...) and lists [a, b, ...], with a declared name
-standing for its value.  * and / scale a form or a multivector by a scalar;
-* between two of them is a parse error.  A tuple or a vector in a sum or a
-wedge is a 1-vector.
+Each line, its comment cut off, is lexed once by the expression lexer
+(symexpr._Lexer; '=' is a token), and its statement read from the tokens.  A
+NAME or COORD is an identifier that does not begin with '_' and is no clause
+keyword or `expect`.  A directive's words are its runs of tokens with no
+blank between them.  Every right-hand side, and every scalar, tuple and
+vector of a directive, is one expression of symexpr.parse_tokens: scalar
+arithmetic, d(<scalar>), the wedge /\, tuples (a, b, ...) and lists
+[a, b, ...], with a declared name standing for its value.  * and / scale a
+form or a multivector by a scalar; * between two of them is a parse error.
+A tuple or a vector in a sum or a wedge is a 1-vector.  An error is a
+ParseError at its token's line and column.
 
-Declarations bind to the most recent chart statement.  Structures are
-validated on first use when checks run, once per run; a directive on one
-that failed validation is unknown.  A run decides each sub-check once: a
-theorem reuses the verdicts of preconditions that the run has already
-checked (`checks.once`).  Reports are deterministic for a fixed (model,
-seed, samples, tol); wall-times live outside the comparable section.
+Declarations bind to the most recent chart statement, and directives to the
+declarations of the whole model.  Structures are validated on first use when
+checks run, once per run; a directive on one that failed validation is
+unknown.  A run decides each sub-check once: a theorem reuses the verdicts of
+preconditions that the run has already checked (`checks.once`).  Reports are
+deterministic for a fixed (model, seed, samples, tol); wall-times live
+outside the comparable section.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -47,6 +52,7 @@ from .extended import (
     ExtendedBasis,
     ExtendedOperator,
     check_ejh,
+    lifted_differential,
     thm_main_check,
     verify_ext_chain,
 )
@@ -62,8 +68,12 @@ from .symexpr import (
     ParseError,
     SubstitutionError,
     ZeroTester,
+    _DARBOUX_KINDS,
+    _Lexer,
+    _own_name,
     format_expr,
-    parse_expr,
+    parse_tokens,
+    weakest,
 )
 from .torsion import (
     HaantjesBasis,
@@ -96,19 +106,12 @@ class Directive:
     chart_name: Optional[str]
     line: int
     expect_fail: bool = False
+    words: dict = field(default_factory=dict, repr=False, compare=False)  # field -> its words
     values: dict = field(default_factory=dict, repr=False, compare=False)  # bound fields
 
     def label(self) -> str:
-        parts = [self.verb]
-        for key in sorted(self.fields):
-            v = self.fields[key]
-            if isinstance(v, list):
-                parts.append(f"{key}={' '.join(map(str, v))}")
-            else:
-                parts.append(f"{key}={v}")
-        if self.expect_fail:
-            parts.append("expect=fail")
-        return " ".join(parts)
+        parts = [self.verb, *(f"{key}={' '.join(words)}" for key, words in sorted(self.fields.items()))]
+        return " ".join(parts + ["expect=fail"] * self.expect_fail)
 
 
 @dataclass
@@ -119,7 +122,7 @@ class Model:
     order: list = field(default_factory=list)   # statement order for fmt
 
 
-# -- parsing
+# -- parsing: from each line's tokens, (kind, value, line, col) each
 
 
 def parse_model(text: str) -> Model:
@@ -127,112 +130,124 @@ def parse_model(text: str) -> Model:
     current: Optional[Chart] = None
     names: dict = {}  # name -> (kind, declaration)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
-        if not line:
+        line = raw.partition("#")[0]
+        if not line.strip():
             continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        toks = _Lexer(line, lineno).tokens
+        head = toks[0][1]
         if head == "chart":
-            name, chart = _parse_chart_stmt(rest, lineno)
-            if name in model.charts:
-                raise ParseError(f"chart {name!r} redeclared", lineno, 1)
-            model.charts[name] = chart
-            model.order.append(("chart", name))
-            current = chart
-            continue
-        if head == "check":
-            model.directives.append(_parse_directive(raw.partition("#")[0], current, lineno))
+            current = _parse_chart(line, toks)
+            if current.name in model.charts:
+                raise ParseError(f"chart {current.name!r} redeclared", lineno, toks[1][3])
+            model.charts[current.name] = current
+            model.order.append(("chart", current.name))
+        elif head == "check":
+            model.directives.append(_parse_directive(line, toks, current))
             model.order.append(("check", len(model.directives) - 1))
-            continue
-        if head not in ("scalar", "form", "vector", "bivector", "operator", *_PARTS):
-            raise ParseError(f"unknown statement {head!r}", lineno, 1)
-        if current is None:
-            raise ParseError("declaration before any chart", lineno, 1)
-        name, _, rhs = rest.partition("=")
-        name = name.strip()
-        rhs = rhs.strip()
-        if not name.isidentifier():
-            raise ParseError(f"bad name {name!r}", lineno, 1)
-        if name in names or name in model.charts:
-            raise ParseError(f"name {name!r} redeclared", lineno, 1)
-        if not rhs:
-            raise ParseError("missing right-hand side", lineno, 1)
-        decl = Declaration(head, name, current.name, {"rhs": rhs}, lineno)
-        try:
-            _build_declaration(decl, current, names, lineno, raw.index(rhs, raw.index("=")))
-        except _MODEL_ERRORS as exc:
-            raise _at_line(exc, lineno, getattr(exc, "col", 1)) from None
-        names[name] = (head, decl)
-        model.declarations.append(decl)
-        model.order.append(("decl", name))
-    _resolve_directives(model, names)
+        elif head in ("scalar", "form", "vector", "bivector", "operator", *_PARTS):
+            decl = _parse_declaration(line, toks, current, names, model.charts)
+            names[decl.name] = (head, decl)
+            model.declarations.append(decl)
+            model.order.append(("decl", decl.name))
+        else:
+            raise ParseError(f"unknown statement {head!r}", lineno, toks[0][3])
+    for d in model.directives:  # once every declaration is known
+        _bind(d, model.charts[d.chart_name], names)
     return model
 
 
-# What building a declaration or binding a directive raises on bad input.
-_MODEL_ERRORS = (ValueError, DomainError)
+def _words(line: str, toks: list, i: int) -> list:
+    """The words of the model line from token i on, as (text, tokens): its
+    maximal runs of tokens with no blank between them, such as
+    `darboux-contact` or `(q,p)`."""
+    words, end = [], len(toks) - 1  # the eof token ends the last word
+    while i < end:
+        j = i + 1
+        while j < end and line[toks[j][3] - 2] not in " \t":
+            j += 1
+        words.append((line[toks[i][3] - 1:toks[j][3] - 1].rstrip(" \t"), toks[i:j]))
+        i = j
+    return words
 
 
-def _at_line(exc: Exception, line: int, col: int = 1) -> ParseError:
-    """exc as a parse error at column `col` of model line `line`."""
-    return ParseError(getattr(exc, "message", str(exc)), line, col)
+def _expect(tok, kinds: tuple, what: str):
+    """tok, which must be of one of `kinds`; `what` names them in the error."""
+    if tok[0] not in kinds:
+        found = "the end of the line" if tok[0] == "eof" else repr(tok[1])
+        raise ParseError(f"expected {what}, found {found}", tok[2], tok[3])
+    return tok
 
 
-def _parse_chart_stmt(rest: str, line: int):
-    name, _, tail = rest.partition("(")
-    name = name.strip()
-    if not name.isidentifier():
-        raise ParseError(f"bad chart name {name!r}", line, 1)
-    body, _, kind_text = tail.partition(")")
-    coords = tuple(c.strip() for c in body.split(",") if c.strip())
-    if not coords:
-        raise ParseError("chart needs coordinates", line, 1)
-    kind_text = kind_text.strip()
-    if not kind_text or kind_text == "generic":
+def _name(tok, what: str) -> str:
+    """The name of a chart, coordinate or declaration that tok gives: an
+    identifier that does not begin with '_', which is kept for the verifier's
+    own symbols, and is not a directive keyword."""
+    name = _expect(tok, ("ident",), f"a {what}")[1]
+    _own_name(name, tok)
+    if name in _CLAUSES or name == "expect":
+        raise ParseError(f"{name!r} is a directive keyword, not a {what}", tok[2], tok[3])
+    return name
+
+
+def _parse_chart(line: str, toks: list) -> Chart:
+    """`chart NAME (COORD, ...) [generic | KIND N]`."""
+    name = _name(toks[1], "chart name")
+    _expect(toks[2], ("(",), "'('")
+    coords, i = [], 3
+    while True:
+        coords.append(_name(toks[i], "coordinate"))
+        i += 2
+        if _expect(toks[i - 1], (",", ")"), "',' or ')'")[0] == ")":
+            break
+    kind = [text for text, _ in _words(line, toks, i)]
+    if kind in ([], ["generic"]):
         kind = ("generic",)
+    elif len(kind) == 2 and kind[0] in _DARBOUX_KINDS and kind[1].isdigit():
+        kind = (kind[0], int(kind[1]))
     else:
-        tag, _, num = kind_text.partition(" ")
-        if tag not in ("darboux-contact", "darboux-symplectic", "lcs-local") or not num.strip().isdigit():
-            raise ParseError(f"bad chart kind {kind_text!r}", line, 1)
-        kind = (tag, int(num))
+        raise ParseError(f"bad chart kind {line[toks[i][3] - 1:].strip()!r}", toks[i][2], toks[i][3])
     try:
-        chart = Chart(name, coords, kind)
-    except ValueError as exc:
-        raise ParseError(str(exc), line, 1) from None
-    return name, chart
+        return Chart(name, tuple(coords), kind)
+    except ValueError as exc:  # a coordinate named twice or reserved, or a size the kind refuses
+        raise ParseError(str(exc), toks[2][2], toks[2][3]) from None
 
 
 # declaration kind -> the kinds of the parts of its tuple; the parts of a
 # contact, lcs or jacobi structure are validated on first use at run time
 _PARTS = {
-    "extop": ("operator", "vector", "form", "scalar"),
+    "extop": ("operator", "vector", "1-form", "scalar"),
     "contact": ("1-form",),
     "lcs": ("2-form", "1-form"),
     "jacobi": ("bivector", "vector"),
 }
 
 
-def _build_declaration(decl: Declaration, chart: Chart, names: dict, line: int, at: int):
-    if decl.kind == "contact" and chart.dim % 2 == 0:
-        raise ParseError(f"contact structure on even-dimensional chart {chart.name}", line, 1)
-    if decl.kind == "lcs" and chart.dim % 2 == 1:
-        raise ParseError(f"lcs structure on odd-dimensional chart {chart.name}", line, 1)
-    scope = _Scope(chart, names, line, free=True)
-    # the right-hand side, at offset `at` of the model line, is parsed there
-    # (blanks before it), so a position parse_expr reports is a line column
-    value = parse_expr(" " * at + decl.payload["rhs"], chart, scope)
-    kinds = _PARTS.get(decl.kind)
-    if kinds is None:
-        decl.payload["value"] = scope.value(value, decl.kind)
-        return
-    parts, cols = (value, value.cols) if isinstance(value, tuple) and len(kinds) > 1 else ((value,), (1,))
+def _parse_declaration(line: str, toks: list, chart: Optional[Chart], names: dict,
+                       charts: dict) -> Declaration:
+    """`KIND NAME = RHS` on the most recent chart, with its value built."""
+    kind, lineno = toks[0][1], toks[0][2]
+    if chart is None:
+        raise ParseError("declaration before any chart", lineno, toks[0][3])
+    name = _name(toks[1], f"{kind} name")
+    if name in names or name in charts:
+        raise ParseError(f"name {name!r} redeclared", lineno, toks[1][3])
+    _expect(toks[2], ("=",), "'='")
+    if kind in ("contact", "lcs") and chart.dim % 2 == (kind == "lcs"):
+        raise ParseError(f"{kind} structure on {('even', 'odd')[chart.dim % 2]}-dimensional chart "
+                         f"{chart.name}", lineno, toks[0][3])
+    at = toks[3][3]  # the column of the right-hand side
+    decl = Declaration(kind, name, chart.name, {"rhs": line[at - 1:].strip()}, lineno)
+    scope = _Scope(chart, names, lineno, free=True)
+    kinds, value = _PARTS.get(kind, (kind,)), scope.parse(toks, 3)
+    parts, cols = (value, value.cols) if isinstance(value, tuple) and len(kinds) > 1 else ((value,), (at,))
     if len(parts) != len(kinds):
-        raise ParseError(f"{decl.kind} needs ({', '.join(kinds)})", line, 1)
+        raise ParseError(f"{kind} needs ({', '.join(kinds)})", lineno, at)
     parts = [scope.value(v, k, col) for v, k, col in zip(parts, kinds, cols)]
-    if decl.kind == "extop":
-        decl.payload["value"] = ExtendedOperator(*parts, name=decl.name)
-    else:
+    if kind in ("contact", "lcs", "jacobi"):
         decl.payload["parts"] = parts
+    else:
+        decl.payload["value"] = ExtendedOperator(*parts, name=name) if kind == "extop" else parts[0]
+    return decl
 
 
 def _describe(v) -> str:
@@ -247,7 +262,7 @@ def _describe(v) -> str:
 
 
 class _Scope:
-    """The hook through which parse_expr reads a model expression on
+    """The hook through which parse_tokens reads a model expression on
     `chart`: the names declared there, d(...), and scaling, sums and wedges
     of forms and multivectors (a tuple or vector operand is a 1-vector).  A
     bare name that is not declared is a parameter when `free` (declarations)
@@ -255,13 +270,16 @@ class _Scope:
     of another kind than a directive asks for, is an error."""
 
     def __init__(self, chart: Chart, names: dict, line: int, free: bool = False):
-        self.chart = chart
-        self.names = names
-        self.line = line
-        self.free = free
+        self.chart, self.names, self.line, self.free = chart, names, line, free
 
-    def parse(self, text: str, kind: str):
-        return self.value(parse_expr(text, self.chart, self), kind)
+    def parse(self, tokens: list, i: int, kind: Optional[str] = None):
+        """The expression in tokens[i:], closed by an eof token, as a `kind`
+        when one is given; a division by zero is reported at its start."""
+        try:
+            value = parse_tokens(tokens, i, self.chart, self)
+        except DomainError as exc:
+            raise ParseError(str(exc), self.line, tokens[i][3]) from None
+        return value if kind is None else self.value(value, kind, tokens[i][3])
 
     def name(self, name: str, col: int, kind: Optional[str] = None):
         """The value of the bare name at column `col` of the model line."""
@@ -284,19 +302,19 @@ class _Scope:
         return self._graded(v, col).scale(f)
 
     def add(self, a, b, col: int):
-        a, b = self._pair(a, b, col)
+        a, b = self._pair(a, b, col, _describe)  # of one kind and degree
         return a + b
 
     def wedge(self, a, b, col: int):
-        a, b = self._pair(a, b, col)
+        a, b = self._pair(a, b, col, type)
         if a.degree + b.degree > self.chart.dim:
             raise ParseError(f"wedge of degree {a.degree + b.degree} on the {self.chart.dim}-chart "
                              f"{self.chart.name}", self.line, col)
         return wedge(a, b) if isinstance(a, KForm) else wedge_v(a, b)
 
-    def _pair(self, a, b, col: int):
+    def _pair(self, a, b, col: int, sort):
         a, b = self._graded(a, col), self._graded(b, col)
-        if type(a) is not type(b):
+        if sort(a) != sort(b):
             raise ParseError(f"a {_describe(a)} and a {_describe(b)} do not combine", self.line, col)
         return a, b
 
@@ -307,7 +325,7 @@ class _Scope:
             return v
         raise ParseError(f"{_describe(v)} where a form or a multivector was expected", self.line, col)
 
-    def value(self, v, kind: str, col: int = 1):
+    def value(self, v, kind: str, col: int):
         """v as a `kind`: scalar, tuple (of scalars; a scalar is a one-tuple),
         vector, operator, form, k-form or bivector; an error is reported at
         column `col`, and one in a parsed item at the item's own column."""
@@ -326,8 +344,9 @@ class _Scope:
             return VectorField(chart, comps)
         if kind == "operator" and isinstance(v, list) and all(isinstance(r, list) for r in v):
             rows = [[self.value(e, "scalar", at) for e, at in zip(r, r.cols)] for r in v]
-            if any(len(r) != len(rows[0]) for r in rows):
-                raise ParseError(f"row length mismatch at line {self.line}", self.line, col)
+            for r, at in zip(rows, v.cols):
+                if len(r) != len(rows[0]):
+                    raise ParseError(f"row length mismatch at line {self.line}", self.line, at)
             if len(rows) != chart.dim or len(rows[0]) != chart.dim:
                 raise ParseError(f"operator must be {chart.dim}x{chart.dim}", self.line, col)
             return Operator11(chart, rows)
@@ -342,146 +361,126 @@ class _Scope:
 
 # -- directives
 #
-# `check VERB ARGS [CLAUSE TOKENS ...] [expect fail]`.  A verb's row in
-# _VERBS gives the kind of its arguments, the kind of each clause it takes
-# and its handler; _resolve_directives binds every field through its kind
-# at parse time.  A kind is called as kind(tokens, chart, names, line); each
-# token is a `_Token`, which keeps its offset in the model line.
+# A verb's row in _VERBS gives the kind of its arguments, the kind of each
+# clause it takes and its handler; parse_model binds every field through its
+# kind once the model is read.  A field is its words from _words: the verb or
+# the clause keyword, then its items.
 
-# Clause keywords, in the order fmt writes them.
+# Clause keywords, in the order fmt writes them; with `expect`, no name may be one.
 _CLAUSES = ("wrt", "with", "on", "kind", "equals", "potentials", "pairs", "abelian")
 
 
-class _Token(str):
-    """A directive token that keeps its offset in the model line."""
-
-    def __new__(cls, text: str, at: int):
-        tok = super().__new__(cls, text)
-        tok.at = at
-        return tok
-
-
-def _parse_directive(text: str, chart: Optional[Chart], line: int) -> Directive:
-    """The directive on model line `text` (its comment cut off), whose first
-    token is ``check``."""
-    tokens = [_Token(m.group(), m.start()) for m in re.finditer(r"\S+", text)][1:]
-    if not tokens:
-        raise ParseError("empty check directive", line, 1)
-    fields: dict = {}
-    expect_fail = False
-    key = "args"
-    rest_tokens = iter(tokens[1:])
-    for tok in rest_tokens:
-        if tok == "expect":
-            outcome = next(rest_tokens, None)
-            if outcome not in ("fail", "pass"):
-                raise ParseError("expect needs fail|pass", line, 1)
-            expect_fail = outcome == "fail"
-        elif tok in _CLAUSES:
-            key = tok
-            fields.setdefault(key, [])
-        else:
-            fields.setdefault(key, []).append(tok)
+def _parse_directive(line: str, toks: list, chart: Optional[Chart]) -> Directive:
+    """The directive on a model line whose first token is ``check``."""
+    lineno, end = toks[0][2], toks[-1]
     if chart is None:
-        raise ParseError("check before any chart", line, 1)
-    return Directive(tokens[0], fields, chart.name, line, expect_fail)
-
-
-def _resolve_directives(model: Model, names: dict):
-    for d in model.directives:
-        try:
-            _bind(d, model.charts[d.chart_name], names)
-        except _MODEL_ERRORS as exc:
-            raise _at_line(exc, d.line, getattr(exc, "col", 1)) from None
+        raise ParseError("check before any chart", lineno, toks[0][3])
+    words = _words(line, toks, 1)
+    verb = words[0][0] if words else None
+    if verb not in _VERBS:
+        raise ParseError(f"unknown check directive {verb!r}" if words else "empty check directive",
+                         lineno, toks[1][3])
+    clauses = _VERBS[verb][1]
+    fields, expect_fail, rest = {"args": words[:1]}, False, iter(words[1:])
+    field = fields["args"]
+    for word in rest:
+        if word[0] == "expect":
+            outcome, (tok, *_) = next(rest, (None, [end]))
+            if outcome not in ("fail", "pass"):
+                raise ParseError("expect needs fail|pass", lineno, tok[3])
+            expect_fail = outcome == "fail"
+        elif word[0] in clauses:
+            field = fields.setdefault(word[0], [word])
+        elif word[0] in _CLAUSES:
+            raise ParseError(f"{verb} takes no {word[0]!r} clause", lineno, word[1][0][3])
+        else:
+            field.append(word)
+    for key, (_, required) in clauses.items():
+        if required and key not in fields:
+            raise ParseError(f"{verb} needs the {key!r} clause", lineno, end[3])
+    return Directive(verb, {key: [text for text, _ in ws[1:]] for key, ws in fields.items()},
+                     chart.name, lineno, expect_fail, words=fields)
 
 
 def _bind(d: Directive, chart: Chart, names: dict):
-    """Fill d.values from d.fields through the kinds of d.verb's row."""
-    if d.verb not in _VERBS:
-        raise ParseError(f"unknown check directive {d.verb!r}", d.line, 1)
+    """Fill d.values from d.words through the kinds of d.verb's row."""
     args, clauses, _ = _VERBS[d.verb]
-    for key in d.fields:
-        if key != "args" and key not in clauses:
-            raise ParseError(f"{d.verb} takes no {key!r} clause", d.line, 1)
-    d.values["args"] = args(d.fields.get("args", []), chart, names, d.line)
-    for key, (kind, required) in clauses.items():
-        if key in d.fields:
-            d.values[key] = kind(d.fields[key], chart, names, d.line)
-        elif required:
-            raise ParseError(f"{d.verb} needs the {key!r} clause", d.line, 1)
+    scope = _Scope(chart, names, d.line)
+    for key, words in d.words.items():
+        d.values[key] = (args if key == "args" else clauses[key][0])(words, scope)
     if "potentials" in d.values and len(d.values["potentials"]) != len(d.fields["with"]):
-        raise ParseError(f"{len(d.values['potentials'])} potentials for "
-                         f"{len(d.fields['with'])} operators", d.line, 1)
+        raise ParseError(f"{len(d.values['potentials'])} potentials for {len(d.fields['with'])} "
+                         f"operators", d.line, _tokens(d.words["potentials"])[0][3])
 
 
-# -- kinds
+# -- kinds: (words, scope) -> value
 
 
-def _named(kind: str, count: int = 1):
-    """`count` declared names of `kind`; a structure binds to its Declaration
-    and is validated on first use at run time, once per run."""
-    def bind(toks, chart, names, line):
-        if len(toks) != count:
-            raise ParseError(f"expected {count} {kind} name(s), got {len(toks)}", line, 1)
-        scope = _Scope(chart, names, line)
-        vals = [scope.name(t, t.at + 1, kind) for t in toks]
+def _tokens(words: list, k: int = 1) -> list:
+    """The tokens of words[k:], a field's items, closed by an eof token at the last word's end."""
+    text, toks = words[-1]
+    return [tok for _, ts in words[k:] for tok in ts] + [("eof", None, toks[0][2], toks[0][3] + len(text))]
+
+
+def _count(words: list, count: int, what: str) -> list:
+    """The items of a field that must hold `count` of them, or for 0 one or more."""
+    items = words[1:]
+    if len(items) != count and (count or not items):
+        col = items[count][1][0][3] if len(items) > count else _tokens(words)[-1][3]
+        raise ParseError(f"expected {count or 'one or more'} {what}, got {len(items)}",
+                         words[0][1][0][2], col)
+    return items
+
+
+def _named(kind: str, count: int = 1, cls=None):
+    """`count` declared names of `kind`, or with `cls` one or more, bound as
+    a `cls` basis labelled by them; a structure binds to its Declaration and
+    is validated on first use at run time, once per run."""
+    def bind(words, scope):
+        vals = []
+        for text, toks in _count(words, 0 if cls else count, f"{kind} name(s)"):
+            if toks[0][0] != "ident" or len(toks) != 1:
+                raise ParseError(f"expected a declared {kind}, found {text!r}", toks[0][2], toks[0][3])
+            vals.append(scope.name(text, toks[0][3], kind))
+        if cls:
+            return cls(vals, names=[text for text, _ in words[1:]])
         return vals[0] if count == 1 else vals
     return bind
 
 
-def _basis(cls, kind: str):
-    """One or more names of `kind`, bound as a `cls` basis labelled by them."""
-    def bind(toks, chart, names, line):
-        scope = _Scope(chart, names, line)
-        return cls([scope.name(t, t.at + 1, kind) for t in toks], names=list(toks))
-    return bind
+def _expression(kind: str):
+    """The items of a field as one expression of `kind`."""
+    return lambda words, scope: scope.parse(_tokens(words), 0, kind)
 
 
-def _in_line(toks) -> str:
-    """The tokens at their offsets in the model line (blanks before them),
-    so a position parse_expr reports is a line column."""
-    text = ""
-    for tok in toks:
-        text += " " * (tok.at - len(text)) + tok
-    return text
+_SCALAR, _TUPLE, _VECTOR = _expression("scalar"), _expression("tuple"), _expression("vector")
 
 
-def _scalar(toks, chart, names, line) -> Expr:
-    return _Scope(chart, names, line).parse(_in_line(toks), "scalar")
+def _two_scalars(words, scope) -> list:
+    return [scope.parse(_tokens([w], 0), 0, "scalar") for w in _count(words, 2, "one-word scalars")]
 
 
-def _two_scalars(toks, chart, names, line) -> list:
-    if len(toks) != 2:
-        raise ParseError(f"expected two one-token scalars, got {len(toks)}", line, 1)
-    return [_scalar([t], chart, names, line) for t in toks]
+def _pairs(words, scope) -> list:
+    """(f,g) pairs, one word each."""
+    pairs = []
+    for word in _count(words, 0, "(f,g) pairs"):
+        pairs.append(tuple(scope.parse(_tokens([word], 0), 0, "tuple")))
+        if len(pairs[-1]) != 2:
+            raise ParseError("pairs needs (f,g) pairs", scope.line, word[1][0][3])
+    return pairs
 
 
-def _tuple(toks, chart, names, line) -> list:
-    return _Scope(chart, names, line).parse(_in_line(toks), "tuple")
-
-
-def _vector(toks, chart, names, line) -> VectorField:
-    return _Scope(chart, names, line).parse(_in_line(toks), "vector")
-
-
-def _pairs(toks, chart, names, line) -> list:
-    """(f,g) pairs, one token each."""
-    pairs = [_Scope(chart, names, line).parse(_in_line([t]), "tuple") for t in toks]
-    if not pairs or any(len(p) != 2 for p in pairs):
-        raise ParseError("pairs needs (f,g) pairs", line, 1)
-    return [tuple(p) for p in pairs]
-
-
-def _flag(toks, chart, names, line) -> bool:
-    if toks:
-        raise ParseError(f"unexpected {toks[0]!r} after a flag", line, 1)
+def _flag(words, scope) -> bool:
+    if len(words) > 1:
+        raise ParseError(f"unexpected {words[1][0]!r} after a flag", scope.line, words[1][1][0][3])
     return True
 
 
-def _first_or_second(toks, chart, names, line) -> str:
-    if toks not in (["first"], ["second"]):
-        raise ParseError("kind must be first or second", line, 1)
-    return toks[0]
+def _first_or_second(words, scope) -> str:
+    texts = [text for text, _ in words[1:]]
+    if texts not in (["first"], ["second"]):
+        raise ParseError("kind must be first or second", scope.line, _tokens(words)[0][3])
+    return texts[0]
 
 
 # -- handlers: (values, zt) -> CheckReport, structures already validated
@@ -503,29 +502,31 @@ def _bracket(v: dict, zt: ZeroTester) -> CheckReport:
     return rep
 
 
-def _with_potentials(chain: CheckReport, v: dict, zt: ZeroTester) -> CheckReport:
-    """A chain report with the expected potentials required.  The chain
-    report is a theorem's precondition too, so a copy is extended."""
-    rep = chain.copy()
-    for i, (got, want) in enumerate(zip(rep.data["potentials"], v.get("potentials", ()))):
-        if got is None:
-            rep.reject(f"potential {i+1} unavailable")
-        else:
-            rep.require_zero(f"H{i+1} - expected", zt(got - want))
+def _with_potentials(chain: CheckReport, v: dict, zt: ZeroTester, d) -> CheckReport:
+    """A chain report with d(H_i) = omega_i required, component by component,
+    of each given potential H_i and the chain's i-th form, d the chain's
+    differential; one equal to the potential the chain found, whose
+    differential the chain built or proved to be omega_i, has no residual.
+    The chain report is a theorem's precondition too, so a copy is extended."""
+    rep, given = chain.copy(), v.get("potentials", ())
+    for i, (omega, found, h) in enumerate(zip(rep.data["forms"], rep.data["potentials"], given)):
+        residual = () if h == found else (d(h) - omega).items()
+        rep.require_zero(f"d(H{i+1}) - omega{i+1}", weakest(zt(e) for _, e in residual))
     return rep
 
 
 _OPERATOR, _EXTOP = _named("operator"), _named("extop")
 _CONTACT, _LCS, _JACOBI = _named("contact"), _named("lcs"), _named("jacobi")
-_OPERATORS, _EXTOPS = _basis(HaantjesBasis, "operator"), _basis(ExtendedBasis, "extop")
+_OPERATORS, _EXTOPS = _named("operator", cls=HaantjesBasis), _named("extop", cls=ExtendedBasis)
 
 
-def _darboux_contact(toks, chart, names, line):
+def _darboux_contact(words, scope):
     """A contact structure on a darboux-contact chart (the special kinds are
     defined in Darboux coordinates)."""
-    decl = _CONTACT(toks, chart, names, line)
+    decl = _CONTACT(words, scope)
     if decl.payload["parts"][0].chart.kind[0] != "darboux-contact":
-        raise ParseError(f"{toks[0]!r} is not on a darboux-contact chart", line, 1)
+        raise ParseError(f"{words[1][0]!r} is not on a darboux-contact chart", scope.line,
+                         words[1][1][0][3])
     return decl
 
 
@@ -541,26 +542,27 @@ _VERBS = {
     "jacobi": (_JACOBI, {}, lambda v, zt: v["args"].validity),
     "contact": (_CONTACT, {}, lambda v, zt: v["args"].validity),
     "lcs": (_LCS, {}, lambda v, zt: v["args"].validity),
-    "reeb": (_CONTACT, {"equals": (_vector, False)},
+    "reeb": (_CONTACT, {"equals": (_VECTOR, False)},
              lambda v, zt: _equals("R", v["args"].reeb, v, zt)),
-    "hamiltonian": (_scalar, {"on": (_CONTACT, True), "equals": (_vector, False)},
+    "hamiltonian": (_SCALAR, {"on": (_CONTACT, True), "equals": (_VECTOR, False)},
                     lambda v, zt: _equals("X_H", hamiltonian_vf(v["args"], v["on"].jacobi), v, zt)),
-    "dissipated": (_scalar, {"wrt": (_scalar, True), "on": (_CONTACT, True)},
+    "dissipated": (_SCALAR, {"wrt": (_SCALAR, True), "on": (_CONTACT, True)},
                    lambda v, zt: is_dissipated(v["args"], v["wrt"], v["on"], zt)),
-    "bracket": (_two_scalars, {"on": (_JACOBI, True), "equals": (_scalar, False)}, _bracket),
-    "chain": (_scalar, {"with": (_OPERATORS, True), "potentials": (_tuple, False)},
-              lambda v, zt: _with_potentials(once(verify_chain, v["args"], v["with"], zt), v, zt)),
+    "bracket": (_two_scalars, {"on": (_JACOBI, True), "equals": (_SCALAR, False)}, _bracket),
+    "chain": (_SCALAR, {"with": (_OPERATORS, True), "potentials": (_TUPLE, False)},
+              lambda v, zt: _with_potentials(once(verify_chain, v["args"], v["with"], zt), v, zt, d_scalar)),
     "ejh": (_EXTOP, {"on": (_JACOBI, True)}, lambda v, zt: once(check_ejh, v["args"], v["on"], zt)),
-    "ext_chain": (_scalar, {"with": (_EXTOPS, True), "potentials": (_tuple, False)},
-                  lambda v, zt: _with_potentials(once(verify_ext_chain, v["args"], v["with"], zt), v, zt)),
-    "thm_main": (_scalar, {"with": (_EXTOPS, True), "on": (_JACOBI, True)},
+    "ext_chain": (_SCALAR, {"with": (_EXTOPS, True), "potentials": (_TUPLE, False)},
+                  lambda v, zt: _with_potentials(once(verify_ext_chain, v["args"], v["with"], zt), v, zt,
+                                                 lifted_differential)),
+    "thm_main": (_SCALAR, {"with": (_EXTOPS, True), "on": (_JACOBI, True)},
                  lambda v, zt: thm_main_check(v["args"], v["with"], v["on"], zt)),
     "lcsh": (_OPERATOR, {"on": (_LCS, True)}, lambda v, zt: once(check_lcsh, v["args"], v["on"], zt)),
     "eta_ke": (_OPERATOR, {"on": (_LCS, True)},
                lambda v, zt: once(eta_KE_check, v["args"], v["on"], zt)),
-    "theorem9": (_scalar, {"with": (_OPERATORS, True), "on": (_LCS, True)},
+    "theorem9": (_SCALAR, {"with": (_OPERATORS, True), "on": (_LCS, True)},
                  lambda v, zt: theorem9_check(v["args"], v["with"], v["on"], zt)),
-    "techain": (_scalar, {"with": (_OPERATORS, True), "on": (_darboux_contact, True),
+    "techain": (_SCALAR, {"with": (_OPERATORS, True), "on": (_darboux_contact, True),
                           "kind": (_first_or_second, True)},
                 lambda v, zt: techain_check(v["args"], v["with"], v["on"], v["kind"], zt)),
     "jh": (_OPERATOR, {"on": (_JACOBI, True)},
@@ -745,15 +747,10 @@ def _format_declaration(d: Declaration) -> str:
 
 def _format_directive(d: Directive) -> str:
     parts = [d.verb]
-    for key in ("args",) + _CLAUSES:
-        if key not in d.fields:
-            continue
-        if key != "args":
-            parts.append(key)
-        parts.extend(d.fields[key])
-    if d.expect_fail:
-        parts.extend(["expect", "fail"])
-    return " ".join(parts)
+    for key in ("args", *_CLAUSES):
+        if key in d.fields:
+            parts += ([key] if key != "args" else []) + d.fields[key]
+    return " ".join(parts + ["expect", "fail"] * d.expect_fail)
 
 
 def _format_graded(g) -> str:

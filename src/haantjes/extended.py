@@ -190,16 +190,20 @@ def check_ejh(ek: ExtendedOperator, j: JacobiStructure, zt: ZeroTester = ZeroTes
 # Extended chains and the main theorem
 
 
+def lifted_differential(h: Expr) -> KForm:
+    """dh + h dt on the extended chart: the 1-form of the pair (dh, h)."""
+    big = h.chart.extended()
+    return KForm.one_form(big, [e.on_chart(big) for e in d_scalar(h).covector() + (h,)])
+
+
 def verify_ext_chain(h: Expr, basis: ExtendedBasis, zt: ZeroTester = ZeroTester()) -> CheckReport:
     """Extended chain (dH_i, H_i) = EK_i^T (dH, H): the potentials are
     H_i = Y_i H + H k_i and the consistency condition is
     dH_i = K_i^T dH + H gamma_i.  The rank is that of the lifted 1-forms
     dH_i + H_i dt."""
     rep = CheckReport("extended-chain")
-    big = basis.chart.extended()
     dh = d_scalar(h)
-    pots = []
-    forms = []
+    pots, forms = [], []
     for nm, ek in zip(basis.names, basis.operators):
         hi = ek.y_field.apply_to(h) + h * ek.k_scalar
         pots.append(hi)
@@ -212,10 +216,9 @@ def verify_ext_chain(h: Expr, basis: ExtendedBasis, zt: ZeroTester = ZeroTester(
             ok = ok and cert.accepts_zero
         if not ok:
             rep.notes.append(f"{nm}: chain consistency fails")
-        forms.append(KForm.one_form(big, [e.on_chart(big) for e in dhi.covector() + (hi,)]))
+        forms.append(lifted_differential(hi))
     rank = generic_rank(forms, zt)[0]
-    rep.data["rank"] = rank
-    rep.data["potentials"] = pots
+    rep.data.update(potentials=pots, forms=forms, rank=rank)
     if rank < len(basis.operators):
         rep.notes.append(f"(dH_i, H_i) pairs dependent: rank {rank} < {len(basis.operators)}")
         if rep.status == "pass":

@@ -42,8 +42,8 @@ __all__ = [
     "is_zero",
     "lcs_local",
     "param",
-    "parse_expr",
     "parse_scalar",
+    "parse_tokens",
     "rational",
     "simplify",
     "weakest",
@@ -1154,54 +1154,37 @@ class ZeroTester:
 # tuples and lists)
 
 
-# One token per match: whitespace, an int (decimal digits), an identifier,
-# or an operator.  An identifier's first character must be a letter or '_',
-# which [^\W\d] alone would not ensure (it also takes '²' or '½'); _lex
-# checks it.
-_TOKEN = re.compile(r"([ \t\r\n]+)|(\d+)|([^\W\d]\w*)|(/\\|[-+*/^(),\[\]])")
+# One match per token: the blanks before it, then an int (decimal digits),
+# an identifier, an operator ('=' is one for the statements of the model
+# language), or any other character, which is unexpected.  An identifier's
+# first character must be a letter or '_', which [^\W\d] alone would not
+# ensure (it also takes '²' or '½'); _Lexer checks it.
+_TOKEN = re.compile(r"([ \t\r\n]*)(?:(\d+)|([^\W\d]\w*)|(/\\|[-+*/^(),\[\]=])|([^ \t\r\n]))")
 
 
 class _Lexer:
-    def __init__(self, text: str):
-        self.tokens: list[tuple] = []
-        self._lex(text)
-        self.i = 0
+    """The tokens of a text, (kind, value, line, col) each and an eof token
+    last; ``line`` numbers the text's first line."""
 
-    def _lex(self, text: str):
-        tokens, match = self.tokens, _TOKEN.match
-        pos, line, start = 0, 1, 0  # start: offset of the current line's start
-        while pos < len(text):
-            m = match(text, pos)
-            kind = m.lastindex if m else 0
-            if kind == 1:
-                end = m.end()
-                if (lines := text.count("\n", pos, end)):
-                    line += lines
-                    start = text.rfind("\n", pos, end) + 1
-                pos = end
-                continue
-            ch, col = text[pos], pos - start + 1
-            if not kind or (kind == 3 and not (ch.isalpha() or ch == "_")):
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-            s = m.group()
-            tokens.append(("int", int(s), line, col) if kind == 2 else
-                          ("ident" if kind == 3 else s, s, line, col))
-            pos = m.end()
-        tokens.append(("eof", None, line, pos - start + 1))
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
-        return tok
+    def __init__(self, text: str, line: int = 1):
+        self.tokens = tokens = []
+        col, tail = 1, text[len(text.rstrip(" \t\r\n")):]  # tail: the blanks after the last token
+        for blanks, num, ident, op, other in _TOKEN.findall(text) + [(tail, "", "", "", "")]:
+            if "\n" in blanks:
+                line += blanks.count("\n")
+                col = len(blanks) - blanks.rfind("\n")
+            else:
+                col += len(blanks)
+            if op:
+                tokens.append((op, op, line, col))
+            elif ident and (ident[0].isalpha() or ident[0] == "_"):
+                tokens.append(("ident", ident, line, col))
+            elif num:
+                tokens.append(("int", int(num), line, col))
+            elif other or ident:
+                raise ParseError(f"unexpected character {(other or ident)[0]!r}", line, col)
+            col += len(op or ident or num)
+        tokens.append(("eof", None, line, col))
 
 
 def parse_scalar(
@@ -1215,13 +1198,15 @@ def parse_scalar(
     then to parameters; ``f(x1,...,xn)`` builds an abstract function symbol
     depending on the listed coordinates.
     """
-    return _scalar(_Parser(text, chart, lambda name, col: (names or {}).get(name), None).parse(), 1, 1)
+    return _scalar(_Parser(_Lexer(text).tokens, 0, chart, lambda name, col: (names or {}).get(name),
+                           None).parse(), 1, 1)
 
 
-def parse_expr(text: str, chart: Chart, hook):
-    """Parse the expression syntax of parse_scalar extended by ``/\\``,
-    tuples ``(a, b, ...)`` and lists ``[a, b, ...]`` (a matrix is a list of
-    lists); the value of a tuple is a Python tuple and of a list a list.
+def parse_tokens(tokens: list, i: int, chart: Chart, hook):
+    """Parse ``tokens[i:]`` (tokens of _Lexer, closed by an eof token) in the
+    expression syntax of parse_scalar extended by ``/\\``, tuples
+    ``(a, b, ...)`` and lists ``[a, b, ...]`` (a matrix is a list of lists);
+    the value of a tuple is a Python tuple and of a list a list.
 
     ``hook`` gives meaning to everything that is not a scalar:
     ``hook.name(name, col)`` resolves a bare identifier at column ``col``
@@ -1232,7 +1217,7 @@ def parse_expr(text: str, chart: Chart, hook):
     token.  ``*`` between two such operands is a ParseError.  A tuple or list
     keeps the column of each item's first token in ``cols``.
     """
-    return _Parser(text, chart, hook.name, hook).parse()
+    return _Parser(tokens, i, chart, hook.name, hook).parse()
 
 
 class _Tuple(tuple):
@@ -1273,15 +1258,23 @@ class _Parser:
     hook, and without one is a ParseError.
     """
 
-    def __init__(self, text: str, chart: Chart, lookup, hook):
-        self.lx = _Lexer(text)
-        self.chart = chart
-        self.lookup = lookup
-        self.hook = hook
+    def __init__(self, tokens: list, i: int, chart: Chart, lookup, hook):
+        self.tokens, self.i, self.chart, self.lookup, self.hook = tokens, i, chart, lookup, hook
+
+    def next(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str):
+        tok = self.next()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2], tok[3])
+        return tok
 
     def parse(self):
         value = self._sum()
-        tok = self.lx.peek()
+        tok = self.tokens[self.i]
         if tok[0] != "eof":
             raise ParseError(f"trailing input {tok[1]!r}", tok[2], tok[3])
         return value
@@ -1298,8 +1291,8 @@ class _Parser:
 
     def _sum(self):
         value = self._product()
-        while self.lx.peek()[0] in ("+", "-"):
-            tok = self.lx.next()
+        while (tok := self.tokens[self.i])[0] in ("+", "-"):
+            self.i += 1
             rhs = self._product()
             if tok[0] == "-":
                 rhs = self._neg(rhs, tok)
@@ -1311,8 +1304,8 @@ class _Parser:
 
     def _product(self):
         value = self._unary()
-        while self.lx.peek()[0] in ("*", "/", "/\\"):
-            tok = self.lx.next()
+        while (tok := self.tokens[self.i])[0] in ("*", "/", "/\\"):
+            self.i += 1
             op, col = tok[0], tok[3]
             rhs = self._unary()
             if op == "/\\":
@@ -1330,54 +1323,54 @@ class _Parser:
         return value
 
     def _unary(self):
-        tok = self.lx.peek()
+        tok = self.tokens[self.i]
         if tok[0] == "-":
-            self.lx.next()
+            self.next()
             return self._neg(self._unary(), tok)
         if tok[0] == "+":
-            self.lx.next()
+            self.next()
             return self._unary()
         return self._power()
 
     def _power(self):
         base = self._primary()
-        tok = self.lx.peek()
+        tok = self.tokens[self.i]
         if tok[0] != "^":
             return base
         base = _scalar(base, tok[2], tok[3])
-        self.lx.next()
+        self.next()
         # exponent: optionally signed integer, possibly parenthesised
         neg = False
-        tok = self.lx.peek()
+        tok = self.tokens[self.i]
         parens = tok[0] == "("
         if parens:
-            self.lx.next()
-            tok = self.lx.peek()
+            self.next()
+            tok = self.tokens[self.i]
         if tok[0] == "-":
-            self.lx.next()
+            self.next()
             neg = True
-        tok = self.lx.expect("int")
+        tok = self.expect("int")
         if parens:
-            self.lx.expect(")")
+            self.expect(")")
         return base ** (-tok[1] if neg else tok[1])
 
     def _items(self, close: str, seq: type):
         """The items up to `close` as a `seq`, whose ``cols`` holds the
         column of each item's first token."""
-        cols = [self.lx.peek()[3]]
+        cols = [self.tokens[self.i][3]]
         items = [self._sum()]
-        while self.lx.peek()[0] == ",":
-            self.lx.next()
-            cols.append(self.lx.peek()[3])
+        while self.tokens[self.i][0] == ",":
+            self.next()
+            cols.append(self.tokens[self.i][3])
             items.append(self._sum())
-        self.lx.expect(close)
+        self.expect(close)
         items = seq(items)
         items.cols = cols
         return items
 
     def _primary(self):
-        lx, chart = self.lx, self.chart
-        tok = lx.next()
+        chart = self.chart
+        tok = self.next()
         kind = tok[0]
         if kind == "int":
             return rational(chart, tok[1])
@@ -1388,7 +1381,7 @@ class _Parser:
             return self._items("]", _List)
         if kind == "ident":
             name = tok[1]
-            if lx.peek()[0] != "(":
+            if self.tokens[self.i][0] != "(":
                 if name in chart.coords:
                     return chart.coord(name)
                 if (value := self.lookup(name, tok[3])) is not None:
@@ -1396,24 +1389,24 @@ class _Parser:
                 _own_name(name, tok)
                 return param(chart, name)
             if name == "exp" or (name == "d" and self.hook is not None):
-                lx.next()
+                self.next()
                 arg = _scalar(self._sum(), tok[2], tok[3])
-                lx.expect(")")
+                self.expect(")")
                 return exp(arg) if name == "exp" else self.hook.d(arg)
             _own_name(name, tok)
-            lx.next()
+            self.next()
             args = []
-            if lx.peek()[0] != ")":
+            if self.tokens[self.i][0] != ")":
                 while True:
-                    a = lx.next()
+                    a = self.next()
                     if a[0] != "ident":
                         raise ParseError("abstract function arguments must be coordinates", a[2], a[3])
                     args.append(a[1])
-                    if lx.peek()[0] == ",":
-                        lx.next()
+                    if self.tokens[self.i][0] == ",":
+                        self.next()
                         continue
                     break
-            lx.expect(")")
+            self.expect(")")
             try:
                 return fn_symbol(chart, name, [chart.index(a) for a in args])
             except (KeyError, ValueError) as exc:

@@ -111,6 +111,69 @@ class TestParsing:
             parse_model(f.read_text())
 
 
+class TestModelLines:
+    """Each model line is lexed once by the expression lexer and its
+    statement read from those tokens, so a chart coordinate or a declared
+    name is an identifier, and a malformed line fails at its token's column."""
+
+    @pytest.mark.parametrize("text,line,col", [
+        ("chart C (x y, z)\n", 1, 12),            # a coordinate of two words
+        ("chart C (x, 1)\n", 1, 13),              # a number
+        ("chart C (q1/, p)\n", 1, 12),            # an operator after the name
+        ("chart L2B (x, lcs-local 1\n", 1, 18),   # no ')': the '-' ends the coordinate
+        ("chart C (_modf, y)\n", 1, 10),          # kept for the verifier's own symbols
+        ("chart C (q, with)\n", 1, 13),           # a clause keyword
+        ("chart C (q, p)\nscalar on = p\n", 2, 8),
+        ("chart C (q, p)\nform expect = d(q)\n", 2, 6),
+        ("chart C (q, p)\nscalar _h = p\n", 2, 8),
+        ("chart C (q, p) lcs - local 1\n", 1, 16),  # a kind is one word
+        ("chart C (q, p)\nscalar H p\n", 2, 10),
+        ("chart C (q, p)\ncheck haantjes K expect\n", 2, 24),
+    ])
+    def test_malformed_line_at_its_column(self, text, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert (err.value.line, err.value.col) == (line, col), err.value
+
+    def test_directive_words(self):
+        # a word is a run of tokens with no blank between them: `(q,p)` is
+        # one pair, and fields keep the words as written
+        m = parse_model((MODELS / "example_p_minus_z.hj").read_text())
+        poissonize = next(d for d in m.directives if d.verb == "poissonize")
+        assert poissonize.fields == {"args": ["JJ"], "pairs": ["(q,p)", "(p,z)"]}
+        # a blank splits `(q, p)` into two words, and `(q,` ends too soon
+        with pytest.raises(ParseError) as err:
+            parse_model("chart C (q, p)\nscalar H = q\ncheck bracket (q, p) on J\n")
+        assert str(err.value) == "3:18: unexpected end of input"
+
+    def test_edited_models_fail_in_their_line_or_format_stably(self):
+        # a one- or two-character edit of a bundled model is refused at a
+        # line of the text and a column inside that line, or it parses, and
+        # then its fmt text parses to the same fmt text
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        texts = [path.read_text() for path in sorted(MODELS.glob("*.hj"))]
+        pieces = [*" \t\n()[],-_=#/\\*+^1xqpz", "é", "$", "on", "with", "expect"]
+        edit = st.tuples(st.integers(0, 10**4), st.sampled_from(["delete", "insert", "replace"]),
+                         st.sampled_from(pieces))
+
+        @hyp.settings(derandomize=True, database=None, max_examples=400, deadline=None)
+        @hyp.given(st.sampled_from(texts), st.lists(edit, min_size=1, max_size=2))
+        def prop(text, edits):
+            for at, how, piece in edits:
+                at %= len(text)
+                text = text[:at] + ("" if how == "delete" else piece) + text[at + (how != "insert"):]
+            try:
+                formatted = format_model(parse_model(text))
+            except ParseError as exc:
+                lines = text.splitlines()
+                assert 1 <= exc.line <= len(lines) and 1 <= exc.col <= len(lines[exc.line - 1]) + 1, exc
+                return
+            assert format_model(parse_model(formatted)) == formatted
+
+        prop()
+
+
 class TestRunner:
     def test_empty_model(self):
         rep = run_checks(parse_model("chart C (q,p) generic"), seed=1)
@@ -419,6 +482,39 @@ class TestRunMemo:
         assert len(hashed) == 25
         assert copy == k and copy == copy and hash(copy) == hash(k)
 
+    @pytest.mark.parametrize("directive,status,certainty", [
+        # potentials are defined up to a constant, and exist for exp terms
+        ("chain q + p with I K potentials (q + p + 1, q*q/2 + p*p/2)", "pass", "proven_zero"),
+        ("chain exp(q) + p with I potentials (exp(q) + p)", "pass", "proven_zero"),
+        ("chain q + p with I K potentials (q + p, q*q/2 + p*p)", "fail", "proven_nonzero"),
+    ])
+    def test_chain_potentials_checked_by_their_differential(self, directive, status, certainty):
+        text = ("chart C (q, p)\noperator I = [[1, 0], [0, 1]]\noperator K = [[q, 0], [0, p]]\n"
+                f"check {directive}\n")
+        (entry,) = run_checks(parse_model(text), seed=1).entries
+        assert (entry["status"], entry["certainty"]) == (status, certainty)
+        assert [label for label, _ in entry["residuals"]][-1].startswith("d(H")
+
+    def test_extended_potentials_are_not_up_to_a_constant(self):
+        # the lifted form of an extended chain is dH_i + H_i dt, whose dt
+        # component is H_i itself
+        text = (MODELS / "example_p_minus_z.hj").read_text()
+        old = "check ext_chain H with EK1 EK2 potentials (p - z, p)"
+        text = text.replace(old, "check ext_chain H with EK1 EK2 potentials (p - z + 1, p)")
+        entry = run_checks(parse_model(text), seed=42).entries[10]
+        assert entry["name"].startswith("11 ext_chain ")
+        assert (entry["status"], entry["certainty"]) == ("fail", "proven_nonzero")
+
+    def test_rejected_check_carries_no_certainty(self):
+        # theorem9 needs explicit potentials, and exp(q) has no radial one:
+        # a fail by rejection is not certified by the residuals that vanished
+        text = ("chart L (q, p) lcs-local 1\nform om = exp(q) * d(q) /\\ d(p)\nform et = d(q)\n"
+                "lcs LS = (om, et)\noperator K = [[q, 0], [0, q]]\ncheck theorem9 exp(q) with K on LS\n")
+        (entry,) = run_checks(parse_model(text), seed=1).entries
+        assert (entry["status"], entry["certainty"]) == ("fail", None)
+        assert entry["notes"] == ["chain with explicit potentials required"]
+        assert {cert for _, cert in entry["residuals"]} <= {"pass", "proven_zero"}
+
     def test_ext_chain_potentials_do_not_reach_thm_main(self):
         # ext_chain adds its potentials to a copy of the chain report that
         # thm_main reads as a precondition
@@ -479,13 +575,16 @@ class TestEntryPoint:
         # position inside a declared expression or a directive's expression
         # is a column of its model line
         cases = [
-            ("chart C (q,p) generic\noperator K = [[1,2],[3]]\n", 2),
+            # the short row, the sum of forms of two degrees at its '+', the
+            # division by zero at its right-hand side
+            ("chart C (q,p) generic\noperator K = [[1,2],[3]]\n", 2, 21),
             ("chart C (q, p) generic\nscalar b = q\nscalar c = p\nscalar a = q + * p\n", 4, 16),
             ("chart C (q, p) generic\n\n# entry\noperator K = [[1, q +], [0, 1]]\n", 4, 22),
-            ("chart C (x, y) generic\nform c = d(x) /\\ d(y) + d(x)\n", 2),
-            ("chart C (x, y) generic\nscalar a = 1/0\n", 2),
-            (MINI + "check reeb CS equals (0, 1)\n", 7),
-            (MINI + "check hamiltonian H on CS equals (1, p)\n", 7),
+            ("chart C (x, y) generic\nform c = d(x) /\\ d(y) + d(x)\n", 2, 23),
+            ("chart C (x, y) generic\nscalar a = 1/0\n", 2, 12),
+            # a vector of the wrong length, at its tuple
+            (MINI + "check reeb CS equals (0, 1)\n", 7, 22),
+            (MINI + "check hamiltonian H on CS equals (1, p)\n", 7, 34),
             # an abstract function that names a coordinate twice
             (MINI + "check hamiltonian f(q,q) - f(q) on CS equals (0, 0, 0)\n", 7, 19),
             # inside an equals tuple, whose tokens are apart by blanks and a tab
@@ -502,13 +601,13 @@ class TestEntryPoint:
             ("chart C (q, p) lcs-local 1\nform o = d(q)\nform e = d(q)\nlcs L = (o, e)\n", 4, 10),
             # a 2-form contact "structure", whose reeb check used to pass
             ("chart C (q, p, z) darboux-contact 1\nform t = d(q) /\\ d(p)\ncontact CS = t\n"
-             "check reeb CS\n", 3),
+             "check reeb CS\n", 3, 14),
             ("chart A (x, y) generic\nvector E = (0, 1)\nchart C (q, p, z) generic\n"
              "vector V = (1, 0, 0)\nvector W = (0, 1, 0)\nbivector B = V /\\ W\n"
              "jacobi J = (B, E)\n", 7, 16),
             ("chart C (a, b, c) generic\nform t = d(c) - b * d(a)\ncontact CS = t\n"
              "operator K = [[1, 0, 0], [0, 1, 0], [0, 0, 0]]\n"
-             "check techain b with K on CS kind first\n", 5),
+             "check techain b with K on CS kind first\n", 5, 27),
             # a declared non-scalar name where a scalar belongs, reported at
             # its operator or at its tuple or list item
             ("chart C (q, p) generic\nvector V = (1, 0)\nscalar s = V + q\n", 3, 14),
@@ -553,10 +652,10 @@ class TestEntryPoint:
         ("commute K1", None),                              # one operator
         ("haantjes H", "H"),                               # a scalar, not an operator
         ("hamiltonian H on JJ", "JJ"),                     # a jacobi, not a contact structure
-        ("haantjes K1 on CS", None),                       # a clause haantjes does not take
-        ("techain H with K1 on CS kind frist expect fail", None),
-        ("chain H with K1 potentials (p - z, p)", None),   # more potentials than operators
-        ("ext_chain H with EK1 EK1 potentials (p - z)", None),  # fewer
+        ("haantjes K1 on CS", "on"),                       # a clause haantjes does not take
+        ("techain H with K1 on CS kind frist expect fail", "frist"),
+        ("chain H with K1 potentials (p - z, p)", "("),    # more potentials than operators
+        ("ext_chain H with EK1 EK1 potentials (p - z)", "("),  # fewer
         ("dissipated S wrt H on CS", "S"),                 # S is declared on chart D
         # a bare name inside a tuple: undeclared, or a scalar of chart D
         ("chain H with K1 potentials (nosuch)", "nosuch"),
@@ -575,8 +674,9 @@ class TestEntryPoint:
         path.write_text(text + f"check {directive}\n")
         assert main(["check", str(path)]) == 2
         line = text.count("\n") + 1
-        # a name that does not resolve is reported at its own column
-        col = 1 if name is None else len("check ") + directive.index(name) + 1
+        # an error is reported at the column of its word, and a missing
+        # word or clause at the end of the line
+        col = len(f"check {directive}") + 1 if name is None else len("check ") + directive.index(name) + 1
         assert capsys.readouterr().err.startswith(f"{path}:{line}:{col}: ")
 
     def test_directive_name_from_another_chart_exit_2(self, tmp_path, capsys):

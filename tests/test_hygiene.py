@@ -65,6 +65,17 @@ def test_function_locals_are_read(path):
     assert not unread, unread
 
 
+def test_cli_parse_errors_name_a_token_column():
+    # a model error is reported at the column of the token at fault, never
+    # at a column written into the code
+    calls = [node for node in ast.walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "ParseError"]
+    literal = [node.lineno for node in calls
+               if any(isinstance(col, ast.Constant)
+                      for col in node.args[2:] + [k.value for k in node.keywords if k.arg == "col"])]
+    assert calls and not literal, literal
+
+
 def test_readme_documents_every_directive():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     missing = [verb for verb in _VERBS if f"| `{verb}` |" not in readme]
