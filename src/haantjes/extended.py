@@ -220,9 +220,8 @@ def verify_ext_chain(h: Expr, basis: ExtendedBasis, zt: ZeroTester = ZeroTester(
     rank = generic_rank(forms, zt)[0]
     rep.data.update(potentials=pots, forms=forms, rank=rank)
     if rank < len(basis.operators):
-        rep.notes.append(f"(dH_i, H_i) pairs dependent: rank {rank} < {len(basis.operators)}")
-        if rep.status == "pass":
-            rep.status = "fail"
+        note = f"(dH_i, H_i) pairs dependent: rank {rank} < {len(basis.operators)}"
+        (rep.reject if rep.passed else rep.notes.append)(note)  # a rank is no residual: reject a pass
     return rep
 
 

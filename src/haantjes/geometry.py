@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .checks import once
-from .symexpr import Chart, ChartMismatch, Expr, _diff_pairs, _t_dot, _t_neg, rational
+from .symexpr import _T_ONE, Chart, ChartMismatch, Expr, _t_dot, _t_grad, _t_neg, rational
 
 __all__ = [
     "KForm",
@@ -78,19 +78,6 @@ def dot(chart: Chart, xs: Iterable[Expr], ys: Iterable[Expr]) -> Expr:
             pairs.append((x.terms, y.terms))
     t = _t_dot(pairs)
     return Expr(chart, t) if t else chart.zero()
-
-
-def _merge_sorted(tup: tuple, i: int):
-    """Insert index i into a strictly increasing tuple.
-
-    Returns (position, new_tuple) or None when i already occurs.
-    """
-    if i in tup:
-        return None
-    pos = 0
-    while pos < len(tup) and tup[pos] < i:
-        pos += 1
-    return pos, tup[:pos] + (i,) + tup[pos:]
 
 
 def _sort_signed(idx: Sequence[int]):
@@ -161,9 +148,10 @@ class VectorField:
     __rmul__ = scale
 
     def apply_to(self, f: Expr) -> Expr:
-        """Directional derivative X(f)."""
-        live = [j for j, comp in enumerate(self.components) if not comp.is_zero_expr()]
-        return dot(self.chart, [self.components[j] for j in live], [f.diff(j) for j in live])
+        """Directional derivative X(f), f's partials along X from one gradient."""
+        live = [j for j, comp in enumerate(self.components) if comp.terms]
+        grad = [Expr(f.chart, d) for d in _t_grad(f.terms, live)]
+        return dot(self.chart, [self.components[j] for j in live], grad)
 
     def is_zero_field(self) -> bool:
         return all(c.is_zero_expr() for c in self.components)
@@ -348,14 +336,14 @@ class KVector(_Graded):
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
+    """[X, Y]^i = X(Y^i) - Y(X^i): one dot per component, over the partials
+    of one gradient of each of Y^i and X^i."""
     chart = _same_chart(x, y)
-    xs = [j for j in range(chart.dim) if not x[j].is_zero_expr()]
-    ys = [j for j in range(chart.dim) if not y[j].is_zero_expr()]
-    coeffs = [x[j] for j in xs] + [-y[j] for j in ys]
-    return VectorField(chart, [
-        dot(chart, coeffs, [y[i].diff(j) for j in xs] + [x[i].diff(j) for j in ys])
-        for i in range(chart.dim)
-    ])
+    xs = [j for j in range(chart.dim) if x[j].terms]
+    ys = [j for j in range(chart.dim) if y[j].terms]
+    coeffs = [x[j].terms for j in xs] + [_t_neg(y[j].terms) for j in ys]
+    return VectorField(chart, _dotted(chart, [
+        list(zip(coeffs, _t_grad(y[i].terms, xs) + _t_grad(x[i].terms, ys))) for i in range(chart.dim)]))
 
 
 def exterior_derivative(omega: KForm) -> KForm:
@@ -364,16 +352,12 @@ def exterior_derivative(omega: KForm) -> KForm:
         return KForm.zero(chart, min(omega.degree + 1, chart.dim))
     acc: dict = {}
     for idx, val in omega.components.items():
-        for i in range(chart.dim):
-            ins = _merge_sorted(idx, i)
-            if ins is None:
-                continue
-            pos, new_idx = ins
-            pairs = _diff_pairs(val.terms, i)
-            if pos % 2:
-                pairs = [(_t_neg(a), b) for a, b in pairs]
-            if pairs:
-                acc.setdefault(new_idx, []).extend(pairs)
+        # one gradient by the coordinates idx lacks; dx_i moves past pos indices
+        free = [i for i in range(chart.dim) if i not in idx]
+        for i, d in zip(free, _t_grad(val.terms, free)):
+            if d:
+                pos = sum(a < i for a in idx)
+                acc.setdefault(idx[:pos] + (i,) + idx[pos:], []).append((_T_ONE, _t_neg(d) if pos % 2 else d))
     return KForm(chart, omega.degree + 1, _summed(chart, acc))
 
 
@@ -433,8 +417,8 @@ def d_scalar(f: Expr) -> KForm:
 
 
 def _d_scalar(f: Expr) -> KForm:
-    chart = f.chart
-    return KForm(chart, 1, {(i,): f.diff(i) for i in range(chart.dim)})
+    """df, from one gradient of f."""
+    return KForm.one_form(f.chart, [Expr(f.chart, d) for d in _t_grad(f.terms, range(f.chart.dim))])
 
 
 # ---------------------------------------------------------------------------
@@ -458,20 +442,28 @@ def _xi_derivative(a: KVector, i: int) -> KVector:
     return KVector(a.chart, a.degree - 1, acc)
 
 
-def _x_derivative(a: KVector, i: int) -> KVector:
-    return KVector(a.chart, a.degree, {k: v.diff(i) for k, v in a.components.items()})
+def _x_derivatives(a: KVector) -> list:
+    """dA/dx_i for each coordinate i, from one gradient per component."""
+    chart = a.chart
+    grads = {k: _t_grad(v.terms, range(chart.dim)) for k, v in a.components.items()}
+    return [KVector(chart, a.degree, {k: Expr(chart, g[i]) for k, g in grads.items() if g[i]})
+            for i in range(chart.dim)]
 
 
 def schouten_bracket(a: KVector, b: KVector) -> KVector:
+    """[A, B], with the x-derivatives of each argument taken once per
+    bracket, and once for both when they are the same multivector."""
     chart = _same_chart(a, b)
     deg = a.degree + b.degree - 1
     if deg > chart.dim:
         return KVector.zero(chart, chart.dim)
     acc: dict = {}
     sign = -1 if a.degree % 2 else 1
+    da = _x_derivatives(a)
+    db = da if b == a else _x_derivatives(b)
     for i in range(chart.dim):
-        _wedge_terms(_xi_derivative(a, i), _x_derivative(b, i), acc)
-        _wedge_terms(_x_derivative(a, i), _xi_derivative(b, i), acc, sign)
+        _wedge_terms(_xi_derivative(a, i), db[i], acc)
+        _wedge_terms(da[i], _xi_derivative(b, i), acc, sign)
     return KVector(chart, deg, _summed(chart, acc))
 
 
@@ -608,8 +600,11 @@ def op_compose(k1: Operator11, k2: Operator11) -> Operator11:
 def op_commutator(k1: Operator11, k2: Operator11) -> Operator11:
     """[K1, K2] = K1 K2 - K2 K1: each entry is one dot over the pairs of
     K1 K2 and the pairs of K2 K1 with the left factor negated, so the budget
-    is checked on the commutator, not on either product."""
+    is checked on the commutator, not on either product; [K, K] = 0 is built
+    without a product."""
     chart = _same_chart(k1, k2)
+    if k2 == k1:
+        return Operator11.zero(chart)
     r1, r2 = _rows(k1), _rows(k2)
     neg2 = [[(c, _t_neg(t)) for c, t in row] for row in r2]
     return _products(chart, (r1, r2), (neg2, r1))

@@ -35,7 +35,6 @@ __all__ = [
     "ZeroTester",
     "darboux_contact",
     "darboux_symplectic",
-    "diff",
     "exp",
     "fn_symbol",
     "format_expr",
@@ -355,15 +354,16 @@ def _mono_mul_general(m1, m2):
     return tuple(out), expand
 
 
-def _t_dot(pairs) -> tuple:
+def _t_dot(pairs, acc=None) -> tuple:
     """sum of t1 * t2 over the (t1, t2) pairs, canonicalised once.
 
     Every monomial product goes into one dict, which is frozen and
     budget-checked once; products whose _W exponents turn nonnegative are
     expanded after the loop.  A pair with an empty factor adds nothing, and
-    with no product at all the sum is () unfrozen.
+    with no product at all the sum is () unfrozen.  ``acc``, when given,
+    holds canonical monomials already summed, to which the products add.
     """
-    acc: dict = {}
+    acc = {} if acc is None else acc
     get = acc.get
     pending = []
     for t1, t2 in pairs:
@@ -583,43 +583,42 @@ def _t_exp(t) -> tuple:
     return _t_atom((_E, _terms_key(t), t))
 
 
-def _t_diff(t, i: int) -> tuple:
-    return _t_dot(_diff_pairs(t, i))
-
-
-def _diff_pairs(t, i: int) -> list:
-    """(t1, t2) pairs whose products sum to dt/dx_i."""
-    pairs = []
+def _t_grad(t, coords: Sequence[int]) -> list:
+    """The partials of t by the distinct coordinates in coords, from one
+    pass over t: the one differentiation routine.  A coordinate or
+    abstract-function atom adds its partial monomials straight into the sum
+    of each coordinate it depends on; an exp or inverse-power atom takes the
+    gradient of its base once, and d(exp u) = exp(u) du and
+    d(B^e) = e B^(e-1) dB go through `_t_dot`'s pending expansion.  Each
+    partial is one `_t_dot`, so it is budget-checked as one."""
+    at = dict(zip(coords, range(len(coords))))
+    accs = [{} for _ in coords]
+    pairs = [[] for _ in coords]
+    bases: dict = {}  # the gradient of each exp or inverse-power atom's base
     for m, c in t:
         for pos, (a, e) in enumerate(m):
-            da = _atom_diff(a, i)
-            if da is None:
+            tag = a[0]
+            if tag == _P or (tag == _C and a[1] not in at):
                 continue
-            rest = list(m)
-            if a[0] == _E:
-                pass  # d(exp u) = exp(u) du: atom stays, its exp is 1
-            elif e == 1:
-                del rest[pos]
+            # d(exp u) keeps the atom; any other factor's exponent drops by one
+            rest = (m if tag == _E else m[:pos] + m[pos + 1:] if e == 1
+                    else m[:pos] + ((a, e - 1),) + m[pos + 1:])
+            if tag == _C:
+                acc = accs[at[a[1]]]
+                acc[rest] = acc.get(rest, 0) + c * e
+            elif tag == _F:
+                for x in a[2]:
+                    if (k := at.get(x)) is not None:
+                        mono = _mono_mul(rest, (((_F, a[1], a[2], tuple(sorted(a[3] + (x,)))), 1),))[0]
+                        acc = accs[k]
+                        acc[mono] = acc.get(mono, 0) + c * e
             else:
-                rest[pos] = (a, e - 1)
-            pairs.append((((tuple(rest), c * e),), da))
-    return pairs
-
-
-def _atom_diff(a, i: int):
-    tag = a[0]
-    if tag == _C:
-        return _T_ONE if a[1] == i else None
-    if tag == _P:
-        return None
-    if tag == _F:
-        _, name, deps, parts = a
-        if i not in deps:
-            return None
-        return _t_atom((_F, name, deps, tuple(sorted(parts + (i,)))))
-    # _E: d(exp u) = exp(u) du, the caller keeps the atom; _W: d(B^e) is
-    # handled by the caller through the exponent, here we only supply dB
-    return _t_diff(a[2], i) or None
+                if (grad := bases.get(a)) is None:
+                    grad = bases[a] = _t_grad(a[2], coords)
+                for k, d in enumerate(grad):
+                    if d:
+                        pairs[k].append((((rest, c * e),), d))
+    return [_t_dot(p, acc) for p, acc in zip(pairs, accs)]
 
 
 def _t_subst(t, mapping: dict) -> tuple:
@@ -832,7 +831,7 @@ class Expr:
         i = which if isinstance(which, int) else self.chart.index(which)
         if not 0 <= i < self.chart.dim:
             raise IndexError(f"coordinate index {i} out of range")
-        t = _t_diff(self.terms, i)
+        t = _t_grad(self.terms, (i,))[0]
         return Expr(self.chart, t) if t else self.chart._zero
 
     def subst(self, mapping: Mapping[Union[int, str], "Expr"]) -> "Expr":
@@ -901,10 +900,6 @@ def simplify(e: Expr) -> Expr:
     """Expressions are kept canonical eagerly; simplify is the identity map
     on canonical forms and exists as the public name of that contract."""
     return Expr(e.chart, _t_add(e.terms))
-
-
-def diff(e: Expr, which: Union[int, str]) -> Expr:
-    return e.diff(which)
 
 
 # ---------------------------------------------------------------------------
@@ -1196,10 +1191,12 @@ def parse_scalar(
 
     Bare identifiers resolve to chart coordinates, then to ``names`` entries,
     then to parameters; ``f(x1,...,xn)`` builds an abstract function symbol
-    depending on the listed coordinates.
+    depending on the listed coordinates.  A value that is not a scalar is
+    reported at the expression's first token.
     """
-    return _scalar(_Parser(_Lexer(text).tokens, 0, chart, lambda name, col: (names or {}).get(name),
-                           None).parse(), 1, 1)
+    tokens = _Lexer(text).tokens
+    value = _Parser(tokens, 0, chart, lambda name, col: (names or {}).get(name), None).parse()
+    return _scalar(value, tokens[0][2], tokens[0][3])
 
 
 def parse_tokens(tokens: list, i: int, chart: Chart, hook):

@@ -5,8 +5,7 @@ tensoriality (tested against the defining formulas, expanded literally on
 arbitrary vector fields) to contract composite arguments through the tables
 instead of re-deriving brackets of composite fields.
 
-Each Nijenhuis component is one dot over the entry partials of K, each
-taken once per torsion, and once per run under the run memo:
+Each Nijenhuis component is one dot over the entry partials of K:
 tau(e_i, e_j)^r = sum_c K^c_i d_c K^r_j - K^c_j d_c K^r_i
                         - K^r_c (d_i K^c_j - d_j K^c_i).
 The Haantjes table is factored: with s(X, Y) = K tau(X, Y) - tau(X, KY),
@@ -14,16 +13,15 @@ H(X, Y) = K s(X, Y) - s(KX, Y), which is (K_out - K_slot1)(K_out - K_slot2)
 tau.  A frame component s(e_a, e_j)^r is built the first time H reads it.
 
 Both tables come from one builder in a packed ring (`symexpr._PackedRing`)
-set up once per torsion.  Each distinct nonzero entry of K up to sign, taken
-with a positive leading coefficient, is differentiated once per coordinate
-(`_jet`, the one place where an entry is differentiated) and packed once
-with its nonzero partials; an entry -e takes the negated jet of e.  The jet
-goes through the run memo (`checks.once`, keyed by the chart and the entry's
-terms), so within a run each distinct entry is differentiated once, however
-many torsions hold it: the generators of an algebra, their module members
-and their ring products share entries.  K's
-nonzero entries are indexed by row and by column, so every tau, s and H
-component is one dot over the pairs of nonzero factors only, each pair
+set up once per torsion.  Each distinct nonzero entry of K up to sign, with
+a positive leading coefficient, has all its partials from one gradient
+(`_jet`, the one place where an entry is differentiated) and is packed once
+with its nonzero partials; an entry -e takes the negated jet of e.  Jets go
+through the run memo (`checks.once`, keyed by the chart and the entry's
+terms), so a run takes one gradient per distinct entry, however many
+torsions hold it.  K's nonzero entries are indexed by row and by column, so
+every tau, s and H component is one dot over the pairs of nonzero factors
+only, each pair
 multiplied term by term, and a component with no such pair is zero without
 a dot.  K's entries -e and their partials are negated through the ring
 (`_PackedRing.neg`).  The ring's variables are the top-level atoms of K's
@@ -80,7 +78,9 @@ gets a torsion of its own.
 
 A commutator [A, B] comes from `geometry.op_commutator` through the run
 memo, so the `commute` directive, the abelian test of an algebra check and
-the preconditions of `thm_main` share one per pair in a run.
+the preconditions of `thm_main` share one per pair in a run.  When an
+algebra check asks for commutativity and [A, B] cancels structurally, A*B
+and B*A sum the same products: B*A reads the report of A*B, uncomposed.
 """
 
 from __future__ import annotations
@@ -114,6 +114,7 @@ from .symexpr import (
     _relabel,
     _t_atom,
     _t_dot,
+    _t_grad,
     fn_symbol,
     weakest,
 )
@@ -175,12 +176,11 @@ def haantjes_torsion(k: Operator11) -> VectorValued2Form:
 
 
 def _jet(chart: Chart, u: tuple) -> tuple:
-    """The partials, by coordinate, of the entry with terms u on chart: the
-    one place where an entry of K is differentiated.  `_frame_table` takes
-    each jet through the run memo, so a run differentiates each distinct
-    entry up to sign once, however many torsions hold it."""
-    e = Expr(chart, u)
-    return tuple(e.diff(x).terms for x in range(chart.dim))
+    """The partials, by coordinate, of the entry with terms u on chart, from
+    one gradient: the one place where an entry of K is differentiated.
+    `_frame_table` takes each jet through the run memo, so a run takes one
+    gradient per distinct entry up to sign, however many torsions hold it."""
+    return tuple(_t_grad(u, range(chart.dim)))
 
 
 def _frame_table(k: Operator11, haantjes: bool) -> dict:
@@ -381,9 +381,9 @@ def _algebra_check(name: str, chart: Chart, ops: Sequence[Operator11], names: Se
     """The algebra loop of `check_haantjes_algebra`.  The operators live on
     chart or on an extension of it; the module coefficients are functions on
     chart, lifted to the operators' chart.  One torsion per distinct
-    operator, through the memo: K_i K_j and K_j K_i coincide for a commuting
-    pair, and a generator may repeat or be checked by a directive of its own.
-    Likewise one commutator per pair, shared with `commute_check`."""
+    operator, through the memo, and one commutator per pair, shared with
+    `commute_check`; with `abelian`, a pair whose commutator cancels
+    structurally composes one ring product (module docstring)."""
     rep = CheckReport(name)
 
     def member(label: str, sub: CheckReport):
@@ -400,11 +400,18 @@ def _algebra_check(name: str, chart: Chart, ops: Sequence[Operator11], names: Se
         for j in range(i + 1, len(ops)):
             member(f"module f*{nm}+g*{names[j]}", once(is_haantjes, k.scale(h) + ops[j], zt))
     # H_K = 0 gives H_{p(K)} = 0 for every polynomial p in K with function
-    # coefficients, so K*K shares the verdict of a Haantjes generator K
+    # coefficients, so K*K shares the verdict of a Haantjes generator K; and
+    # B*A = A*B when [A, B] cancels structurally
+    ring = {}
     for i, ki in enumerate(ops):
         for j, kj in enumerate(ops):
-            sub = gens[i] if i == j and gens[i].passed else once(is_haantjes, op_compose(ki, kj), zt)
-            member(f"ring {names[i]}*{names[j]}", sub)
+            if i == j and gens[i].passed:
+                ring[i, j] = gens[i]
+            elif j < i and abelian and once(op_commutator, kj, ki).is_zero_op():
+                ring[i, j] = ring[j, i]
+            else:
+                ring[i, j] = once(is_haantjes, op_compose(ki, kj), zt)
+            member(f"ring {names[i]}*{names[j]}", ring[i, j])
     if abelian:
         for i in range(len(ops)):
             for j in range(i + 1, len(ops)):
@@ -501,9 +508,8 @@ def verify_chain(h: Expr, basis: HaantjesBasis, zt: ZeroTester = ZeroTester()) -
     if note:
         rep.notes.append(note)
     if rank < len(forms):
-        rep.notes.append(f"chain forms not independent: rank {rank} < {len(forms)}")
-        if rep.status == "pass":
-            rep.status = "fail"
+        note = f"chain forms not independent: rank {rank} < {len(forms)}"
+        (rep.reject if rep.passed else rep.notes.append)(note)  # a rank is no residual: reject a pass
     if rep.passed:
         # Frobenius: d alpha_i ^ alpha_1 ^ ... ^ alpha_m = 0 for each i
         frob = CheckReport("frobenius-codistribution")

@@ -515,6 +515,20 @@ class TestRunMemo:
         assert entry["notes"] == ["chain with explicit potentials required"]
         assert {cert for _, cert in entry["residuals"]} <= {"pass", "proven_zero"}
 
+    @pytest.mark.parametrize("directive,note", [
+        ("chain q with I I", "chain forms not independent: rank 1 < 2"),
+        ("ext_chain q with EI EI", "(dH_i, H_i) pairs dependent: rank 1 < 2"),
+    ])
+    def test_dependent_chain_is_rejected(self, directive, note):
+        # a chain's rank is no residual: forms that are not independent fail
+        # it by rejection, with no certainty (`chain q with I I` read
+        # `fail proven_zero`, from its closedness residuals, before)
+        text = ("chart C (q, p)\noperator I = [[1, 0], [0, 1]]\nvector Y0 = (0, 0)\nform ZF = 0 * d(q)\n"
+                f"extop EI = (I, Y0, ZF, 1)\ncheck {directive}\n")
+        (entry,) = run_checks(parse_model(text), seed=1).entries
+        assert (entry["status"], entry["certainty"]) == ("fail", None)
+        assert entry["notes"] == [note]
+
     def test_ext_chain_potentials_do_not_reach_thm_main(self):
         # ext_chain adds its potentials to a copy of the chain report that
         # thm_main reads as a precondition

@@ -443,10 +443,19 @@ class TestOperators:
         assert got[1].is_zero_expr() and not got.is_zero_field()
         assert got_t[(3,)].is_zero_expr() and not got_t.is_zero()
 
-    def test_commutator_of_an_operator_with_itself(self, sparse):
-        _, a, b, _ = sparse
-        for k in (a, b, op_compose(a, b)):
-            assert all(not e.terms for row in op_commutator(k, k).matrix for e in row)
+    def test_commutator_of_an_operator_with_itself(self, sparse, monkeypatch):
+        # [K, K] is the zero operator, built without a product: no _t_dot,
+        # for K itself or an equal copy (before, each entry was one dot of
+        # K K against -K K)
+        chart, a, b, _ = sparse
+        ks = [a, b, op_compose(a, b)]
+        dots = []
+        monkeypatch.setattr("haantjes.geometry._t_dot", lambda pairs: dots.append(pairs))
+        for k in ks:
+            for other in (k, Operator11(chart, k.matrix)):
+                comm = op_commutator(k, other)
+                assert comm == Operator11.zero(chart) and all(not e.terms for row in comm.matrix for e in row)
+        assert dots == []
 
     def test_chart_mismatch(self, sparse):
         chart, a, b, _ = sparse

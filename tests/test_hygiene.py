@@ -7,8 +7,10 @@ and compatibility builders keep no process-wide tables, the library imports
 no numpy, at module or function level, computes in floats only in the zero
 test's sampling tier, and builds no report from another report's parts; the
 torsion builder applies only the ring operations pack, neg and dot; the
-test oracles import nothing from the kernel, and no module outside the
-check reports uses a private member of CheckReport."""
+kernel has one differentiation routine, and the torsion module takes its
+partials from it, not from Expr.diff; the test oracles import nothing from
+the kernel, and no module outside the check reports uses a private member
+of CheckReport."""
 
 import ast
 import importlib
@@ -173,6 +175,23 @@ def test_torsion_builder_uses_only_ring_operations():
     uses = [node for node in ast.walk(fn) if isinstance(node, ast.Name) and node.id == "ring"]
     assert uses and all(id(node) in attrs for node in uses), "ring used other than by attribute"
     assert set(attrs.values()) == {"pack", "neg", "dot"}, sorted(set(attrs.values()))
+
+
+def test_one_differentiation_routine():
+    # every partial comes from one pass of symexpr._t_grad: Expr.diff is
+    # its one-coordinate case, and the torsion module takes each jet from
+    # one gradient, so it makes no .diff( call
+    tree = ast.parse((SRC / "symexpr.py").read_text(encoding="utf-8"))
+    defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and ("diff" in node.name or "grad" in node.name)]
+    assert sorted(node.name for node in defs) == ["_t_grad", "diff"]
+    method = next(node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "Expr")
+    method = next(node for node in method.body if isinstance(node, ast.FunctionDef) and node.name == "diff")
+    assert "_t_grad" in {node.id for node in ast.walk(method) if isinstance(node, ast.Name)}
+    calls = [node.lineno for node in ast.walk(ast.parse((SRC / "torsion.py").read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "diff"]
+    assert not calls, calls
 
 
 def _float_uses(tree):

@@ -11,6 +11,7 @@ from haantjes.geometry import KForm, Operator11, VectorField, dot
 from haantjes.symexpr import (
     Chart,
     ChartMismatch,
+    Expr,
     ParseError,
     ZeroTester,
     fn_symbol,
@@ -263,6 +264,118 @@ class TestDiffAgainstSympy:
                 assert self._same(to_sympy(e.diff(j).diff(i)), want), (i, j)
 
 
+def _product_rule(t, i):
+    """dt/dx_i by the product rule, one factor and one coordinate at a time:
+    one (rest, d factor) pair per factor, summed by one kernel dot, a base's
+    partial taken anew at each occurrence.  This is how the kernel took a
+    partial before its one-pass gradient, so it is the reference for when a
+    partial exceeds the node budget."""
+    pairs = []
+    for m, c in t:
+        for pos, (a, e) in enumerate(m):
+            if a[0] == sx._C:
+                da = sx._T_ONE if a[1] == i else ()
+            elif a[0] == sx._F:
+                da = sx._t_atom((sx._F, a[1], a[2], tuple(sorted(a[3] + (i,))))) if i in a[2] else ()
+            elif a[0] == sx._P:
+                da = ()
+            else:
+                da = _product_rule(a[2], i)
+            if not da:
+                continue
+            rest = list(m)
+            if a[0] == sx._E:
+                pass  # d(exp u) = exp(u) du
+            elif e == 1:
+                del rest[pos]
+            else:
+                rest[pos] = (a, e - 1)
+            pairs.append((((tuple(rest), c * e),), da))
+    return sx._t_dot(pairs)
+
+
+def _budgeted(fn, *args):
+    """fn(*args), or BudgetError when it raises one."""
+    try:
+        return fn(*args)
+    except sx.BudgetError:
+        return sx.BudgetError
+
+
+class TestGradient:
+    """`_t_grad` takes all requested partials in one pass: each equals
+    sympy's derivative (`oracle.to_sympy`, then `sympy.diff`) and, exactly,
+    the product rule taken one coordinate at a time, and it raises
+    BudgetError exactly when that route does."""
+
+    @staticmethod
+    def _exprs(chart):
+        st = pytest.importorskip("hypothesis").strategies
+        q, p, z = (chart.coord(i) for i in range(3))
+        g, h = fn_symbol(chart, "g"), fn_symbol(chart, "h", ["q", "z"])
+        leaves = st.sampled_from([q, p, z, param(chart, "a"), g, h, fn_symbol(chart, "g", parts=[1, 2]),
+                                  fn_symbol(chart, "h", ["q", "z"], parts=[0]), chart.const(2),
+                                  chart.const(Fraction(-1, 3))])
+
+        def grow(kids):
+            def inverse(e, k):
+                return (e * e + 1) ** -k
+            return st.one_of(st.tuples(kids, kids).map(lambda ab: ab[0] + ab[1]),
+                             st.tuples(kids, kids).map(lambda ab: ab[0] * ab[1]),
+                             kids.map(sx.exp),
+                             st.tuples(kids, st.integers(1, 2)).map(lambda ek: inverse(*ek)))
+
+        return st.recursive(leaves, grow, max_leaves=6)
+
+    def test_partials_against_sympy_and_the_product_rule(self, chart):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        xs = [sympy.Symbol(c) for c in chart.coords]
+
+        @hyp.settings(derandomize=True, database=None, max_examples=80, deadline=None)
+        @hyp.given(self._exprs(chart), st.permutations(range(3)).flatmap(
+            lambda order: st.integers(1, 3).map(lambda k: order[:k])))
+        def prop(e, coords):
+            seen.update((a[0], bool(a[0] == sx._F and a[3])) for t in _walk_terms(e.terms)
+                        for m, _ in t for a, _ in m)
+            grad = sx._t_grad(e.terms, coords)
+            assert len(grad) == len(coords)
+            for i, d in zip(coords, grad):
+                assert d == _product_rule(e.terms, i), (str(e), i)
+                want = sympy.diff(to_sympy(e), xs[i])
+                got = to_sympy(Expr(chart, d))
+                assert got == want or sympy.simplify(got - want) == 0, (str(e), i)
+
+        seen = set()
+        prop()
+        # coordinates, parameters, functions with and without parts, exp and
+        # inverse-power atoms
+        assert seen == {(sx._C, False), (sx._P, False), (sx._F, False), (sx._F, True), (sx._E, False),
+                        (sx._W, False)}
+
+    def test_budget_error_exactly_when_the_product_rule_raises(self, chart):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        raised = []
+
+        @hyp.settings(derandomize=True, database=None, max_examples=150, deadline=None)
+        @hyp.given(self._exprs(chart), st.sampled_from([4, 8, 16, 32, 64, 128]))
+        def prop(e, budget):
+            saved, sx.NODE_BUDGET = sx.NODE_BUDGET, budget
+            try:
+                want = [_budgeted(_product_rule, e.terms, i) for i in range(3)]
+                got = _budgeted(sx._t_grad, e.terms, range(3))
+            finally:
+                sx.NODE_BUDGET = saved
+            if sx.BudgetError in want:
+                assert got is sx.BudgetError, str(e)
+            else:
+                assert got == want, str(e)
+            raised.append(got is sx.BudgetError)
+
+        prop()
+        assert 10 <= sum(raised) <= len(raised) - 10
+
 class TestParser:
     def test_simple(self, chart):
         assert parse_scalar("p - z", chart) == chart.coord("p") - chart.coord("z")
@@ -289,6 +402,12 @@ class TestParser:
         with pytest.raises(ParseError) as err:
             parse_scalar("1 + f(q,q)", chart)
         assert "1:5" in str(err.value) and "twice" in str(err.value)
+
+    @pytest.mark.parametrize("text,line,col", [("(q, p)", 1, 1), ("  (q, p)", 1, 3), ("\n [q, 1]", 2, 2)])
+    def test_non_scalar_reported_at_its_first_token(self, chart, text, line, col):
+        with pytest.raises(ParseError, match="expected a scalar expression") as err:
+            parse_scalar(text, chart)
+        assert (err.value.line, err.value.col) == (line, col)
 
     def test_unknown_ident_is_param(self, chart):
         assert parse_scalar("a", chart) == param(chart, "a")

@@ -13,7 +13,16 @@ import haantjes.symexpr as sx
 import haantjes.torsion as torsion
 from haantjes.checks import memo_scope
 from haantjes.cli import parse_model
-from haantjes.geometry import KForm, Operator11, VectorField, invert_matrix, lie_bracket, op_apply, op_compose
+from haantjes.geometry import (
+    KForm,
+    Operator11,
+    VectorField,
+    invert_matrix,
+    lie_bracket,
+    op_apply,
+    op_commutator,
+    op_compose,
+)
 from haantjes.symexpr import ZeroTester, exp, fn_symbol, is_zero
 from haantjes.torsion import (
     HaantjesBasis,
@@ -130,24 +139,30 @@ class TestNijenhuis:
         assert (tau[(0, 1)] + tau[(1, 0)]).is_zero_field()
 
     def test_entry_partials_taken_once(self, monkeypatch):
-        # the frame table differentiates each nonzero entry of K once per
-        # coordinate, and no zero entry
+        # the frame table takes all partials of each nonzero entry of K from
+        # one gradient, of its sign with a positive leading coefficient, and
+        # none of a zero entry; it makes no Expr.diff call (one per entry and
+        # coordinate, nonzero * dim = 40, before the gradient)
         chart = sx.Chart("R4", ("x", "y", "z", "w"))
         rng = random.Random(53)
         k = Operator11(chart, [[rand_poly(chart, rng) if r <= c else 0 for c in range(4)] for r in range(4)])
-        nonzero = sum(not e.is_zero_expr() for row in k.matrix for e in row)
-        calls = []
-        diff = sx.Expr.diff
-        monkeypatch.setattr(sx.Expr, "diff", lambda e, which: calls.append(which) or diff(e, which))
+        nonzero = [(e if e.terms[0][1] > 0 else -e).terms for row in k.matrix for e in row if e.terms]
+        calls, diffs = [], []
+        grad = torsion._t_grad
+        monkeypatch.setattr(torsion, "_t_grad",
+                            lambda t, coords: calls.append((t, tuple(coords))) or grad(t, coords))
+        monkeypatch.setattr(sx.Expr, "diff", lambda e, which: diffs.append(which))
         assert not nijenhuis_torsion(k).is_zero()
-        assert len(calls) == nonzero * chart.dim and nonzero == 10
+        assert sorted(calls) == sorted((t, (0, 1, 2, 3)) for t in nonzero) and len(nonzero) == 10
+        assert diffs == []
 
     @pytest.mark.parametrize("pattern", ["F2", "F3"])
     def test_one_jet_per_entry_up_to_sign(self, monkeypatch, pattern):
         # entries that repeat, or repeat with the other sign, share one jet:
-        # Expr.diff runs once per distinct entry up to sign and coordinate,
-        # on its sign with a positive leading coefficient (F3's first entry
-        # is -D, and the jet is still taken of D or -D by that sign)
+        # one gradient over every coordinate per distinct entry up to sign
+        # (it was one Expr.diff per entry and coordinate), on its sign with
+        # a positive leading coefficient (F3's first entry is -D, and the jet
+        # is still taken of D or -D by that sign)
         chart = sx.Chart("R5", ("q1", "q2", "p1", "p2", "z"))
         rng = random.Random(59)
         d, b, g, w = (rand_poly(chart, rng, deg=3) for _ in range(4))
@@ -156,10 +171,11 @@ class TestNijenhuis:
         firsts = [e if e.terms[0][1] > 0 else -e for e in {"F2": (d, b, g), "F3": (-d, d * g, w, b)}[pattern]]
         k = Operator11(chart, rows[pattern])
         calls = []
-        diff = sx.Expr.diff
-        monkeypatch.setattr(sx.Expr, "diff", lambda e, which: calls.append((e, which)) or diff(e, which))
+        grad = torsion._t_grad
+        monkeypatch.setattr(torsion, "_t_grad",
+                            lambda t, coords: calls.append((t, tuple(coords))) or grad(t, coords))
         tau, h = nijenhuis_torsion(k), haantjes_torsion(k)
-        assert Counter(calls) == Counter({(e, x): 2 for e in firsts for x in range(5)})  # one set per table
+        assert Counter(calls) == Counter({(e.terms, tuple(range(5))): 2 for e in firsts})  # one per table
         monkeypatch.undo()
         assert not tau.is_zero()
         TestHaantjes._assert_tables_match_literal_eval(k)
@@ -623,18 +639,22 @@ class TestAlgebra:
         # f*K reuses the torsion of K, and K_i K_j = K_j K_i for a commuting
         # pair: 6 torsions, not 7, and the same report as a run that computes
         # one per label; both generators fail, so A*A and B*B each get a
-        # torsion of their own
+        # torsion of their own.  [A, B] cancels structurally, so B*A reads
+        # the report of A*B and is never composed: 3 products, not 4.  The
+        # reference run composes B*A: it does not ask for commutativity,
+        # which adds no residual for a structurally zero commutator
         chart = sx.Chart("R3", ("x", "y", "z"))
-        calls = []
-        real = torsion.is_haantjes
+        calls, composed = [], []
+        real, compose = torsion.is_haantjes, torsion.op_compose
         monkeypatch.setattr(torsion, "is_haantjes", lambda k, zt: calls.append(k) or real(k, zt))
-        shared = check_haantjes_algebra(HaantjesBasis(list(commuting_pair(chart)), names=["A", "B"]), zt)
-        assert len(calls) == 6
+        monkeypatch.setattr(torsion, "op_compose", lambda a, b: composed.append((a, b)) or compose(a, b))
+        a, b = commuting_pair(chart)
+        shared = check_haantjes_algebra(HaantjesBasis([a, b], names=["A", "B"]), zt)
+        assert len(calls) == 6 and composed == [(a, a), (a, b), (b, b)]
         calls.clear()
-        compose = torsion.op_compose
         monkeypatch.setattr(torsion, "op_compose", lambda a, b: self_only_matrix(compose(a, b)))
         ops = [self_only_matrix(k) for k in commuting_pair(chart)]
-        unshared = check_haantjes_algebra(HaantjesBasis(ops, names=["A", "B"]), zt)
+        unshared = check_haantjes_algebra(HaantjesBasis(ops, abelian_required=False, names=["A", "B"]), zt)
         assert len(calls) == 7
         assert shared == unshared and shared.status == "fail"
 
@@ -656,6 +676,27 @@ class TestAlgebra:
         assert evidence and set(evidence) == {"proven_nonzero"}
         assert rep.status == "fail"
 
+    @pytest.mark.parametrize("abelian", [True, False])
+    def test_non_commuting_pair_builds_both_products(self, zt, monkeypatch, abelian):
+        # [A, B] does not cancel, so B*A is no copy of A*B: both are
+        # composed, and each gets a torsion of its own
+        chart = sx.Chart("R3", ("x", "y", "z"))
+        x, y, z = (chart.coord(i) for i in range(3))
+        a = Operator11(chart, [[0, z, 0], [0, 0, x], [y, 0, 0]])
+        b = Operator11.diagonal(chart, [x, y, z])
+        assert not op_commutator(a, b).is_zero_op()
+        composed, built = [], []
+        compose, real = torsion.op_compose, torsion.is_haantjes
+        monkeypatch.setattr(torsion, "op_compose", lambda p, q: composed.append((p, q)) or compose(p, q))
+        monkeypatch.setattr(torsion, "is_haantjes", lambda k, zt: built.append(k) or real(k, zt))
+        rep = check_haantjes_algebra(HaantjesBasis([a, b], abelian_required=abelian, names=["A", "B"]), zt)
+        assert (a, b) in composed and (b, a) in composed
+        ab, ba = compose(a, b), compose(b, a)
+        assert ab != ba and ab in built and ba in built
+        labels = [label for label, _ in rep.details]
+        assert "ring A*B" in labels and "ring B*A" in labels
+        assert rep.status == "fail" and any(label.startswith("[A,B]") for label in labels) == abelian
+
     def test_verdict_is_no_surer_than_its_torsions(self):
         # a tester that can only sample: the torsion of A passes as
         # probably_zero, and so must every algebra member that reads it
@@ -671,7 +712,9 @@ class TestAlgebra:
     def test_ring_squares_read_their_generators(self, monkeypatch):
         # H_K = 0 gives H_{K*K} = 0, so the square of a passing generator is
         # never composed and builds no torsion: its member reads the
-        # generator's status and certainty, probably_zero included
+        # generator's status and certainty, probably_zero included; and
+        # [I, A] cancels structurally, so A*I reads the report of I*A and
+        # only I*A is composed (both were, before the commutator decided)
         chart = sx.Chart("R3", ("x", "y", "z"))
         x, y, z = (chart.coord(i) for i in range(3))
         ops = [Operator11.identity(chart), Operator11(chart, [[x * y, z, 0], [0, y, x], [y * z, 0, x + z]])]
@@ -680,7 +723,7 @@ class TestAlgebra:
         monkeypatch.setattr(torsion, "op_compose", lambda a, b: composed.append((a, b)) or compose(a, b))
         monkeypatch.setattr(torsion, "is_haantjes", lambda k, zt: built.append(k) or real(k, zt))
         rep = check_haantjes_algebra(HaantjesBasis(ops, names=["I", "A"]), _sampling)
-        assert composed == [(ops[0], ops[1]), (ops[1], ops[0])]
+        assert composed == [(ops[0], ops[1])]
         assert len(built) == 3  # I, A and h*I + A; I*A = A*I = A is A's torsion
 
         def member(label):
