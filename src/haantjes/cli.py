@@ -32,8 +32,9 @@ declarations of the whole model.  Structures are validated on first use when
 checks run, once per run; a directive on one that failed validation is
 unknown.  A run decides each sub-check once: a theorem reuses the verdicts of
 preconditions that the run has already checked (`checks.once`).  Reports are
-deterministic for a fixed (model, seed, samples, tol); wall-times live
-outside the comparable section.
+deterministic for a fixed (model, seed, samples, tol), where `tol` is only
+recorded in the meta and decides nothing; wall-times live outside the
+comparable section.
 """
 
 from __future__ import annotations

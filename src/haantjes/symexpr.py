@@ -973,7 +973,8 @@ class ZeroCertainty:
 
     tag is one of ``proven_zero``, ``proven_nonzero``, ``probably_zero``,
     ``unknown``.  Proven tags arise only from exact canonicalisation or exact
-    rational evaluation; ``probably_zero`` only from seeded sampling.
+    rational evaluation.  `is_zero` never gives ``probably_zero``; only a
+    tester that the caller supplies can.
     """
 
     tag: str
@@ -992,7 +993,7 @@ class ZeroCertainty:
 
     @property
     def rejects_zero(self) -> bool:
-        return self.tag == "proven_nonzero" or self.note == "numeric-nonzero"
+        return self.tag == "proven_nonzero"
 
     def __str__(self):
         extra = ""
@@ -1029,19 +1030,13 @@ def _sample_fractions(seed: int, atoms, k: int):
 
 
 def _eval(t, assign):
-    """The value of t at assign: exact when the values are Fractions, a
-    float when they are floats; ZeroDivisionError at a pole."""
+    """The exact value of t at an exp-free assign of Fractions;
+    ZeroDivisionError at a pole."""
     total = 0
     for m, c in t:
         val = c
         for a, e in m:
-            tag = a[0]
-            if tag < _E:
-                v = assign[a]
-            elif tag == _E:
-                v = math.exp(_eval(a[2], assign))
-            else:
-                v = _eval(a[2], assign)
+            v = assign[a] if a[0] < _E else _eval(a[2], assign)  # a _W base
             val *= v if e == 1 else v**e
         total += val
     return total
@@ -1062,14 +1057,14 @@ def _exp_groups(t):
     return [tuple(v) for v in groups.values()]
 
 
-def is_zero(e: Expr, seed: int = 0, samples: int = 16, tol: float = 1e-9) -> ZeroCertainty:
-    """Decide whether e vanishes identically.
+def is_zero(e: Expr, seed: int = 0, samples: int = 16) -> ZeroCertainty:
+    """Decide whether e vanishes identically, by exact reasoning only.
 
     Exact canonicalisation (after clearing inverse-power denominators)
     settles the rational fragment; a nonzero exponential-free form is then
     certified nonzero by exact rational evaluation at seeded sample points.
-    Exponential parts fall back to grouped exact reasoning and, last, to
-    float sampling which can only ever report ``probably_zero``.
+    An exponential residual is split into exp-argument groups, each decided
+    as exponential-free; what stays undecided is ``unknown``.
     """
     t = e.terms
     if not t:
@@ -1091,39 +1086,23 @@ def is_zero(e: Expr, seed: int = 0, samples: int = 16, tol: float = 1e-9) -> Zer
                 )
         return ZeroCertainty("unknown", note="no nonzero sample found")
     # exponential case: split into exp-argument groups; if some group's
-    # polynomial part is exp-free and provably nonzero, the whole sum cannot
-    # vanish (distinct canonical exp arguments are multiplicatively
-    # independent over the rational-coefficient polynomial ring).
+    # polynomial part is provably nonzero, the whole sum cannot vanish
+    # (distinct canonical exp arguments are multiplicatively independent
+    # over the rational-coefficient polynomial ring); if every group
+    # vanishes, so does every coefficient and the sum.
     groups = _exp_groups(t)
-    if all(not _has_exp(g) for g in groups):
-        for g in groups:
-            sub = is_zero(Expr(chart, _t_add(g)), seed=seed, samples=samples, tol=tol)
-            if sub.tag == "proven_nonzero":
-                return ZeroCertainty("proven_nonzero", witness=sub.witness,
-                                     note="nonvanishing exponential group")
-    atoms = _iter_atoms(t)
-    defined = 0
-    worst = 0.0
-    worst_assign = None
-    for assign in _sample_fractions(seed, atoms, samples):
-        fassign = {a: float(v) for a, v in assign.items()}
-        try:
-            val = _eval(t, fassign)
-        except (ZeroDivisionError, OverflowError):
-            continue
-        defined += 1
-        if abs(val) > worst:
-            worst = abs(val)
-            worst_assign = assign
-    if defined == 0:
-        return ZeroCertainty("unknown", note="evaluation undefined at all samples")
-    if worst < tol:
-        return ZeroCertainty("probably_zero", samples=defined, tol=tol)
-    return ZeroCertainty(
-        "unknown",
-        witness={_format_atom(chart, a): v for a, v in worst_assign.items()},
-        note="numeric-nonzero",
-    )
+    if any(_has_exp(g) for g in groups):
+        # an exp inside an inverse power that clearing left; a group without
+        # a top-level exp atom would recur on itself
+        return ZeroCertainty("unknown", note="exponential inside an uncleared inverse power")
+    certs = []
+    for g in groups:
+        sub = is_zero(Expr(chart, _t_add(g)), seed=seed, samples=samples)
+        if sub.tag == "proven_nonzero":
+            return ZeroCertainty("proven_nonzero", witness=sub.witness,
+                                 note="nonvanishing exponential group")
+        certs.append(sub)
+    return weakest(certs)
 
 
 def _iter_atoms(t):
@@ -1134,14 +1113,15 @@ def _iter_atoms(t):
 
 @dataclass(frozen=True)
 class ZeroTester:
-    """A seeded zero test; every probabilistic check threads one of these."""
+    """A seeded zero test; every probabilistic check threads one of these.
+    ``tol`` is recorded in each report's meta; no zero test reads it."""
 
     seed: int = 0
     samples: int = 16
     tol: float = 1e-9
 
     def __call__(self, e: Expr) -> ZeroCertainty:
-        return is_zero(e, seed=self.seed, samples=self.samples, tol=self.tol)
+        return is_zero(e, seed=self.seed, samples=self.samples)
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,6 @@ from .symexpr import (
     BudgetError,
     Chart,
     Expr,
-    ZeroCertainty,
     ZeroTester,
     _C,
     _F,
@@ -455,34 +454,17 @@ def _radial_potential(omega: KForm) -> Optional[Expr]:
 
 
 def generic_rank(forms: Sequence[KForm], zt: ZeroTester) -> tuple:
-    """Largest k with a provably nonzero k-fold wedge; numeric fallback.
+    """Largest k with a provably nonzero k-fold wedge.
 
-    Returns (rank, note, alpha_1 ^ ... ^ alpha_m); the full wedge is built on
-    the way, and past the rank it is wedged on without zero tests.
+    Returns (rank, alpha_1 ^ ... ^ alpha_m); the full wedge is built on the
+    way, and past the rank it is wedged on without zero tests.
     """
-    rank, note, w = 0, "", None
+    rank, w = 0, None
     for k, f in enumerate(forms):
         w = f if k == 0 else wedge(w, f)
-        if rank < k:
-            continue  # the rank stopped short of k
-        cert = _first_nonzero(w, zt)
-        if cert is None:
-            continue
-        rank = k + 1
-        if cert.tag != "proven_nonzero":
-            note = "rank certified numerically"
-    return rank, note, w
-
-
-def _first_nonzero(w: KForm, zt: ZeroTester) -> Optional[ZeroCertainty]:
-    best = None
-    for _, e in w.items():
-        c = zt(e)
-        if c.tag == "proven_nonzero":
-            return c
-        if c.rejects_zero:
-            best = c
-    return best
+        if rank == k and any(zt(e).tag == "proven_nonzero" for _, e in w.items()):
+            rank = k + 1
+    return rank, w
 
 
 def verify_chain(h: Expr, basis: HaantjesBasis, zt: ZeroTester = ZeroTester()) -> CheckReport:
@@ -503,10 +485,8 @@ def verify_chain(h: Expr, basis: HaantjesBasis, zt: ZeroTester = ZeroTester()) -
         if pot is not None and not weakest(zt(e) for _, e in (d_scalar(pot) - omega).items()).is_proven_zero:
             pot = None
         pots.append(pot)
-    rank, note, big = generic_rank(forms, zt)
+    rank, big = generic_rank(forms, zt)
     rep.data.update(potentials=pots, forms=forms, rank=rank)
-    if note:
-        rep.notes.append(note)
     if rank < len(forms):
         note = f"chain forms not independent: rank {rank} < {len(forms)}"
         (rep.reject if rep.passed else rep.notes.append)(note)  # a rank is no residual: reject a pass

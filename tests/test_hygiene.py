@@ -4,13 +4,12 @@ class or module-level name that nothing names, and no top-level definition
 that only the tests reach, and every check directive is documented; the
 kernel, the tensor module, the check reports and the torsion
 and compatibility builders keep no process-wide tables, the library imports
-no numpy, at module or function level, computes in floats only in the zero
-test's sampling tier, and builds no report from another report's parts; the
-torsion builder applies only the ring operations pack, neg and dot; the
-kernel has one differentiation routine, and the torsion module takes its
-partials from it, not from Expr.diff; the test oracles import nothing from
-the kernel, and no module outside the check reports uses a private member
-of CheckReport."""
+no numpy, at module or function level, computes in no floats, and builds
+no report from another report's parts; the torsion builder applies only the
+ring operations pack, neg and dot; the kernel has one differentiation
+routine, and the torsion module takes its partials from it, not from
+Expr.diff; the test oracles import nothing from the kernel, and no module
+outside the check reports uses a private member of CheckReport."""
 
 import ast
 import importlib
@@ -204,19 +203,13 @@ def _float_uses(tree):
             yield node
 
 
-def test_floats_only_in_the_sampling_tier():
-    # exact reasoning decides every proven_* tag; floating point serves only
-    # is_zero's last tier, through the one evaluator _eval
-    allowed = set()
+def test_library_computes_in_no_floats():
+    # exact reasoning decides every verdict; no zero test samples in floats
     found = []
     for path in sorted(SRC.glob("**/*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        if path.name == "symexpr.py":
-            for fn in _outer_functions(tree.body):
-                if fn.name in ("is_zero", "_eval"):
-                    allowed.update(map(id, _float_uses(fn)))
-        found += [f"{path.name}:{n.lineno}" for n in _float_uses(tree) if id(n) not in allowed]
-    assert allowed and not found, found
+        found += [f"{path.name}:{n.lineno}" for n in _float_uses(tree)]
+    assert not found, found
 
 
 def test_oracle_imports_nothing_from_the_kernel():

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 import haantjes.symexpr as sx
-from haantjes.checks import memo_scope, once
+from haantjes.checks import CheckReport, memo_scope, once
 from haantjes.geometry import KForm, Operator11, VectorField, dot
 from haantjes.symexpr import (
     Chart,
@@ -193,6 +193,30 @@ class TestIsZero:
         q = chart.coord("q")
         cert = is_zero(sx.exp(q) + q, seed=5)
         assert cert.tag == "proven_nonzero"
+
+    @pytest.mark.parametrize("case", ["equal exp arguments", "one exp group", "exp left in an inverse power"])
+    def test_undecided_exp_residual_is_unknown(self, chart, case):
+        # P = prod (7q - k), k = -20..20, vanishes at every sample point k/7,
+        # but not in floats, where rounding reads it as nonzero.  Nine nested
+        # inverse powers of exp(q) are more than clearing removes.  Neither
+        # may fail require_zero or pass require_nonzero.
+        q = chart.coord("q")
+        big_p = 1
+        for k in range(-20, 21):
+            big_p = big_p * (7 * q - k)
+        nested = sx.exp(q) + 1
+        for _ in range(8):
+            nested = sx.exp(q) + 1 / nested
+        a, b = 1 / (q + 1), (q + 2) / ((q + 1) * (q + 2))
+        e, note = {
+            "equal exp arguments": (big_p * sx.exp(a) - big_p * sx.exp(b), "no nonzero sample found"),
+            "one exp group": (big_p * sx.exp(q), "no nonzero sample found"),
+            "exp left in an inverse power": (1 / nested - q, "exponential inside an uncleared inverse power"),
+        }[case]
+        cert = is_zero(e, seed=42)
+        assert (cert.tag, cert.witness, cert.rejects_zero, cert.note) == ("unknown", None, False, note), str(cert)
+        assert CheckReport("r").require_zero("e", cert).status == "unknown"
+        assert CheckReport("r").require_nonzero("e", cert).status == "unknown"
 
     def test_seeded_determinism(self, chart):
         q, p = chart.coord("q"), chart.coord("p")
