@@ -29,7 +29,6 @@ from typing import Optional, Sequence
 
 from .checks import CheckReport, once
 from .geometry import (
-    KForm,
     KVector,
     Operator11,
     VectorField,
@@ -53,7 +52,6 @@ __all__ = [
     "hamiltonian_vf",
     "jacobi_bracket",
     "lambda_hat",
-    "lambda_sharp",
     "particular_integral_check",
     "poissonize",
     "proposition_involutivity_check",
@@ -71,9 +69,6 @@ class JacobiStructure:
     @property
     def validated(self) -> bool:
         return self.validity is not None and self.validity.passed
-
-    def full_matrix(self):
-        return self.lam.full_matrix()
 
 
 def validate_jacobi(lam: KVector, e_field: VectorField, zt: ZeroTester = ZeroTester()) -> JacobiStructure:
@@ -96,14 +91,9 @@ def jacobi_bracket(f: Expr, g: Expr, j: JacobiStructure) -> Expr:
     return j.lam.pair(d_scalar(f), d_scalar(g)) + f * j.e_field.apply_to(g) - g * j.e_field.apply_to(f)
 
 
-def lambda_sharp(j: JacobiStructure, alpha: KForm) -> VectorField:
-    """(sharp a)^i = sum_j L^ij a_j, so that b(sharp a) = L(b, a)."""
-    return j.lam.sharp(alpha)
-
-
 def hamiltonian_vf(f: Expr, j: JacobiStructure) -> VectorField:
     """X_f = sharp(df) - f E, the unique field with {g,f} = X_f g + g Ef."""
-    return lambda_sharp(j, d_scalar(f)) - j.e_field.scale(f)
+    return j.lam.sharp(d_scalar(f)) - j.e_field.scale(f)
 
 
 def check_jh_compatibility(k: Operator11, j: JacobiStructure, zt: ZeroTester = ZeroTester()) -> CheckReport:
@@ -112,7 +102,7 @@ def check_jh_compatibility(k: Operator11, j: JacobiStructure, zt: ZeroTester = Z
     rep = CheckReport("jh-compatibility")
     chart = j.chart
     upper = combinations_with_replacement(range(chart.dim), 2)
-    for (i, jj), resid in compat_residuals(chart, list(zip(*k.matrix)), j.full_matrix(), upper):
+    for (i, jj), resid in compat_residuals(chart, list(zip(*k.matrix)), j.lam.full_matrix(), upper):
         rep.require_zero(f"(KL - LK^T)[{i}][{jj}]", zt(resid))
     return rep
 

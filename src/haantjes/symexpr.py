@@ -9,9 +9,9 @@ node; a quotient is a product with a negative integer power).
 
 Canonicalisation is eager: every constructor and arithmetic operator returns
 the normal form, so structural equality of the term tuples is semantic
-equality for the exponential-free fragment, and zero-testing reduces to
-inspection plus (for quotients) cross-multiplication plus (as a last resort)
-seeded sampling.
+equality for the exponential-free fragment.  Zero-testing decides zero by
+inspection after cross-multiplying every quotient; seeded sampling only
+looks for a witness point of a nonzero residual.
 """
 
 from __future__ import annotations
@@ -656,25 +656,17 @@ def _collect_atoms(t, into: set):
                 into.add(a)
 
 
-def _has_exp(t) -> bool:
-    for m, _ in t:
-        for a, _e in m:
-            if a[0] == _E:
-                return True
-            if a[0] == _W and _has_exp(a[2]):
-                return True
-    return False
-
-
 def _clear_denominators(t) -> tuple:
-    """Multiply through by positive powers of every top-level _W base.
+    """Multiply through by positive powers of every top-level _W base, in
+    rounds until no _W atom is left: a round lifts the _W atoms nested one
+    level inside a base to the top.
 
     Each term sheds its inverse-power atoms and picks up the complementary
     expanded polynomial factor, so equal ratios cancel structurally.
     Preserves zero-ness on the dense open set where denominators do not
     vanish; used only for zero-testing.
     """
-    for _ in range(8):
+    while True:
         need: dict = {}
         for m, _c in t:
             for a, e in m:
@@ -700,7 +692,6 @@ def _clear_denominators(t) -> tuple:
         t = _t_add(*pieces)
         if not t:
             return t
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -973,14 +964,12 @@ class ZeroCertainty:
 
     tag is one of ``proven_zero``, ``proven_nonzero``, ``probably_zero``,
     ``unknown``.  Proven tags arise only from exact canonicalisation or exact
-    rational evaluation.  `is_zero` never gives ``probably_zero``; only a
-    tester that the caller supplies can.
+    rational evaluation, ``proven_nonzero`` with its witness point; only a
+    tester that the caller supplies gives ``probably_zero``, never `is_zero`.
     """
 
     tag: str
     witness: Optional[dict] = None
-    samples: int = 0
-    tol: float = 0.0
     note: str = ""
 
     @property
@@ -1000,8 +989,6 @@ class ZeroCertainty:
         if self.witness is not None:
             items = sorted(self.witness.items())
             extra = " at {" + ", ".join(f"{k}={v}" for k, v in items) + "}"
-        if self.tag == "probably_zero":
-            extra = f" ({self.samples} samples, tol {self.tol})"
         return self.tag + extra + (f" [{self.note}]" if self.note else "")
 
 
@@ -1042,7 +1029,7 @@ def _eval(t, assign):
     return total
 
 
-def _exp_groups(t):
+def _exp_groups(t) -> dict:
     """Group terms by their exponential atom's argument (None = exp-free)."""
     groups: dict = {}
     for m, c in t:
@@ -1054,17 +1041,17 @@ def _exp_groups(t):
             else:
                 rest.append((a, e))
         groups.setdefault(arg, []).append((tuple(rest), c))
-    return [tuple(v) for v in groups.values()]
+    return groups
 
 
 def is_zero(e: Expr, seed: int = 0, samples: int = 16) -> ZeroCertainty:
     """Decide whether e vanishes identically, by exact reasoning only.
 
-    Exact canonicalisation (after clearing inverse-power denominators)
-    settles the rational fragment; a nonzero exponential-free form is then
-    certified nonzero by exact rational evaluation at seeded sample points.
-    An exponential residual is split into exp-argument groups, each decided
-    as exponential-free; what stays undecided is ``unknown``.
+    e is ``proven_zero`` when its form cleared of every inverse power is
+    empty.  Otherwise each exp-argument group of the cleared form, a nonempty
+    exp-free polynomial, is evaluated exactly at seeded sample points, and
+    the first nonzero value is a ``proven_nonzero`` witness; when no sample
+    gives one, the verdict is ``unknown``.
     """
     t = e.terms
     if not t:
@@ -1072,43 +1059,23 @@ def is_zero(e: Expr, seed: int = 0, samples: int = 16) -> ZeroCertainty:
     t = _clear_denominators(t)
     if not t:
         return PROVEN_ZERO
-    chart = e.chart
-    if not _has_exp(t):
-        for assign in _sample_fractions(seed, _iter_atoms(t), samples):
+    groups = _exp_groups(t)
+    # one nonzero group makes the sum nonzero: distinct exp arguments are taken as independent
+    note = "" if list(groups) == [None] else "nonvanishing exponential group"
+    for g in groups.values():
+        atoms = {a for m, _c in g for a, _e in m}
+        for assign in _sample_fractions(seed, atoms, samples):
             try:
-                val = _eval(t, assign)
-            except ZeroDivisionError:  # a pole of an inverse power
+                val = _eval(g, assign)
+            except ZeroDivisionError:  # a pole of a negative atom power
                 continue
             if val:
                 return ZeroCertainty(
                     "proven_nonzero",
-                    witness={_format_atom(chart, a): v for a, v in assign.items()},
+                    witness={_format_atom(e.chart, a): v for a, v in assign.items()},
+                    note=note,
                 )
-        return ZeroCertainty("unknown", note="no nonzero sample found")
-    # exponential case: split into exp-argument groups; if some group's
-    # polynomial part is provably nonzero, the whole sum cannot vanish
-    # (distinct canonical exp arguments are multiplicatively independent
-    # over the rational-coefficient polynomial ring); if every group
-    # vanishes, so does every coefficient and the sum.
-    groups = _exp_groups(t)
-    if any(_has_exp(g) for g in groups):
-        # an exp inside an inverse power that clearing left; a group without
-        # a top-level exp atom would recur on itself
-        return ZeroCertainty("unknown", note="exponential inside an uncleared inverse power")
-    certs = []
-    for g in groups:
-        sub = is_zero(Expr(chart, _t_add(g)), seed=seed, samples=samples)
-        if sub.tag == "proven_nonzero":
-            return ZeroCertainty("proven_nonzero", witness=sub.witness,
-                                 note="nonvanishing exponential group")
-        certs.append(sub)
-    return weakest(certs)
-
-
-def _iter_atoms(t):
-    out: set = set()
-    _collect_atoms(t, out)
-    return out
+    return ZeroCertainty("unknown", note="no nonzero sample found")
 
 
 @dataclass(frozen=True)

@@ -347,7 +347,7 @@ class TestEJH:
             if chart is C:
                 ops.append(worked_example_ops(C)[1])
             for ek in ops:
-                lam, k, y, e = j.full_matrix(), ek.k_op.matrix, ek.y_field, j.e_field
+                lam, k, y, e = j.lam.full_matrix(), ek.k_op.matrix, ek.y_field, j.e_field
                 g = ek.gamma.covector()
 
                 def eq1(a, b):

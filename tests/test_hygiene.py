@@ -9,7 +9,8 @@ no report from another report's parts; the torsion builder applies only the
 ring operations pack, neg and dot; the kernel has one differentiation
 routine, and the torsion module takes its partials from it, not from
 Expr.diff; the test oracles import nothing from the kernel, and no module
-outside the check reports uses a private member of CheckReport."""
+outside the check reports uses a private member of CheckReport; the
+benchmark's exp-group note is the one `is_zero` gives."""
 
 import ast
 import importlib
@@ -19,6 +20,7 @@ import warnings
 import pytest
 
 from haantjes.cli import _VERBS
+from haantjes.symexpr import Chart, exp, is_zero
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "haantjes"
@@ -210,6 +212,17 @@ def test_library_computes_in_no_floats():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.name}:{n.lineno}" for n in _float_uses(tree)]
     assert not found, found
+
+
+def test_bench_exp_group_note_is_the_one_is_zero_gives():
+    # the benchmark counts its known exp-group defect by matching this note,
+    # so a renamed note would turn zero_test incorrect without a failure;
+    # bench/tracer.py is parsed, not imported
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    notes = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+             and [getattr(t, "id", None) for t in node.targets] == ["EXP_GROUP_NOTE"]]
+    q = Chart("M", ("q",)).coord("q")
+    assert notes == [is_zero(exp(q) + q).note]
 
 
 def test_oracle_imports_nothing_from_the_kernel():

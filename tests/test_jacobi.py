@@ -22,7 +22,6 @@ from haantjes.jacobi import (
     check_jh_compatibility,
     hamiltonian_vf,
     jacobi_bracket,
-    lambda_sharp,
     particular_integral_check,
     poissonize,
     proposition_involutivity_check,
@@ -113,7 +112,7 @@ class TestHamiltonianField:
         assert xq == VectorField(chart, [chart.zero(), -chart.one(), -chart.coord("q")])
 
     def test_sharp_is_the_matrix_rows_dotted_with_df(self):
-        # lambda_sharp against the rows of j.full_matrix() dotted with df,
+        # j.lam.sharp against the rows of j.lam.full_matrix() dotted with df,
         # literal Expr sums, on seeded pairs with zero components and
         # polynomial, quotient and exp entries (validity is not needed)
         rng = random.Random(28)
@@ -134,8 +133,8 @@ class TestHamiltonianField:
                 j = JacobiStructure(chart, lam, VectorField(chart, [entry() for _ in range(n)]))
                 f = entry() + chart.coord(0) * entry()
                 df = [f.diff(k) for k in range(n)]
-                rows = [sum((row[k] * df[k] for k in range(n)), zero) for row in j.full_matrix()]
-                assert lambda_sharp(j, d_scalar(f)) == VectorField(chart, rows)
+                rows = [sum((row[k] * df[k] for k in range(n)), zero) for row in j.lam.full_matrix()]
+                assert j.lam.sharp(d_scalar(f)) == VectorField(chart, rows)
                 assert hamiltonian_vf(f, j) == VectorField(chart, [r - f * e for r, e in
                                                                    zip(rows, j.e_field.components)])
 
@@ -211,7 +210,7 @@ class TestCompatibility:
         assert [lab for lab, _ in rep.details] == ["(KL - LK^T)[1][2]"]
         for k in [k2] + [rand_operator(chart, rng) for _ in range(4)]:
             rep = check_jh_compatibility(k, contact_jacobi, zt=zt)
-            square = dict(compat_residuals(chart, list(zip(*k.matrix)), contact_jacobi.full_matrix(),
+            square = dict(compat_residuals(chart, list(zip(*k.matrix)), contact_jacobi.lam.full_matrix(),
                                            product(range(chart.dim), repeat=2)))
             full = CheckReport("square")
             for (i, jj), e in square.items():

@@ -194,27 +194,40 @@ class TestIsZero:
         cert = is_zero(sx.exp(q) + q, seed=5)
         assert cert.tag == "proven_nonzero"
 
-    @pytest.mark.parametrize("case", ["equal exp arguments", "one exp group", "exp left in an inverse power"])
+    @pytest.mark.parametrize("depth", [9, 12])
+    @pytest.mark.parametrize("base", ["q", "exp(q)"])
+    def test_nested_inverse_powers_clear_fully(self, chart, base, depth):
+        # e_1 = b + 1, e_k = b + 1/e_(k-1): each round of clearing lifts one
+        # level of inverse powers, and it runs until none is left, so
+        # e/e - 1 is proven zero and 1/e - q has a witness at every depth
+        q = chart.coord("q")
+        b = q if base == "q" else sx.exp(q)
+        e = b + 1
+        for _ in range(depth - 1):
+            e = b + 1 / e
+        assert str(is_zero(e * (1 / e) - 1, seed=42)) == "proven_zero"
+        if base == "exp(q)":
+            cert = is_zero(1 / e - q, seed=42)
+            assert str(cert) == "proven_nonzero at {q=0} [nonvanishing exponential group]"
+            assert CheckReport("r").require_nonzero("e", cert).status == "pass"
+
+    @pytest.mark.parametrize("case", ["equal exp arguments", "one exp group"])
     def test_undecided_exp_residual_is_unknown(self, chart, case):
         # P = prod (7q - k), k = -20..20, vanishes at every sample point k/7,
-        # but not in floats, where rounding reads it as nonzero.  Nine nested
-        # inverse powers of exp(q) are more than clearing removes.  Neither
+        # but not in floats, where rounding reads it as nonzero.  Neither
         # may fail require_zero or pass require_nonzero.
         q = chart.coord("q")
         big_p = 1
         for k in range(-20, 21):
             big_p = big_p * (7 * q - k)
-        nested = sx.exp(q) + 1
-        for _ in range(8):
-            nested = sx.exp(q) + 1 / nested
         a, b = 1 / (q + 1), (q + 2) / ((q + 1) * (q + 2))
-        e, note = {
-            "equal exp arguments": (big_p * sx.exp(a) - big_p * sx.exp(b), "no nonzero sample found"),
-            "one exp group": (big_p * sx.exp(q), "no nonzero sample found"),
-            "exp left in an inverse power": (1 / nested - q, "exponential inside an uncleared inverse power"),
+        e = {
+            "equal exp arguments": big_p * sx.exp(a) - big_p * sx.exp(b),
+            "one exp group": big_p * sx.exp(q),
         }[case]
         cert = is_zero(e, seed=42)
-        assert (cert.tag, cert.witness, cert.rejects_zero, cert.note) == ("unknown", None, False, note), str(cert)
+        assert (cert.tag, cert.witness, cert.rejects_zero, cert.note) == (
+            "unknown", None, False, "no nonzero sample found"), str(cert)
         assert CheckReport("r").require_zero("e", cert).status == "unknown"
         assert CheckReport("r").require_nonzero("e", cert).status == "unknown"
 

@@ -15,7 +15,7 @@ from haantjes.geometry import KForm, KVector, Operator11, VectorField, compat_re
 from haantjes.symexpr import ZeroCertainty, ZeroTester
 from haantjes.torsion import HaantjesBasis
 
-SAMPLED = ZeroCertainty("probably_zero", samples=16, tol=1e-9)
+SAMPLED = ZeroCertainty("probably_zero")
 
 
 def _sampled_pass(*args, **kwargs) -> CheckReport:

@@ -103,7 +103,7 @@ _SPARSE_CASES += [pytest.param(mask, 3, _atom_entry, id=f"{mask}-3-atoms")
 
 def _sampling(e):
     """A zero tester that can only sample."""
-    return sx.PROVEN_ZERO if e.is_zero_expr() else sx.ZeroCertainty("probably_zero", samples=1)
+    return sx.PROVEN_ZERO if e.is_zero_expr() else sx.ZeroCertainty("probably_zero")
 
 
 def _decode_path_operators():
