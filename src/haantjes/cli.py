@@ -40,10 +40,10 @@ comparable section.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import __version__
@@ -607,12 +607,12 @@ class Report:
         }
 
     def comparable_text(self) -> str:
-        return json.dumps(self.comparable(), sort_keys=True, indent=2) + "\n"
+        return _json_text(self.comparable())
 
     def full_json(self) -> str:
         data = self.comparable()
         data["timing"] = self.timing
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+        return _json_text(data)
 
     def table(self) -> str:
         lines = []
@@ -676,6 +676,46 @@ def run_checks(model: Model, seed: int = 0, samples: int = 16, tol: float = 1e-9
         if fail_fast and status == "fail":
             break
     return report
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) + "\n", byte for byte, for
+    the types a report holds: dicts with str keys, lists, str, int, float and
+    None.  With an indent, json.dumps runs its pure-Python encoder; this
+    writer appends to one list and escapes strings with the same C
+    escaper."""
+    out: list = []
+    _write_json(value, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(v, out: list, nl: str) -> None:
+    t = type(v)
+    if t is str:
+        out.append(encode_basestring_ascii(v))
+    elif t is dict:
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(v):
+            out.append(f"{sep}{encode_basestring_ascii(k)}: ")
+            _write_json(v[k], out, inner)
+            sep = "," + inner
+        out.append(nl + "}" if v else "{}")
+    elif t is list:
+        inner = nl + "  "
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _write_json(x, out, inner)
+            sep = "," + inner
+        out.append(nl + "]" if v else "[]")
+    elif t is int or t is float:
+        out.append(repr(v))
+    elif v is None:
+        out.append("null")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def _jsonable(obj):

@@ -76,7 +76,7 @@ def dot(chart: Chart, xs: Iterable[Expr], ys: Iterable[Expr]) -> Expr:
                 raise ChartMismatch(f"{v.chart.name} vs {chart.name}")
         if x.terms and y.terms:
             pairs.append((x.terms, y.terms))
-    t = _t_dot(pairs)
+    t = _t_dot(pairs) if pairs else ()
     return Expr(chart, t) if t else chart.zero()
 
 

@@ -589,8 +589,9 @@ def _t_grad(t, coords: Sequence[int]) -> list:
     abstract-function atom adds its partial monomials straight into the sum
     of each coordinate it depends on; an exp or inverse-power atom takes the
     gradient of its base once, and d(exp u) = exp(u) du and
-    d(B^e) = e B^(e-1) dB go through `_t_dot`'s pending expansion.  Each
-    partial is one `_t_dot`, so it is budget-checked as one."""
+    d(B^e) = e B^(e-1) dB go through `_t_dot`'s pending expansion.  A
+    partial with pending products is one `_t_dot`, and one without is its
+    sum frozen, so each partial is budget-checked as one."""
     at = dict(zip(coords, range(len(coords))))
     accs = [{} for _ in coords]
     pairs = [[] for _ in coords]
@@ -618,7 +619,8 @@ def _t_grad(t, coords: Sequence[int]) -> list:
                 for k, d in enumerate(grad):
                     if d:
                         pairs[k].append((((rest, c * e),), d))
-    return [_t_dot(p, acc) for p, acc in zip(pairs, accs)]
+    return [_t_dot(p, acc) if p else _budget_check(_freeze(acc)) if acc else ()
+            for p, acc in zip(pairs, accs)]
 
 
 def _t_subst(t, mapping: dict) -> tuple:

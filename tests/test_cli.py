@@ -8,9 +8,9 @@ from dataclasses import replace
 
 import pytest
 
-from haantjes import cli, contact, extended, jacobi, lcs, torsion
+from haantjes import cli, contact, extended, geometry, jacobi, lcs, symexpr, torsion
 from haantjes.checks import memo_scope, once
-from haantjes.cli import Model, format_model, main, parse_model, run_checks
+from haantjes.cli import Model, Report, format_model, main, parse_model, run_checks
 from haantjes.geometry import Operator11
 from haantjes.symexpr import BudgetError, ChartMismatch, Expr, ParseError, ZeroTester
 
@@ -222,6 +222,40 @@ class TestRunner:
         assert "timing" not in comp
         full = json.loads(rep.full_json())
         assert "timing" in full
+
+
+class TestReportWriter:
+    """Reports are written by one direct writer, byte for byte what
+    json.dumps(data, sort_keys=True, indent=2) gives."""
+
+    @staticmethod
+    def _assert_dumps(rep):
+        data = rep.comparable()
+        assert rep.comparable_text() == json.dumps(data, sort_keys=True, indent=2) + "\n"
+        data["timing"] = rep.timing
+        assert rep.full_json() == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("path", sorted(MODELS.glob("*.hj")), ids=lambda p: p.stem)
+    def test_bundled_models(self, path):
+        self._assert_dumps(run_checks(parse_model(path.read_text()), seed=42))
+
+    def test_every_value_type(self):
+        rep = Report(
+            meta={"model": "Λ≠0.hj", "seed": 0, "tol": "1e-09", "empty": {}, "z": [[], [0, None]]},
+            entries=[
+                {"name": "02 b", "status": "unknown", "certainty": None, "witness": {"q": "0", "p": "-1/2"},
+                 "residuals": [], "notes": ['a "quote", a \\ backslash,\na newline and \x01 (Λ≠0)']},
+                {"name": "01 a", "status": "pass", "certainty": "proven_zero", "witness": None,
+                 "residuals": [["K", "proven_zero"]], "notes": []},
+            ],
+            timing={"02 b": 1e-06, "01 a": 0.5},
+        )
+        self._assert_dumps(rep)
+
+    def test_other_types_are_refused(self):
+        rep = Report(meta={"model": {"q", "p"}})
+        with pytest.raises(TypeError):
+            rep.comparable_text()
 
 
 TECHAIN_MODEL = """
@@ -541,6 +575,27 @@ class TestRunMemo:
         assert ext_chain["name"].startswith("11 ext_chain ") and ext_chain["status"] == "pass"
         assert thm_main["name"].startswith("12 thm_main ")
         assert (thm_main["status"], thm_main["certainty"]) == ("pass", "proven_zero")
+
+
+class TestKernelCalls:
+    @pytest.mark.parametrize("stem", ["appendix_families", "example_p_minus_z", "lcs_example"])
+    def test_every_dot_makes_a_product(self, monkeypatch, stem):
+        # a sum with no pending product is frozen directly: no _t_dot call
+        # without a pair of two nonempty factors (gradients and geometry.dot
+        # made 85 such calls on appendix_families and 295 on the two small
+        # models before)
+        real = symexpr._t_dot
+        calls = []
+
+        def counted(pairs, acc=None):
+            pairs = list(pairs)
+            calls.append(any(t1 and t2 for t1, t2 in pairs))
+            return real(pairs, acc)
+
+        for m in (symexpr, geometry, torsion):
+            monkeypatch.setattr(m, "_t_dot", counted)
+        run_checks(parse_model((MODELS / f"{stem}.hj").read_text()), seed=42)
+        assert calls and all(calls)
 
 
 class TestFormatter:
